@@ -9,6 +9,8 @@ direction and contracts its gradient table with (1, f).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
@@ -20,9 +22,15 @@ from .errors import (
 from .triangulation import barycentric_weights
 
 
+@functools.lru_cache(maxsize=None)
 def triu_layout(n):
-    """Row-major upper-triangle index pairs; defines the entry order."""
-    return np.triu_indices(n)
+    """Row-major upper-triangle index pairs; defines the entry order.
+
+    Cached, so the arrays are shared and read-only."""
+    iu = np.triu_indices(n)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
 
 
 def pack_symmetric(mat):
@@ -110,8 +118,7 @@ class CPAMetric:
     def eval_metric(self, point, tol=1e-9):
         """Interpolated metric at a point of the domain; exact at vertices."""
         sid, lam = self.complex.locate(point, tol)
-        vals = lam @ self.vertex_values[sid]
-        return unpack_symmetric(vals, self.n)
+        return unpack_symmetric(self.interpolate_batch([sid], [lam])[0], self.n)
 
     def orbital_derivative_plus(self, sys, point, tol=1e-9, zero_tol=1e-9):
         """Forward orbital derivative at an interior point.
@@ -153,14 +160,11 @@ class CPAMetric:
         eigs = scipy.linalg.eigh(A, M, eigvals_only=True)
         return 0.5 * float(eigs.max())
 
-    def metric_at_slots(self):
-        """(n_slots, n, n) symmetric matrices stored at the slots."""
-        return unpack_symmetric(self.values, self.n)
-
     def interpolate_batch(self, simplex_ids, lam):
         """Metric entries for batched (simplex, weights) pairs.
 
         `lam` has shape (N, n+2) aligned with `simplex_ids` (N,);
         returns (N, P).
         """
-        return np.einsum("nk,nkp->np", lam, self.vertex_values[simplex_ids])
+        lam = np.asarray(lam, dtype=float)
+        return (lam[:, None, :] @ self.vertex_values[simplex_ids])[:, 0]

@@ -1,11 +1,12 @@
-"""Expression trees for right-hand sides: evaluation, forward-mode
+"""Expression trees for right-hand sides: compiled evaluation, forward-mode
 differentiation, and interval enclosure.
 
-Variables are indexed 0..n with index 0 reserved for t. Evaluation is
-numpy-vectorized: `values` may be shaped (n+1,) for a single point or
-(n+1, N) for a batch. Interval evaluation takes parallel lower/upper
-arrays and returns a sound enclosure, widened by a relative epsilon
-inflation instead of directed rounding.
+Variables are indexed 0..n with index 0 reserved for t. `compile_exprs`
+turns a list of trees into one straight-line numpy function, generated
+from the node types (never from the user's text); `values` may be shaped
+(n+1,) for a single point or (n+1, N) for a batch. Interval evaluation
+takes parallel lower/upper arrays and returns a sound enclosure, widened
+by a relative epsilon inflation instead of directed rounding.
 """
 
 from __future__ import annotations
@@ -44,10 +45,7 @@ def _contains_crit(lo, hi, offset):
 
 
 class Expr:
-    """Base expression node. Subclasses implement ev / iv / diff."""
-
-    def ev(self, values):
-        raise NotImplementedError
+    """Base expression node. Subclasses implement iv / diff."""
 
     def iv(self, lo, hi, eps):
         raise NotImplementedError
@@ -65,9 +63,6 @@ class Const(Expr):
     def __init__(self, value):
         self.value = float(value)
 
-    def ev(self, values):
-        return self.value
-
     def iv(self, lo, hi, eps):
         return self.value, self.value
 
@@ -84,9 +79,6 @@ class Var(Expr):
     def __init__(self, index):
         self.index = index
 
-    def ev(self, values):
-        return values[self.index]
-
     def iv(self, lo, hi, eps):
         return lo[self.index], hi[self.index]
 
@@ -99,12 +91,10 @@ class Var(Expr):
 
 class Add(Expr):
     __slots__ = ("a", "b")
+    op = "+"
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def ev(self, values):
-        return self.a.ev(values) + self.b.ev(values)
 
     def iv(self, lo, hi, eps):
         alo, ahi = self.a.iv(lo, hi, eps)
@@ -120,12 +110,10 @@ class Add(Expr):
 
 class Sub(Expr):
     __slots__ = ("a", "b")
+    op = "-"
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def ev(self, values):
-        return self.a.ev(values) - self.b.ev(values)
 
     def iv(self, lo, hi, eps):
         alo, ahi = self.a.iv(lo, hi, eps)
@@ -141,12 +129,10 @@ class Sub(Expr):
 
 class Mul(Expr):
     __slots__ = ("a", "b")
+    op = "*"
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def ev(self, values):
-        return self.a.ev(values) * self.b.ev(values)
 
     def iv(self, lo, hi, eps):
         alo, ahi = self.a.iv(lo, hi, eps)
@@ -162,12 +148,10 @@ class Mul(Expr):
 
 class Div(Expr):
     __slots__ = ("a", "b")
+    op = "/"
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def ev(self, values):
-        return self.a.ev(values) / self.b.ev(values)
 
     def iv(self, lo, hi, eps):
         alo, ahi = self.a.iv(lo, hi, eps)
@@ -191,9 +175,6 @@ class Neg(Expr):
     def __init__(self, a):
         self.a = a
 
-    def ev(self, values):
-        return -self.a.ev(values)
-
     def iv(self, lo, hi, eps):
         alo, ahi = self.a.iv(lo, hi, eps)
         return -ahi, -alo
@@ -212,9 +193,6 @@ class Pow(Expr):
 
     def __init__(self, a, p):
         self.a, self.p = a, int(p)
-
-    def ev(self, values):
-        return self.a.ev(values) ** self.p
 
     def iv(self, lo, hi, eps):
         p = self.p
@@ -251,9 +229,6 @@ class Fun(Expr):
 
     def __init__(self, name, a):
         self.name, self.a = name, a
-
-    def ev(self, values):
-        return self._EV[self.name](self.a.ev(values))
 
     def iv(self, lo, hi, eps):
         alo, ahi = self.a.iv(lo, hi, eps)
@@ -350,14 +325,63 @@ def ipow(a, p):
     if p == 1:
         return a
     if _is_const(a):
-        return Const(a.value**p)
+        with np.errstate(all="ignore"):
+            return Const(np.float64(a.value) ** p)
     return Pow(a, p)
 
 
 def call(name, a):
     if _is_const(a):
-        return Const(float(Fun._EV[name](a.value)))
+        with np.errstate(all="ignore"):
+            return Const(float(Fun._EV[name](a.value)))
     return Fun(name, a)
+
+
+def compile_exprs(exprs):
+    """Compile trees into one function `compiled(values, out)` that writes
+    the value of tree j to `out[..., j]`.
+
+    Each tree becomes one nested expression applying the same operators
+    and ufuncs in the same order as a recursive walk, so results are
+    bit-identical to it, and numpy can reuse temporaries. Constants are
+    bound by value as float64, so non-finite ones survive and `1/0` gives
+    inf instead of raising; callers own the `np.errstate` and the
+    finiteness check.
+    """
+    env = dict(Fun._EV)
+    lines, consts = [], {}
+
+    def emit(e):
+        """Source text of e and its nesting depth."""
+        if isinstance(e, Const):
+            name = consts.setdefault(repr(e.value), f"_c{len(consts)}")
+            env[name] = np.float64(e.value)
+            return name, 0
+        if isinstance(e, Var):
+            return f"v[{e.index:d}]", 0
+        parts = [emit(getattr(e, s)) for s in ("a", "b") if s in e.__slots__]
+        a = [text for text, _ in parts]
+        if isinstance(e, Neg):
+            text = f"-{a[0]}"
+        elif isinstance(e, Pow):
+            text = f"{a[0]} ** {e.p:d}"
+        elif isinstance(e, Fun):
+            if e.name not in Fun._EV:
+                raise ValueError(f"function {e.name!r} is not whitelisted")
+            text = f"{e.name}({a[0]})"
+        else:
+            text = f"{a[0]} {e.op} {a[1]}"
+        depth = 1 + max(d for _, d in parts)
+        if depth > 32:      # stay well inside the parser's nesting limit
+            lines.append(f"    _{len(lines)} = {text}\n")
+            return f"_{len(lines) - 1}", 0
+        return f"({text})", depth
+
+    for j, e in enumerate(exprs):
+        lines.append(f"    out[..., {j}] = {emit(e)[0]}\n")
+    src = "def compiled(v, out):\n" + "".join(lines)
+    exec(compile(src, "<expressions>", "exec"), env)
+    return env["compiled"]
 
 
 FUNCTIONS = ("sin", "cos", "exp")
@@ -480,7 +504,8 @@ class ExpressionParser:
         if kind == "op" and val == "^":
             tz.next()
             exp = self._unary(tz)
-            if not isinstance(exp, Const) or exp.value != int(exp.value):
+            if not isinstance(exp, Const) or not math.isfinite(exp.value) \
+                    or exp.value != int(exp.value):
                 raise ExpressionSyntaxError("exponent must be an integer literal", pos)
             return ipow(base, int(exp.value))
         return base

@@ -5,6 +5,7 @@ third partial derivatives (t counts as coordinate 0).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -91,32 +92,42 @@ class SystemDefinition:
             ]
         else:
             self._d3 = None
+        jac = [d[j] for d in self._d1 for j in range(1, n + 1)]
+        self._f_code = ex.compile_exprs(self.rhs)
+        self._jac_code = ex.compile_exprs(jac)
+        self._f_jac_code = ex.compile_exprs(list(self.rhs) + jac)
 
     # -- evaluation -------------------------------------------------------
 
-    def f(self, point):
-        """f(t, x) at a single point (t, x1..xn); returns shape (n,)."""
+    def _at(self, code, point, size):
         vals = np.asarray(point, dtype=float)
         if vals.shape != (self.n + 1,):
             raise DimensionMismatchError(f"point must have shape ({self.n + 1},)")
+        out = np.empty(size)
         with np.errstate(all="ignore"):
-            out = np.array([np.asarray(f.ev(vals), dtype=float)
-                            for f in self.rhs])
-        if not np.all(np.isfinite(out)):
-            raise DomainError("non-finite value in f evaluation")
+            code(vals, out)
         return out
+
+    def _batch(self, code, points, shape):
+        vals = np.asarray(points, dtype=float).T
+        out = np.empty((vals.shape[1],) + shape)
+        with np.errstate(all="ignore"):
+            code(vals, out.reshape(len(out), math.prod(shape)))
+        return out
+
+    @staticmethod
+    def _finite(out, what):
+        if not np.isfinite(out).all():
+            raise DomainError(f"non-finite value in {what} evaluation")
+        return out
+
+    def f(self, point):
+        """f(t, x) at a single point (t, x1..xn); returns shape (n,)."""
+        return self._finite(self._at(self._f_code, point, self.n), "f")
 
     def f_many(self, points):
         """Vectorized f over points of shape (N, n+1); returns (N, n)."""
-        vals = np.asarray(points, dtype=float).T
-        N = vals.shape[1]
-        out = np.empty((N, self.n))
-        with np.errstate(all="ignore"):
-            for l, f in enumerate(self.rhs):
-                out[:, l] = np.broadcast_to(f.ev(vals), (N,))
-        if not np.all(np.isfinite(out)):
-            raise DomainError("non-finite value in f evaluation")
-        return out
+        return self._finite(self._batch(self._f_code, points, (self.n,)), "f")
 
     def f_tilde_many(self, points):
         """(1, f(t,x)) rows for a batch of points; returns (N, n+1)."""
@@ -128,31 +139,20 @@ class SystemDefinition:
 
     def jacobian(self, point):
         """Spatial Jacobian D_x f at a single point; returns (n, n)."""
-        vals = np.asarray(point, dtype=float)
-        if vals.shape != (self.n + 1,):
-            raise DimensionMismatchError(f"point must have shape ({self.n + 1},)")
-        with np.errstate(all="ignore"):
-            out = np.array(
-                [[np.asarray(self._d1[l][j].ev(vals), dtype=float)
-                  for j in range(1, self.n + 1)] for l in range(self.n)]
-            )
-        if not np.all(np.isfinite(out)):
-            raise DomainError("non-finite value in Jacobian evaluation")
-        return out
+        out = self._at(self._jac_code, point, self.n**2).reshape(self.n, self.n)
+        return self._finite(out, "Jacobian")
 
     def jacobian_many(self, points):
         """Vectorized spatial Jacobian; returns (N, n, n)."""
-        vals = np.asarray(points, dtype=float).T
-        N = vals.shape[1]
-        out = np.empty((N, self.n, self.n))
-        with np.errstate(all="ignore"):
-            for l in range(self.n):
-                for j in range(1, self.n + 1):
-                    out[:, l, j - 1] = np.broadcast_to(
-                        self._d1[l][j].ev(vals), (N,))
-        if not np.all(np.isfinite(out)):
-            raise DomainError("non-finite value in Jacobian evaluation")
-        return out
+        out = self._batch(self._jac_code, points, (self.n, self.n))
+        return self._finite(out, "Jacobian")
+
+    def f_and_jacobian(self, point):
+        """f and D_x f at a single point from one compiled call, with the
+        finiteness checks of `f` and then `jacobian`."""
+        out = self._at(self._f_jac_code, point, self.n + self.n**2)
+        return (self._finite(out[:self.n], "f"),
+                self._finite(out[self.n:].reshape(self.n, self.n), "Jacobian"))
 
     # -- derivative bounds ------------------------------------------------
 

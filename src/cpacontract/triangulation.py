@@ -232,9 +232,20 @@ class Simplex:
 
 
 def barycentric_weights(Xinv, v0, point):
-    """All n+2 barycentric weights of a point, first weight for v0."""
-    lam = Xinv.T @ (np.asarray(point, dtype=float) - v0)
-    return np.concatenate(([1.0 - lam.sum()], lam))
+    """All n+2 barycentric weights of a point, first weight for v0.
+
+    Broadcasts over leading axes of `Xinv` (..., n+1, n+1), `v0` and
+    `point` (..., n+1); returns (..., n+2).
+    """
+    d = np.asarray(point, dtype=float) - v0
+    lam = (d[..., None, :] @ Xinv)[..., 0, :]
+    return np.concatenate([1.0 - lam.sum(axis=-1, keepdims=True), lam], axis=-1)
+
+
+def _ranges(start, end):
+    """Concatenation of the integer ranges [start, end)."""
+    lens = end - start
+    return np.repeat(start - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
 
 
 @dataclass
@@ -313,46 +324,60 @@ class SimplicialComplex:
         return np.where(tw >= self.T, 0.0, tw) if isinstance(tw, np.ndarray) else (
             0.0 if tw >= self.T else tw)
 
-    def _cell_key(self, slab, cell):
-        return (int(slab),) + tuple(int(c) for c in cell)
+    def _cell_of(self, points):
+        """Lattice cell (slab, x-cell..) of points with wrapped t; huge or
+        non-finite coordinates give cells off the grid."""
+        with np.errstate(invalid="ignore"):
+            q = np.floor(points / self.cell_sizes).astype(np.int64)
+        q[..., 0] = np.minimum(q[..., 0], self.n_slabs - 1)
+        return q
 
-    def candidate_simplices(self, point, neighbors=True):
-        """Simplex ids whose cells could contain the point."""
-        p = np.asarray(point, dtype=float)
-        tw = self.wrap_time(p[0])
-        sizes = self.cell_sizes
-        slab = min(int(np.floor(tw / self.rho)), self.n_slabs - 1)
-        cell = np.floor(p[1:] / sizes[1:]).astype(int)
-        keys = [self._cell_key(slab, cell)]
-        if neighbors:
-            offs = itertools.product((-1, 0, 1), repeat=self.n + 1)
-            for off in offs:
-                if all(o == 0 for o in off):
-                    continue
-                sl = (slab + off[0]) % self.n_slabs
-                keys.append(self._cell_key(sl, cell + np.asarray(off[1:])))
-        out = []
-        seen = set()
-        for key in keys:
-            rng = self._cell_map.get(key)
-            if rng is not None:
-                for sid in range(rng[0], rng[1]):
-                    if sid not in seen:
-                        seen.add(sid)
-                        out.append(sid)
-        return sorted(out)
+    def _flat_cells(self, q):
+        """Index into the cell ranges of cells q (..., n+1); cells off the
+        grid map to the trailing empty range."""
+        q = q - self._cell_origin
+        inside = np.all((q >= 0) & (q < self._cell_shape), axis=-1)
+        return np.where(inside, q @ self._cell_strides, -1)
+
+    def _weights(self, sids, points):
+        return barycentric_weights(self.Xinv[sids],
+                                   self.vert_xyz[self.simp_verts[sids, 0]], points)
 
     def containing(self, point, tol=1e-9):
-        """All (simplex id, barycentric weights) containing the point."""
+        """All (simplex id, barycentric weights) containing the point, by
+        ascending id; candidates come from its cell and the neighbours."""
         p = np.asarray(point, dtype=float)
         p = np.concatenate(([self.wrap_time(p[0])], p[1:]))
-        hits = []
-        for sid in self.candidate_simplices(p):
-            lam = barycentric_weights(self.Xinv[sid],
-                                      self.vert_xyz[self.simp_verts[sid, 0]], p)
-            if lam.min() >= -tol:
-                hits.append((sid, lam))
-        return hits
+        q = self._cell_of(p) + self._offsets
+        q[:, 0] %= self.n_slabs
+        flat = self._flat_cells(q)
+        sids = np.unique(_ranges(self._cell_start[flat], self._cell_end[flat]))
+        lam = self._weights(sids, p)
+        return [(int(s), w) for s, w in zip(sids, lam) if w.min() >= -tol]
+
+    def locate_many(self, points, tol=1e-9):
+        """Simplex id and barycentric weights for each of N points, shaped
+        (N,) and (N, n+2); the id is -1 (zero weights) outside the domain.
+
+        Each point is tested against the simplices of its own cell; only
+        the misses go through `containing`, whose first hit they take.
+        """
+        p = np.array(points, dtype=float).reshape(-1, self.n + 1)
+        p[:, 0] = self.wrap_time(p[:, 0])
+        flat = self._flat_cells(self._cell_of(p))
+        start, end = self._cell_start[flat], self._cell_end[flat]
+        sids = start[:, None] + np.arange(max((end - start).max(initial=0), 1))
+        valid = sids < end[:, None]
+        sids = np.where(valid, sids, 0)
+        lam = self._weights(sids, p[:, None, :])
+        hit = valid & (lam.min(axis=-1) >= -tol)
+        rows, first = np.arange(len(p)), hit.argmax(axis=1)
+        out_sid = np.where(hit.any(axis=1), sids[rows, first], -1)
+        out_lam = lam[rows, first]
+        for i in np.nonzero(out_sid < 0)[0]:
+            hits = self.containing(p[i], tol)
+            out_sid[i], out_lam[i] = hits[0] if hits else (-1, 0.0)
+        return out_sid, out_lam
 
     def locate(self, point, tol=1e-9):
         hits = self.containing(point, tol)
@@ -504,19 +529,23 @@ def build_complex(region, T, K, scaling=None, selection_margin=1e-12):
             h = np.maximum(h, d)
     cx.h = h
 
-    # Cell map for point location: simplices are sorted by generator key
-    # (slab-major, cells, permutation), so each cell is one contiguous run.
+    # Dense (slab, x-cell) -> [start, end) index for point location:
+    # simplices sorted by generator key (slab-major, cells, permutation)
+    # form one contiguous run per cell. A one-cell border keeps the
+    # neighbours of every nonempty cell on the grid; the trailing entry is
+    # an empty range for cells off the grid.
     order = np.lexsort(tuple(cx.simp_gen[:, k] for k in range(n + 1, -1, -1)))
     _reorder(cx, order)
-    cell_map = {}
-    gen = cx.simp_gen
-    start = 0
-    for i in range(1, cx.n_simplices + 1):
-        if i == cx.n_simplices or not np.array_equal(gen[i, :-1], gen[start, :-1]):
-            key = (int(gen[start, 0]),) + tuple(int(v) for v in gen[start, 1:-1])
-            cell_map[key] = (start, i)
-            start = i
-    cx._cell_map = cell_map
+    key = cx.simp_gen[:, :-1]
+    cx._cell_origin = np.concatenate(([0], key[:, 1:].min(axis=0) - 1))
+    cx._cell_shape = np.concatenate(
+        ([n_slabs], key[:, 1:].max(axis=0) + 2 - cx._cell_origin[1:]))
+    cx._cell_strides = np.append(np.cumprod(cx._cell_shape[::-1])[-2::-1], 1)
+    flat = (key - cx._cell_origin) @ cx._cell_strides
+    cells = np.arange(np.prod(cx._cell_shape) + 1)
+    cx._cell_start = np.searchsorted(flat, cells, side="left")
+    cx._cell_end = np.searchsorted(flat, cells, side="right")
+    cx._offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n + 1)))
     return cx
 
 
@@ -602,46 +631,28 @@ def check_complex(cx, cover_samples=200, seed=0):
             report.unpaired_vertices.append(("slot-mismatch", (a, b)))
 
     rng = np.random.default_rng(seed)
-    pts = _region_sample_points(cx, cover_samples, rng)
-    for p in pts:
-        try:
-            cx.locate(p, tol=1e-9)
-        except OutsideDomainError:
-            report.cover_ok = False
-            report.cover_failures.append(tuple(p))
+    pts = np.asarray(_region_sample_points(cx, cover_samples, rng))
+    sids, _ = cx.locate_many(pts, tol=1e-9)
+    report.cover_failures = [tuple(p) for p in pts[sids < 0]]
+    report.cover_ok = not report.cover_failures
     return report
 
 
 def _candidate_pairs(cx):
     """Simplex pairs in identical or adjacent cells (with t-wrap)."""
     pairs = []
-    n_slabs = cx.n_slabs
-    for key, (a0, a1) in cx._cell_map.items():
-        for i in range(a0, a1):
-            for j in range(i + 1, a1):
-                pairs.append((i, j, False))
-        for off in itertools.product((-1, 0, 1), repeat=cx.n + 1):
-            if all(o == 0 for o in off):
-                continue
-            slab = key[0] + off[0]
-            wrap = 0
-            if slab < 0:
-                slab += n_slabs
-                wrap = -1
-            elif slab >= n_slabs:
-                slab -= n_slabs
-                wrap = 1
-            nkey = (slab,) + tuple(k + o for k, o in zip(key[1:], off[1:]))
-            rng2 = cx._cell_map.get(nkey)
-            if rng2 is None:
-                continue
-            for i in range(a0, a1):
-                for j in range(rng2[0], rng2[1]):
-                    if wrap == 0 and j <= i:
-                        continue
-                    if wrap == -1:
-                        continue  # counted from the other side as wrap == 1
-                    pairs.append((i, j, wrap == 1))
+    starts, ends = cx._cell_start, cx._cell_end
+    for c in np.nonzero(ends > starts)[0]:
+        a = range(starts[c], ends[c])
+        pairs.extend((i, j, False) for i in a for j in a if j > i)
+        q = np.unravel_index(c, cx._cell_shape) + cx._cell_origin + cx._offsets
+        wrap = q[:, 0] // cx.n_slabs        # -1, 0 or 1 across t = 0 / t = T
+        q[:, 0] %= cx.n_slabs
+        for off, nb, w in zip(cx._offsets, cx._flat_cells(q), wrap):
+            # wrap == -1 is counted from the other side as wrap == 1
+            if w >= 0 and off.any():
+                pairs.extend((i, j, w == 1) for i in a
+                             for j in range(starts[nb], ends[nb]) if w or j > i)
     return pairs
 
 

@@ -1,18 +1,38 @@
+import operator
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cpacontract.errors import DomainError, ExpressionSyntaxError
 from cpacontract.expressions import (
+    Add,
     Const,
+    Div,
     ExpressionParser,
+    Fun,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    compile_exprs,
     interval_bound_abs,
 )
+from cpacontract.systems import SystemDefinition, parse_system
 
 
 def parse1(text):
     return ExpressionParser(1).parse(text)
+
+
+def evaluate(trees, vals):
+    out = np.empty(len(trees))
+    compile_exprs(trees)(vals, out)
+    return out
 
 
 class TestParser:
@@ -54,14 +74,15 @@ class TestDerivatives:
         dt = f.diff(0)
         dx = f.diff(1)
         vals = np.array([0.7, 1.3])
-        assert dt.ev(vals) == pytest.approx(1.3**2 * np.cos(0.7))
-        assert dx.ev(vals) == pytest.approx(2 * 1.3 * np.sin(0.7))
+        dt_val, dx_val = evaluate([dt, dx], vals)
+        assert dt_val == pytest.approx(1.3**2 * np.cos(0.7))
+        assert dx_val == pytest.approx(2 * 1.3 * np.sin(0.7))
 
     def test_quotient(self):
         f = parse1("sin(t) / x1")
         d = f.diff(1)
         vals = np.array([0.5, 2.0])
-        assert d.ev(vals) == pytest.approx(-np.sin(0.5) / 4.0)
+        assert evaluate([d], vals)[0] == pytest.approx(-np.sin(0.5) / 4.0)
 
     def test_constant_folding_keeps_trees_small(self):
         f = parse1("0*x1 + 1*sin(t) + x1^1 + t^0")
@@ -137,3 +158,102 @@ class TestIntervals:
         lo, hi = f.iv(np.array([0.0, -1.0]), np.array([1.0, 2.0]), 0.0)
         assert lo == pytest.approx(np.exp(-1.0))
         assert hi == pytest.approx(np.exp(2.0))
+
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+           Div: operator.truediv}
+_UFUNC = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+
+
+def reference_eval(e, v):
+    """Recursive tree walk: the oracle for the compiled code. Constants are
+    float64, as in the compiled code, so that 1/0 gives inf."""
+    if isinstance(e, Const):
+        return np.float64(e.value)
+    if isinstance(e, Var):
+        return v[e.index]
+    if isinstance(e, Neg):
+        return -reference_eval(e.a, v)
+    if isinstance(e, Pow):
+        return reference_eval(e.a, v) ** e.p
+    if isinstance(e, Fun):
+        return _UFUNC[e.name](reference_eval(e.a, v))
+    return _BINARY[type(e)](reference_eval(e.a, v), reference_eval(e.b, v))
+
+
+def _unary(child):
+    return st.one_of(
+        child.map(Neg),
+        st.builds(Pow, child, st.integers(-3, 4)),
+        st.builds(Fun, st.sampled_from(sorted(_UFUNC)), child))
+
+
+_TREES = st.recursive(
+    st.one_of(st.integers(0, 2).map(Var),
+              st.floats(-3.0, 3.0, width=64).map(Const)),
+    lambda child: st.one_of(
+        _unary(child),
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from(sorted(
+            _BINARY, key=lambda c: c.__name__)), child, child)),
+    max_leaves=10)
+
+
+class TestCompiledEvaluation:
+    @staticmethod
+    def _check(method, trees, values, shape):
+        """`method` on points values.T against the reference walk: the same
+        bits, or DomainError where the reference is not finite."""
+        with np.errstate(all="ignore"):
+            ref = np.stack([np.broadcast_to(reference_eval(e, values),
+                                            values.shape[1:])
+                            for e in trees], axis=-1)
+        ref = ref.reshape(values.shape[1:] + shape)
+        if np.isfinite(ref).all():
+            out = method(values.T)
+            assert out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes()
+        else:
+            with pytest.raises(DomainError):
+                method(values.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(f1=_TREES, f2=_TREES,
+           points=hnp.arrays(np.float64, (5, 3),
+                             elements=st.floats(-2.0, 2.0, width=64)))
+    def test_matches_reference_walk(self, f1, f2, points):
+        sys = SystemDefinition(2, 1.0, [f1, f2])
+        jac = [f.diff(j) for f in (f1, f2) for j in (1, 2)]
+        self._check(sys.f, [f1, f2], points[0], (2,))
+        self._check(sys.jacobian, jac, points[0], (2, 2))
+        self._check(sys.f_many, [f1, f2], points.T, (2,))
+        self._check(sys.jacobian_many, jac, points.T, (2, 2))
+
+    def test_long_chain(self):
+        # nesting in the generated source is capped, so a long sum compiles
+        sys = parse_system("dim=1; period=1; f1 = " + " + ".join(["x1"] * 300),
+                           check_periodic=False)
+        assert sys.f([0.0, 0.5])[0] == 150.0
+        assert sys.jacobian([0.0, 0.5])[0, 0] == 300.0
+
+    @pytest.mark.parametrize("text, jacobian_finite", [
+        ("1e400*0 + x1", True),     # folds to the constant nan
+        ("exp(800)*x1", False),     # folds to the constant inf
+        ("x1 + 1/0", True),
+    ])
+    def test_non_finite_constants(self, text, jacobian_finite):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # folding leaks no warning
+            sys = parse_system(f"dim=1; period=1; f1 = {text}",
+                               check_periodic=False)
+        point = np.array([0.3, 0.5])
+        with pytest.raises(DomainError):
+            sys.f(point)
+        with pytest.raises(DomainError):
+            sys.f_many(point[None])
+        with pytest.raises(DomainError):
+            sys.f_and_jacobian(point)
+        if jacobian_finite:
+            assert sys.jacobian(point)[0, 0] == 1.0
+        else:
+            with pytest.raises(DomainError):
+                sys.jacobian_many(point[None])

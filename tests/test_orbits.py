@@ -1,9 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from cpacontract.cpa import CPAMetric
-from cpacontract.errors import NoConvergenceError
+from cpacontract.errors import (
+    DomainError,
+    LeftDomainError,
+    NoConvergenceError,
+    NonFiniteStateError,
+)
 from cpacontract.orbits import (
     contraction_probe,
     find_periodic_orbit,
@@ -113,3 +120,84 @@ class TestContractionProbe:
         cpa = CPAMetric.constant(cx, np.eye(1))
         d = contraction_probe(cpa, sys, [0.1], [1e-3], 1.0, 100)
         assert d[-1] > d[0]
+
+    @pytest.mark.parametrize("text, x0, region, steps, t_exit", [
+        ("dim=1; period=1; f1 = x1", [0.5], [[-1.0, 1.0]], 100,
+         0.7000000000000001),
+        # leaves the domain at t = 0.12, blows up in finite time later
+        ("dim=1; period=1; f1 = x1^3", [0.9], [[-1.0, 1.0]], 100, 0.12),
+        ("dim=2; period=1; f1 = x1; f2 = -x2", [0.5, 0.5],
+         [[-1.0, 1.0], [-1.0, 1.0]], 64, 0.703125),
+    ])
+    def test_left_domain_negative_control(self, text, x0, region, steps,
+                                          t_exit):
+        sys = parse_system(text, check_periodic=False)
+        cpa = CPAMetric.constant(build_complex([region], 1.0, 1),
+                                 np.eye(sys.n))
+        with pytest.raises(LeftDomainError,
+                           match=re.escape(f"at t={t_exit!r}") + "$"):
+            contraction_probe(cpa, sys, x0, [1e-3] * sys.n, 1.0, steps)
+
+    @pytest.mark.parametrize("text, steps, error", [
+        # a stage evaluation of f overflows
+        ("dim=1; period=1; f1 = exp(1000*x1)", 100, DomainError),
+        # every stage is finite, their weighted sum is not
+        ("dim=1; period=1; f1 = 1e308 + 0*x1", 10, NonFiniteStateError),
+    ])
+    def test_overflow_in_one_step_negative_control(self, text, steps, error):
+        sys = parse_system(text, check_periodic=False)
+        cpa = CPAMetric.constant(build_complex([[[-1.0, 1.0]]], 1.0, 1),
+                                 np.eye(1))
+        with pytest.raises(error) as exc, np.errstate(over="ignore"):
+            contraction_probe(cpa, sys, [0.0], [1e-3], 1.0, steps)
+        assert type(exc.value) is error
+
+
+class TestRecordedValues:
+    """Oracle values recorded with the per-point tree-walking evaluator and
+    the neighbour-loop point location; the compiled right-hand sides and
+    batched location must reproduce them."""
+
+    def test_criterion_1_probe_series(self, linear_1d):
+        # a closed-form positive CPA metric on the criterion-1 mesh keeps
+        # the series independent of the SDP solver
+        cx = build_complex([[[-2.0, 1.0]]], linear_1d.T, 5)
+        xyz = cx.slot_coordinates()
+        cpa = CPAMetric(cx, (1.0 + 0.3 * np.sin(xyz[:, 0])
+                             + 0.2 * xyz[:, 1] ** 2)[:, None])
+        recorded = {
+            (-1.2, 1e-3): [
+                0.0011352374963147496, 0.0005065451134519672,
+                0.00023940836949336186, 0.00010788899102004474,
+                4.419606127044805e-05, 1.7494659861807528e-05,
+                7.796056380296861e-06, 3.865088872297576e-06,
+                1.915533576118861e-06],
+            (0.4, -1e-3): [
+                0.0010160098649666944, 0.0005090277487633464,
+                0.0002456452914857116, 0.00010963331145940804,
+                4.4481955138366005e-05, 1.7496376669552157e-05,
+                7.781435997858424e-06, 3.861177471523977e-06,
+                1.914999464383305e-06],
+        }
+        for (x0, off), series in recorded.items():
+            d = contraction_probe(cpa, linear_1d, [x0], [off], TWO_PI, 2000)
+            np.testing.assert_allclose(d[::250], series, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("text, x_star, exponents", [
+        ("f1 = -x1 - x1^3 + sin(t)", [-0.38012642983012696],
+         [-1.5661365620703875]),
+        ("f1 = x2; f2 = -x1 - x2 - x1^3 + 0.5*cos(t)",
+         [0.08540097725817376, 0.4770496063267436],
+         [-0.43114150003556245, -0.5688584999192078]),
+        ("f1 = -x1 + x2/(2 + x1^2); f2 = -2*x2 + exp(-x1^2)*sin(t)",
+         [-0.1472237779468453, -0.1965395156392293],
+         [-1.0383625037804116, -1.9736969712753203]),
+    ])
+    def test_floquet(self, text, x_star, exponents):
+        sys = parse_system(f"dim={len(x_star)}; period=6.283185307179586; "
+                           + text)
+        res = find_periodic_orbit(sys, np.zeros(sys.n), steps=1024)
+        mono = monodromy(sys, res, steps=1024)
+        np.testing.assert_allclose(res.x_star, x_star, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mono.exponents, exponents, rtol=1e-12,
+                                   atol=0)

@@ -160,6 +160,57 @@ class TestLocation:
         hits = cx.containing([0.5, 0.5])  # on the shared diagonal
         assert len(hits) == 2
 
+    @staticmethod
+    def _brute_force(cx, point, tol=1e-9):
+        """Every simplex of the complex, one barycentric solve each."""
+        p = np.array(point, dtype=float)
+        p[0] = cx.wrap_time(p[0])
+        hits = []
+        for sid in range(cx.n_simplices):
+            lam = cx.Xinv[sid].T @ (p - cx.vert_xyz[cx.simp_verts[sid, 0]])
+            lam = np.concatenate(([1.0 - lam.sum()], lam))
+            if lam.min() >= -tol:
+                hits.append((sid, lam))
+        return hits
+
+    @pytest.mark.parametrize("region, K", [
+        ([[[-1.0, 0.7]]], 3),
+        ([[[-1.0, 0.7], [-0.5, 0.6]]], 1),
+        ([[[-1.0, 0.0], [-1.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]]], 1),  # L
+        ([[[-1.0, 0.7]] * 3], 0),
+    ])
+    def test_location_matches_brute_force(self, region, K):
+        cx = build_complex(region, 1.0, K)
+        n = cx.n
+        rng = np.random.default_rng(K + 10 * n)
+        box = np.array(region[0])
+        inside = np.column_stack([rng.uniform(0.0, 1.0, 40),
+                                  rng.uniform(box[:, 0], box[:, 1], (40, n))])
+        shifted = inside[:12] + np.outer([-1.0, 1.0, 2.0, 1.0] * 3,
+                                         np.eye(n + 1)[0])   # t < 0, t >= T
+        verts = cx.vert_xyz[rng.choice(cx.n_vertices, 20, replace=False)]
+        faces = cx.vert_xyz[cx.simp_verts[rng.choice(cx.n_simplices, 20)]]
+        facets = faces[:, 1:].mean(axis=1)       # centroids of shared facets
+        edges = faces[:, :2].mean(axis=1)        # midpoints of shared edges
+        outside = np.column_stack([rng.uniform(-2.0, 2.0, 12),
+                                   rng.choice([-1.0, 1.0], (12, n))
+                                   * rng.uniform(1.1, 50.0, (12, n))])
+        points = np.vstack([inside, shifted, verts, facets, edges, outside])
+        sids, lams = cx.locate_many(points)
+        for p, sid, lam in zip(points, sids, lams):
+            expect = self._brute_force(cx, p)
+            got = cx.containing(p)
+            assert [s for s, _ in got] == [s for s, _ in expect]
+            for (_, a), (_, b) in zip(got, expect):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+            if not expect:
+                assert sid == -1 and not lam.any()
+            else:
+                np.testing.assert_allclose(lam, dict(expect)[sid],
+                                           rtol=0, atol=1e-14)
+        assert (sids == -1).sum() >= len(outside)
+        assert (sids[:len(inside)] >= 0).all()
+
 
 class TestValidation:
     @pytest.mark.parametrize("K", range(4))
