@@ -81,7 +81,6 @@ class Config:
                 gap_tol=float(solver_raw.get("gap_tol", 1e-8)),
                 max_iterations=int(solver_raw.get("max_iterations", 200)),
                 inflation=float(solver_raw.get("inflation", 1.0)),
-                deterministic=bool(solver_raw.get("deterministic", True)),
             )
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad solver settings: {exc}") from exc

@@ -12,13 +12,13 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     NoForwardSimplexError,
     NotPositiveDefiniteError,
     OutsideSimplexError,
 )
+from .smallmat import eig_min, gen_eig_max
 from .triangulation import barycentric_weights
 
 
@@ -150,15 +150,14 @@ class CPAMetric:
         """Contraction functional: half the largest generalized eigenvalue
         of M Dxf + Dxf^T M + M'_+ with respect to M."""
         M = self.eval_metric(point, tol)
-        if np.linalg.eigvalsh(M).min() <= 0.0:
+        if eig_min(M) <= 0.0:
             raise NotPositiveDefiniteError(
                 f"metric not positive definite at {point}")
         pw = np.concatenate(([self.complex.wrap_time(point[0])],
                              np.asarray(point, dtype=float)[1:]))
         J = sys.jacobian(pw)
         A = M @ J + J.T @ M + self.orbital_derivative_plus(sys, point, tol)
-        eigs = scipy.linalg.eigh(A, M, eigvals_only=True)
-        return 0.5 * float(eigs.max())
+        return 0.5 * float(gen_eig_max(A, M))
 
     def interpolate_batch(self, simplex_ids, lam):
         """Metric entries for batched (simplex, weights) pairs.

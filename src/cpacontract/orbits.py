@@ -45,6 +45,8 @@ class FloquetResult:
 
 
 def _rk4_step(fun, t, x, h):
+    # callers loop over steps with overflow warnings off: their finiteness
+    # checks report an overflowing step, which must not also warn
     k1 = fun(t, x)
     k2 = fun(t + 0.5 * h, x + 0.5 * h * k1)
     k3 = fun(t + 0.5 * h, x + 0.5 * h * k2)
@@ -70,18 +72,19 @@ def integrate(sys, t0, x0, t1, steps):
     x = x0
     max_err = 0.0
     probe_every = max(1, steps // 16)
-    for i in range(steps):
-        t = t0 + i * h
-        x_new = _rk4_step(fun, t, x, h)
-        if i % probe_every == 0:
-            half = _rk4_step(fun, t, x, 0.5 * h)
-            half = _rk4_step(fun, t + 0.5 * h, half, 0.5 * h)
-            max_err = max(max_err, float(np.max(np.abs(x_new - half))) / 15.0)
-        x = x_new
-        ts[i + 1] = t0 + (i + 1) * h
-        xs[i + 1] = x
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteStateError(f"state became non-finite at t={ts[i + 1]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            t = t0 + i * h
+            x_new = _rk4_step(fun, t, x, h)
+            if i % probe_every == 0:
+                half = _rk4_step(fun, t, x, 0.5 * h)
+                half = _rk4_step(fun, t + 0.5 * h, half, 0.5 * h)
+                max_err = max(max_err, float(np.max(np.abs(x_new - half))) / 15.0)
+            x = x_new
+            ts[i + 1] = t0 + (i + 1) * h
+            xs[i + 1] = x
+            if not np.all(np.isfinite(x)):
+                raise NonFiniteStateError(f"state became non-finite at t={ts[i + 1]}")
     return Trajectory(t=ts, x=xs, steps=steps, max_local_error=max_err)
 
 
@@ -96,10 +99,11 @@ def _flow_with_variational(sys, x0, steps):
 
     state = np.concatenate([np.atleast_1d(np.asarray(x0, dtype=float)),
                             np.eye(n).ravel()])
-    for i in range(steps):
-        state = _rk4_step(fun, i * h, state, h)
-        if not np.all(np.isfinite(state)):
-            raise NonFiniteStateError("variational flow became non-finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            state = _rk4_step(fun, i * h, state, h)
+            if not np.all(np.isfinite(state)):
+                raise NonFiniteStateError("variational flow became non-finite")
     return state[:n], state[n:].reshape(n, n)
 
 
@@ -178,15 +182,16 @@ def contraction_probe(cpa, sys, x0, offset, horizon, steps):
     states = np.empty((steps + 1, n, 2))
     states[0] = X
     failure = None
-    for i in range(steps):
-        try:
-            X = _rk4_step(fun, i * h, X, h)
-            if not np.all(np.isfinite(X)):
-                raise NonFiniteStateError("probe state became non-finite")
-        except (DomainError, NonFiniteStateError) as exc:
-            states, failure = states[:i + 1], exc
-            break
-        states[i + 1] = X
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            try:
+                X = _rk4_step(fun, i * h, X, h)
+                if not np.all(np.isfinite(X)):
+                    raise NonFiniteStateError("probe state became non-finite")
+            except (DomainError, NonFiniteStateError) as exc:
+                states, failure = states[:i + 1], exc
+                break
+            states[i + 1] = X
     # distances are due before the step that follows them, so a failed
     # step reports first any earlier exit from the domain
     ts = np.concatenate(([0.0], np.arange(len(states) - 1) * h + h))

@@ -7,11 +7,12 @@ the start is arranged by an auxiliary minimize-tau phase) and drives the
 dual variable Z towards complementarity. The Schur complement over the m
 variables is solved by a dense Cholesky factorization at desk scale and
 by a bandwidth-reduced blocked factorization with a dense border for the
-large meshes, where the dense m x m matrix would not fit.
+large meshes, where the dense m x m matrix would not fit. Block
+eigenvalues for step lengths and interior checks come from `smallmat`.
 
 `certify` re-checks a candidate y independently of the solver internals:
-blocks are recomputed by plain sparse summation and their eigenvalues by
-a local Householder tridiagonalization + QL routine.
+blocks are recomputed by plain sparse summation and, above size 2, their
+eigenvalues by a local Householder tridiagonalization + QL routine.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .assembly import svec_scale
-from .cpa import triu_layout
+from .assembly import svec, svec_scale, unsvec
+from .cpa import sym_basis, triu_layout
 from .errors import DimensionMismatchError
+from .smallmat import eig_min, gen_eig_min
 
 _DENSE_LIMIT = 2500
 _MAX_BAND = 6000
@@ -37,7 +39,6 @@ class SolverSettings:
     gap_tol: float = 1e-8
     max_iterations: int = 200
     inflation: float = 1.0
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.gap_tol <= 0:
@@ -73,53 +74,9 @@ class CertifyReport:
 # batched small-matrix helpers
 
 
-def _unsvec_seg(vec, k, count):
-    """Segment svec vector -> (count, k, k) symmetric matrices."""
-    iu = triu_layout(k)
-    vals = vec.reshape(count, -1) / svec_scale(k)
-    out = np.zeros((count, k, k))
-    out[:, iu[0], iu[1]] = vals
-    out[:, iu[1], iu[0]] = vals
-    return out
-
-
-def _svec_seg(mats):
-    k = mats.shape[-1]
-    iu = triu_layout(k)
-    return (mats[:, iu[0], iu[1]] * svec_scale(k)).ravel()
-
-
-def _min_gen_eig(D, S):
-    """Per-block smallest generalized eigenvalue of (D, S) with S spd."""
-    k = D.shape[-1]
-    if k == 1:
-        return (D[:, 0, 0] / S[:, 0, 0])
-    if k == 2:
-        a = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] ** 2
-        b = (D[:, 0, 0] * S[:, 1, 1] + D[:, 1, 1] * S[:, 0, 0]
-             - 2.0 * D[:, 0, 1] * S[:, 0, 1])
-        cc = D[:, 0, 0] * D[:, 1, 1] - D[:, 0, 1] ** 2
-        disc = np.sqrt(np.maximum(b * b - 4.0 * a * cc, 0.0))
-        return (b - disc) / (2.0 * a)
-    out = np.empty(D.shape[0])
-    for i in range(D.shape[0]):
-        out[i] = scipy.linalg.eigh(D[i], S[i], eigvals_only=True)[0]
-    return out
-
-
-def _min_eig(mats):
-    k = mats.shape[-1]
-    if k == 1:
-        return mats[:, 0, 0].copy()
-    if k == 2:
-        half_tr = 0.5 * (mats[:, 0, 0] + mats[:, 1, 1])
-        rad = np.hypot(0.5 * (mats[:, 0, 0] - mats[:, 1, 1]), mats[:, 0, 1])
-        return half_tr - rad
-    return np.linalg.eigvalsh(mats)[:, 0]
-
-
-def _max_eig(mats):
-    return -_min_eig(-mats)
+def _interior(blocks):
+    """True when every block of every size group is positive definite."""
+    return all(b.size == 0 or eig_min(b).min() > 0.0 for b in blocks)
 
 
 def _inv_spd(mats):
@@ -183,10 +140,7 @@ def _symkron(A):
         out[:, 2, 2] = r * r
         return out
     iu = triu_layout(k)
-    svd = len(iu[0])
-    U = np.zeros((svd, k, k))
-    U[np.arange(svd), iu[0], iu[1]] = 1.0
-    U[np.arange(svd), iu[1], iu[0]] = 1.0
+    U = sym_basis(k)
     U *= (svec_scale(k) / np.where(iu[0] == iu[1], 1.0, 2.0))[:, None, None]
     AUA = np.einsum("nij,rjk,nkl->nril", A, U, A)
     return np.einsum("qil,nril->nrq", U, AUA).transpose(0, 2, 1)
@@ -365,11 +319,12 @@ class _Segments:
 
     def unsvec_all(self, vec):
         return [
-            _unsvec_seg(vec[sl], k, cnt) for _, k, cnt, sl in self.seg_slices()
+            unsvec(vec[sl].reshape(cnt, -1), k)
+            for _, k, cnt, sl in self.seg_slices()
         ]
 
     def svec_all(self, mats_list):
-        return np.concatenate([_svec_seg(mats) for mats in mats_list])
+        return np.concatenate([svec(mats).ravel() for mats in mats_list])
 
     def scaling_matrix(self, blocks_list):
         data = np.concatenate([b.ravel() for b in blocks_list])
@@ -387,8 +342,8 @@ class _Segments:
     def max_step(self, mats, dmats):
         """Largest alpha with mats + alpha*dmats psd, blockwise."""
         alpha = np.inf
-        for (gi, k, cnt, _), Mb, Db in zip(self.seg_slices(), mats, dmats):
-            g = _min_gen_eig(Db, Mb)
+        for Mb, Db in zip(mats, dmats):
+            g = gen_eig_min(Db, Mb)
             gmin = float(g.min()) if g.size else 0.0
             if gmin < 0.0:
                 alpha = min(alpha, -1.0 / gmin)
@@ -396,7 +351,7 @@ class _Segments:
 
     def min_eigs(self, vec):
         return np.concatenate([
-            _min_eig(_unsvec_seg(vec[sl], k, cnt))
+            eig_min(unsvec(vec[sl].reshape(cnt, -1), k))
             for _, k, cnt, sl in self.seg_slices()
         ])
 
@@ -423,7 +378,7 @@ def _ipm_core(segs, c, settings, y0, mode, tau_index=None, tau_exit=None,
     A = segs.A
     svec_S = A @ y - segs.f0
     S = segs.unsvec_all(svec_S)
-    if min((float(_min_eig(b).min()) if b.size else 1.0) for b in S) <= 0.0:
+    if not _interior(S):
         return _CoreResult(False, False, y, segs.identity(), 0, np.inf, np.inf,
                            failure="initial point not strictly feasible")
     Z = segs.identity()
@@ -512,8 +467,7 @@ def _ipm_loop(segs, c, settings, y, S, Z, plan, norm_c, mode, tau_index,
         for _ in range(40):
             y_try = y + ap * dy
             S_try = segs.unsvec_all(A @ y_try - segs.f0)
-            if min((float(_min_eig(b).min()) if b.size else 1.0)
-                   for b in S_try) > 0.0:
+            if _interior(S_try):
                 break
             ap *= 0.5
         else:
@@ -521,8 +475,7 @@ def _ipm_loop(segs, c, settings, y, S, Z, plan, norm_c, mode, tau_index,
                                failure="primal step stalled at the boundary")
         for _ in range(40):
             Z_try = [Zb + ad * d for Zb, d in zip(Z, dZ)]
-            if min((float(_min_eig(b).min()) if b.size else 1.0)
-                   for b in Z_try) > 0.0:
+            if _interior(Z_try):
                 break
             ad *= 0.5
         else:
@@ -722,12 +675,10 @@ def certify(problem, y, tol):
     flagged = []
     base = 0
     for g in problem.groups:
-        vec = g.A @ y - g.f0
-        k = g.size
-        if k <= 2:
-            vals = _min_eig(_unsvec_seg(vec, k, g.count))
+        mats = unsvec((g.A @ y - g.f0).reshape(g.count, -1), g.size)
+        if g.size <= 2:
+            vals = eig_min(mats)
         else:
-            mats = _unsvec_seg(vec, k, g.count)
             vals = np.array([tridiagonal_ql_eigenvalues(mm)[0] for mm in mats])
         mins.append(vals)
         for idx in np.nonzero(vals < -tol)[0]:

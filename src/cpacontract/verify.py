@@ -1,7 +1,8 @@
 """Independent verification of a solved CPA metric: stratified interior
 sampling of the contraction inequality, vertex-constraint recomputation,
 interpolation-error and derivative-consistency checks, the Floquet-exponent
-bound, and an advisory boundary-flow report.
+bound, and an advisory boundary-flow report. Block eigenvalues, L_M among
+them, come from the batched kernels of `smallmat`.
 """
 
 from __future__ import annotations
@@ -9,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import ensure_derivative_bounds, enu_coefficient_arrays
 from .cpa import unpack_symmetric
 from .errors import NotFeasibleInputError
+from .smallmat import eig_max, eig_min, gen_eig_max
 
 _CLIP = 1e-6
 
@@ -94,40 +95,6 @@ def _interior_weights(rng, count, dim):
     return lam * (1.0 - dim * _CLIP) + _CLIP
 
 
-def _max_gen_eig_pair(A, M):
-    """Largest generalized eigenvalue of (A, M) batched, M spd."""
-    n = A.shape[-1]
-    if n == 1:
-        return A[:, 0, 0] / M[:, 0, 0]
-    if n == 2:
-        a = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] ** 2
-        b = (A[:, 0, 0] * M[:, 1, 1] + A[:, 1, 1] * M[:, 0, 0]
-             - 2.0 * A[:, 0, 1] * M[:, 0, 1])
-        c = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
-        disc = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
-        return (b + disc) / (2.0 * a)
-    out = np.empty(A.shape[0])
-    for i in range(A.shape[0]):
-        out[i] = scipy.linalg.eigh(A[i], M[i], eigvals_only=True)[-1]
-    return out
-
-
-def _batch_lambda_min(mats):
-    n = mats.shape[-1]
-    if n == 1:
-        return mats[..., 0, 0]
-    if n == 2:
-        half_tr = 0.5 * (mats[..., 0, 0] + mats[..., 1, 1])
-        rad = np.hypot(0.5 * (mats[..., 0, 0] - mats[..., 1, 1]),
-                       mats[..., 0, 1])
-        return half_tr - rad
-    return np.linalg.eigvalsh(mats)[..., 0]
-
-
-def _batch_lambda_max(mats):
-    return -_batch_lambda_min(-mats)
-
-
 def margin_coefficients_consistent(cx, sys, a_C, a_D, rtol=1e-9):
     """Recompute the interpolation-error margin coefficients from the
     complex and compare; detects tampered or stale margins."""
@@ -149,8 +116,10 @@ def verify_contraction_sampled(cpa, sys, cx, samples=100000, seed=12345,
     L_M is <= -1/(2C) + tol, the sampled metric stays above eps0 - tol,
     all vertex constraints hold at tol, and the margin coefficients match
     their recomputation. `samples` is the total budget, distributed evenly
-    over the simplices. With `csv_path` the samples are dumped as
-    (t, x.., lambda_max, L_M) rows for external plotting.
+    over the simplices. Where a sampled M is not positive definite, L_M is
+    undefined and reported as inf; the eps0 gate fails such a metric. With
+    `csv_path` the samples are dumped as (t, x.., lambda_max, L_M) rows for
+    external plotting.
     """
     if C is None or D is None:
         raise NotFeasibleInputError("verification needs the solved C and D")
@@ -178,10 +147,11 @@ def verify_contraction_sampled(cpa, sys, cx, samples=100000, seed=12345,
     Mdot = unpack_symmetric(np.einsum("spl,skl->skp", cpa.W, ft), n)
     A = M @ J + np.swapaxes(J, -1, -2) @ M + Mdot
 
-    lmax = _batch_lambda_max(A.reshape(-1, n, n))
+    lmax = eig_max(A).ravel()
     max_lambda_max = float(lmax.max())
-    min_metric_eig = float(_batch_lambda_min(M.reshape(-1, n, n)).min())
-    lm = 0.5 * _max_gen_eig_pair(A.reshape(-1, n, n), M.reshape(-1, n, n))
+    min_metric_eig = float(eig_min(M).min())
+    lm = (0.5 * gen_eig_max(A, M).ravel() if min_metric_eig > 0.0
+          else np.full(len(lmax), np.inf))
     max_lm = float(lm.max())
 
     if csv_path is not None:
@@ -193,8 +163,7 @@ def verify_contraction_sampled(cpa, sys, cx, samples=100000, seed=12345,
     # mu_max: largest metric eigenvalue over vertices and samples
     # (lambda_max is convex, so vertex values already dominate)
     vert_mats = unpack_symmetric(cpa.values, n)
-    mu_max = float(max(_batch_lambda_max(vert_mats).max(),
-                       _batch_lambda_max(M.reshape(-1, n, n)).max()))
+    mu_max = float(max(eig_max(vert_mats).max(), eig_max(M).max()))
 
     # vertex-constraint recomputation, independent of the solver
     vm = unpack_symmetric(cpa.vertex_values, n)             # (S, n+2, n, n)
@@ -206,12 +175,10 @@ def verify_contraction_sampled(cpa, sys, cx, samples=100000, seed=12345,
     C_arr = np.broadcast_to(np.asarray(C, dtype=float), (S,))
     D_arr = np.broadcast_to(np.asarray(D, dtype=float), (S,))
     E = np.asarray(a_C) * C_arr + np.asarray(a_D) * D_arr
-    res5 = float((_batch_lambda_max(vA.reshape(-1, n, n)).reshape(S, n + 2)
-                  + (E + 1.0)[:, None]).max())
-    res2 = float((_batch_lambda_max(vm.reshape(-1, n, n)).reshape(S, n + 2)
-                  - C_arr[:, None]).max())
+    res5 = float((eig_max(vA) + (E + 1.0)[:, None]).max())
+    res2 = float((eig_max(vm) - C_arr[:, None]).max())
     res3 = float((np.abs(cpa.W).max(axis=(1, 2)) - D_arr / (n + 1.0)).max())
-    res4 = float((eps0 - _batch_lambda_min(vert_mats)).max())
+    res4 = float((eps0 - eig_min(vert_mats)).max())
     vertex_residuals = {"bound_M": res2, "grad_bound": res3,
                         "pos_def": res4, "contraction": res5}
 

@@ -335,8 +335,8 @@ def test_criterion_7_solver_suite():
     for seed in (41, 42):
         rng3 = np.random.default_rng(9000)
         probs.append(random_feasible_problem(rng3, with_objective=True)[0])
-    s1 = solve(probs[0], SolverSettings(deterministic=True))
-    s2 = solve(probs[1], SolverSettings(deterministic=True))
+    s1 = solve(probs[0], SolverSettings())
+    s2 = solve(probs[1], SolverSettings())
     assert s1.y.tobytes() == s2.y.tobytes()
     _ok("7", f"100 random block SDPs certify-clean at 1e-6 (worst eig "
              f"{worst_eig:.2e}); bisection deviation {worst_obj:.2e} <= 1e-6; "

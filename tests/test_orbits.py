@@ -55,6 +55,14 @@ class TestIntegrate:
         assert traj.steps == 64
         assert traj.max_local_error < 1e-8
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_negative_control(self):
+        # the stage sums and the step-doubling estimate overflow; the
+        # finiteness check classifies the step without leaking a warning
+        sys = parse_system("dim=1; period=1; f1 = 1e308")
+        with pytest.raises(NonFiniteStateError, match="at t=1.0$"):
+            integrate(sys, 0.0, [1.7e308], 1.0, 1)
+
 
 class TestPeriodicOrbit:
     def test_linear_1d(self, linear_1d):
@@ -144,11 +152,12 @@ class TestContractionProbe:
         # every stage is finite, their weighted sum is not
         ("dim=1; period=1; f1 = 1e308 + 0*x1", 10, NonFiniteStateError),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_in_one_step_negative_control(self, text, steps, error):
         sys = parse_system(text, check_periodic=False)
         cpa = CPAMetric.constant(build_complex([[[-1.0, 1.0]]], 1.0, 1),
                                  np.eye(1))
-        with pytest.raises(error) as exc, np.errstate(over="ignore"):
+        with pytest.raises(error) as exc:
             contraction_probe(cpa, sys, [0.0], [1e-3], 1.0, steps)
         assert type(exc.value) is error
 

@@ -4,6 +4,14 @@ barycentrics, size-3 blocks through the solver and verifier."""
 import numpy as np
 
 from cpacontract.assembly import assemble
+from cpacontract.cli import (
+    Config,
+    certificate_bytes,
+    cmd_synthesize,
+    cmd_verify,
+    load_certificate,
+    rebuild_from_certificate,
+)
 from cpacontract.cpa import CPAMetric
 from cpacontract.solver import certify, solve
 from cpacontract.systems import parse_system
@@ -47,3 +55,38 @@ def test_three_dimensional_orbital_derivative():
                        atol=1e-12)
     # L_M for M = diag(1,2,3), Dxf = -I: generalized eigs all -2, halved
     assert abs(cpa.lm_value(sys3, point) + 1.0) <= 1e-9
+
+
+AFFINE_3D = {
+    "system": "dim=3; period=1; f1 = -x1; f2 = -2*x2; f3 = -x3",
+    "region": [[[0.05, 0.95]] * 3],
+    "epsilon0": 0.01,
+    "k_min": 0,
+    "k_max": 0,
+    "mode": {"uniform_cd": True, "objective": "min_c"},
+    "verify": {"samples": 2000, "seed": 0, "tol": 1e-6},
+}
+
+
+def test_indefinite_metric_negative_control(tmp_path):
+    # a 3-D metric that is indefinite at one vertex must fail verification;
+    # before, the Cholesky step of L_M raised and cmd_verify reported a
+    # numerical failure (exit 4) instead of FAIL (exit 2)
+    path = tmp_path / "affine3d.json"
+    code, _ = cmd_synthesize(Config.from_dict(AFFINE_3D), out_path=str(path),
+                             progress=lambda *a, **k: None)
+    assert code == 0
+    cert = load_certificate(str(path))
+    row = cert["metric_upper"][len(cert["metric_upper"]) // 2]
+    row[0] = format(-float(row[0]), ".17g")
+    bad = tmp_path / "negated.json"
+    bad.write_bytes(certificate_bytes(cert))
+    assert cmd_verify(str(bad), progress=lambda *a, **k: None) == 2
+
+    _, sys3, cx, cpa = rebuild_from_certificate(cert)
+    rep = verify_contraction_sampled(
+        cpa, sys3, cx, samples=2000, seed=0, tol=1e-6, eps0=0.01,
+        C=float(cert["constants"]["C"]), D=float(cert["constants"]["D"]))
+    assert rep.passed is False
+    assert rep.min_metric_eig < 0.0
+    assert rep.max_lm == np.inf

@@ -176,8 +176,8 @@ class TestRandomSuite:
         prob1, _ = random_feasible_problem(rng1, with_objective=True)
         rng2 = np.random.default_rng(99)
         prob2, _ = random_feasible_problem(rng2, with_objective=True)
-        s1 = solve(prob1, SolverSettings(deterministic=True))
-        s2 = solve(prob2, SolverSettings(deterministic=True))
+        s1 = solve(prob1, SolverSettings())
+        s2 = solve(prob2, SolverSettings())
         assert s1.y.tobytes() == s2.y.tobytes()
         assert s1.iterations == s2.iterations
 
