@@ -22,11 +22,9 @@ from .triangulation import (  # noqa: F401
 )
 from .cpa import CPAMetric, barycentric, shape_gradient  # noqa: F401
 from .assembly import (  # noqa: F401
-    EnuCoefficients,
     SDPProblem,
     VariableMap,
     assemble,
-    compute_E_coeffs,
     export_sdpa,
     parse_sdpa,
 )

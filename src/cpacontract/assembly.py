@@ -44,14 +44,6 @@ def unsvec(vec, n):
     return unpack_symmetric(np.asarray(vec) / svec_scale(n), n)
 
 
-@dataclass(frozen=True)
-class EnuCoefficients:
-    """Linear margin E = a_C * C + a_D * D added to the contraction blocks."""
-
-    a_C: float
-    a_D: float
-
-
 def _system_cache_key(sys):
     return (tuple(str(f) for f in sys.rhs), sys.smoothness,
             None if sys.user_bounds is None else (sys.user_bounds.B,
@@ -75,7 +67,8 @@ def ensure_derivative_bounds(cx, sys):
 
 
 def enu_coefficient_arrays(cx, smoothness):
-    """(a_C, a_D) arrays over all simplices for the given smoothness mode."""
+    """(a_C, a_D) arrays over all simplices for the given smoothness mode:
+    the linear margin E = a_C * C + a_D * D of the contraction blocks."""
     if cx.B2 is None:
         raise MissingBoundsError("order-2 bounds are not cached on the complex")
     n = cx.n
@@ -89,22 +82,6 @@ def enu_coefficient_arrays(cx, smoothness):
         a_D = h**2 * n * np.sqrt(n + 1.0) * (1.0 + 4.0 * n) * cx.B2
         a_C = 2.0 * h**2 * n**2 * (n + 1.0) * cx.B3
     return a_C, a_D
-
-
-def compute_E_coeffs(simplex, sys):
-    """Margin coefficients of one simplex; bounds must be cached."""
-    if simplex.B2 is None:
-        raise MissingBoundsError("order-2 bound missing on simplex")
-    n = simplex.complex.n
-    h = simplex.h
-    B = simplex.B2
-    if sys.smoothness == "C2":
-        return EnuCoefficients(a_C=2.0 * h * n**2 * (n + 1.0) * B,
-                               a_D=h**2 * n * np.sqrt(n + 1.0) * B)
-    if simplex.B3 is None:
-        raise MissingBoundsError("order-3 bound missing on simplex")
-    return EnuCoefficients(a_C=2.0 * h**2 * n**2 * (n + 1.0) * simplex.B3,
-                           a_D=h**2 * n * np.sqrt(n + 1.0) * (1.0 + 4.0 * n) * B)
 
 
 @dataclass(frozen=True)
@@ -136,9 +113,6 @@ class VariableMap:
                 base += 1
         return base
 
-    def metric_index(self, slot, p):
-        return slot * self.P + p
-
     def c_index(self, nu=0):
         if self.uniform:
             return self.metric_count
@@ -167,21 +141,6 @@ class VariableMap:
         return (float(y[self.metric_count: self.metric_count + s].max()),
                 float(y[self.metric_count + s: self.metric_count + 2 * s].max()))
 
-    def describe(self, i):
-        if i < self.metric_count:
-            slot, p = divmod(i, self.P)
-            iu = triu_layout(self.n)
-            return f"M[{iu[0][p] + 1},{iu[1][p] + 1}] at slot {slot}"
-        if self.uniform:
-            return "C" if i == self.metric_count else "D"
-        j = i - self.metric_count
-        if j < self.n_simplices:
-            return f"C[{j}]"
-        j -= self.n_simplices
-        if j < self.n_simplices:
-            return f"D[{j}]"
-        return "C_max"
-
 
 @dataclass
 class BlockGroup:
@@ -202,11 +161,17 @@ class BlockGroup:
 
 @dataclass
 class SDPProblem:
+    """Assembled SDP. `schur_order`, when set, is the variable order for a
+    banded Schur complement; its last `schur_border` entries are the
+    variables that touch every simplex."""
+
     m: int
     c: np.ndarray
     groups: list
     n: int
     meta: dict = field(default_factory=dict)
+    schur_order: np.ndarray | None = None
+    schur_border: int = 0
 
     @property
     def n_blocks(self):
@@ -215,13 +180,6 @@ class SDPProblem:
     def census(self):
         """family -> (block size, block count)."""
         return {g.family: (g.size, g.count) for g in self.groups}
-
-    def size_census(self):
-        """block size -> total count across families."""
-        out = {}
-        for g in self.groups:
-            out[g.size] = out.get(g.size, 0) + g.count
-        return out
 
     def block_location(self, index):
         for gi, g in enumerate(self.groups):
@@ -420,11 +378,45 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     if objective == "min_c":
         c[vmap.cmax_index if not uniform_cd else vmap.c_index()] = 1.0
 
+    order, border = schur_order(cx, vmap)
     problem = SDPProblem(m=m, c=c, groups=groups, n=n,
                          meta={"eps0": eps0, "uniform": uniform_cd,
                                "objective": objective,
-                               "a_C": a_C, "a_D": a_D})
+                               "a_C": a_C, "a_D": a_D},
+                         schur_order=order, schur_border=border)
     return problem, vmap
+
+
+def schur_order(cx, vmap):
+    """Variable order that gives the Schur complement a narrow band, and
+    the size of its trailing border.
+
+    Simplices only link adjacent t-slabs, and slab 2^K - 1 links back to
+    slab 0. Taking the slabs in the folded order 0, 2^K - 1, 1, 2^K - 2, ...
+    puts every pair of linked slabs at most two places apart without
+    cutting the ring. Metric slots go slab by slab in that order, sorted
+    by x within a slab (the slot numbering already is). Per-simplex C and
+    D follow the slots of their simplex's lower slab. The uniform C and D,
+    or C_max, touch every simplex and form the border.
+    """
+    N = cx.n_slabs
+
+    def fold(s):
+        return np.where(s < N - 1 - s, 2 * s, 2 * (N - 1 - s) + 1)
+
+    var = [np.arange(vmap.metric_count)]
+    key = [np.repeat(fold(cx.vert_q[cx.slot_rep, 0]), vmap.P)]
+    if vmap.uniform:
+        border = [vmap.c_index(), vmap.d_index()]
+    else:
+        nus = np.arange(vmap.n_simplices)
+        var.append(np.stack([vmap.c_index(0) + nus, vmap.d_index(0) + nus],
+                            axis=1).ravel())
+        key.append(np.repeat(fold(cx.simp_gen[:, 0]), 2))
+        border = [vmap.cmax_index] if vmap.objective == "min_c" else []
+    var, key = np.concatenate(var), np.concatenate(key)
+    order = np.concatenate([var[np.argsort(key, kind="stable")], border])
+    return order.astype(np.int64), len(border)
 
 
 # ---------------------------------------------------------------------------
@@ -462,34 +454,20 @@ def export_sdpa(problem, vmap=None):
         iu = triu_layout(g.size)
         scale = svec_scale(g.size)
         coo = g.A.tocoo()
-        blk, q = np.divmod(coo.row, g.svdim)
-        if g.size == 1:
-            b = np.full(blk.shape, diag_block)
-            r = diag_offset + blk
-            cidx = r
-        else:
-            b = base_block + blk
-            r = iu[0][q]
-            cidx = iu[1][q]
-        vals = coo.data / scale[q]
-        for i in range(len(vals)):
-            entries.append((int(coo.col[i]) + 1, int(b[i]) + 1,
-                            int(r[i]) + 1, int(cidx[i]) + 1, vals[i]))
-        f0 = g.f0
-        nz = np.nonzero(f0)[0]
-        blk0, q0 = np.divmod(nz, g.svdim)
-        if g.size == 1:
-            b0 = np.full(blk0.shape, diag_block)
-            r0 = diag_offset + blk0
-            c0 = r0
-        else:
-            b0 = base_block + blk0
-            r0 = iu[0][q0]
-            c0 = iu[1][q0]
-        v0 = f0[nz] / scale[q0]
-        for i in range(len(v0)):
-            entries.append((0, int(b0[i]) + 1, int(r0[i]) + 1,
-                            int(c0[i]) + 1, v0[i]))
+        nz = np.nonzero(g.f0)[0]
+        # coefficient matrices first (variable = column + 1), then F0
+        for var, rows, data in ((coo.col + 1, coo.row, coo.data),
+                                (np.zeros_like(nz), nz, g.f0[nz])):
+            blk, q = np.divmod(rows, g.svdim)
+            if g.size == 1:
+                b = np.full(blk.shape, diag_block)
+                r = cidx = diag_offset + blk
+            else:
+                b, r, cidx = base_block + blk, iu[0][q], iu[1][q]
+            vals = data / scale[q]
+            for i in range(len(vals)):
+                entries.append((int(var[i]), int(b[i]) + 1, int(r[i]) + 1,
+                                int(cidx[i]) + 1, vals[i]))
 
     for g in matrix_groups:
         emit(g, block_of[g.family])

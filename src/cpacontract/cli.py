@@ -251,8 +251,9 @@ def cmd_synthesize(config, out_path=None, progress=print):
         progress(f"K={K}: {cx.n_simplices} simplices, {cx.n_slots} slots, "
                  f"{problem.m} variables")
         sol = solve(problem, config.solver)
+        plan = ", ".join(f"{k} {v}" for k, v in sol.schur.items())
         progress(f"K={K}: solver {sol.status} after {sol.iterations} "
-                 f"iterations ({time.time() - t0:.1f}s)")
+                 f"iterations ({time.time() - t0:.1f}s; Schur plan {plan})")
         if sol.status in ("Feasible", "Optimal"):
             C, D = vmap.bound_constants(sol.y)
             cpa = CPAMetric.from_solution(cx, sol.y, vmap)

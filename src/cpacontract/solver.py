@@ -5,9 +5,12 @@ The iteration is a Nesterov-Todd scaled path-following method that keeps
 the slack S = sum F_i y_i - F_0 exactly primal-feasible (feasibility of
 the start is arranged by an auxiliary minimize-tau phase) and drives the
 dual variable Z towards complementarity. The Schur complement over the m
-variables is solved by a dense Cholesky factorization at desk scale and
-by a bandwidth-reduced blocked factorization with a dense border for the
-large meshes, where the dense m x m matrix would not fit. Block
+variables is formed from a fixed scatter pattern built once per solve:
+blocks are grouped per simplex, each group's local Gram matrix is computed
+in one batch, and one bincount adds it into G. G is factored by a dense
+Cholesky at desk scale, and for the large meshes by a banded Cholesky in
+the variable order that the assembly reads off the mesh, with the few
+variables that touch every simplex eliminated as a dense border. Block
 eigenvalues for step lengths and interior checks come from `smallmat`.
 
 `certify` re-checks a candidate y independently of the solver internals:
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .assembly import svec, svec_scale, unsvec
 from .cpa import sym_basis, triu_layout
@@ -57,6 +59,7 @@ class Solution:
     duality_gap: float
     dual_ray: dict | None = None
     notes: list = field(default_factory=list)
+    schur: dict | None = None
 
 
 @dataclass
@@ -111,12 +114,17 @@ def _sqrtm_spd(mats):
     return np.einsum("nij,nj,nkj->nik", q, w, q)
 
 
+def _mul(a, b):
+    """Batched a @ b; an elementwise product (the same bits) for 1x1."""
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
 def _nt_inverse_scaling(S, Z):
     """W^{-1} and W^{-1/2} of the Nesterov-Todd scaling point (WZW = S)."""
     Zs = _sqrtm_spd(Z)
-    T = Zs @ S @ Zs
+    T = _mul(_mul(Zs, S), Zs)
     Ti = _inv_spd(_sqrtm_spd(T))
-    Wi = Zs @ Ti @ Zs
+    Wi = _mul(_mul(Zs, Ti), Zs)
     return Wi, _sqrtm_spd(Wi)
 
 
@@ -147,141 +155,197 @@ def _symkron(A):
 
 
 # ---------------------------------------------------------------------------
-# linear-system plans for the Schur complement
-
-
-class _DensePlan:
-    def __init__(self, m):
-        self.m = m
-
-    def factor(self, G):
-        Gd = G.toarray() if sp.issparse(G) else np.asarray(G)
-        if not np.isfinite(Gd).all():
-            raise _FactorizationError
-        ridge = 1e-13 * max(1.0, float(np.trace(Gd)) / self.m)
-        for _ in range(4):
-            try:
-                cho = scipy.linalg.cho_factor(
-                    Gd + ridge * np.eye(self.m), lower=True)
-                return lambda r: scipy.linalg.cho_solve(cho, r)
-            except (np.linalg.LinAlgError, ValueError):
-                ridge *= 1e4
-        raise _FactorizationError
+# Schur complement: fixed scatter pattern and factorization
 
 
 class _FactorizationError(Exception):
     pass
 
 
-class _BandedPlan:
-    """Permute the sparse part to small bandwidth (reverse Cuthill-McKee),
-    factor it with a banded Cholesky, and eliminate the handful of dense
-    columns (uniform bound variables, auxiliary tau) as a border."""
+def _frame_classes(groups, m):
+    """Frames of the Schur plan, batched into classes.
 
-    def __init__(self, G_struct):
-        m = G_struct.shape[0]
-        nnz_col = np.diff(G_struct.tocsc().indptr)
-        thresh = max(200.0, 8.0 * float(np.median(nnz_col)))
-        self.border = np.nonzero(nnz_col > thresh)[0]
-        if len(self.border) > 40:
-            raise _FactorizationError
-        mask = np.ones(m, dtype=bool)
-        mask[self.border] = False
-        self.sparse_idx = np.nonzero(mask)[0]
-        Gss = G_struct[self.sparse_idx][:, self.sparse_idx].tocsr()
-        perm = reverse_cuthill_mckee(Gss, symmetric_mode=True)
-        self.perm = np.asarray(perm)
-        coo = Gss[self.perm][:, self.perm].tocoo()
-        self.bandwidth = int(np.abs(coo.row - coo.col).max()) if coo.nnz else 0
+    A frame is all blocks of one simplex, or one block without a simplex;
+    its local columns are the sorted distinct variables its rows of A
+    touch. Frames with the same width and the same block count from each
+    group form a class. Per class: `cols` (frames, width) variables, and
+    `parts`, one (group, block selection, dense local rows (blocks, svdim,
+    width), blocks per frame, svdim) per group with blocks in the class.
+    """
+    frame_of, nz = [], []
+    lone = max((int(g.simplex.max()) + 1 for g in groups if g.count), default=0)
+    for g in groups:
+        f = np.array(g.simplex, dtype=np.int64)
+        solo = f < 0
+        f[solo] = lone + np.arange(solo.sum())
+        lone += int(solo.sum())
+        frame_of.append(f)
+        coo = g.A.tocoo()
+        k = coo.data != 0.0
+        nz.append((*np.divmod(coo.row[k].astype(np.int64), g.svdim),
+                   coo.col[k].astype(np.int64), coo.data[k]))
+    ukey, inv = np.unique(np.concatenate(
+        [f[e[0]] * m + e[2] for f, e in zip(frame_of, nz)]), return_inverse=True)
+    ufr, ucol = np.divmod(ukey, m)
+    width = np.bincount(ufr, minlength=lone)
+    start = np.cumsum(width) - width
+    local = np.split((np.arange(len(ukey)) - start[ufr])[inv.ravel()],
+                     np.cumsum([len(e[0]) for e in nz])[:-1])
+    sig, cls_of = np.unique(np.stack(
+        [width] + [np.bincount(f, minlength=lone) for f in frame_of], axis=1),
+        axis=0, return_inverse=True)
+    cls_of = cls_of.ravel()
+    classes = []
+    for c in np.nonzero(sig[:, 0])[0]:
+        w, frames, parts = int(sig[c, 0]), np.nonzero(cls_of == c)[0], []
+        for gi in np.nonzero(sig[c, 1:])[0]:
+            (blk, q, _, data), d = nz[gi], groups[gi].svdim
+            b = np.nonzero(cls_of[frame_of[gi]] == c)[0]
+            b = b[np.argsort(frame_of[gi][b], kind="stable")]
+            slot = np.full(groups[gi].count, -1)
+            slot[b] = np.arange(len(b))
+            on = slot[blk] >= 0
+            A_loc = np.bincount((slot[blk[on]] * d + q[on]) * w + local[gi][on],
+                                weights=data[on], minlength=len(b) * d * w)
+            if np.array_equal(b, np.arange(b[0], b[0] + len(b))):
+                b = slice(b[0], b[0] + len(b))
+            parts.append((gi, b, A_loc.reshape(-1, d, w), int(sig[c, 1 + gi]), d))
+        rows = sum(p[3] * p[4] for p in parts)
+        classes.append({"cols": ucol[start[frames][:, None] + np.arange(w)],
+                        "parts": parts, "C": np.empty((len(frames), rows, w)),
+                        "G": np.empty((len(frames), w, w))})
+    return classes
+
+
+class _SchurPlan:
+    """Schur complement G = A^T blockdiag(symkron(W^{-1})) A from a fixed
+    scatter pattern: the sparsity-exploiting formation of Fujisawa, Kojima
+    and Nakata (Math. Program. 79, 1997).
+
+    Each iteration forms C = symkron(W^{-1/2}) A per block over its frame's
+    local columns, C^T C per frame as one batch per class, and scatters
+    the lower triangles with one `np.bincount` to precomputed targets.
+    Variables go in `order` (identity without one). The leading `ns` form
+    a band factored by `cholesky_banded`; the trailing border variables
+    keep full rows of G and are eliminated densely. Up to `_DENSE_LIMIT`
+    variables there is no band, so G is one dense lower triangle. The
+    phase-1 variable tau is the last border variable; its column
+    A^T svec(W^{-2}) comes from the caller, so both phases share the plan.
+    """
+
+    def __init__(self, groups, m, order=None, border=0):
+        self.m = m
+        self.classes = _frame_classes(groups, m)
+        if m <= _DENSE_LIMIT:  # no band: every variable is in the border
+            order, border = None, m
+        self.order = np.append(np.arange(m) if order is None else order,
+                               m).astype(np.int64)
+        self.ns, self.nb = m - border, border + 1
+        self.pos = np.empty(m + 1, dtype=np.int64)
+        self.pos[self.order] = np.arange(m + 1)
+        hi, lo = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for cls in self.classes:
+            w = cls["cols"].shape[1]
+            il0, il1 = np.tril_indices(w)
+            cls["lower"] = il0 * w + il1
+            p = self.pos[cls["cols"]]
+            hi.append(np.maximum(p[:, il0], p[:, il1]).ravel())
+            lo.append(np.minimum(p[:, il0], p[:, il1]).ravel())
+        hi, lo = np.concatenate(hi), np.concatenate(lo)
+        band = hi < self.ns
+        self.bandwidth = int((hi - lo)[band].max(initial=0))
         if self.bandwidth > _MAX_BAND:
-            raise _FactorizationError
-        self.ns = len(self.sparse_idx)
-        self.inv_perm = np.empty(self.ns, dtype=np.int64)
-        self.inv_perm[self.perm] = np.arange(self.ns)
+            raise _FactorizationError(
+                f"Schur bandwidth {self.bandwidth} exceeds {_MAX_BAND}")
+        self.row0 = (self.bandwidth + 1) * self.ns
+        self.targets = np.where(band, lo * (self.bandwidth + 1) + hi - lo,
+                                self.row0 + (hi - self.ns) * (m + 1) + lo)
+        self.weights = np.empty(len(self.targets))
+        self.info = ({"kind": "banded", "bandwidth": self.bandwidth,
+                      "border": self.nb} if self.ns else
+                     {"kind": "dense", "bandwidth": None, "border": 0})
 
-    def factor(self, G):
-        s_idx = self.sparse_idx
-        b_idx = self.border
-        Gss = G[s_idx][:, s_idx].tocsr()[self.perm][:, self.perm].tocoo()
-        w = self.bandwidth
-        ab = np.zeros((w + 1, self.ns))
-        lowmask = Gss.row >= Gss.col
-        ab[Gss.row[lowmask] - Gss.col[lowmask], Gss.col[lowmask]] = \
-            Gss.data[lowmask]
-        if not np.isfinite(ab).all():
-            raise _FactorizationError
-        ridge = 1e-13 * max(1.0, float(ab[0].sum()) / max(self.ns, 1))
-        for _ in range(4):
-            try:
-                abr = ab.copy()
-                abr[0] += ridge
-                cb = scipy.linalg.cholesky_banded(abr, lower=True)
-                break
-            except (np.linalg.LinAlgError, ValueError):
-                ridge *= 1e4
-        else:
-            raise _FactorizationError
+    def form(self, Wh, tau_col=None):
+        """The stored lower triangle of G for the block scalings Wh
+        (W^{-1/2} per group); `tau_col` is G's tau column in phase 1."""
+        symk = [_symkron(w) for w in Wh]
+        off = 0
+        for cls in self.classes:
+            nf, w = cls["cols"].shape
+            C, G = cls["C"], cls["G"]
+            r = 0
+            for gi, sel, A_loc, cnt, d in cls["parts"]:
+                P = symk[gi][sel].reshape(nf, cnt, d, d)
+                out = C[:, r:r + cnt * d].reshape(nf, cnt, d, w)
+                (np.multiply if d == 1 else np.matmul)(
+                    P, A_loc.reshape(nf, cnt, d, w), out=out)
+                r += cnt * d
+            np.matmul(C.transpose(0, 2, 1), C, out=G)
+            nl = len(cls["lower"])
+            np.take(G.reshape(nf, w * w), cls["lower"], axis=1,
+                    out=self.weights[off:off + nf * nl].reshape(nf, nl))
+            off += nf * nl
+        buf = np.bincount(self.targets, weights=self.weights,
+                          minlength=self.row0 + self.nb * (self.m + 1)
+                          ).astype(float, copy=False)
+        if tau_col is not None:
+            buf[self.row0 + (self.nb - 1) * (self.m + 1) + self.pos] = tau_col
+        return buf
 
-        def solve_ss(r):
-            return scipy.linalg.cho_solve_banded((cb, True), r)
+    def band(self, buf):
+        """A view of G's band in LAPACK lower band storage; buf holds it
+        column by column, the order in which LAPACK reads it."""
+        return buf[:self.row0].reshape(self.ns, self.bandwidth + 1).T
 
-        if len(b_idx):
-            Gsb = np.asarray(G[s_idx][:, b_idx].todense())[self.perm]
-            Gbb = np.asarray(G[b_idx][:, b_idx].todense())
-            X = solve_ss(Gsb)
-            Sbb = Gbb - Gsb.T @ X
-            Sbb += 1e-13 * max(1.0, np.trace(Sbb) / max(len(b_idx), 1)) * \
-                np.eye(len(b_idx))
-            cho_b = scipy.linalg.cho_factor(Sbb, lower=True)
-        m = G.shape[0]
+    def factor(self, buf, tau):
+        """A solver for G (with the tau row and column when `tau`): banded
+        Cholesky of the band, then the dense border's Schur complement."""
+        if not np.isfinite(buf).all():
+            raise _FactorizationError
+        ns, nbt = self.ns, self.nb - 1 + tau
+        rows = buf[self.row0:].reshape(self.nb, self.m + 1)[:nbt, :ns + nbt]
+        solve_ss = _cholesky(self.band(buf), banded=True)
+        Gsb = np.ascontiguousarray(rows[:, :ns].T)
+        X = solve_ss(Gsb)
+        # only lower triangles are stored and read
+        solve_bb = _cholesky(rows[:, ns:] - Gsb.T @ X if ns else rows[:, ns:])
+        perm = self.order[:ns + nbt]
 
         def solve(r):
-            out = np.empty(m)
-            rs = r[s_idx][self.perm]
-            if len(b_idx):
-                rb = r[b_idx]
-                u = solve_ss(rs)
-                yb = scipy.linalg.cho_solve(cho_b, rb - Gsb.T @ u)
-                ys = u - X @ yb
-                out[b_idx] = yb
-            else:
-                ys = solve_ss(rs)
-            out[s_idx] = ys[self.inv_perm]
+            rp = r[perm]
+            u = solve_ss(rp[:ns])
+            yb = solve_bb(rp[ns:] - Gsb.T @ u)
+            out = np.empty(len(perm))
+            out[perm] = np.concatenate([u - X @ yb, yb])
             return out
 
         return solve
 
 
-class _SpluPlan:
-    def factor(self, G):
-        import scipy.sparse.linalg as spl
-        m = G.shape[0]
-        ridge = 1e-13 * max(1.0, float(G.diagonal().sum()) / m)
-        Gr = (G + ridge * sp.eye(m, format="csc")).tocsc()
+def _cholesky(G, banded=False):
+    """Solver for the positive definite G from its lower triangle, dense
+    or (when `banded`) in band storage. A ridge of 1e-13 times the mean
+    diagonal is added in place, and grown on failure."""
+    n = G.shape[1]
+    if n == 0:
+        return lambda r: r
+    diag = (0, slice(None)) if banded else np.diag_indices(n)
+    ridge = 1e-13 * max(1.0, float(G[diag].sum()) / n)
+    added = 0.0
+    for _ in range(4):
+        G[diag] += ridge - added
+        added = ridge
         try:
-            lu = spl.splu(Gr, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError:
-            raise _FactorizationError from None
-        return lu.solve
-
-
-def _make_plan(segs, m):
-    """Choose the Schur-complement strategy from the structural sparsity
-    pattern (all-positive data, so no entry of any iteration's G can fall
-    outside it)."""
-    if m <= _DENSE_LIMIT:
-        return _DensePlan(m)
-    A_abs = segs.A.copy()
-    A_abs.data = np.abs(A_abs.data)
-    ones = sp.csr_matrix((np.ones(len(segs._p_rows)),
-                          (segs._p_rows, segs._p_cols)),
-                         shape=(segs._nrows, segs._nrows))
-    C_s = ones @ A_abs
-    G_s = (C_s.T @ C_s).tocsc()
-    try:
-        return _BandedPlan(G_s)
-    except _FactorizationError:
-        return _SpluPlan()
+            if banded:
+                cb = scipy.linalg.cholesky_banded(G, lower=True,
+                                                  check_finite=False)
+                return lambda r: scipy.linalg.cho_solve_banded(
+                    (cb, True), r, check_finite=False)
+            cho = scipy.linalg.cho_factor(G, lower=True, check_finite=False)
+            return lambda r: scipy.linalg.cho_solve(cho, r, check_finite=False)
+        except (np.linalg.LinAlgError, ValueError):
+            ridge *= 1e4
+    raise _FactorizationError
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +363,6 @@ class _Segments:
         self.counts = [g.count for g in groups]
         self.row_starts = np.cumsum([0] + [g.count * g.svdim for g in groups])
         self.Ntot = sum(g.count * g.size for g in groups)
-        # static sparsity of the block-diagonal scaling matrix
-        rows, cols = [], []
-        for gi, g in enumerate(groups):
-            svd = g.svdim
-            base = self.row_starts[gi] + np.arange(g.count)[:, None, None] * svd
-            rows.append((base + np.arange(svd)[None, :, None]
-                         + np.zeros((1, 1, svd), dtype=np.int64)).ravel())
-            cols.append((base + np.zeros((1, svd, 1), dtype=np.int64)
-                         + np.arange(svd)[None, None, :]).ravel())
-        self._p_rows = np.concatenate(rows)
-        self._p_cols = np.concatenate(cols)
-        self._nrows = self.A.shape[0]
 
     def seg_slices(self):
         for gi, k in enumerate(self.sizes):
@@ -325,11 +377,6 @@ class _Segments:
 
     def svec_all(self, mats_list):
         return np.concatenate([svec(mats).ravel() for mats in mats_list])
-
-    def scaling_matrix(self, blocks_list):
-        data = np.concatenate([b.ravel() for b in blocks_list])
-        return sp.csr_matrix((data, (self._p_rows, self._p_cols)),
-                             shape=(self._nrows, self._nrows))
 
     def dot(self, mats_a, mats_b):
         return float(sum(np.einsum("nij,nij->", a, b)
@@ -368,8 +415,8 @@ class _CoreResult:
     failure: str | None = None
 
 
-def _ipm_core(segs, c, settings, y0, mode, tau_index=None, tau_exit=None,
-              tau_floor=None):
+def _ipm_core(segs, schur, c, settings, y0, mode, tau_index=None,
+              tau_exit=None, tau_floor=None):
     """Path-following loop. `mode` is 'objective' or 'tau'; in tau mode the
     loop exits as soon as y[tau_index] < tau_exit (strict feasibility) and
     steps are capped so tau does not overshoot far below tau_floor (the
@@ -384,11 +431,11 @@ def _ipm_core(segs, c, settings, y0, mode, tau_index=None, tau_exit=None,
     Z = segs.identity()
     norm_c = max(1.0, float(np.abs(c).max()))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _ipm_loop(segs, c, settings, y, S, Z, None, norm_c, mode,
+        return _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode,
                          tau_index, tau_exit, tau_floor)
 
 
-def _ipm_loop(segs, c, settings, y, S, Z, plan, norm_c, mode, tau_index,
+def _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode, tau_index,
               tau_exit, tau_floor):
     A = segs.A
     gap = segs.dot(S, Z)
@@ -415,24 +462,15 @@ def _ipm_loop(segs, c, settings, y, S, Z, plan, norm_c, mode, tau_index,
         except np.linalg.LinAlgError:
             return _CoreResult(False, False, y, Z, it - 1, gap, dual_res,
                                failure="scaling breakdown")
-        Pm = segs.scaling_matrix([_symkron(w) for w in Wh])
-        C_mat = Pm @ A
-        G = (C_mat.T @ C_mat).tocsc()
-        if plan is None:
-            plan = _make_plan(segs, segs.m)
+        tau = tau_index is not None
+        # tau's coefficient is the identity in every block, so its column
+        # of G is A^T svec(W^{-2})
+        tau_col = A.T @ segs.svec_all([_mul(w, w) for w in Wi]) if tau else None
         try:
-            solve = plan.factor(G)
+            solve = schur.factor(schur.form(Wh, tau_col), tau)
         except _FactorizationError:
-            if not isinstance(plan, _SpluPlan):
-                plan = _SpluPlan()
-                try:
-                    solve = plan.factor(G)
-                except _FactorizationError:
-                    return _CoreResult(False, False, y, Z, it - 1, gap,
-                                       dual_res, failure="factorization failed")
-            else:
-                return _CoreResult(False, False, y, Z, it - 1, gap, dual_res,
-                                   failure="factorization failed")
+            return _CoreResult(False, False, y, Z, it - 1, gap, dual_res,
+                               failure="factorization failed")
 
         Sinv = [_inv_spd(b) for b in S]
         asv = A.T @ segs.svec_all(Sinv)
@@ -440,7 +478,7 @@ def _ipm_loop(segs, c, settings, y, S, Z, plan, norm_c, mode, tau_index,
         # predictor
         dy_aff = solve(-c)
         dS_aff = segs.unsvec_all(A @ dy_aff)
-        dZ_aff = [-(Zb + wi @ ds @ wi)
+        dZ_aff = [-(Zb + _mul(_mul(wi, ds), wi))
                   for Zb, wi, ds in zip(Z, Wi, dS_aff)]
         ap = min(1.0, 0.99 * segs.max_step(S, dS_aff))
         ad = min(1.0, 0.99 * segs.max_step(Z, dZ_aff))
@@ -452,7 +490,7 @@ def _ipm_loop(segs, c, settings, y, S, Z, plan, norm_c, mode, tau_index,
         # corrector
         dy = solve(mu_t * asv - c)
         dS = segs.unsvec_all(A @ dy)
-        dZ = [mu_t * si - Zb - wi @ ds @ wi
+        dZ = [mu_t * si - Zb - _mul(_mul(wi, ds), wi)
               for si, Zb, wi, ds in zip(Sinv, Z, Wi, dS)]
         ap = min(1.0, 0.98 * segs.max_step(S, dS))
         ad = min(1.0, 0.98 * segs.max_step(Z, dZ))
@@ -503,12 +541,24 @@ def _augment_tau(segs, settings):
 
 def solve(problem, settings=None):
     """Solve the assembled problem; feasibility when the objective is zero,
-    otherwise phase-1 feasibility followed by objective minimization."""
+    otherwise phase-1 feasibility followed by objective minimization. The
+    Solution records the Schur plan that both phases used."""
     settings = settings or SolverSettings()
     segs = _Segments(problem.groups, problem.m)
     m = problem.m
     c = np.asarray(problem.c, dtype=float)
     has_objective = bool(np.any(c != 0.0))
+    try:
+        schur = _SchurPlan(problem.groups, m, problem.schur_order,
+                           problem.schur_border)
+    except _FactorizationError as exc:
+        return Solution("NumericalFailure", np.zeros(m), 0.0,
+                        segs.min_eigs(-segs.f0), 0, np.inf, notes=[str(exc)])
+
+    def result(status, y, gap, **kw):
+        return Solution(status, y, float(c @ y),
+                        segs.min_eigs(segs.A @ y - segs.f0), iterations, gap,
+                        schur=schur.info, **kw)
 
     # ---- phase 1: minimize tau ----
     aug = _Segments.__new__(_Segments)
@@ -522,49 +572,40 @@ def solve(problem, settings=None):
     exit_level = min(-10.0 * settings.feas_tol, -1e-4)
     if has_objective:
         exit_level = min(exit_level, -0.05 * max(1.0, abs(tau0)))
-    res1 = _ipm_core(aug, c_tau, settings, y0, "tau", tau_index=m,
+    res1 = _ipm_core(aug, schur, c_tau, settings, y0, "tau", tau_index=m,
                      tau_exit=exit_level,
                      tau_floor=3.0 * exit_level - 0.05 * max(1.0, abs(tau0)))
     iterations = res1.iterations
 
     if res1.failure is not None:
-        return Solution("NumericalFailure", res1.y[:m], float(c @ res1.y[:m]),
-                        segs.min_eigs(segs.A @ res1.y[:m] - segs.f0),
-                        iterations, res1.gap, notes=[res1.failure])
+        return result("NumericalFailure", res1.y[:m], res1.gap,
+                      notes=[res1.failure])
     tau_final = float(res1.y[m])
     if not res1.early_exit and tau_final >= -10.0 * settings.feas_tol:
         if res1.converged:
-            ray = _extract_ray(segs, aug, res1.Z)
-            return Solution("Infeasible", res1.y[:m], float(c @ res1.y[:m]),
-                            segs.min_eigs(segs.A @ res1.y[:m] - segs.f0),
-                            iterations, res1.gap, dual_ray=ray,
-                            notes=[f"phase-1 optimum tau = {tau_final:.3e}"])
-        return Solution("IterationLimit", res1.y[:m], float(c @ res1.y[:m]),
-                        segs.min_eigs(segs.A @ res1.y[:m] - segs.f0),
-                        iterations, res1.gap)
+            return result("Infeasible", res1.y[:m], res1.gap,
+                          dual_ray=_extract_ray(segs, aug, res1.Z),
+                          notes=[f"phase-1 optimum tau = {tau_final:.3e}"])
+        return result("IterationLimit", res1.y[:m], res1.gap)
 
     y_feas = res1.y[:m]
-    eigs = segs.min_eigs(segs.A @ y_feas - segs.f0)
     if not has_objective:
-        return Solution("Feasible", y_feas, float(c @ y_feas), eigs,
-                        iterations, res1.gap,
-                        notes=[f"strict margin {-tau_final:.3e}"])
+        return result("Feasible", y_feas, res1.gap,
+                      notes=[f"strict margin {-tau_final:.3e}"])
 
     # ---- phase 2: minimize the objective from the interior point ----
-    res2 = _ipm_core(segs, c, settings, y_feas, "objective")
+    res2 = _ipm_core(segs, schur, c, settings, y_feas, "objective")
     iterations += res2.iterations
     y = res2.y
     eigs = segs.min_eigs(segs.A @ y - segs.f0)
     if res2.failure is not None or float(eigs.min()) < -settings.feas_tol:
         # fall back to the strictly feasible phase-1 point
-        notes = [res2.failure or "phase-2 left the cone; phase-1 point kept"]
-        return Solution("Feasible", y_feas, float(c @ y_feas),
-                        segs.min_eigs(segs.A @ y_feas - segs.f0),
-                        iterations, res1.gap, notes=notes)
+        return result("Feasible", y_feas, res1.gap, notes=[
+            res2.failure or "phase-2 left the cone; phase-1 point kept"])
     if res2.converged:
-        return Solution("Optimal", y, float(c @ y), eigs, iterations, res2.gap)
-    return Solution("Feasible", y, float(c @ y), eigs, iterations, res2.gap,
-                    notes=["iteration limit before gap closure"])
+        return result("Optimal", y, res2.gap)
+    return result("Feasible", y, res2.gap,
+                  notes=["iteration limit before gap closure"])
 
 
 def _extract_ray(segs, aug, Z):

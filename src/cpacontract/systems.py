@@ -193,14 +193,6 @@ class SystemDefinition:
                 out = np.maximum(out, ex.interval_bound_abs(expr, lo, hi, inflation))
         return out
 
-    def second_partial(self, l, i, j):
-        """Expression tree of d2 f_l / dx_i dx_j (i, j in 0..n)."""
-        i, j = min(i, j), max(i, j)
-        for (a, b, d) in self._d2[l]:
-            if (a, b) == (i, j):
-                return d
-        raise KeyError((l, i, j))
-
     def _box_arrays(self, box):
         if isinstance(box, Box):
             lo, hi = np.asarray(box.lo, dtype=float), np.asarray(box.hi, dtype=float)

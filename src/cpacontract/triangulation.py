@@ -181,16 +181,8 @@ class Simplex:
         self.index = int(index)
 
     @property
-    def vertex_ids(self):
-        return self.complex.simp_verts[self.index]
-
-    @property
     def vertices(self):
         return self.complex.vert_xyz[self.complex.simp_verts[self.index]]
-
-    @property
-    def slots(self):
-        return self.complex.vert_slot[self.complex.simp_verts[self.index]]
 
     @property
     def X(self):
@@ -219,16 +211,6 @@ class Simplex:
         if self.complex.B3 is None:
             return None
         return float(self.complex.B3[self.index])
-
-    @property
-    def generator(self):
-        """(slab, x-cell tuple, permutation index)."""
-        g = self.complex.simp_gen[self.index]
-        return int(g[0]), tuple(int(v) for v in g[1:-1]), int(g[-1])
-
-    def barycentric(self, point, tol=1e-9):
-        from .cpa import barycentric
-        return barycentric(self, point, tol)
 
 
 def barycentric_weights(Xinv, v0, point):

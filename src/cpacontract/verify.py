@@ -39,25 +39,27 @@ class VerificationReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self):
+        """JSON-ready fields; a non-finite number, such as `max_lm` of an
+        indefinite metric, is written as null."""
         out = {
             "passed": bool(self.passed),
             "samples": int(self.samples),
             "seed": int(self.seed),
-            "tol": float(self.tol),
-            "max_lambda_max": float(self.max_lambda_max),
-            "max_lm": float(self.max_lm),
-            "min_metric_eig": float(self.min_metric_eig),
-            "mu_max": float(self.mu_max),
-            "bound_from_C": float(self.bound_from_C),
-            "bound_from_mu": float(self.bound_from_mu),
-            "constants": {k: float(v) for k, v in self.constants.items()},
-            "vertex_residuals": {k: float(v)
+            "tol": _json_float(self.tol),
+            "max_lambda_max": _json_float(self.max_lambda_max),
+            "max_lm": _json_float(self.max_lm),
+            "min_metric_eig": _json_float(self.min_metric_eig),
+            "mu_max": _json_float(self.mu_max),
+            "bound_from_C": _json_float(self.bound_from_C),
+            "bound_from_mu": _json_float(self.bound_from_mu),
+            "constants": {k: _json_float(v) for k, v in self.constants.items()},
+            "vertex_residuals": {k: _json_float(v)
                                  for k, v in self.vertex_residuals.items()},
             "margin_ok": bool(self.margin_ok),
             "notes": list(self.notes),
         }
         if self.interp_worst_ratio is not None:
-            out["interp_worst_ratio"] = float(self.interp_worst_ratio)
+            out["interp_worst_ratio"] = _json_float(self.interp_worst_ratio)
         if self.boundary is not None:
             out["boundary"] = self.boundary
         return out
@@ -83,9 +85,14 @@ class VerificationReport:
             "boundary_facets": rep.boundary_facets,
             "sampled_facets": rep.sampled_facets,
             "outward_facets": len(rep.outward_facets),
-            "worst_inner_product": float(rep.worst_inner_product),
+            "worst_inner_product": _json_float(rep.worst_inner_product),
         }
         return rep
+
+
+def _json_float(value):
+    value = float(value)
+    return value if np.isfinite(value) else None
 
 
 def _interior_weights(rng, count, dim):
@@ -278,38 +285,39 @@ def boundary_flow_check(cx, sys, samples=20, seed=0, budget=2000):
     """Advisory: sample boundary facets of the triangulated domain and
     report where the extended field (1, f) points outward. Positive
     invariance is a hypothesis left to the user; this never gates a pass."""
-    facets = {}
-    for sid in range(cx.n_simplices):
-        slots = cx.vert_slot[cx.simp_verts[sid]]
-        for k in range(cx.n + 2):
-            key = tuple(sorted(np.delete(slots, k)))
-            facets.setdefault(key, []).append((sid, k))
-    boundary = [v[0] for v in facets.values() if len(v) == 1]
+    n = cx.n
+    # facet k of a simplex drops vertex k; a facet met once is a boundary
+    # facet, listed by (simplex, k) of that one occurrence
+    drop = ~np.eye(n + 2, dtype=bool)
+    slots = cx.vert_slot[cx.simp_verts]
+    keys = np.sort(np.broadcast_to(slots[:, None, :], (len(slots), n + 2, n + 2))
+                   [:, drop].reshape(-1, n + 1), axis=1)
+    _, first, count = np.unique(keys, axis=0, return_index=True,
+                                return_counts=True)
+    boundary = np.sort(first[count == 1])
     rng = np.random.default_rng(seed)
     if len(boundary) > budget:
-        sel = rng.choice(len(boundary), size=budget, replace=False)
-        picked = [boundary[i] for i in sorted(sel)]
+        picked = boundary[np.sort(rng.choice(len(boundary), size=budget,
+                                             replace=False))]
     else:
         picked = boundary
-    outward = []
-    worst = -np.inf
-    for sid, k in picked:
-        verts = cx.vert_xyz[cx.simp_verts[sid]]
-        Xinv = cx.Xinv[sid]
-        if k == 0:
-            grad = -Xinv.sum(axis=1)
-        else:
-            grad = Xinv[:, k - 1]
-        normal = -grad / np.linalg.norm(grad)
-        face = np.delete(np.arange(cx.n + 2), k)
-        lam = _interior_weights(rng, samples, cx.n + 1)
-        pts = lam @ verts[face]
-        ips = sys.f_tilde_many(pts) @ normal
-        w = float(ips.max())
-        worst = max(worst, w)
-        if w > 1e-9:
-            outward.append((sid, k, w))
+    sid, k = np.divmod(picked, n + 2)
+    Xinv = cx.Xinv[sid]
+    grad = np.concatenate([-Xinv.sum(axis=2, keepdims=True), Xinv],
+                          axis=2)[np.arange(len(sid)), :, k]
+    normal = -grad / np.linalg.norm(grad, axis=1, keepdims=True)
+    face = np.nonzero(drop[k])[1].reshape(-1, n + 1)
+    verts = cx.vert_xyz[cx.simp_verts[sid[:, None], face]]
+    lam = _interior_weights(rng, len(sid) * samples, n + 1).reshape(
+        len(sid), samples, n + 1)
+    pts = lam @ verts
+    ft = sys.f_tilde_many(pts.reshape(-1, n + 1)).reshape(len(sid), samples,
+                                                          n + 1)
+    w = (ft @ normal[:, :, None])[..., 0].max(axis=1)
+    worst = float(w.max(initial=-np.inf))
+    outward = [(int(s), int(kk), float(v))
+               for s, kk, v in zip(sid, k, w) if v > 1e-9]
     return BoundaryFlowReport(boundary_facets=len(boundary),
-                              sampled_facets=len(picked),
+                              sampled_facets=len(sid),
                               outward_facets=outward,
                               worst_inner_product=worst)

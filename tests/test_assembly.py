@@ -3,7 +3,6 @@ import pytest
 
 from cpacontract.assembly import (
     assemble,
-    compute_E_coeffs,
     enu_coefficient_arrays,
     export_sdpa,
     fill_derivative_bounds,
@@ -78,9 +77,9 @@ class TestECoefficients:
         cx = small_complex
         cx.B2 = np.ones(cx.n_simplices)
         cx.h = np.full(cx.n_simplices, 0.25)
-        e = compute_E_coeffs(cx.simplex(0), linear_1d)
-        assert e.a_D == pytest.approx(np.sqrt(2.0) / 16.0)
-        assert e.a_C == pytest.approx(1.0)
+        a_C, a_D = enu_coefficient_arrays(cx, linear_1d.smoothness)
+        assert a_D[0] == pytest.approx(np.sqrt(2.0) / 16.0)
+        assert a_C[0] == pytest.approx(1.0)
 
     def test_affine_vanishes(self):
         sys = parse_system("dim=1; period=1; f1 = -x1")
@@ -95,14 +94,14 @@ class TestECoefficients:
         cx.B2 = np.ones(cx.n_simplices)
         cx.B3 = np.zeros(cx.n_simplices)
         cx.h = np.ones(cx.n_simplices)
-        e = compute_E_coeffs(cx.simplex(0), sys)
-        assert e.a_D == pytest.approx(5.0 * np.sqrt(2.0))
-        assert e.a_C == 0.0
+        a_C, a_D = enu_coefficient_arrays(cx, sys.smoothness)
+        assert a_D[0] == pytest.approx(5.0 * np.sqrt(2.0))
+        assert a_C[0] == 0.0
 
     def test_missing_bounds(self, linear_1d):
         cx = build_complex([[[0.0, 1.0]]], 1.0, 0)
         with pytest.raises(MissingBoundsError):
-            compute_E_coeffs(cx.simplex(0), linear_1d)
+            enu_coefficient_arrays(cx, linear_1d.smoothness)
 
     def test_bound_cache_tracks_system(self):
         from cpacontract.assembly import ensure_derivative_bounds

@@ -1,6 +1,8 @@
 """End-to-end smoke of the n = 3 paths: 24 simplices per cell, 4-d
 barycentrics, size-3 blocks through the solver and verifier."""
 
+import json
+
 import numpy as np
 
 from cpacontract.assembly import assemble
@@ -68,6 +70,10 @@ AFFINE_3D = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
 def test_indefinite_metric_negative_control(tmp_path):
     # a 3-D metric that is indefinite at one vertex must fail verification;
     # before, the Cholesky step of L_M raised and cmd_verify reported a
@@ -81,7 +87,13 @@ def test_indefinite_metric_negative_control(tmp_path):
     row[0] = format(-float(row[0]), ".17g")
     bad = tmp_path / "negated.json"
     bad.write_bytes(certificate_bytes(cert))
-    assert cmd_verify(str(bad), progress=lambda *a, **k: None) == 2
+    out = tmp_path / "report.json"
+    assert cmd_verify(str(bad), progress=lambda *a, **k: None,
+                      report_path=str(out)) == 2
+    # the report is strict JSON: the undefined L_M is null, not Infinity
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["passed"] is False
+    assert report["max_lm"] is None
 
     _, sys3, cx, cpa = rebuild_from_certificate(cert)
     rep = verify_contraction_sampled(

@@ -1,0 +1,197 @@
+"""The Schur complement of the interior-point solver: the fixed-pattern
+assembly against a sparse reference, the mesh-derived variable order, and
+the answers of the banded path on the 2-D oscillator."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+from cpacontract import solver
+from cpacontract.assembly import assemble
+from cpacontract.cli import Config, cmd_synthesize
+from cpacontract.solver import (
+    SolverSettings,
+    _augment_tau,
+    _SchurPlan,
+    _Segments,
+    _symkron,
+    solve,
+)
+from cpacontract.triangulation import build_complex
+
+from test_solver import random_feasible_problem
+
+# The 2-D oscillator of criterion 2 at K=6 on a quarter of its region.
+OSC_2D_CONFIG = {
+    "system": ("dim=2; period=6.283185307179586; smoothness=c3; "
+               "f1 = x2; f2 = -x1 - 2*x2 + sin(t)"),
+    "region": [[[-0.2502, 0.2502], [-0.2502, 0.2502]]],
+    "scaling": [0.853, 0.853],
+    "epsilon0": 0.01,
+    "k_min": 6,
+    "k_max": 7,
+    "mode": {"uniform_cd": True, "objective": "none"},
+    "verify": {"samples": 120000, "seed": 12345, "tol": 1e-6},
+}
+
+
+def _mesh_problem(sys, region, K, uniform, objective, scaling=None):
+    cx = build_complex(region, sys.T, K, scaling)
+    return assemble(cx, sys, 0.01, uniform_cd=uniform, objective=objective)
+
+
+def _random_scalings(problem, rng):
+    """W^{-1/2} per group: random symmetric positive definite blocks."""
+    out = []
+    for g in problem.groups:
+        R = rng.normal(size=(g.count, g.size, g.size))
+        out.append(R @ np.swapaxes(R, 1, 2) + 0.3 * np.eye(g.size))
+    return out
+
+
+def _stored_to_dense(plan, buf, tau):
+    """The full symmetric G, in variable order, from the plan's storage."""
+    m1 = plan.m + 1
+    low = np.zeros((m1, m1))
+    ab = plan.band(buf)
+    for d in range(plan.bandwidth + 1):
+        j = np.arange(plan.ns - d)
+        low[j + d, j] = ab[d, j]
+    rows = buf[plan.row0:].reshape(plan.nb, m1)
+    for r in range(plan.nb):
+        low[plan.ns + r, :plan.ns + r + 1] = rows[r, :plan.ns + r + 1]
+    full = low + np.tril(low, -1).T
+    full = full[np.ix_(plan.pos, plan.pos)]
+    return full if tau else full[:plan.m, :plan.m]
+
+
+def _check_against_reference(problem, seed):
+    rng = np.random.default_rng(seed)
+    segs = _Segments(problem.groups, problem.m)
+    plan = _SchurPlan(problem.groups, problem.m, problem.schur_order,
+                      problem.schur_border)
+    Wh = _random_scalings(problem, rng)
+    Wi = [w @ w for w in Wh]
+    A_aug, _ = _augment_tau(segs, SolverSettings())
+    P = sp.block_diag([sp.block_diag(list(_symkron(w))) for w in Wi],
+                      format="csr")
+    ref = (A_aug.T @ P @ A_aug).toarray()
+    scale = np.abs(ref).max()
+    tau_col = A_aug.T @ segs.svec_all([w @ w for w in Wi])
+    G1 = _stored_to_dense(plan, plan.form(Wh, tau_col), tau=True)
+    assert np.abs(G1 - ref).max() <= 1e-12 * scale
+    G2 = _stored_to_dense(plan, plan.form(Wh), tau=False)
+    assert np.abs(G2 - ref[:-1, :-1]).max() <= 1e-12 * scale
+    # the factorization solves with that matrix, in both phases
+    for tau, G in ((True, ref), (False, ref[:-1, :-1])):
+        r = rng.normal(size=len(G))
+        x = plan.factor(plan.form(Wh, tau_col if tau else None), tau)(r)
+        assert np.abs(G @ x - r).max() <= 1e-10 * scale * np.abs(x).max()
+    return plan
+
+
+@pytest.fixture(params=["dense", "banded"])
+def plan_kind(request, monkeypatch):
+    if request.param == "banded":
+        monkeypatch.setattr(solver, "_DENSE_LIMIT", 0)
+    return request.param
+
+
+class TestScatterAssembly:
+    def test_uniform_2d_mesh(self, osc_2d, plan_kind):
+        problem, _ = _mesh_problem(osc_2d, [[[-0.5, 0.5], [-0.5, 0.5]]], 2,
+                                   True, "min_c")
+        plan = _check_against_reference(problem, 0)
+        assert plan.info["kind"] == plan_kind
+
+    def test_per_simplex_min_c(self, linear_1d, osc_2d, plan_kind):
+        for sys, region in ((linear_1d, [[[-2.0, 1.0]]]),
+                            (osc_2d, [[[-0.5, 0.5], [-0.5, 0.5]]])):
+            problem, _ = _mesh_problem(sys, region, 1, False, "min_c")
+            _check_against_reference(problem, 1)
+
+    def test_level_zero_repeats_slots(self, linear_1d, plan_kind):
+        # at K=0 the t=0 and t=T copies of a vertex share one slot, so a
+        # simplex reads fewer distinct slots than it has vertices
+        problem, _ = _mesh_problem(linear_1d, [[[-2.0, 1.0]]], 0, True,
+                                   "none")
+        _check_against_reference(problem, 2)
+
+    def test_random_suite(self, plan_kind):
+        rng = np.random.default_rng(2024)
+        for trial in range(8):
+            problem, _ = random_feasible_problem(rng)
+            assert problem.schur_order is None
+            _check_against_reference(problem, trial)
+
+
+class TestSchurOrder:
+    @pytest.mark.parametrize("uniform, objective", [
+        (True, "min_c"), (True, "none"), (False, "min_c"), (False, "none")])
+    def test_permutation_and_border(self, osc_2d, uniform, objective):
+        problem, vmap = _mesh_problem(osc_2d, [[[-0.5, 0.5], [-0.5, 0.5]]],
+                                      3, uniform, objective)
+        order, nb = problem.schur_order, problem.schur_border
+        assert np.array_equal(np.sort(order), np.arange(problem.m))
+        if uniform:
+            expected = {vmap.c_index(), vmap.d_index()}
+        else:
+            expected = {vmap.cmax_index} if objective == "min_c" else set()
+        assert set(order[len(order) - nb:].tolist()) == expected
+
+    def test_folded_slabs(self, osc_2d):
+        # slabs 0, N-1, 1, N-2, ... so that linked slabs are close and the
+        # ring is never cut
+        problem, vmap = _mesh_problem(osc_2d, [[[-0.5, 0.5], [-0.5, 0.5]]],
+                                      3, True, "none")
+        cx = build_complex([[[-0.5, 0.5], [-0.5, 0.5]]], osc_2d.T, 3)
+        slab = cx.vert_q[cx.slot_rep, 0]
+        metric = problem.schur_order[:vmap.metric_count]
+        seen = slab[metric // vmap.P]
+        runs = seen[np.r_[True, np.diff(seen) != 0]]
+        assert runs.tolist() == [0, 7, 1, 6, 2, 5, 3, 4]
+
+    def test_large_problem_reports_banded_plan(self):
+        config = Config.from_dict(OSC_2D_CONFIG)
+        sys0 = config.build_system()
+        problem, vmap = _mesh_problem(sys0, config.region, 6, True, "none",
+                                      config.scaling_matrix(sys0.n))
+        assert problem.m > solver._DENSE_LIMIT
+        sol = solve(problem, SolverSettings(max_iterations=1))
+        assert sol.schur["kind"] == "banded"
+        assert sol.schur["border"] == 3
+        # reverse Cuthill-McKee on the same pattern, border removed
+        A = sp.vstack([g.A for g in problem.groups], format="csr")
+        A.data = np.ones_like(A.data)
+        blk = np.concatenate([np.repeat(np.arange(g.count), g.svdim) + off
+                              for g, off in zip(problem.groups, np.cumsum(
+                                  [0] + [g.count for g in problem.groups]))])
+        E = sp.csr_matrix((np.ones(len(blk)), (blk, np.arange(len(blk)))))
+        touch = (E @ A).tocsc()
+        keep = np.setdiff1d(np.arange(problem.m),
+                            [vmap.c_index(), vmap.d_index()])
+        pattern = (touch[:, keep].T @ touch[:, keep]).tocsr()
+        perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        coo = pattern[perm][:, perm].tocoo()
+        rcm = int(np.abs(coo.row - coo.col).max())
+        assert sol.schur["bandwidth"] < rcm
+
+
+def test_oscillator_answers_on_the_banded_path():
+    # recorded with the reverse Cuthill-McKee plan that this path replaced
+    lines = []
+    code, cert = cmd_synthesize(Config.from_dict(OSC_2D_CONFIG),
+                                progress=lines.append)
+    assert code == 0
+    assert any("Schur plan kind banded, bandwidth 320, border 3" in line
+               for line in lines)
+    assert "schur" not in cert["solver"]
+    assert cert["k"] == 6
+    assert cert["solver"]["status"] == "Feasible"
+    assert abs(cert["solver"]["iterations"] - 14) <= 1
+    assert float(cert["solver"]["min_block_eig"]) == pytest.approx(
+        0.10082203145673319, rel=1e-6)
+    assert float(cert["constants"]["C"]) == pytest.approx(
+        64.84370725523442, rel=1e-6)
+    assert cert["verification"]["passed"] is True

@@ -188,3 +188,64 @@ class TestBoundaryFlow:
         rep = boundary_flow_check(cx, linear_1d, samples=10, seed=0, budget=0)
         assert rep.sampled_facets == 0
         assert rep.outward_facets == []
+
+
+def _boundary_flow_loop(cx, sys, samples=20, seed=0, budget=2000):
+    """The per-simplex loop that `boundary_flow_check` replaced, kept as
+    its reference."""
+    from cpacontract.verify import BoundaryFlowReport, _interior_weights
+    facets = {}
+    for sid in range(cx.n_simplices):
+        slots = cx.vert_slot[cx.simp_verts[sid]]
+        for k in range(cx.n + 2):
+            key = tuple(sorted(np.delete(slots, k)))
+            facets.setdefault(key, []).append((sid, k))
+    boundary = [v[0] for v in facets.values() if len(v) == 1]
+    rng = np.random.default_rng(seed)
+    if len(boundary) > budget:
+        sel = rng.choice(len(boundary), size=budget, replace=False)
+        picked = [boundary[i] for i in sorted(sel)]
+    else:
+        picked = boundary
+    outward = []
+    worst = -np.inf
+    for sid, k in picked:
+        verts = cx.vert_xyz[cx.simp_verts[sid]]
+        Xinv = cx.Xinv[sid]
+        grad = -Xinv.sum(axis=1) if k == 0 else Xinv[:, k - 1]
+        normal = -grad / np.linalg.norm(grad)
+        face = np.delete(np.arange(cx.n + 2), k)
+        lam = _interior_weights(rng, samples, cx.n + 1)
+        ips = sys.f_tilde_many(lam @ verts[face]) @ normal
+        w = float(ips.max())
+        worst = max(worst, w)
+        if w > 1e-9:
+            outward.append((sid, k, w))
+    return BoundaryFlowReport(len(boundary), len(picked), outward, worst)
+
+
+@pytest.mark.parametrize("text, region, K, budget", [
+    ("dim=1; period=1; f1 = -x1 + sin(6.283185307179586*t)",
+     [[[-1.0, 1.0]]], 3, 2000),
+    ("dim=1; period=1; f1 = x1", [[[-1.0, 1.0]]], 0, 2000),
+    ("dim=2; period=1; f1 = x2; f2 = -x1 - 0.3*x2 + 0.5*x1^2",
+     [[[-1.0, 1.0], [-0.5, 0.5]]], 2, 2000),
+    ("dim=2; period=1; f1 = x2; f2 = -x1 - 0.3*x2 + 0.5*x1^2",
+     [[[-1.0, 1.0], [-0.5, 0.5]]], 2, 37),
+    ("dim=3; period=1; f1 = -x1 + x2; f2 = x1 - x3; f3 = x3*x1",
+     [[[-0.5, 0.5]] * 3], 1, 2000),
+])
+def test_boundary_flow_matches_loop(text, region, K, budget):
+    sys = parse_system(text, check_periodic=False)
+    cx = build_complex(region, sys.T, K)
+    rep = boundary_flow_check(cx, sys, samples=7, seed=3, budget=budget)
+    ref = _boundary_flow_loop(cx, sys, samples=7, seed=3, budget=budget)
+    assert rep.boundary_facets == ref.boundary_facets
+    assert rep.sampled_facets == ref.sampled_facets
+    assert [f[:2] for f in rep.outward_facets] == \
+        [f[:2] for f in ref.outward_facets]
+    np.testing.assert_allclose([f[2] for f in rep.outward_facets],
+                               [f[2] for f in ref.outward_facets],
+                               rtol=1e-12, atol=0)
+    assert rep.worst_inner_product == pytest.approx(ref.worst_inner_product,
+                                                    rel=1e-12, abs=0)
