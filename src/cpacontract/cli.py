@@ -75,6 +75,11 @@ class Config:
         scaling = raw.get("scaling")
         mode = raw.get("mode", {})
         solver_raw = raw.get("solver", {})
+        verify_raw = raw.get("verify", {})
+        for name, part in (("mode", mode), ("solver", solver_raw),
+                           ("verify", verify_raw)):
+            if not isinstance(part, dict):
+                raise InputError(f"{name} must be an object")
         try:
             settings = SolverSettings(
                 feas_tol=float(solver_raw.get("feas_tol", 1e-8)),
@@ -82,8 +87,11 @@ class Config:
                 max_iterations=int(solver_raw.get("max_iterations", 200)),
                 inflation=float(solver_raw.get("inflation", 1.0)),
             )
+            verify_samples = int(verify_raw.get("samples", 100000))
+            verify_seed = int(verify_raw.get("seed", 12345))
+            verify_tol = float(verify_raw.get("tol", 1e-6))
         except (TypeError, ValueError) as exc:
-            raise InputError(f"bad solver settings: {exc}") from exc
+            raise InputError(f"bad solver or verify settings: {exc}") from exc
         objective = mode.get("objective", "min_c")
         if objective not in ("none", "min_c"):
             raise InputError("mode.objective must be 'none' or 'min_c'")
@@ -92,16 +100,14 @@ class Config:
             smoothness = str(smoothness).upper()
             if smoothness not in ("C2", "C3"):
                 raise InputError("smoothness must be C2 or C3")
-        verify_raw = raw.get("verify", {})
         return cls(
             system_text=system_text, region=region, scaling=scaling,
             epsilon0=epsilon0, smoothness=smoothness, solver=settings,
             k_min=k_min, k_max=k_max,
             uniform_cd=bool(mode.get("uniform_cd", True)),
             objective=objective,
-            verify_samples=int(verify_raw.get("samples", 100000)),
-            verify_seed=int(verify_raw.get("seed", 12345)),
-            verify_tol=float(verify_raw.get("tol", 1e-6)),
+            verify_samples=verify_samples, verify_seed=verify_seed,
+            verify_tol=verify_tol,
             orbit_guess=raw.get("orbit_guess"), raw=raw)
 
     def build_system(self):
@@ -193,7 +199,8 @@ def load_certificate(path):
 
 
 def rebuild_from_certificate(cert):
-    """Reconstruct the system, complex, and CPA metric of a certificate."""
+    """Reconstruct the system, complex, and CPA metric of a certificate;
+    it must name every rebuilt slot exactly once, with P metric entries."""
     config = Config.from_dict(cert["config"])
     sys0 = config.build_system()
     scaling = config.scaling_matrix(sys0.n)
@@ -201,26 +208,31 @@ def rebuild_from_certificate(cert):
     if cx.n_slots != int(cert["n_slots"]):
         raise InputError("certificate slot count does not match the rebuilt "
                          "complex")
-    key_to_idx = {}
+    P = cx.n * (cx.n + 1) // 2
+    keys, rows = cert["slot_keys"], cert["metric_upper"]
+    coords = cert.get("slot_coordinates")
+    if (len(keys) != cx.n_slots or len(rows) != cx.n_slots
+            or any(len(row) != P for row in rows)
+            or coords is not None and len(coords) != cx.n_slots):
+        raise InputError(f"certificate must list {cx.n_slots} slots with "
+                         f"{P} metric entries each")
     rep_keys = cx.vert_q[cx.slot_rep].copy()
     rep_keys[:, 0] %= cx.n_slabs
-    for i, row in enumerate(rep_keys):
-        key_to_idx[tuple(int(v) for v in row)] = i
-    values = np.empty((cx.n_slots, cx.n * (cx.n + 1) // 2))
-    rebuilt_coords = cx.slot_coordinates()
-    coords = cert.get("slot_coordinates")
-    for i, (row_key, row_vals) in enumerate(zip(cert["slot_keys"],
-                                                cert["metric_upper"])):
-        idx = key_to_idx.get(tuple(int(v) for v in row_key))
-        if idx is None:
-            raise InputError("certificate vertex keys do not match the "
-                             "rebuilt complex")
-        values[idx] = [float(v) for v in row_vals]
-        if coords is not None:
-            stored = np.array([float(v) for v in coords[i]])
-            if not np.array_equal(stored, rebuilt_coords[idx]):
-                raise InputError("certificate vertex coordinates do not "
-                                 "match the rebuilt complex")
+    key_to_idx = {tuple(int(v) for v in row): i
+                  for i, row in enumerate(rep_keys)}
+    idx = [key_to_idx.get(tuple(int(v) for v in key)) for key in keys]
+    if None in idx:
+        raise InputError("certificate vertex keys do not match the "
+                         "rebuilt complex")
+    if len(set(idx)) != cx.n_slots:
+        raise InputError("certificate lists a vertex key more than once")
+    values = np.empty((cx.n_slots, P))
+    values[idx] = [[float(v) for v in row] for row in rows]
+    if coords is not None:
+        stored = np.array([[float(v) for v in row] for row in coords])
+        if not np.array_equal(stored, cx.slot_coordinates()[idx]):
+            raise InputError("certificate vertex coordinates do not "
+                             "match the rebuilt complex")
     cpa = CPAMetric(cx, values)
     return config, sys0, cx, cpa
 
@@ -297,7 +309,7 @@ def cmd_verify(cert_path, samples=None, seed=None, tol=None, progress=print,
     try:
         cert = load_certificate(cert_path)
         config, sys0, cx, cpa = rebuild_from_certificate(cert)
-    except (InputError, KeyError, ValueError) as exc:
+    except (CpaError, KeyError, TypeError, ValueError) as exc:
         progress(f"bad certificate: {exc}")
         return 3
     try:
@@ -327,15 +339,17 @@ def cmd_floquet(config, cert_path=None, tol=1e-6, steps=8192, progress=print,
                 csv_path=None):
     try:
         sys0 = config.build_system()
-    except (CpaError, ValueError) as exc:
+        if config.orbit_guess is not None:
+            guess = np.asarray(config.orbit_guess, dtype=float).reshape(-1)
+            if guess.shape != (sys0.n,):
+                raise InputError(f"orbit_guess must have {sys0.n} entries")
+        else:
+            lo = np.min([np.asarray(b)[:, 0] for b in config.region], axis=0)
+            hi = np.max([np.asarray(b)[:, 1] for b in config.region], axis=0)
+            guess = 0.5 * (lo + hi)
+    except (CpaError, TypeError, ValueError) as exc:
         progress(f"input error: {exc}")
         return 3
-    if config.orbit_guess is not None:
-        guess = np.asarray(config.orbit_guess, dtype=float)
-    else:
-        lo = np.min([np.asarray(b)[:, 0] for b in config.region], axis=0)
-        hi = np.max([np.asarray(b)[:, 1] for b in config.region], axis=0)
-        guess = 0.5 * (lo + hi)
     try:
         orbit = find_periodic_orbit(sys0, guess, steps=steps)
         result = monodromy(sys0, orbit, steps=steps)

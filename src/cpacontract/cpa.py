@@ -4,7 +4,9 @@ The field is determined by one symmetric n x n value per periodic vertex
 slot (upper-triangle storage) and interpolated barycentrically inside each
 simplex. Per-simplex entry gradients are cached; the forward orbital
 derivative picks a simplex that contains a short segment of the flow
-direction and contracts its gradient table with (1, f).
+direction and contracts its gradient table with (1, f). The contraction
+matrix M Dxf + Dxf^T M + M' is formed in one place, `CPAMetric.contraction`,
+which the verifier and the contraction functional share.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .errors import (
     NoForwardSimplexError,
     NotPositiveDefiniteError,
+    OutsideDomainError,
     OutsideSimplexError,
 )
 from .smallmat import eig_min, gen_eig_max
@@ -120,21 +123,16 @@ class CPAMetric:
         sid, lam = self.complex.locate(point, tol)
         return unpack_symmetric(self.interpolate_batch([sid], [lam])[0], self.n)
 
-    def orbital_derivative_plus(self, sys, point, tol=1e-9, zero_tol=1e-9):
-        """Forward orbital derivative at an interior point.
-
-        Among the simplices containing the point, selects one that the
-        flow direction (1, f) enters: every active zero weight must be
-        nondecreasing along the direction. Ties break to the lowest
-        simplex index; the value is simplex-independent for qualifying
-        simplices.
-        """
+    def _forward_simplex(self, sys, point, tol, zero_tol=1e-9):
+        """(simplex id, barycentric weights, (1, f)) of the first simplex,
+        by index, among those containing the point that the flow
+        direction (1, f) enters: every active zero weight must be
+        nondecreasing along the direction."""
         cx = self.complex
         p = np.asarray(point, dtype=float)
         pw = np.concatenate(([cx.wrap_time(p[0])], p[1:]))
         hits = cx.containing(pw, tol)
         if not hits:
-            from .errors import OutsideDomainError
             raise OutsideDomainError(f"point {point} not in the domain")
         ft = np.concatenate(([1.0], sys.f(pw)))
         for sid, lam in hits:
@@ -142,22 +140,47 @@ class CPAMetric:
             dlam = np.concatenate(([-dlam_rest.sum()], dlam_rest))
             active = lam <= zero_tol
             if np.all(dlam[active] >= -1e-12):
-                return unpack_symmetric(self.W[sid] @ ft, self.n)
+                return sid, lam, ft
         raise NoForwardSimplexError(
             f"flow leaves the triangulated domain at {point}; grow the region")
+
+    def orbital_derivative_plus(self, sys, point, tol=1e-9, zero_tol=1e-9):
+        """Forward orbital derivative at an interior point, taken in the
+        forward simplex; the value is simplex-independent for qualifying
+        simplices."""
+        sid, _, ft = self._forward_simplex(sys, point, tol, zero_tol)
+        return unpack_symmetric(self.W[sid] @ ft, self.n)
 
     def lm_value(self, sys, point, tol=1e-9):
         """Contraction functional: half the largest generalized eigenvalue
         of M Dxf + Dxf^T M + M'_+ with respect to M."""
-        M = self.eval_metric(point, tol)
-        if eig_min(M) <= 0.0:
+        sid, lam, _ = self._forward_simplex(sys, point, tol)
+        _, M, A = self.contraction(sys, [sid], lam[None, None])
+        if eig_min(M[0, 0]) <= 0.0:
             raise NotPositiveDefiniteError(
                 f"metric not positive definite at {point}")
-        pw = np.concatenate(([self.complex.wrap_time(point[0])],
-                             np.asarray(point, dtype=float)[1:]))
-        J = sys.jacobian(pw)
-        A = M @ J + J.T @ M + self.orbital_derivative_plus(sys, point, tol)
-        return 0.5 * float(gen_eig_max(A, M))
+        return 0.5 * float(gen_eig_max(A[0, 0], M[0, 0]))
+
+    def contraction(self, sys, sids, lam):
+        """The contraction matrix M Dxf + Dxf^T M + M' at barycentric
+        weights `lam` (S, k, n+2) in the simplices `sids` (S,), with M'
+        the simplex's orbital derivative W (1, f).
+
+        Returns the points (S, k, n+1), M and the matrix (S, k, n, n).
+        """
+        cx = self.complex
+        n = self.n
+        lam = np.asarray(lam, dtype=float)
+        S, k = lam.shape[:2]
+        verts = cx.vert_xyz[cx.simp_verts[sids]]               # (S, n+2, n+1)
+        pts = np.einsum("skj,sjd->skd", lam, verts)
+        flat = pts.reshape(-1, n + 1)
+        ft = sys.f_tilde_many(flat).reshape(S, k, n + 1)
+        J = sys.jacobian_many(flat).reshape(S, k, n, n)
+        M = unpack_symmetric(
+            np.einsum("skj,sjp->skp", lam, self.vertex_values[sids]), n)
+        Mdot = unpack_symmetric(np.einsum("spl,skl->skp", self.W[sids], ft), n)
+        return pts, M, M @ J + np.swapaxes(J, -1, -2) @ M + Mdot
 
     def interpolate_batch(self, simplex_ids, lam):
         """Metric entries for batched (simplex, weights) pairs.

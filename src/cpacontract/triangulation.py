@@ -289,10 +289,6 @@ class SimplicialComplex:
     def simplex(self, i):
         return Simplex(self, i)
 
-    def simplices(self):
-        for i in range(self.n_simplices):
-            yield Simplex(self, i)
-
     @property
     def cell_sizes(self):
         return self.rho * np.asarray(self.scaling.diag)

@@ -1,8 +1,9 @@
 """Independent verification of a solved CPA metric: stratified interior
 sampling of the contraction inequality, vertex-constraint recomputation,
 interpolation-error and derivative-consistency checks, the Floquet-exponent
-bound, and an advisory boundary-flow report. Block eigenvalues, L_M among
-them, come from the batched kernels of `smallmat`.
+bound, and an advisory boundary-flow report. Contraction matrices come
+from `CPAMetric.contraction`; block eigenvalues, L_M among them, from the
+batched kernels of `smallmat`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class VerificationReport:
     bound_from_mu: float
     constants: dict
     vertex_residuals: dict
-    margin_ok: bool
     interp_worst_ratio: float | None = None
     boundary: dict | None = None
     notes: list = field(default_factory=list)
@@ -55,7 +55,6 @@ class VerificationReport:
             "constants": {k: _json_float(v) for k, v in self.constants.items()},
             "vertex_residuals": {k: _json_float(v)
                                  for k, v in self.vertex_residuals.items()},
-            "margin_ok": bool(self.margin_ok),
             "notes": list(self.notes),
         }
         if self.interp_worst_ratio is not None:
@@ -115,45 +114,32 @@ def margin_coefficients_consistent(cx, sys, a_C, a_D, rtol=1e-9):
 
 def verify_contraction_sampled(cpa, sys, cx, samples=100000, seed=12345,
                                tol=1e-6, eps0=0.01, C=None, D=None,
-                               a_C=None, a_D=None, csv_path=None):
+                               csv_path=None):
     """Simplex-stratified sampling of the contraction inequality plus the
     vertex-constraint recomputation.
 
     Passes iff every sampled lambda_max is <= -1 + tol, every sampled
     L_M is <= -1/(2C) + tol, the sampled metric stays above eps0 - tol,
-    all vertex constraints hold at tol, and the margin coefficients match
-    their recomputation. `samples` is the total budget, distributed evenly
-    over the simplices. Where a sampled M is not positive definite, L_M is
-    undefined and reported as inf; the eps0 gate fails such a metric. With
-    `csv_path` the samples are dumped as (t, x.., lambda_max, L_M) rows for
-    external plotting.
+    and all vertex constraints, with the margin E recomputed from the
+    complex, hold at tol. `samples` is the total budget, distributed
+    evenly over the simplices. Where a sampled M is not positive definite,
+    L_M is undefined and reported as inf; the eps0 gate fails such a
+    metric. With `csv_path` the samples are dumped as (t, x.., lambda_max,
+    L_M) rows for external plotting.
     """
     if C is None or D is None:
         raise NotFeasibleInputError("verification needs the solved C and D")
     ensure_derivative_bounds(cx, sys)
-    ref_aC, ref_aD = enu_coefficient_arrays(cx, sys.smoothness)
-    if a_C is None:
-        a_C = ref_aC
-    if a_D is None:
-        a_D = ref_aD
-    margin_ok = margin_coefficients_consistent(cx, sys, a_C, a_D)
+    a_C, a_D = enu_coefficient_arrays(cx, sys.smoothness)
 
     n = cx.n
     S = cx.n_simplices
     per = max(1, int(np.ceil(samples / S)))
     rng = np.random.default_rng(seed)
     lam = _interior_weights(rng, S * per, n + 2).reshape(S, per, n + 2)
+    sids = np.arange(S)
 
-    verts = cx.vert_xyz[cx.simp_verts]                     # (S, n+2, n+1)
-    pts = np.einsum("skj,sjd->skd", lam, verts).reshape(-1, n + 1)
-    ft = sys.f_tilde_many(pts).reshape(S, per, n + 1)
-    J = sys.jacobian_many(pts).reshape(S, per, n, n)
-
-    Mvals = np.einsum("skj,sjp->skp", lam, cpa.vertex_values)
-    M = unpack_symmetric(Mvals, n)                          # (S, per, n, n)
-    Mdot = unpack_symmetric(np.einsum("spl,skl->skp", cpa.W, ft), n)
-    A = M @ J + np.swapaxes(J, -1, -2) @ M + Mdot
-
+    pts, M, A = cpa.contraction(sys, sids, lam)
     lmax = eig_max(A).ravel()
     max_lambda_max = float(lmax.max())
     min_metric_eig = float(eig_min(M).min())
@@ -164,7 +150,8 @@ def verify_contraction_sampled(cpa, sys, cx, samples=100000, seed=12345,
     if csv_path is not None:
         header = "t," + ",".join(f"x{j}" for j in range(1, n + 1)) \
             + ",lambda_max,L_M"
-        np.savetxt(csv_path, np.column_stack([pts, lmax, lm]),
+        np.savetxt(csv_path, np.column_stack([pts.reshape(-1, n + 1), lmax,
+                                              lm]),
                    delimiter=",", header=header, comments="")
 
     # mu_max: largest metric eigenvalue over vertices and samples
@@ -173,15 +160,11 @@ def verify_contraction_sampled(cpa, sys, cx, samples=100000, seed=12345,
     mu_max = float(max(eig_max(vert_mats).max(), eig_max(M).max()))
 
     # vertex-constraint recomputation, independent of the solver
-    vm = unpack_symmetric(cpa.vertex_values, n)             # (S, n+2, n, n)
-    vpts = verts.reshape(-1, n + 1)
-    vft = sys.f_tilde_many(vpts).reshape(S, n + 2, n + 1)
-    vJ = sys.jacobian_many(vpts).reshape(S, n + 2, n, n)
-    vMdot = unpack_symmetric(np.einsum("spl,skl->skp", cpa.W, vft), n)
-    vA = vm @ vJ + np.swapaxes(vJ, -1, -2) @ vm + vMdot
+    unit = np.broadcast_to(np.eye(n + 2), (S, n + 2, n + 2))
+    _, vm, vA = cpa.contraction(sys, sids, unit)
     C_arr = np.broadcast_to(np.asarray(C, dtype=float), (S,))
     D_arr = np.broadcast_to(np.asarray(D, dtype=float), (S,))
-    E = np.asarray(a_C) * C_arr + np.asarray(a_D) * D_arr
+    E = a_C * C_arr + a_D * D_arr
     res5 = float((eig_max(vA) + (E + 1.0)[:, None]).max())
     res2 = float((eig_max(vm) - C_arr[:, None]).max())
     res3 = float((np.abs(cpa.W).max(axis=(1, 2)) - D_arr / (n + 1.0)).max())
@@ -195,18 +178,14 @@ def verify_contraction_sampled(cpa, sys, cx, samples=100000, seed=12345,
     passed = (max_lambda_max <= -1.0 + tol
               and max_lm <= bound_C + tol
               and min_metric_eig >= eps0 - tol
-              and all(r <= tol for r in vertex_residuals.values())
-              and margin_ok)
-    notes = []
-    if not margin_ok:
-        notes.append("margin coefficients do not match their recomputation")
+              and all(r <= tol for r in vertex_residuals.values()))
     return VerificationReport(
         passed=passed, samples=S * per, seed=seed, tol=tol,
         max_lambda_max=max_lambda_max, max_lm=max_lm,
         min_metric_eig=min_metric_eig, mu_max=mu_max,
         bound_from_C=bound_C, bound_from_mu=bound_mu,
         constants={"C": C_sc, "D": float(np.max(D_arr)), "eps0": eps0},
-        vertex_residuals=vertex_residuals, margin_ok=margin_ok, notes=notes)
+        vertex_residuals=vertex_residuals)
 
 
 def verify_interpolation_bound(simplex, sys, samples=1000, seed=0):
@@ -222,11 +201,8 @@ def verify_interpolation_bound(simplex, sys, samples=1000, seed=0):
     fv = sys.f_many(verts)
     fp = sys.f_many(pts)
     err = float(np.max(np.abs(fp - lam @ fv)))
-    B = simplex.B2
-    if B is None:
-        lo, hi = verts.min(axis=0), verts.max(axis=0)
-        B = sys.derivative_bound(np.column_stack([lo, hi]), 2)
-    denom = (n + 1.0) * B * simplex.h**2
+    ensure_derivative_bounds(cx, sys)
+    denom = (n + 1.0) * simplex.B2 * simplex.h**2
     if denom == 0.0:
         return 0.0 if err <= 1e-12 else np.inf
     return err / denom
@@ -238,29 +214,14 @@ def verify_lemma_412_gap(cpa, sys, simplex, samples=1000, seed=0):
 
     The caller compares the result against E/n for the simplex.
     """
-    cx = simplex.complex
-    n = cx.n
-    sid = simplex.index
+    n = simplex.complex.n
     rng = np.random.default_rng(seed)
     lam = _interior_weights(rng, samples, n + 2)
-    verts = simplex.vertices
-    pts = lam @ verts
-
-    W = cpa.W[sid]
-    vert_vals = cpa.vertex_values[sid]
-    vm = unpack_symmetric(vert_vals, n)
-    vft = sys.f_tilde_many(verts)
-    vJ = sys.jacobian_many(verts)
-    vA = (vm @ vJ + np.swapaxes(vJ, -1, -2) @ vm
-          + unpack_symmetric(np.einsum("pl,kl->kp", W, vft), n))
-
-    M = unpack_symmetric(lam @ vert_vals, n)
-    ft = sys.f_tilde_many(pts)
-    J = sys.jacobian_many(pts)
-    A = (M @ J + np.swapaxes(J, -1, -2) @ M
-         + unpack_symmetric(np.einsum("pl,kl->kp", W, ft), n))
-    target = np.einsum("sk,kij->sij", lam, vA)
-    return float(np.max(np.abs(A - target)))
+    sid = [simplex.index]
+    _, _, vA = cpa.contraction(sys, sid, np.eye(n + 2)[None])
+    _, _, A = cpa.contraction(sys, sid, lam[None])
+    target = np.einsum("sk,kij->sij", lam, vA[0])
+    return float(np.max(np.abs(A[0] - target)))
 
 
 def floquet_bound(solution, varmap):

@@ -116,6 +116,30 @@ class TestVerify:
         bad.write_bytes(data[: len(data) // 2])
         assert cmd_verify(str(bad), progress=quiet) == 3
 
+    def test_repeated_slot_key(self, cert_path, tmp_path):
+        # row 1 names slot 0 again, coordinates included, so slot 1 would
+        # be left unset
+        cert = load_certificate(cert_path)
+        cert["slot_keys"][1] = cert["slot_keys"][0]
+        cert["slot_coordinates"][1] = cert["slot_coordinates"][0]
+        bad = tmp_path / "repeated.json"
+        bad.write_bytes(certificate_bytes(cert))
+        assert cmd_verify(str(bad), progress=quiet) == 3
+
+    def test_dropped_metric_row(self, cert_path, tmp_path):
+        cert = load_certificate(cert_path)
+        del cert["metric_upper"][-1]
+        bad = tmp_path / "dropped.json"
+        bad.write_bytes(certificate_bytes(cert))
+        assert cmd_verify(str(bad), progress=quiet) == 3
+
+    def test_disconnected_region(self, cert_path, tmp_path):
+        cert = load_certificate(cert_path)
+        cert["config"]["region"] = [[[-2.0, -1.0]], [[0.0, 1.0]]]
+        bad = tmp_path / "disconnected.json"
+        bad.write_bytes(certificate_bytes(cert))
+        assert main(["verify", str(bad)]) == 3
+
     def test_round_trip_bit_exact(self, cert_path):
         cert = load_certificate(cert_path)
         again = json.loads(certificate_bytes(cert))
@@ -253,6 +277,17 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("command, patch", [
+        ("synthesize", {"verify": {"samples": "abc"}}),
+        ("synthesize", {"mode": "x"}),
+        ("synthesize", {"solver": []}),
+        ("floquet", {"orbit_guess": [0.0, 0.0]}),
+    ])
+    def test_bad_config_is_input_error(self, tmp_path, command, patch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(LINEAR_CONFIG, **patch)))
+        assert main([command, "--config", str(path)]) == 3
 
     def test_check_complex_subcommand(self, tmp_path):
         path = tmp_path / "cfg.json"

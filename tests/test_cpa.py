@@ -260,6 +260,44 @@ class TestLmValue:
             cpa.lm_value(sys, [0.3, 0.1])
 
 
+class TestContraction:
+    def test_unit_weights_match_vertex_reference(self, vdp):
+        cx = build_complex([[[-1.0, 1.0], [-1.0, 1.0]]], vdp.T, 1)
+        cpa = random_metric(cx, seed=4)
+        n = cx.n
+        sids = np.arange(0, cx.n_simplices, 7)
+        unit = np.broadcast_to(np.eye(n + 2), (len(sids), n + 2, n + 2))
+        pts, M, A = cpa.contraction(vdp, sids, unit)
+        for i, sid in enumerate(sids):
+            simplex = cx.simplex(int(sid))
+            vals = cpa.values[cx.vert_slot[cx.simp_verts[sid]]]
+            grads = [shape_gradient(simplex, vals[:, p])
+                     for p in range(vals.shape[1])]
+            for k, x in enumerate(simplex.vertices):
+                Mk = unpack_symmetric(vals[k], n)
+                J = vdp.jacobian(x)
+                ft = np.concatenate(([1.0], vdp.f(x)))
+                Mdot = unpack_symmetric([g @ ft for g in grads], n)
+                ref = Mk @ J + J.T @ Mk + Mdot
+                np.testing.assert_array_equal(pts[i, k], x)
+                np.testing.assert_array_equal(M[i, k], Mk)
+                np.testing.assert_allclose(A[i, k], ref, rtol=1e-12,
+                                           atol=1e-12)
+
+    def test_lm_value_from_contraction(self, vdp):
+        # L_M at an interior point is half the generalized eigenvalue of
+        # the contraction matrix there, with M from interpolation
+        cx = build_complex([[[-1.0, 1.0], [-1.0, 1.0]]], vdp.T, 1)
+        cpa = random_metric(cx, seed=5)
+        point = np.array([0.3, 0.1, -0.2])
+        M = cpa.eval_metric(point)
+        J = vdp.jacobian(point)
+        A = M @ J + J.T @ M + cpa.orbital_derivative_plus(vdp, point)
+        ref = 0.5 * np.linalg.eigvals(np.linalg.solve(M, A)).real.max()
+        assert cpa.lm_value(vdp, point) == pytest.approx(ref, rel=1e-12,
+                                                         abs=1e-12)
+
+
 class TestPacking:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**31 - 1))

@@ -64,6 +64,25 @@ class TestContractionSampled:
         assert rep.max_lm <= rep.bound_from_mu + 1e-9
         assert rep.bound_from_mu <= rep.bound_from_C + 1e-12
 
+    def test_one_vertex_residual_rejected(self):
+        # x' = -x on x in [0, 1] with E = 0; M(x) = m0 + (1 - m0) x does
+        # not depend on t. At x = 0, f = 0 and M' = 0, so the vertex
+        # contraction residual is 1 - 2 m0 = +5e-6; at x = 1 it is m0 - 2.
+        # The samples stay clear of x = 0, so only the vertex gate sees it
+        sys = parse_system("dim=1; period=1; f1 = -x1")
+        cx = build_complex([[[0.0, 1.0]]], 1.0, 0)
+        m0 = 0.5 - 2.5e-6
+        cpa = CPAMetric(cx, np.where(cx.slot_coordinates()[:, 1:] == 0.0,
+                                     m0, 1.0))
+        rep = verify_contraction_sampled(cpa, sys, cx, samples=2000, seed=0,
+                                         tol=1e-6, eps0=0.01, C=1.0, D=1.1)
+        assert rep.max_lambda_max <= -1.0 + rep.tol
+        res = rep.vertex_residuals
+        assert res["contraction"] == pytest.approx(5e-6, rel=1e-9)
+        assert res["contraction"] > rep.tol
+        assert all(v <= rep.tol for k, v in res.items() if k != "contraction")
+        assert not rep.passed
+
     def test_metric_floor_lemma(self, solved_linear):
         # Constraint 4 at the vertices pushes the sampled floor to eps0
         C, D = solved_linear["vmap"].bound_constants(solved_linear["sol"].y)
