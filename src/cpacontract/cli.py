@@ -28,7 +28,12 @@ from .errors import (
 from .orbits import find_periodic_orbit, integrate, monodromy
 from .solver import SolverSettings, certify, solve
 from .systems import SystemDefinition, parse_system
-from .triangulation import ScalingMatrix, build_complex, check_complex
+from .triangulation import (
+    ScalingMatrix,
+    build_complex,
+    check_complex,
+    normalize_region,
+)
 from .verify import floquet_bound, verify_contraction_sampled
 
 CERT_FORMAT = "cpa-contraction-certificate/1"
@@ -344,8 +349,9 @@ def cmd_floquet(config, cert_path=None, tol=1e-6, steps=8192, progress=print,
             if guess.shape != (sys0.n,):
                 raise InputError(f"orbit_guess must have {sys0.n} entries")
         else:
-            lo = np.min([np.asarray(b)[:, 0] for b in config.region], axis=0)
-            hi = np.max([np.asarray(b)[:, 1] for b in config.region], axis=0)
+            boxes = normalize_region(config.region)
+            lo = np.min([b[:, 0] for b in boxes], axis=0)
+            hi = np.max([b[:, 1] for b in boxes], axis=0)
             guess = 0.5 * (lo + hi)
     except (CpaError, TypeError, ValueError) as exc:
         progress(f"input error: {exc}")

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from .assembly import svec, svec_scale, unsvec
 from .cpa import sym_basis, triu_layout
 from .errors import DimensionMismatchError
-from .smallmat import eig_min, gen_eig_min
+from .smallmat import cholesky, congruence, eig_min, eigh, inv_lower
 
 _DENSE_LIMIT = 2500
 _MAX_BAND = 6000
@@ -74,84 +74,106 @@ class CertifyReport:
 
 
 # ---------------------------------------------------------------------------
-# batched small-matrix helpers
+# cones: every scalar block in one linear cone, matrix blocks by size
 
 
-def _interior(blocks):
-    """True when every block of every size group is positive definite."""
-    return all(b.size == 0 or eig_min(b).min() > 0.0 for b in blocks)
+def _max_step(g):
+    """Largest alpha with 1 + alpha*g >= 0 for every g: g are the ratios
+    dx/x of a linear cone or the eigenvalues of a whitened direction."""
+    g = float(g.min(initial=0.0))
+    return -1.0 / g if g < 0.0 else np.inf
 
 
-def _inv_spd(mats):
-    k = mats.shape[-1]
-    if k == 1:
-        return 1.0 / mats
+class _LinearCone:
+    """The size-1 blocks of every family as one vector (an LP cone, as in
+    SDPA). Its Nesterov-Todd scaling is d = z/s: W^-1 x W^-1 = d x."""
+
+    def __init__(self, s, z):
+        self.s, self.z = s, z
+        self.d = self.schur = self.w2 = z / s
+        self.s_inv = 1.0 / s
+
+    @staticmethod
+    def interior(x):
+        return bool(np.isfinite(x).all() and x.min(initial=1.0) > 0.0)
+
+    def direction(self, ds, mu):
+        """(ds, dz) for the primal step ds, centred on mu."""
+        return ds, mu * self.s_inv - self.z - self.d * ds
+
+    def steps(self, dirn):
+        return _max_step(dirn[0] / self.s), _max_step(dirn[1] / self.z)
+
+    def gap(self, dirn, ap, ad):
+        return float(((self.s + ap * dirn[0]) * (self.z + ad * dirn[1])).sum())
+
+    def dz(self, dirn):
+        return dirn[1]
+
+
+class _MatrixCone:
+    """Blocks of one size k >= 2, with the Nesterov-Todd scaling built from
+    a factor (Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998): L = chol(S),
+    L^T Z L = Q diag(lam) Q^T and F = lam^(1/4) Q^T L^-1. Then W^-1 = F^T F
+    and F S F^T = F^-T Z F^-1 = diag(v), v = lam^(1/2), so directions and
+    step lengths are taken in that scaled space, with no further factor."""
+
+    def __init__(self, S, Z):
+        L = cholesky(S)
+        Li = inv_lower(L)
+        lam, Q = eigh(congruence(L, Z, trans=True))
+        self.v = np.sqrt(lam)
+        self.F = self.schur = np.sqrt(self.v)[..., None] * (
+            np.swapaxes(Q, -1, -2) @ Li)
+        self.s_inv = congruence(Li, trans=True)
+
+    @staticmethod
+    def interior(x):
+        return bool(np.isfinite(cholesky(x)).all())
+
+    @property
+    def w2(self):
+        return congruence(congruence(self.F, trans=True))
+
+    def direction(self, dS, mu):
+        """(F dS F^T, F^-T dZ F^-1) for the primal step dS, centred on mu:
+        the second is mu V^-1 - V - F dS F^T with V = diag(v)."""
+        X = congruence(self.F, dS)
+        dZ = -X
+        np.einsum("...ii->...i", dZ)[...] += mu / self.v - self.v
+        return X, dZ
+
+    def steps(self, dirn):
+        r = 1.0 / np.sqrt(self.v)
+        r = r[..., :, None] * r[..., None, :]
+        return tuple(_max_step(eig_min(d * r)) for d in dirn)
+
+    def gap(self, dirn, ap, ad):
+        """<V + ap X, V + ad dZ> for the scaled direction (X, dZ)."""
+        X, dZ = dirn
+        v = self.v
+        return float((v * v).sum() + ap * np.einsum("nii,ni->", X, v)
+                     + ad * np.einsum("nii,ni->", dZ, v)
+                     + ap * ad * (X * dZ).sum())
+
+    def dz(self, dirn):
+        return congruence(self.F, dirn[1], trans=True)
+
+
+def _svec_congruence(F):
+    """P per block with P svec(X) = svec(F X F^T): U^T (F kron F) U for the
+    isometry U with vec(X) = U svec(X), in closed form at k = 2."""
+    N, k, _ = F.shape
     if k == 2:
-        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] ** 2
-        out = np.empty_like(mats)
-        out[:, 0, 0] = mats[:, 1, 1]
-        out[:, 1, 1] = mats[:, 0, 0]
-        out[:, 0, 1] = -mats[:, 0, 1]
-        out[:, 1, 0] = -mats[:, 1, 0]
-        return out / det[:, None, None]
-    return np.linalg.inv(mats)
-
-
-def _sqrtm_spd(mats):
-    k = mats.shape[-1]
-    if k == 1:
-        return np.sqrt(mats)
-    if k == 2:
-        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] ** 2
-        s = np.sqrt(np.maximum(det, 0.0))
-        t = np.sqrt(np.maximum(mats[:, 0, 0] + mats[:, 1, 1] + 2.0 * s, 1e-300))
-        out = mats.copy()
-        out[:, 0, 0] += s
-        out[:, 1, 1] += s
-        return out / t[:, None, None]
-    w, q = np.linalg.eigh(mats)
-    w = np.sqrt(np.maximum(w, 0.0))
-    return np.einsum("nij,nj,nkj->nik", q, w, q)
-
-
-def _mul(a, b):
-    """Batched a @ b; an elementwise product (the same bits) for 1x1."""
-    return a * b if a.shape[-1] == 1 else a @ b
-
-
-def _nt_inverse_scaling(S, Z):
-    """W^{-1} and W^{-1/2} of the Nesterov-Todd scaling point (WZW = S)."""
-    Zs = _sqrtm_spd(Z)
-    T = _mul(_mul(Zs, S), Zs)
-    Ti = _inv_spd(_sqrtm_spd(T))
-    Wi = _mul(_mul(Zs, Ti), Zs)
-    return Wi, _sqrtm_spd(Wi)
-
-
-def _symkron(A):
-    """Symmetric Kronecker matrix P with P svec(X) = svec(A X A)."""
-    N, k, _ = A.shape
-    if k == 1:
-        return (A[:, 0, 0] ** 2)[:, None, None]
-    if k == 2:
-        p, q, r = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
-        out = np.empty((N, 3, 3))
+        a, b, c, d = F[:, 0, 0], F[:, 0, 1], F[:, 1, 0], F[:, 1, 1]
         rt2 = np.sqrt(2.0)
-        out[:, 0, 0] = p * p
-        out[:, 0, 1] = rt2 * p * q
-        out[:, 0, 2] = q * q
-        out[:, 1, 0] = rt2 * p * q
-        out[:, 1, 1] = p * r + q * q
-        out[:, 1, 2] = rt2 * q * r
-        out[:, 2, 0] = q * q
-        out[:, 2, 1] = rt2 * q * r
-        out[:, 2, 2] = r * r
-        return out
-    iu = triu_layout(k)
-    U = sym_basis(k)
-    U *= (svec_scale(k) / np.where(iu[0] == iu[1], 1.0, 2.0))[:, None, None]
-    AUA = np.einsum("nij,rjk,nkl->nril", A, U, A)
-    return np.einsum("qil,nril->nrq", U, AUA).transpose(0, 2, 1)
+        return np.stack([a * a, rt2 * a * b, b * b,
+                         rt2 * a * c, a * d + b * c, rt2 * b * d,
+                         c * c, rt2 * c * d, d * d], axis=1).reshape(N, 3, 3)
+    U = (sym_basis(k) / svec_scale(k)[:, None, None]).reshape(-1, k * k).T
+    kron = (F[:, :, None, :, None] * F[:, None, :, None, :]).reshape(
+        N, k * k, k * k)
+    return U.T @ kron @ U
 
 
 # ---------------------------------------------------------------------------
@@ -162,28 +184,31 @@ class _FactorizationError(Exception):
     pass
 
 
-def _frame_classes(groups, m):
+def _frame_classes(cones, m):
     """Frames of the Schur plan, batched into classes.
 
-    A frame is all blocks of one simplex, or one block without a simplex;
-    its local columns are the sorted distinct variables its rows of A
-    touch. Frames with the same width and the same block count from each
-    group form a class. Per class: `cols` (frames, width) variables, and
-    `parts`, one (group, block selection, dense local rows (blocks, svdim,
-    width), blocks per frame, svdim) per group with blocks in the class.
+    `cones` are the matrix cones as (cone index, A, simplex, svdim). A frame
+    is all their blocks of one simplex, or one block without a simplex; its
+    local columns are the sorted distinct variables its rows of A touch.
+    Frames with the same width and the same block count from each cone form
+    a class. Per class: `cols` (frames, width) variables, and `parts`, one
+    (cone index, block selection, dense local rows (blocks, svdim, width),
+    blocks per frame, svdim) per cone with blocks in the class.
     """
     frame_of, nz = [], []
-    lone = max((int(g.simplex.max()) + 1 for g in groups if g.count), default=0)
-    for g in groups:
-        f = np.array(g.simplex, dtype=np.int64)
+    lone = max((int(c[2].max()) + 1 for c in cones if len(c[2])), default=0)
+    for _, A, simplex, d in cones:
+        f = np.array(simplex, dtype=np.int64)
         solo = f < 0
         f[solo] = lone + np.arange(solo.sum())
         lone += int(solo.sum())
         frame_of.append(f)
-        coo = g.A.tocoo()
+        coo = A.tocoo()
         k = coo.data != 0.0
-        nz.append((*np.divmod(coo.row[k].astype(np.int64), g.svdim),
+        nz.append((*np.divmod(coo.row[k].astype(np.int64), d),
                    coo.col[k].astype(np.int64), coo.data[k]))
+    if not cones:
+        return []
     ukey, inv = np.unique(np.concatenate(
         [f[e[0]] * m + e[2] for f, e in zip(frame_of, nz)]), return_inverse=True)
     ufr, ucol = np.divmod(ukey, m)
@@ -199,17 +224,18 @@ def _frame_classes(groups, m):
     for c in np.nonzero(sig[:, 0])[0]:
         w, frames, parts = int(sig[c, 0]), np.nonzero(cls_of == c)[0], []
         for gi in np.nonzero(sig[c, 1:])[0]:
-            (blk, q, _, data), d = nz[gi], groups[gi].svdim
+            (blk, q, _, data), d = nz[gi], cones[gi][3]
             b = np.nonzero(cls_of[frame_of[gi]] == c)[0]
             b = b[np.argsort(frame_of[gi][b], kind="stable")]
-            slot = np.full(groups[gi].count, -1)
+            slot = np.full(len(frame_of[gi]), -1)
             slot[b] = np.arange(len(b))
             on = slot[blk] >= 0
             A_loc = np.bincount((slot[blk[on]] * d + q[on]) * w + local[gi][on],
                                 weights=data[on], minlength=len(b) * d * w)
             if np.array_equal(b, np.arange(b[0], b[0] + len(b))):
                 b = slice(b[0], b[0] + len(b))
-            parts.append((gi, b, A_loc.reshape(-1, d, w), int(sig[c, 1 + gi]), d))
+            parts.append((cones[gi][0], b, A_loc.reshape(-1, d, w),
+                          int(sig[c, 1 + gi]), d))
         rows = sum(p[3] * p[4] for p in parts)
         classes.append({"cols": ucol[start[frames][:, None] + np.arange(w)],
                         "parts": parts, "C": np.empty((len(frames), rows, w)),
@@ -217,14 +243,32 @@ def _frame_classes(groups, m):
     return classes
 
 
+def _scalar_pairs(A):
+    """Each pair i <= j of nonzeros within a row of A, as (row, column i,
+    column j, a_i a_j): the terms of the row's outer product."""
+    A = A.tocsr()
+    A.eliminate_zeros()
+    A.sort_indices()
+    row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    reps = A.indptr[row + 1] - np.arange(A.nnz)
+    first = np.repeat(np.arange(A.nnz), reps)
+    second = first + np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps,
+                                                       reps)
+    return (row[first], A.indices[first], A.indices[second],
+            A.data[first] * A.data[second])
+
+
 class _SchurPlan:
-    """Schur complement G = A^T blockdiag(symkron(W^{-1})) A from a fixed
+    """Schur complement G = A^T blockdiag(W^-1 (x) W^-1) A from a fixed
     scatter pattern: the sparsity-exploiting formation of Fujisawa, Kojima
     and Nakata (Math. Program. 79, 1997).
 
-    Each iteration forms C = symkron(W^{-1/2}) A per block over its frame's
-    local columns, C^T C per frame as one batch per class, and scatters
-    the lower triangles with one `np.bincount` to precomputed targets.
+    Matrix blocks: each iteration forms C = P A per block over its frame's
+    local columns, with P svec(X) = svec(F X F^T) for the cone's factor F,
+    C^T C per frame as one batch per class, and scatters the lower
+    triangles with one `np.bincount` to precomputed targets. Scalar blocks
+    store no rows: their part of G is sum_r d_r a_r a_r^T, a fixed linear
+    map K of the scaling d onto the targets their rows' pairs reach.
     Variables go in `order` (identity without one). The leading `ns` form
     a band factored by `cholesky_banded`; the trailing border variables
     keep full rows of G and are eliminated densely. Up to `_DENSE_LIMIT`
@@ -233,9 +277,12 @@ class _SchurPlan:
     A^T svec(W^{-2}) comes from the caller, so both phases share the plan.
     """
 
-    def __init__(self, groups, m, order=None, border=0):
-        self.m = m
-        self.classes = _frame_classes(groups, m)
+    def __init__(self, segs, order=None, border=0):
+        self.m = m = segs.m
+        cones = [(ci, segs.A[sl], segs.simplex[ci], k * (k + 1) // 2)
+                 for ci, k, _, sl in segs.seg_slices() if k > 1]
+        self.classes = _frame_classes(cones, m)
+        del cones
         if m <= _DENSE_LIMIT:  # no band: every variable is in the border
             order, border = None, m
         self.order = np.append(np.arange(m) if order is None else order,
@@ -243,42 +290,59 @@ class _SchurPlan:
         self.ns, self.nb = m - border, border + 1
         self.pos = np.empty(m + 1, dtype=np.int64)
         self.pos[self.order] = np.arange(m + 1)
-        hi, lo = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        pairs = []
         for cls in self.classes:
             w = cls["cols"].shape[1]
             il0, il1 = np.tril_indices(w)
             cls["lower"] = il0 * w + il1
-            p = self.pos[cls["cols"]]
-            hi.append(np.maximum(p[:, il0], p[:, il1]).ravel())
-            lo.append(np.minimum(p[:, il0], p[:, il1]).ravel())
-        hi, lo = np.concatenate(hi), np.concatenate(lo)
-        band = hi < self.ns
-        self.bandwidth = int((hi - lo)[band].max(initial=0))
+            pairs.append((self.pos[cls["cols"][:, il0]].ravel(),
+                          self.pos[cls["cols"][:, il1]].ravel()))
+        scalar = segs.sizes[0] == 1
+        if scalar:
+            row, ci, cj, coef = _scalar_pairs(segs.A[:segs.row_starts[1]])
+            pairs.append((self.pos[ci], self.pos[cj]))
+        hi = [np.maximum(a, b) for a, b in pairs]
+        lo = [np.minimum(a, b) for a, b in pairs]
+        self.bandwidth = max((int((h - l)[h < self.ns].max(initial=0))
+                              for h, l in zip(hi, lo)), default=0)
         if self.bandwidth > _MAX_BAND:
             raise _FactorizationError(
                 f"Schur bandwidth {self.bandwidth} exceeds {_MAX_BAND}")
         self.row0 = (self.bandwidth + 1) * self.ns
-        self.targets = np.where(band, lo * (self.bandwidth + 1) + hi - lo,
-                                self.row0 + (hi - self.ns) * (m + 1) + lo)
+        targets = [np.where(h < self.ns, l * (self.bandwidth + 1) + h - l,
+                            self.row0 + (h - self.ns) * (m + 1) + l)
+                   for h, l in zip(hi, lo)]
+        self.K = None
+        if scalar:
+            t = targets.pop()
+            rank = np.zeros(self.row0 + self.nb * (m + 1), dtype=np.int64)
+            rank[t] = 1
+            self.lp_targets = np.flatnonzero(rank)
+            rank = np.cumsum(rank) - 1
+            self.K = sp.csr_matrix((coef, (rank[t], row)),
+                                   shape=(len(self.lp_targets),
+                                          segs.counts[0]))
+            del t, rank
+        self.targets = np.concatenate([np.zeros(0, dtype=np.int64)] + targets)
         self.weights = np.empty(len(self.targets))
         self.info = ({"kind": "banded", "bandwidth": self.bandwidth,
                       "border": self.nb} if self.ns else
                      {"kind": "dense", "bandwidth": None, "border": 0})
 
-    def form(self, Wh, tau_col=None):
-        """The stored lower triangle of G for the block scalings Wh
-        (W^{-1/2} per group); `tau_col` is G's tau column in phase 1."""
-        symk = [_symkron(w) for w in Wh]
+    def form(self, weights, tau_col=None):
+        """The stored lower triangle of G for the cones' scalings: d of the
+        linear cone, F of each matrix cone; `tau_col` is G's tau column in
+        phase 1."""
+        P = [w if w.ndim == 1 else _svec_congruence(w) for w in weights]
         off = 0
         for cls in self.classes:
             nf, w = cls["cols"].shape
             C, G = cls["C"], cls["G"]
             r = 0
-            for gi, sel, A_loc, cnt, d in cls["parts"]:
-                P = symk[gi][sel].reshape(nf, cnt, d, d)
-                out = C[:, r:r + cnt * d].reshape(nf, cnt, d, w)
-                (np.multiply if d == 1 else np.matmul)(
-                    P, A_loc.reshape(nf, cnt, d, w), out=out)
+            for ci, sel, A_loc, cnt, d in cls["parts"]:
+                np.matmul(P[ci][sel].reshape(nf, cnt, d, d),
+                          A_loc.reshape(nf, cnt, d, w),
+                          out=C[:, r:r + cnt * d].reshape(nf, cnt, d, w))
                 r += cnt * d
             np.matmul(C.transpose(0, 2, 1), C, out=G)
             nl = len(cls["lower"])
@@ -288,6 +352,8 @@ class _SchurPlan:
         buf = np.bincount(self.targets, weights=self.weights,
                           minlength=self.row0 + self.nb * (self.m + 1)
                           ).astype(float, copy=False)
+        if self.K is not None:
+            buf[self.lp_targets] += self.K @ weights[0]
         if tau_col is not None:
             buf[self.row0 + (self.nb - 1) * (self.m + 1) + self.pos] = tau_col
         return buf
@@ -353,54 +419,67 @@ def _cholesky(G, banded=False):
 
 
 class _Segments:
-    """Static per-size-group structure of the stacked svec system."""
+    """The blocks of all groups by size, in ascending order: the scalar
+    blocks of every family as one linear cone, then one matrix cone per
+    size. Rows of the stacked svec system follow that order; `block_order`
+    and `row_order` give each block's and row's index in the groups' own
+    order."""
 
     def __init__(self, groups, m):
         self.m = m
-        self.A = sp.vstack([g.A for g in groups], format="csr")
-        self.f0 = np.concatenate([g.f0 for g in groups])
-        self.sizes = [g.size for g in groups]
-        self.counts = [g.count for g in groups]
-        self.row_starts = np.cumsum([0] + [g.count * g.svdim for g in groups])
-        self.Ntot = sum(g.count * g.size for g in groups)
+        self.sizes = sorted({g.size for g in groups})
+        idx = sorted(range(len(groups)), key=lambda i: groups[i].size)
+        self.A = sp.vstack([groups[i].A for i in idx], format="csr")
+        self.f0 = np.concatenate([groups[i].f0 for i in idx])
+        self.counts = [sum(g.count for g in groups if g.size == k)
+                       for k in self.sizes]
+        self.simplex = [np.concatenate([g.simplex for g in groups
+                                        if g.size == k]) for k in self.sizes]
+        self.row_starts = np.cumsum([0] + [n * k * (k + 1) // 2 for n, k in
+                                           zip(self.counts, self.sizes)])
+        self.Ntot = sum(n * k for n, k in zip(self.counts, self.sizes))
+        self.cones = [_LinearCone if k == 1 else _MatrixCone
+                      for k in self.sizes]
+
+        def order(lengths):
+            start = np.cumsum([0] + lengths)
+            return np.concatenate([np.arange(start[i], start[i + 1])
+                                   for i in idx])
+
+        self.block_order = order([g.count for g in groups])
+        self.row_order = order([g.count * g.svdim for g in groups])
 
     def seg_slices(self):
-        for gi, k in enumerate(self.sizes):
-            yield gi, k, self.counts[gi], slice(self.row_starts[gi],
-                                                self.row_starts[gi + 1])
+        for ci, k in enumerate(self.sizes):
+            yield ci, k, self.counts[ci], slice(self.row_starts[ci],
+                                                self.row_starts[ci + 1])
 
-    def unsvec_all(self, vec):
-        return [
-            unsvec(vec[sl].reshape(cnt, -1), k)
-            for _, k, cnt, sl in self.seg_slices()
-        ]
+    def unpack(self, vec):
+        return [vec[sl] if k == 1 else unsvec(vec[sl].reshape(cnt, -1), k)
+                for _, k, cnt, sl in self.seg_slices()]
 
-    def svec_all(self, mats_list):
-        return np.concatenate([svec(mats).ravel() for mats in mats_list])
+    def pack(self, xs):
+        return np.concatenate([x if x.ndim == 1 else svec(x).ravel()
+                               for x in xs])
 
-    def dot(self, mats_a, mats_b):
-        return float(sum(np.einsum("nij,nij->", a, b)
-                         for a, b in zip(mats_a, mats_b)))
+    def dot(self, xs, ys):
+        # elementwise, not BLAS: a threaded dot of a long vector costs more
+        return float(sum((x * y).sum() for x, y in zip(xs, ys)))
 
     def identity(self, scale=1.0):
-        return [np.tile(scale * np.eye(k), (cnt, 1, 1))
+        return [np.full(cnt, scale) if k == 1 else
+                np.tile(scale * np.eye(k), (cnt, 1, 1))
                 for _, k, cnt, _ in self.seg_slices()]
 
-    def max_step(self, mats, dmats):
-        """Largest alpha with mats + alpha*dmats psd, blockwise."""
-        alpha = np.inf
-        for Mb, Db in zip(mats, dmats):
-            g = gen_eig_min(Db, Mb)
-            gmin = float(g.min()) if g.size else 0.0
-            if gmin < 0.0:
-                alpha = min(alpha, -1.0 / gmin)
-        return alpha
+    def interior(self, xs):
+        """True when every block of every cone is positive definite."""
+        return all(cone.interior(x) for cone, x in zip(self.cones, xs))
 
     def min_eigs(self, vec):
-        return np.concatenate([
-            eig_min(unsvec(vec[sl].reshape(cnt, -1), k))
-            for _, k, cnt, sl in self.seg_slices()
-        ])
+        out = np.empty(sum(self.counts))
+        out[self.block_order] = np.concatenate(
+            [x if x.ndim == 1 else eig_min(x) for x in self.unpack(vec)])
+        return out
 
 
 @dataclass
@@ -423,9 +502,8 @@ def _ipm_core(segs, schur, c, settings, y0, mode, tau_index=None,
     phase-1 objective is typically unbounded)."""
     y = np.asarray(y0, dtype=float).copy()
     A = segs.A
-    svec_S = A @ y - segs.f0
-    S = segs.unsvec_all(svec_S)
-    if not _interior(S):
+    S = segs.unpack(A @ y - segs.f0)
+    if not segs.interior(S):
         return _CoreResult(False, False, y, segs.identity(), 0, np.inf, np.inf,
                            failure="initial point not strictly feasible")
     Z = segs.identity()
@@ -442,7 +520,7 @@ def _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode, tau_index,
     dual_res = np.inf
     it = 0
     for it in range(1, settings.max_iterations + 1):
-        svec_Z = segs.svec_all(Z)
+        svec_Z = segs.pack(Z)
         gap = segs.dot(S, Z)
         mu = gap / segs.Ntot
         dual_res = float(np.abs(c - A.T @ svec_Z).max())
@@ -458,42 +536,47 @@ def _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode, tau_index,
                                failure="objective appears unbounded below")
 
         try:
-            Wi, Wh = zip(*(_nt_inverse_scaling(Sb, Zb) for Sb, Zb in zip(S, Z)))
+            cones = [cone(s, z) for cone, s, z in zip(segs.cones, S, Z)]
         except np.linalg.LinAlgError:
             return _CoreResult(False, False, y, Z, it - 1, gap, dual_res,
                                failure="scaling breakdown")
         tau = tau_index is not None
         # tau's coefficient is the identity in every block, so its column
         # of G is A^T svec(W^{-2})
-        tau_col = A.T @ segs.svec_all([_mul(w, w) for w in Wi]) if tau else None
+        tau_col = A.T @ segs.pack([w.w2 for w in cones]) if tau else None
         try:
-            solve = schur.factor(schur.form(Wh, tau_col), tau)
+            solve = schur.factor(
+                schur.form([w.schur for w in cones], tau_col), tau)
         except _FactorizationError:
             return _CoreResult(False, False, y, Z, it - 1, gap, dual_res,
                                failure="factorization failed")
 
-        Sinv = [_inv_spd(b) for b in S]
-        asv = A.T @ segs.svec_all(Sinv)
+        def direction(rhs, mu_c, frac):
+            """dy, the cones' directions and the step lengths; None when
+            the direction is not finite."""
+            dy = solve(rhs)
+            if not np.isfinite(dy).all():
+                return None
+            dirs = [w.direction(ds, mu_c)
+                    for w, ds in zip(cones, segs.unpack(A @ dy))]
+            steps = [w.steps(d) for w, d in zip(cones, dirs)]
+            return (dy, dirs, min(1.0, frac * min(s[0] for s in steps)),
+                    min(1.0, frac * min(s[1] for s in steps)))
 
         # predictor
-        dy_aff = solve(-c)
-        dS_aff = segs.unsvec_all(A @ dy_aff)
-        dZ_aff = [-(Zb + _mul(_mul(wi, ds), wi))
-                  for Zb, wi, ds in zip(Z, Wi, dS_aff)]
-        ap = min(1.0, 0.99 * segs.max_step(S, dS_aff))
-        ad = min(1.0, 0.99 * segs.max_step(Z, dZ_aff))
-        gap_aff = segs.dot([s + ap * d for s, d in zip(S, dS_aff)],
-                           [z + ad * d for z, d in zip(Z, dZ_aff)])
-        sigma = min(0.9, max(1e-6, (max(gap_aff, 0.0) / gap) ** 3))
-        mu_t = sigma * mu
-
-        # corrector
-        dy = solve(mu_t * asv - c)
-        dS = segs.unsvec_all(A @ dy)
-        dZ = [mu_t * si - Zb - _mul(_mul(wi, ds), wi)
-              for si, Zb, wi, ds in zip(Sinv, Z, Wi, dS)]
-        ap = min(1.0, 0.98 * segs.max_step(S, dS))
-        ad = min(1.0, 0.98 * segs.max_step(Z, dZ))
+        pred = direction(-c, 0.0, 0.99)
+        if pred is not None:
+            _, dirs, ap, ad = pred
+            gap_aff = sum(w.gap(d, ap, ad) for w, d in zip(cones, dirs))
+            sigma = min(0.9, max(1e-6, (max(gap_aff, 0.0) / gap) ** 3))
+            mu_t = sigma * mu
+            # corrector
+            asv = A.T @ segs.pack([w.s_inv for w in cones])
+            pred = direction(mu_t * asv - c, mu_t, 0.98)
+        if pred is None:
+            return _CoreResult(False, False, y, Z, it, gap, dual_res,
+                               failure="step computation failed")
+        dy, dirs, ap, ad = pred
         if (mode == "tau" and tau_floor is not None and dy[tau_index] < 0.0
                 and y[tau_index] + ap * dy[tau_index] < tau_floor):
             ap = (tau_floor - y[tau_index]) / dy[tau_index]
@@ -504,16 +587,17 @@ def _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode, tau_index,
         # until both iterates are strictly inside
         for _ in range(40):
             y_try = y + ap * dy
-            S_try = segs.unsvec_all(A @ y_try - segs.f0)
-            if _interior(S_try):
+            S_try = segs.unpack(A @ y_try - segs.f0)
+            if segs.interior(S_try):
                 break
             ap *= 0.5
         else:
             return _CoreResult(False, False, y, Z, it, gap, dual_res,
                                failure="primal step stalled at the boundary")
+        dZ = [w.dz(d) for w, d in zip(cones, dirs)]
         for _ in range(40):
             Z_try = [Zb + ad * d for Zb, d in zip(Z, dZ)]
-            if _interior(Z_try):
+            if segs.interior(Z_try):
                 break
             ad *= 0.5
         else:
@@ -531,7 +615,7 @@ def _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode, tau_index,
 def _augment_tau(segs, settings):
     """Append the tau column (identity on every block) and the starting
     point of the phase-1 problem min tau s.t. A(y) + tau I - F0 >= 0."""
-    ident = segs.svec_all(segs.identity())
+    ident = segs.pack(segs.identity())
     A_aug = sp.hstack([segs.A, sp.csr_matrix(ident[:, None])], format="csr")
     f0_eigs = segs.min_eigs(-segs.f0)
     tau0 = float(-f0_eigs.min())
@@ -549,8 +633,7 @@ def solve(problem, settings=None):
     c = np.asarray(problem.c, dtype=float)
     has_objective = bool(np.any(c != 0.0))
     try:
-        schur = _SchurPlan(problem.groups, m, problem.schur_order,
-                           problem.schur_border)
+        schur = _SchurPlan(segs, problem.schur_order, problem.schur_border)
     except _FactorizationError as exc:
         return Solution("NumericalFailure", np.zeros(m), 0.0,
                         segs.min_eigs(-segs.f0), 0, np.inf, notes=[str(exc)])
@@ -609,17 +692,19 @@ def solve(problem, settings=None):
 
 
 def _extract_ray(segs, aug, Z):
-    svec_Z = segs.svec_all(Z)
+    svec_Z = segs.pack(Z)
     trace = float(np.asarray(aug.A[:, -1].T @ svec_Z).ravel()[0])
     if trace <= 0:
         trace = 1.0
     svec_Zn = svec_Z / trace
     eq = segs.A.T @ svec_Zn
+    ray = np.empty_like(svec_Zn)
+    ray[segs.row_order] = svec_Zn  # in the rows of the problem's groups
     return {
         "objective": float(segs.f0 @ svec_Zn),
         "eq_residual": float(np.abs(eq).max()),
         "trace": 1.0,
-        "svec": svec_Zn,
+        "svec": ray,
     }
 
 

@@ -123,7 +123,7 @@ def reference_shape_constant(n):
     return worst
 
 
-def _normalize_region(region):
+def normalize_region(region):
     boxes = []
     for b in region:
         arr = np.asarray(b, dtype=float)
@@ -372,7 +372,7 @@ def build_complex(region, T, K, scaling=None, selection_margin=1e-12):
     the region interior; the test is exact (vertex membership fast path,
     then a small LP on barycentric coordinates per region box).
     """
-    boxes = _normalize_region(region)
+    boxes = normalize_region(region)
     n = boxes[0].shape[0]
     _check_region_connected(boxes)
     if K < 0 or int(K) != K:

@@ -4,6 +4,7 @@ with the measured quantities once its assertions hold.
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import re
 import time
 
 import numpy as np
@@ -82,13 +83,13 @@ def criterion(name):
 def criterion1(tmp_path_factory):
     path = tmp_path_factory.mktemp("acc") / "criterion1.json"
     t0 = time.time()
+    lines = []
     code, cert = cmd_synthesize(Config.from_dict(CRITERION_1_CONFIG),
-                                out_path=str(path),
-                                progress=lambda *a, **k: None)
+                                out_path=str(path), progress=lines.append)
     elapsed = time.time() - t0
     assert code == 0
     return {"cert": load_certificate(str(path)), "elapsed": elapsed,
-            "path": str(path)}
+            "path": str(path), "progress": lines}
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,18 @@ def test_criterion_1_linear_system_end_to_end(criterion1):
     assert rep["samples"] >= 100000
     assert rep["max_lambda_max"] <= -1.0 + 1e-6
     assert criterion1["elapsed"] < 60.0
+    # the answer, recorded before the cone-specific solver kernels: levels
+    # 0-4 infeasible, then K=5 optimal with the same C
+    levels = [re.search(r"solver (\w+) after (\d+) iterations", line)
+              for line in criterion1["progress"]]
+    assert [m.groups() for m in levels if m] == [
+        ("Infeasible", "6"), ("Infeasible", "6"), ("Infeasible", "6"),
+        ("Infeasible", "8"), ("Infeasible", "8"), ("Optimal", "32")]
+    assert cert["k"] == 5
+    assert cert["solver"]["status"] == "Optimal"
+    assert cert["solver"]["iterations"] == 32
+    assert float(cert["constants"]["C"]) == pytest.approx(
+        1.1140946122150608, rel=1e-6)
 
     bound = float(cert["floquet_bound"])
     sys0 = parse_system(CRITERION_1_CONFIG["system"])

@@ -283,6 +283,7 @@ class TestMainEntry:
         ("synthesize", {"mode": "x"}),
         ("synthesize", {"solver": []}),
         ("floquet", {"orbit_guess": [0.0, 0.0]}),
+        ("floquet", {"region": [[-2.0, 1.0]]}),
     ])
     def test_bad_config_is_input_error(self, tmp_path, command, patch):
         path = tmp_path / "cfg.json"

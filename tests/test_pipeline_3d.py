@@ -4,6 +4,7 @@ barycentrics, size-3 blocks through the solver and verifier."""
 import json
 
 import numpy as np
+import pytest
 
 from cpacontract.assembly import assemble
 from cpacontract.cli import (
@@ -102,3 +103,32 @@ def test_indefinite_metric_negative_control(tmp_path):
     assert rep.passed is False
     assert rep.min_metric_eig < 0.0
     assert rep.max_lm == np.inf
+
+
+# The 3-D nonlinear field of the benchmark's synth-3d workload.
+SYNTH_3D = {
+    "system": ("dim=3; period=1; smoothness=c3; "
+               "f1 = -x1 + 1.5*x2 + 0.2*x2*x3; "
+               "f2 = -x2 + 1.5*x3 - 0.2*x1*x3; "
+               "f3 = -x3 + 0.2*x1*x2"),
+    "region": [[[-0.5, 0.5], [-0.5, 0.5], [-0.5, 0.5]]],
+    "epsilon0": 0.01,
+    "k_min": 0,
+    "k_max": 2,
+    "mode": {"uniform_cd": True, "objective": "min_c"},
+    "verify": {"samples": 100000, "seed": 12345, "tol": 1e-6},
+}
+
+
+def test_nonlinear_3d_answer():
+    # recorded before the cone-specific solver kernels; a faster solver
+    # must give the same answer
+    code, cert = cmd_synthesize(Config.from_dict(SYNTH_3D),
+                                progress=lambda *a, **k: None)
+    assert code == 0
+    assert cert["k"] == 0
+    assert cert["solver"]["status"] == "Optimal"
+    assert cert["solver"]["iterations"] == 46
+    assert float(cert["constants"]["C"]) == pytest.approx(
+        24.54049901617761, rel=1e-6)
+    assert cert["verification"]["passed"] is True

@@ -8,14 +8,13 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from cpacontract import solver
-from cpacontract.assembly import assemble
+from cpacontract.assembly import assemble, svec, unsvec
 from cpacontract.cli import Config, cmd_synthesize
 from cpacontract.solver import (
     SolverSettings,
     _augment_tau,
     _SchurPlan,
     _Segments,
-    _symkron,
     solve,
 )
 from cpacontract.triangulation import build_complex
@@ -41,13 +40,34 @@ def _mesh_problem(sys, region, K, uniform, objective, scaling=None):
     return assemble(cx, sys, 0.01, uniform_cd=uniform, objective=objective)
 
 
-def _random_scalings(problem, rng):
-    """W^{-1/2} per group: random symmetric positive definite blocks."""
+def _random_scalings(segs, rng):
+    """The plan's weights per cone: d > 0 of the linear cone and a random,
+    non-symmetric, nonsingular factor F of each matrix cone."""
     out = []
-    for g in problem.groups:
-        R = rng.normal(size=(g.count, g.size, g.size))
-        out.append(R @ np.swapaxes(R, 1, 2) + 0.3 * np.eye(g.size))
+    for _, k, cnt, _ in segs.seg_slices():
+        if k == 1:
+            out.append(rng.uniform(0.2, 3.0, cnt))
+        else:
+            out.append(rng.normal(size=(cnt, k, k)) + 2.0 * np.eye(k))
     return out
+
+
+def _dense_inverse_scalings(segs, weights):
+    """W^-1 per block, dense: sqrt(d) of a scalar block, so that W^-1 x
+    W^-1 = d x, and F^T F of a matrix block."""
+    return [np.sqrt(w)[:, None, None] if w.ndim == 1
+            else np.swapaxes(w, 1, 2) @ w for w in weights]
+
+
+def _reference_gram(segs, Wi, A_aug):
+    """A^T blockdiag(P) A with P_pq = tr(E_p W^-1 E_q W^-1) for the svec
+    basis E, block by block."""
+    ops = []
+    for (_, k, _, _), w in zip(segs.seg_slices(), Wi):
+        E = unsvec(np.eye(k * (k + 1) // 2), k)
+        ops.extend(np.einsum("pij,njk,qkl,nli->npq", E, w, E, w))
+    P = sp.block_diag(ops, format="csr")
+    return (A_aug.T @ P @ A_aug).toarray()
 
 
 def _stored_to_dense(plan, buf, tau):
@@ -69,24 +89,25 @@ def _stored_to_dense(plan, buf, tau):
 def _check_against_reference(problem, seed):
     rng = np.random.default_rng(seed)
     segs = _Segments(problem.groups, problem.m)
-    plan = _SchurPlan(problem.groups, problem.m, problem.schur_order,
-                      problem.schur_border)
-    Wh = _random_scalings(problem, rng)
-    Wi = [w @ w for w in Wh]
+    plan = _SchurPlan(segs, problem.schur_order, problem.schur_border)
+    # frames hold matrix blocks only; scalar blocks keep no rows
+    for cls in plan.classes:
+        assert all(d > 1 for *_, d in cls["parts"])
+        assert cls["C"].shape[1] == sum(cnt * d for *_, cnt, d in cls["parts"])
+    weights = _random_scalings(segs, rng)
+    Wi = _dense_inverse_scalings(segs, weights)
     A_aug, _ = _augment_tau(segs, SolverSettings())
-    P = sp.block_diag([sp.block_diag(list(_symkron(w))) for w in Wi],
-                      format="csr")
-    ref = (A_aug.T @ P @ A_aug).toarray()
+    ref = _reference_gram(segs, Wi, A_aug)
     scale = np.abs(ref).max()
-    tau_col = A_aug.T @ segs.svec_all([w @ w for w in Wi])
-    G1 = _stored_to_dense(plan, plan.form(Wh, tau_col), tau=True)
+    tau_col = A_aug.T @ np.concatenate([svec(w @ w).ravel() for w in Wi])
+    G1 = _stored_to_dense(plan, plan.form(weights, tau_col), tau=True)
     assert np.abs(G1 - ref).max() <= 1e-12 * scale
-    G2 = _stored_to_dense(plan, plan.form(Wh), tau=False)
+    G2 = _stored_to_dense(plan, plan.form(weights), tau=False)
     assert np.abs(G2 - ref[:-1, :-1]).max() <= 1e-12 * scale
     # the factorization solves with that matrix, in both phases
     for tau, G in ((True, ref), (False, ref[:-1, :-1])):
         r = rng.normal(size=len(G))
-        x = plan.factor(plan.form(Wh, tau_col if tau else None), tau)(r)
+        x = plan.factor(plan.form(weights, tau_col if tau else None), tau)(r)
         assert np.abs(G @ x - r).max() <= 1e-10 * scale * np.abs(x).max()
     return plan
 
@@ -158,6 +179,12 @@ class TestSchurOrder:
         problem, vmap = _mesh_problem(sys0, config.region, 6, True, "none",
                                       config.scaling_matrix(sys0.n))
         assert problem.m > solver._DENSE_LIMIT
+        # the 248,832 scalar grad_bound blocks keep no dense rows, so the
+        # simplex class holds the contraction blocks' 12 rows per frame
+        plan = _SchurPlan(_Segments(problem.groups, problem.m),
+                          problem.schur_order, problem.schur_border)
+        assert max(cls["C"].nbytes for cls in plan.classes) <= 20e6
+        assert plan.K.shape[1] == problem.census()["grad_bound"][1]
         sol = solve(problem, SolverSettings(max_iterations=1))
         assert sol.schur["kind"] == "banded"
         assert sol.schur["border"] == 3

@@ -119,3 +119,92 @@ def test_indefinite_metric_raises(k, where, chunk):
     for fun in (smallmat.gen_eig_min, smallmat.gen_eig_max):
         with pytest.raises(np.linalg.LinAlgError):
             fun(A, M)
+
+
+def spd_blocks(rng, lead, k, cond):
+    """Random spd blocks with condition number `cond` and random scale."""
+    Q, _ = np.linalg.qr(rng.standard_normal(lead + (k, k)))
+    lam = (np.logspace(0.0, -np.log10(cond), k)
+           * 10.0 ** rng.uniform(-3.0, 3.0, lead + (1,)))
+    return (Q * lam[..., None, :]) @ np.swapaxes(Q, -1, -2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_non_finite_block_is_nan(k, chunk):
+    # one block holding a NaN and one an inf, on both sides of the chunk
+    # boundaries, in A and in M; the other blocks keep their bits
+    rng = np.random.default_rng(40 + k)
+    A, M = random_pairs(rng, (20,), k)
+    clean = [f(A) for f in (smallmat.eig_min, smallmat.eig_max)] + [
+        f(A, M) for f in (smallmat.gen_eig_min, smallmat.gen_eig_max)]
+    bad = [0, 6, 7, 13]
+    A[0, 0, 0], A[6, -1, 0] = np.nan, np.inf
+    M[7, 0, -1], M[13, -1, -1] = np.nan, -np.inf
+    got = [f(A) for f in (smallmat.eig_min, smallmat.eig_max)] + [
+        f(A, M) for f in (smallmat.gen_eig_min, smallmat.gen_eig_max)]
+    good = np.setdiff1d(np.arange(20), bad)
+    for i, (g, c) in enumerate(zip(got, clean)):
+        assert np.isnan(g[bad[:2] if i < 2 else bad]).all()
+        keep = good if i >= 2 else np.setdiff1d(np.arange(20), bad[:2])
+        assert g[keep].tobytes() == c[keep].tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_nan_in_a_definite_block(k):
+    # 2 I and -I with a NaN on the diagonal used to read 0.0 and -0.0 at
+    # k >= 3, and the generalized problem raised
+    two, neg = 2.0 * np.eye(k), -np.eye(k)
+    two[0, 0] = neg[0, 0] = np.nan
+    assert np.isnan(smallmat.eig_min(two[None])).all()
+    assert np.isnan(smallmat.eig_max(neg[None])).all()
+    assert np.isnan(smallmat.gen_eig_min(two[None], np.eye(k)[None])).all()
+    assert np.isnan(smallmat.gen_eig_max(np.eye(k)[None], two[None])).all()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("cond", [1.0, 1e3, 1e10])
+def test_cholesky_and_triangular_inverse(k, cond):
+    rng = np.random.default_rng(k)
+    S = spd_blocks(rng, (3, 50), k, cond)
+    L = smallmat.cholesky(S)
+    ref = np.linalg.cholesky(S)
+    assert np.all(np.abs(L - ref) <= 1e-12 * np.sqrt(cond)
+                  * np.abs(ref).max(axis=(-2, -1), keepdims=True))
+    assert np.array_equal(np.triu(L, 1), np.zeros_like(L))
+    Li = smallmat.inv_lower(L)
+    assert np.abs(Li @ L - np.eye(k)).max() <= 1e-13 * np.sqrt(cond)
+    # not positive definite, or not finite: the whole factor is NaN
+    S[0, 3] = -S[0, 3]
+    S[1, 4, -1, -1] = np.nan
+    L = smallmat.cholesky(S)
+    assert np.isnan(L[0, 3]).all() and np.isnan(L[1, 4]).all()
+    assert np.isfinite(np.delete(L.reshape(150, k, k), [3, 54], axis=0)).all()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("cond", [1.0, 1e3, 1e10])
+def test_eigh_matches_lapack(k, cond):
+    rng = np.random.default_rng(10 + k)
+    T = spd_blocks(rng, (60,), k, cond)
+    T[:20] -= 2.0 * np.abs(T[:20]).max() * np.eye(k)  # some indefinite
+    w, Q = smallmat.eigh(T)
+    w_ref = np.linalg.eigvalsh(T)
+    scale = np.abs(w_ref).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(w - w_ref) <= 1e-14 * scale)
+    assert np.abs(np.swapaxes(Q, -1, -2) @ Q - np.eye(k)).max() <= 1e-14
+    back = (Q * w[:, None, :]) @ np.swapaxes(Q, -1, -2)
+    assert np.all(np.abs(back - T) <= 1e-14 * scale[..., None])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("trans", [False, True])
+def test_congruence(k, trans):
+    rng = np.random.default_rng(20 + k)
+    R = rng.standard_normal((2, 30, k, k))
+    X = rng.standard_normal((2, 30, k, k))
+    X = X + np.swapaxes(X, -1, -2)
+    Rl, Rr = (np.swapaxes(R, -1, -2), R) if trans else (R, np.swapaxes(R, -1, -2))
+    for x, ref in ((X, Rl @ X @ Rr), (None, Rl @ Rr)):
+        got = smallmat.congruence(R, x, trans=trans)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(got, np.swapaxes(got, -1, -2)) or k != 2

@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cpacontract import solver
 from cpacontract.assembly import BlockGroup, SDPProblem, svec
 from cpacontract.solver import (
     SolverSettings,
+    _LinearCone,
+    _MatrixCone,
+    _svec_congruence,
     certify,
     solve,
     tridiagonal_ql_eigenvalues,
 )
+
+from test_smallmat import spd_blocks
 
 
 def make_problem(blocks, c):
@@ -188,3 +194,83 @@ class TestSettings:
             SolverSettings(feas_tol=0.0)
         with pytest.raises(ValueError):
             SolverSettings(max_iterations=0)
+
+
+def _rel(a, b):
+    """Largest entry of a - b per block, relative to b's largest entry."""
+    return (np.abs(a - b).max(axis=(-2, -1))
+            / np.abs(b).max(axis=(-2, -1))).max()
+
+
+class TestConeKernels:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e10])
+    def test_nesterov_todd_factor(self, k, cond):
+        rng = np.random.default_rng(k)
+        S, Z = spd_blocks(rng, (200,), k, cond), spd_blocks(rng, (200,), k, cond)
+        cone = _MatrixCone(S, Z)
+        F, Ft = cone.F, np.swapaxes(cone.F, 1, 2)
+        Fi = np.linalg.inv(F)
+        Wi = Ft @ F
+        V = cone.v[:, :, None] * np.eye(k)
+        tol = 1e-13 * np.sqrt(cond)
+        # W Z W = S with W^-1 = F^T F, checked as W^-1 S W^-1 = Z and
+        # with W inverted densely
+        assert _rel(Wi @ S @ Wi, Z) <= tol
+        assert _rel(np.linalg.inv(Wi) @ Z @ np.linalg.inv(Wi), S) <= 10 * tol
+        # F S F^T = F^-T Z F^-1 = diag(v)
+        assert _rel(F @ S @ Ft, V) <= tol
+        assert _rel(np.swapaxes(Fi, 1, 2) @ Z @ Fi, V) <= 10 * tol
+        assert _rel(cone.w2, Wi @ Wi) <= 1e-14
+        assert _rel(cone.s_inv, np.linalg.inv(S)) <= tol * np.sqrt(cond)
+        # P svec(X) = svec(F X F^T)
+        X = rng.normal(size=(200, k, k))
+        X = X + np.swapaxes(X, 1, 2)
+        Px = (_svec_congruence(F) @ svec(X)[..., None])[..., 0]
+        ref = svec(F @ X @ Ft)
+        assert np.abs(Px - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_linear_cone_is_the_size_one_matrix_cone(self):
+        rng = np.random.default_rng(5)
+        s, z = rng.uniform(1e-6, 1e3, 300), rng.uniform(1e-6, 1e3, 300)
+        lin, mat = _LinearCone(s, z), _MatrixCone(s[:, None, None],
+                                                  z[:, None, None])
+        assert np.allclose(lin.d, mat.w2[:, 0, 0], rtol=1e-14, atol=0.0)
+        assert np.allclose(lin.d, mat.F[:, 0, 0] ** 4, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_closed_forms_match_lapack(self, k, monkeypatch):
+        rng = np.random.default_rng(30 + k)
+        S, Z = spd_blocks(rng, (300,), k, 10.0), spd_blocks(rng, (300,), k, 10.0)
+        closed = _MatrixCone(S, Z)
+        monkeypatch.setattr(solver, "cholesky", np.linalg.cholesky)
+        monkeypatch.setattr(solver, "inv_lower", np.linalg.inv)
+        monkeypatch.setattr(solver, "eigh", np.linalg.eigh)
+        monkeypatch.setattr(solver, "congruence", lambda R, X=None, trans=False: (
+            (np.swapaxes(R, 1, 2) if trans else R) @ (np.eye(k) if X is None
+                                                      else X)
+            @ (R if trans else np.swapaxes(R, 1, 2))))
+        lapack = _MatrixCone(S, Z)
+        Wi = [np.swapaxes(c.F, 1, 2) @ c.F for c in (closed, lapack)]
+        assert _rel(Wi[0], Wi[1]) <= 1e-12
+        assert np.abs(closed.v - lapack.v).max() <= 1e-12 * np.abs(
+            lapack.v).max()
+        assert _rel(closed.s_inv, lapack.s_inv) <= 1e-12
+        # the Schur operators P^T P agree although the factors differ
+        P = [_svec_congruence(c.F) for c in (closed, lapack)]
+        assert _rel(*[np.swapaxes(p, 1, 2) @ p for p in P]) <= 1e-12
+
+
+class TestNonFiniteDirection:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_step_computation_failed(self, k, monkeypatch):
+        # a Schur solve that returns NaN ends the solve as a classified
+        # failure; at k >= 3 the eigenvalue kernel used to raise, and at
+        # k <= 2 it backtracked 40 times into "primal step stalled"
+        monkeypatch.setattr(solver._SchurPlan, "factor",
+                            lambda self, buf, tau: lambda r: np.full_like(
+                                r, np.nan))
+        prob = make_problem([([np.eye(k)], np.eye(k))], [1.0])
+        sol = solve(prob)
+        assert sol.status == "NumericalFailure"
+        assert sol.notes == ["step computation failed"]
