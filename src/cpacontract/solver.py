@@ -26,8 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import svec, svec_scale, unsvec
-from .cpa import sym_basis, triu_layout
+from .assembly import svec, unsvec
 from .errors import DimensionMismatchError
 from .smallmat import cholesky, congruence, eig_min, eigh, inv_lower
 
@@ -120,12 +119,11 @@ class _MatrixCone:
 
     def __init__(self, S, Z):
         L = cholesky(S)
-        Li = inv_lower(L)
         lam, Q = eigh(congruence(L, Z, trans=True))
         self.v = np.sqrt(lam)
-        self.F = self.schur = np.sqrt(self.v)[..., None] * (
-            np.swapaxes(Q, -1, -2) @ Li)
-        self.s_inv = congruence(Li, trans=True)
+        R = np.swapaxes(Q, -1, -2) @ inv_lower(L)  # R S R^T = I
+        self.F = self.schur = np.sqrt(self.v)[..., None] * R
+        self.s_inv = congruence(R, np.eye(R.shape[-1]), trans=True)
 
     @staticmethod
     def interior(x):
@@ -133,7 +131,8 @@ class _MatrixCone:
 
     @property
     def w2(self):
-        return congruence(congruence(self.F, trans=True))
+        eye = np.eye(self.F.shape[-1])
+        return congruence(congruence(self.F, eye, trans=True), eye)
 
     def direction(self, dS, mu):
         """(F dS F^T, F^-T dZ F^-1) for the primal step dS, centred on mu:
@@ -170,10 +169,9 @@ def _svec_congruence(F):
         return np.stack([a * a, rt2 * a * b, b * b,
                          rt2 * a * c, a * d + b * c, rt2 * b * d,
                          c * c, rt2 * c * d, d * d], axis=1).reshape(N, 3, 3)
-    U = (sym_basis(k) / svec_scale(k)[:, None, None]).reshape(-1, k * k).T
-    kron = (F[:, :, None, :, None] * F[:, None, :, None, :]).reshape(
-        N, k * k, k * k)
-    return U.T @ kron @ U
+    U = unsvec(np.eye(k * (k + 1) // 2), k).reshape(-1, k * k).T
+    kron = F[:, :, None, :, None] * F[:, None, :, None, :]
+    return U.T @ kron.reshape(N, k * k, k * k) @ U
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +242,19 @@ def _frame_classes(cones, m):
 
 
 def _scalar_pairs(A):
-    """Each pair i <= j of nonzeros within a row of A, as (row, column i,
-    column j, a_i a_j): the terms of the row's outer product."""
+    """The terms a_i a_j, i <= j, of the outer product of each row of A,
+    grouped by row: (columns i, columns j, a_i a_j, terms per row)."""
     A = A.tocsr()
     A.eliminate_zeros()
     A.sort_indices()
-    row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    reps = A.indptr[row + 1] - np.arange(A.nnz)
-    first = np.repeat(np.arange(A.nnz), reps)
-    second = first + np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps,
-                                                       reps)
-    return (row[first], A.indices[first], A.indices[second],
-            A.data[first] * A.data[second])
+    q = np.diff(A.indptr)
+    e = np.arange(A.nnz, dtype=A.indptr.dtype)
+    reps = np.repeat(A.indptr[1:], q) - e  # entries from e to its row's end
+    first = np.repeat(e, reps)
+    second = first + (np.arange(len(first), dtype=e.dtype)
+                      - np.repeat(np.cumsum(reps) - reps, reps))
+    return (A.indices[first], A.indices[second],
+            A.data[first] * A.data[second], q * (q + 1) // 2)
 
 
 class _SchurPlan:
@@ -290,39 +289,50 @@ class _SchurPlan:
         self.ns, self.nb = m - border, border + 1
         self.pos = np.empty(m + 1, dtype=np.int64)
         self.pos[self.order] = np.arange(m + 1)
-        pairs = []
+        pairs = []  # (row, column) positions of the lower-triangle terms
         for cls in self.classes:
             w = cls["cols"].shape[1]
             il0, il1 = np.tril_indices(w)
             cls["lower"] = il0 * w + il1
             pairs.append((self.pos[cls["cols"][:, il0]].ravel(),
                           self.pos[cls["cols"][:, il1]].ravel()))
-        scalar = segs.sizes[0] == 1
-        if scalar:
-            row, ci, cj, coef = _scalar_pairs(segs.A[:segs.row_starts[1]])
-            pairs.append((self.pos[ci], self.pos[cj]))
-        hi = [np.maximum(a, b) for a, b in pairs]
-        lo = [np.minimum(a, b) for a, b in pairs]
-        self.bandwidth = max((int((h - l)[h < self.ns].max(initial=0))
-                              for h, l in zip(hi, lo)), default=0)
+        if segs.sizes[0] == 1:
+            ci, cj, coef, per_row = _scalar_pairs(
+                segs.A[:segs.row_starts[1]])
+            pos = self.pos.astype(np.int32)  # halves the temporaries
+            pairs.append((pos[ci], pos[cj]))
+            del ci, cj, pos
+
+        def hi_lo(a, b):
+            return np.maximum(a, b).astype(np.int64), np.minimum(a, b)
+
+        self.bandwidth = 0
+        for a, b in pairs:
+            hi, lo = hi_lo(a, b)
+            self.bandwidth = max(self.bandwidth,
+                                 int((hi - lo)[hi < self.ns].max(initial=0)))
         if self.bandwidth > _MAX_BAND:
             raise _FactorizationError(
                 f"Schur bandwidth {self.bandwidth} exceeds {_MAX_BAND}")
         self.row0 = (self.bandwidth + 1) * self.ns
-        targets = [np.where(h < self.ns, l * (self.bandwidth + 1) + h - l,
-                            self.row0 + (h - self.ns) * (m + 1) + l)
-                   for h, l in zip(hi, lo)]
+        targets = []
+        while pairs:  # one at a time, to keep the temporaries small
+            hi, lo = hi_lo(*pairs.pop(0))
+            targets.append(np.where(hi < self.ns,
+                                    lo * (self.bandwidth + 1) + hi - lo,
+                                    self.row0 + (hi - self.ns) * (m + 1) + lo))
         self.K = None
-        if scalar:
+        if segs.sizes[0] == 1:
+            # K maps d onto the distinct targets, one column per block
             t = targets.pop()
-            rank = np.zeros(self.row0 + self.nb * (m + 1), dtype=np.int64)
-            rank[t] = 1
-            self.lp_targets = np.flatnonzero(rank)
-            rank = np.cumsum(rank) - 1
-            self.K = sp.csr_matrix((coef, (rank[t], row)),
-                                   shape=(len(self.lp_targets),
-                                          segs.counts[0]))
-            del t, rank
+            hit = np.zeros(self.row0 + self.nb * (m + 1), dtype=bool)
+            hit[t] = True
+            self.lp_targets = np.flatnonzero(hit)
+            rank = np.cumsum(hit, dtype=np.int32) - 1
+            self.K = sp.csc_matrix(
+                (coef, rank[t], np.append(0, np.cumsum(per_row))),
+                shape=(len(self.lp_targets), segs.counts[0]))
+            del t, hit, rank
         self.targets = np.concatenate([np.zeros(0, dtype=np.int64)] + targets)
         self.weights = np.empty(len(self.targets))
         self.info = ({"kind": "banded", "bandwidth": self.bandwidth,
@@ -466,9 +476,8 @@ class _Segments:
         # elementwise, not BLAS: a threaded dot of a long vector costs more
         return float(sum((x * y).sum() for x, y in zip(xs, ys)))
 
-    def identity(self, scale=1.0):
-        return [np.full(cnt, scale) if k == 1 else
-                np.tile(scale * np.eye(k), (cnt, 1, 1))
+    def identity(self):
+        return [np.ones(cnt) if k == 1 else np.tile(np.eye(k), (cnt, 1, 1))
                 for _, k, cnt, _ in self.seg_slices()]
 
     def interior(self, xs):

@@ -204,7 +204,8 @@ def test_congruence(k, trans):
     X = rng.standard_normal((2, 30, k, k))
     X = X + np.swapaxes(X, -1, -2)
     Rl, Rr = (np.swapaxes(R, -1, -2), R) if trans else (R, np.swapaxes(R, -1, -2))
-    for x, ref in ((X, Rl @ X @ Rr), (None, Rl @ Rr)):
+    for x, ref in ((X, Rl @ X @ Rr), (np.eye(k), Rl @ Rr)):
         got = smallmat.congruence(R, x, trans=trans)
+        assert got.shape == R.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(got, np.swapaxes(got, -1, -2)) or k != 2

@@ -246,9 +246,8 @@ class TestConeKernels:
         monkeypatch.setattr(solver, "cholesky", np.linalg.cholesky)
         monkeypatch.setattr(solver, "inv_lower", np.linalg.inv)
         monkeypatch.setattr(solver, "eigh", np.linalg.eigh)
-        monkeypatch.setattr(solver, "congruence", lambda R, X=None, trans=False: (
-            (np.swapaxes(R, 1, 2) if trans else R) @ (np.eye(k) if X is None
-                                                      else X)
+        monkeypatch.setattr(solver, "congruence", lambda R, X, trans=False: (
+            (np.swapaxes(R, 1, 2) if trans else R) @ X
             @ (R if trans else np.swapaxes(R, 1, 2))))
         lapack = _MatrixCone(S, Z)
         Wi = [np.swapaxes(c.F, 1, 2) @ c.F for c in (closed, lapack)]
