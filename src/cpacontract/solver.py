@@ -4,14 +4,23 @@ small blocks: minimize c.y subject to sum_i F_i y_i - F_0 >= 0.
 The iteration is a Nesterov-Todd scaled path-following method that keeps
 the slack S = sum F_i y_i - F_0 exactly primal-feasible (feasibility of
 the start is arranged by an auxiliary minimize-tau phase) and drives the
-dual variable Z towards complementarity. The Schur complement over the m
-variables is formed from a fixed scatter pattern built once per solve:
-blocks are grouped per simplex, each group's local Gram matrix is computed
-in one batch, and one bincount adds it into G. G is factored by a dense
-Cholesky at desk scale, and for the large meshes by a banded Cholesky in
-the variable order that the assembly reads off the mesh, with the few
-variables that touch every simplex eliminated as a dense border. Block
-eigenvalues for step lengths and interior checks come from `smallmat`.
+dual variable Z towards complementarity. Each cone has its own kernels.
+The size-1 blocks of every family form one linear (LP) cone, scaled by
+d = z/s, with ratio-test step lengths. The blocks of each size k >= 2 form
+a matrix cone, scaled from a factor: L = chol(S), one eigendecomposition
+of L^T Z L, and F = lam^(1/4) Q^T L^-1 with W^-1 = F^T F; directions and
+step lengths are taken in the scaled space F S F^T = diag(lam^(1/2)), so
+the predictor and corrector reuse the factor. The small-block kernels,
+with closed forms at k <= 2, come from `smallmat`.
+
+The Schur complement over the m variables is formed from a fixed scatter
+pattern built once per solve: the matrix blocks are grouped per simplex,
+each group's local Gram matrix is computed in one batch and one bincount
+adds it into G, and the scalar blocks add a fixed sparse map of d. G is
+factored by a dense Cholesky at desk scale, and for the large meshes by a
+banded Cholesky in the variable order that the assembly reads off the
+mesh, with the few variables that touch every simplex eliminated as a
+dense border.
 
 `certify` re-checks a candidate y independently of the solver internals:
 blocks are recomputed by plain sparse summation and, above size 2, their
