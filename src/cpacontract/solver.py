@@ -313,7 +313,8 @@ class _SchurPlan:
             del ci, cj, pos
 
         def hi_lo(a, b):
-            return np.maximum(a, b).astype(np.int64), np.minimum(a, b)
+            return (np.maximum(a, b).astype(np.int64),
+                    np.minimum(a, b).astype(np.int64))
 
         self.bandwidth = 0
         for a, b in pairs:
