@@ -94,7 +94,8 @@ def _max_step(g):
 
 class _LinearCone:
     """The size-1 blocks of every family as one vector (an LP cone, as in
-    SDPA). Its Nesterov-Todd scaling is d = z/s: W^-1 x W^-1 = d x."""
+    SDPA), scaled at the iterate (s, z). Its Nesterov-Todd scaling is
+    d = z/s: W^-1 x W^-1 = d x."""
 
     def __init__(self, s, z):
         self.s, self.z = s, z
@@ -120,11 +121,12 @@ class _LinearCone:
 
 
 class _MatrixCone:
-    """Blocks of one size k >= 2, with the Nesterov-Todd scaling built from
-    a factor (Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998): L = chol(S),
-    L^T Z L = Q diag(lam) Q^T and F = lam^(1/4) Q^T L^-1. Then W^-1 = F^T F
-    and F S F^T = F^-T Z F^-1 = diag(v), v = lam^(1/2), so directions and
-    step lengths are taken in that scaled space, with no further factor."""
+    """Blocks of one size k >= 2, scaled at the iterate (S, Z). The
+    Nesterov-Todd scaling is built from a factor (Todd, Toh and Tutuncu,
+    SIAM J. Optim. 8, 1998): L = chol(S), L^T Z L = Q diag(lam) Q^T and
+    F = lam^(1/4) Q^T L^-1. Then W^-1 = F^T F and F S F^T = F^-T Z F^-1 =
+    diag(v), v = lam^(1/2), so directions and step lengths are taken in
+    that scaled space, with no further factor."""
 
     def __init__(self, S, Z):
         L = cholesky(S)
@@ -132,7 +134,7 @@ class _MatrixCone:
         self.v = np.sqrt(lam)
         R = np.swapaxes(Q, -1, -2) @ inv_lower(L)  # R S R^T = I
         self.F = self.schur = np.sqrt(self.v)[..., None] * R
-        self.s_inv = congruence(R, np.eye(R.shape[-1]), trans=True)
+        self.s_inv = congruence(R, np.eye(R.shape[-1]), trans=True)  # R^T R
 
     @staticmethod
     def interior(x):
@@ -583,19 +585,19 @@ def _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode, tau_index,
                     min(1.0, frac * min(s[1] for s in steps)))
 
         # predictor
-        pred = direction(-c, 0.0, 0.99)
-        if pred is not None:
-            _, dirs, ap, ad = pred
+        step = direction(-c, 0.0, 0.99)
+        if step is not None:
+            _, dirs, ap, ad = step
             gap_aff = sum(w.gap(d, ap, ad) for w, d in zip(cones, dirs))
             sigma = min(0.9, max(1e-6, (max(gap_aff, 0.0) / gap) ** 3))
             mu_t = sigma * mu
             # corrector
             asv = A.T @ segs.pack([w.s_inv for w in cones])
-            pred = direction(mu_t * asv - c, mu_t, 0.98)
-        if pred is None:
+            step = direction(mu_t * asv - c, mu_t, 0.98)
+        if step is None:
             return _CoreResult(False, False, y, Z, it, gap, dual_res,
                                failure="step computation failed")
-        dy, dirs, ap, ad = pred
+        dy, dirs, ap, ad = step
         if (mode == "tau" and tau_floor is not None and dy[tau_index] < 0.0
                 and y[tau_index] + ap * dy[tau_index] < tau_floor):
             ap = (tau_floor - y[tau_index]) / dy[tau_index]
