@@ -292,7 +292,7 @@ class _SchurPlan:
         cones = [(ci, segs.A[sl], segs.simplex[ci], k * (k + 1) // 2)
                  for ci, k, _, sl in segs.seg_slices() if k > 1]
         self.classes = _frame_classes(cones, m)
-        del cones
+        del cones  # the row slices are copies; free them before the pairs
         if m <= _DENSE_LIMIT:  # no band: every variable is in the border
             order, border = None, m
         self.order = np.append(np.arange(m) if order is None else order,

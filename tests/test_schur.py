@@ -52,7 +52,7 @@ def _random_scalings(segs, rng):
     return out
 
 
-def _dense_inverse_scalings(segs, weights):
+def _dense_inverse_scalings(weights):
     """W^-1 per block, dense: sqrt(d) of a scalar block, so that W^-1 x
     W^-1 = d x, and F^T F of a matrix block."""
     return [np.sqrt(w)[:, None, None] if w.ndim == 1
@@ -95,7 +95,7 @@ def _check_against_reference(problem, seed):
         assert all(d > 1 for *_, d in cls["parts"])
         assert cls["C"].shape[1] == sum(cnt * d for *_, cnt, d in cls["parts"])
     weights = _random_scalings(segs, rng)
-    Wi = _dense_inverse_scalings(segs, weights)
+    Wi = _dense_inverse_scalings(weights)
     A_aug, _ = _augment_tau(segs, SolverSettings())
     ref = _reference_gram(segs, Wi, A_aug)
     scale = np.abs(ref).max()
