@@ -25,7 +25,7 @@ from .errors import (
     NoConvergenceError,
     NonFiniteStateError,
 )
-from .orbits import find_periodic_orbit, integrate, monodromy
+from .orbits import find_periodic_orbit, integrate
 from .solver import SolverSettings, certify, solve
 from .systems import SystemDefinition, parse_system
 from .triangulation import (
@@ -357,9 +357,8 @@ def cmd_floquet(config, cert_path=None, tol=1e-6, steps=8192, progress=print,
         progress(f"input error: {exc}")
         return 3
     try:
-        orbit = find_periodic_orbit(sys0, guess, steps=steps)
-        result = monodromy(sys0, orbit, steps=steps)
-    except (NoConvergenceError, NonFiniteStateError) as exc:
+        result = find_periodic_orbit(sys0, guess, steps=steps)
+    except NoConvergenceError as exc:
         progress(f"oracle failure: {exc}")
         return 4
     if csv_path is not None:

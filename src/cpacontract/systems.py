@@ -154,6 +154,11 @@ class SystemDefinition:
         return (self._finite(out[:self.n], "f"),
                 self._finite(out[self.n:].reshape(self.n, self.n), "Jacobian"))
 
+    def kernel(self, jacobian=False):
+        """The compiled code behind `f` and `f_many`, or with `jacobian`
+        behind `f_and_jacobian`, unchecked (see `compile_exprs`)."""
+        return self._f_jac_code if jacobian else self._f_code
+
     # -- derivative bounds ------------------------------------------------
 
     def derivative_bound(self, box, order, inflation=ex.DEFAULT_INFLATION):

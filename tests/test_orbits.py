@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cpacontract.cpa import CPAMetric
+from cpacontract.cpa import CPAMetric, pack_symmetric, unpack_symmetric
 from cpacontract.errors import (
     DomainError,
     LeftDomainError,
@@ -12,6 +12,7 @@ from cpacontract.errors import (
     NonFiniteStateError,
 )
 from cpacontract.orbits import (
+    FloquetResult,
     contraction_probe,
     find_periodic_orbit,
     integrate,
@@ -62,6 +63,18 @@ class TestIntegrate:
         sys = parse_system("dim=1; period=1; f1 = 1e308")
         with pytest.raises(NonFiniteStateError, match="at t=1.0$"):
             integrate(sys, 0.0, [1.7e308], 1.0, 1)
+
+    @pytest.mark.parametrize("text, x0", [
+        # only a half step of the error estimate meets the pole
+        ("f1 = 1/(t - 0.25)", 0.0),
+        # and the full step's weighted sum overflows as well
+        ("f1 = 1e308*(t - 0.25)/(t - 0.25)", 1.7e308),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_estimate_domain_error_negative_control(self, text, x0):
+        sys = parse_system("dim=1; period=1; " + text, check_periodic=False)
+        with pytest.raises(DomainError):
+            integrate(sys, 0.0, [x0], 1.0, 1)
 
 
 class TestPeriodicOrbit:
@@ -160,6 +173,141 @@ class TestContractionProbe:
         with pytest.raises(error) as exc:
             contraction_probe(cpa, sys, [0.0], [1e-3], 1.0, steps)
         assert type(exc.value) is error
+
+
+class TestStepsValidated:
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_every_entry_point(self, linear_1d, steps):
+        cpa = CPAMetric.constant(build_complex([[[-2.0, 1.0]]], linear_1d.T, 1),
+                                 np.eye(1))
+        calls = [
+            lambda: integrate(linear_1d, 0.0, [0.0], 1.0, steps),
+            lambda: find_periodic_orbit(linear_1d, [0.0], steps=steps),
+            lambda: monodromy(linear_1d, FloquetResult(np.zeros(1), 0.0),
+                              steps=steps),
+            lambda: contraction_probe(cpa, linear_1d, [0.0], [1e-3], 1.0,
+                                      steps),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="steps must be at least 1"):
+                call()
+
+
+class TestVariationalFlowErrors:
+    @pytest.mark.parametrize("text, steps, error", [
+        # a stage evaluation of f overflows
+        ("dim=1; period=1; f1 = exp(1000*x1)", 100, DomainError),
+        # every stage is finite, their weighted sum is not
+        ("dim=1; period=1; f1 = 1e308 + 0*x1", 10, NonFiniteStateError),
+        # the fundamental matrix overflows; x and every evaluation stay
+        # finite
+        ("dim=1; period=1; f1 = 1e30*x1", 10, NonFiniteStateError),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_negative_control(self, text, steps, error):
+        sys = parse_system(text, check_periodic=False)
+        with pytest.raises(error) as exc:
+            monodromy(sys, FloquetResult(np.zeros(1), 0.0), steps=steps)
+        assert type(exc.value) is error
+        with pytest.raises(NoConvergenceError) as exc:
+            find_periodic_orbit(sys, [0.0], steps=steps)
+        assert type(exc.value.__cause__) is error
+
+    @pytest.mark.parametrize("text, guess", [
+        ("dim=1; period=6.283185307179586; f1 = -x1 + sin(t)", [0.0]),
+        ("dim=2; period=6.283185307179586; f1 = x2; "
+         "f2 = -x1 - x2 - x1^3 + 0.5*cos(t)", [0.0, 0.0]),
+    ])
+    def test_orbit_carries_the_monodromy(self, text, guess):
+        sys = parse_system(text)
+        res = find_periodic_orbit(sys, guess, steps=512)
+        mono = monodromy(sys, res, steps=512)
+        assert np.array_equal(res.monodromy, mono.monodromy)
+        assert np.array_equal(res.exponents, mono.exponents)
+        assert res.residual == mono.residual
+
+
+def _rk4_reference_step(fun, t, x, h):
+    k1 = fun(t, x)
+    k2 = fun(t + 0.5 * h, x + 0.5 * h * k1)
+    k3 = fun(t + 0.5 * h, x + 0.5 * h * k2)
+    k4 = fun(t + h, x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_reference(fun, x, h, steps):
+    states = [x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            states.append(_rk4_reference_step(fun, i * h, states[-1], h))
+    return np.array(states)
+
+
+class TestDriverMatchesPerStageReference:
+    """The oracle's RK4 driver against RK4 with every stage evaluated
+    through `f`, `f_and_jacobian` or `f_many`, bit for bit."""
+
+    STEPS = 300
+
+    @pytest.fixture(params=[
+        "dim=1; period=6.283185307179586; f1 = -x1 - x1^3 + sin(t)",
+        "dim=2; period=6.283185307179586; f1 = x2; "
+        "f2 = -x1 - x2 - x1^3 + 0.5*cos(t)",
+        "dim=2; period=6.283185307179586; f1 = -x1 + x2/(2 + x1^2); "
+        "f2 = -2*x2 + exp(-x1^2)*sin(t)",
+        "dim=3; period=1; f1 = -x1 + 1.5*x2 + 0.2*x2*x3; "
+        "f2 = -x2 + 1.5*x3 - 0.2*x1*x3; f3 = -x3 + 0.2*x1*x2",
+    ])
+    def system(self, request):
+        sys = parse_system(request.param)
+        x0 = 0.1 * np.arange(1, sys.n + 1)
+        return sys, x0, sys.T / self.STEPS
+
+    def test_integrate(self, system):
+        sys, x0, h = system
+        ref = _rk4_reference(
+            lambda t, x: sys.f(np.concatenate(([t], x))), x0, h, self.STEPS)
+        traj = integrate(sys, 0.0, x0, sys.T, self.STEPS)
+        assert np.array_equal(traj.x, ref)
+
+    def test_variational_flow(self, system):
+        sys, x0, h = system
+        n = sys.n
+
+        def fun(t, state):
+            fx, J = sys.f_and_jacobian(np.concatenate(([t], state[:n])))
+            return np.concatenate([fx, (J @ state[n:].reshape(n, n)).ravel()])
+
+        ref = _rk4_reference(fun, np.concatenate([x0, np.eye(n).ravel()]),
+                             h, self.STEPS)[-1]
+        res = monodromy(sys, FloquetResult(x0, 0.0), steps=self.STEPS)
+        assert np.array_equal(res.monodromy, ref[n:].reshape(n, n))
+        assert res.residual == float(np.max(np.abs(ref[:n] - x0)))
+
+    def test_contraction_probe(self, system):
+        sys, x0, h = system
+        n = sys.n
+        cx = build_complex([[[-2.0, 2.0]] * n], sys.T, 1)
+        xyz = cx.slot_coordinates()
+        diag = 1.0 + 0.3 * np.sin(xyz[:, :1]) + 0.1 * xyz[:, 1:] ** 2
+        cpa = CPAMetric(cx, pack_symmetric(diag[:, :, None] * np.eye(n)))
+        off = np.full(n, 1e-3)
+        points = np.empty((2, n + 1))
+
+        def fun(t, X):
+            points[:, 0] = t
+            points[:, 1:] = X.T
+            return sys.f_many(points).T
+
+        states = _rk4_reference(fun, np.column_stack([x0, x0 + off]), h,
+                                self.STEPS)
+        ts = np.concatenate(([0.0], np.arange(self.STEPS) * h + h))
+        sids, lam = cx.locate_many(np.column_stack([ts, states[:, :, 0]]))
+        M = unpack_symmetric(cpa.interpolate_batch(sids, lam), n)
+        delta = states[:, :, 1] - states[:, :, 0]
+        q = (delta[:, None, :] @ M @ delta[:, :, None])[:, 0, 0]
+        d = contraction_probe(cpa, sys, x0, off, sys.T, self.STEPS)
+        assert np.array_equal(d, np.sqrt(np.maximum(q, 0.0)))
 
 
 class TestRecordedValues:
