@@ -11,7 +11,9 @@ a matrix cone, scaled from a factor: L = chol(S), one eigendecomposition
 of L^T Z L, and F = lam^(1/4) Q^T L^-1 with W^-1 = F^T F; directions and
 step lengths are taken in the scaled space F S F^T = diag(lam^(1/2)), so
 the predictor and corrector reuse the factor. The small-block kernels,
-with closed forms at k <= 2, come from `smallmat`.
+with closed forms at k <= 3, come from `smallmat`; above k = 2 one Jacobi
+sweep on R^T L Q, with Z = R R^T, keeps every lam accurate relative to
+itself.
 
 The Schur complement over the m variables is formed from a fixed scatter
 pattern built once per solve: the matrix blocks are grouped per simplex,
@@ -37,7 +39,8 @@ import scipy.sparse as sp
 
 from .assembly import svec, unsvec
 from .errors import DimensionMismatchError
-from .smallmat import cholesky, congruence, eig_min, eigh, inv_lower
+from .smallmat import (cholesky, congruence, eig_min, eigh, gram_eigh,
+                       inv_lower)
 
 _DENSE_LIMIT = 2500
 _MAX_BAND = 6000
@@ -126,11 +129,17 @@ class _MatrixCone:
     SIAM J. Optim. 8, 1998): L = chol(S), L^T Z L = Q diag(lam) Q^T and
     F = lam^(1/4) Q^T L^-1. Then W^-1 = F^T F and F S F^T = F^-T Z F^-1 =
     diag(v), v = lam^(1/2), so directions and step lengths are taken in
-    that scaled space, with no further factor."""
+    that scaled space, with no further factor. L^T Z L = G^T G for
+    G = R^T L, so lam are the squared singular values of G."""
 
     def __init__(self, S, Z):
         L = cholesky(S)
         lam, Q = eigh(congruence(L, Z, trans=True))
+        if L.shape[-1] > 2:
+            # above k = 2 eigh is accurate only relative to the largest lam,
+            # and S Z can be ill-conditioned far beyond 1/eps; the sweep on
+            # G Q makes every lam accurate relative to itself
+            lam, Q = gram_eigh(np.swapaxes(cholesky(Z), -1, -2) @ L, Q)
         self.v = np.sqrt(lam)
         R = np.swapaxes(Q, -1, -2) @ inv_lower(L)  # R S R^T = I
         self.F = self.schur = np.sqrt(self.v)[..., None] * R
@@ -155,8 +164,8 @@ class _MatrixCone:
 
     def steps(self, dirn):
         r = 1.0 / np.sqrt(self.v)
-        r = r[..., :, None] * r[..., None, :]
-        return tuple(_max_step(eig_min(d * r)) for d in dirn)
+        g = eig_min(np.stack(dirn) * (r[..., :, None] * r[..., None, :]))
+        return _max_step(g[0]), _max_step(g[1])
 
     def gap(self, dirn, ap, ad):
         """<V + ap X, V + ad dZ> for the scaled direction (X, dZ)."""

@@ -49,6 +49,37 @@ def test_three_dimensional_pipeline():
     assert -1.0 - 1e-6 <= rep.bound_from_C < 0.0
 
 
+def _refuse_3x3(fun):
+    def guarded(a, *args, **kwargs):
+        if np.shape(a)[-2:] == (3, 3):
+            raise AssertionError(f"np.linalg.{fun.__name__} on 3 x 3 blocks")
+        return fun(a, *args, **kwargs)
+
+    return guarded
+
+
+def test_no_lapack_call_on_size_three_blocks(monkeypatch):
+    # the solver and the sampled verifier treat every 3 x 3 block with the
+    # closed forms of smallmat; the mesh is built first, because the
+    # triangulation inverts 4 x 4 matrices
+    sys3 = parse_system("dim=3; period=1; f1 = -x1; f2 = -2*x2; f3 = -x3")
+    cx = build_complex([[[0.05, 0.95]] * 3], 1.0, 0)
+    for name in ("eigvalsh", "eigh", "inv", "cholesky"):
+        monkeypatch.setattr(np.linalg, name,
+                            _refuse_3x3(getattr(np.linalg, name)))
+    with pytest.raises(AssertionError, match="3 x 3"):
+        np.linalg.eigvalsh(np.eye(3))
+    problem, vmap = assemble(cx, sys3, 0.01, uniform_cd=True,
+                             objective="min_c")
+    sol = solve(problem)
+    assert sol.status in ("Optimal", "Feasible")
+    C, D = vmap.bound_constants(sol.y)
+    cpa = CPAMetric.from_solution(cx, sol.y, vmap)
+    rep = verify_contraction_sampled(cpa, sys3, cx, samples=2000, seed=0,
+                                     tol=1e-6, eps0=0.01, C=C, D=D)
+    assert rep.passed
+
+
 def test_three_dimensional_orbital_derivative():
     sys3 = parse_system("dim=3; period=1; f1 = -x1; f2 = -x2; f3 = -x3")
     cx = build_complex([[[-0.5, 0.5]] * 3], 1.0, 0)

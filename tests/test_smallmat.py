@@ -1,7 +1,11 @@
-"""Batched extreme eigenvalues of small symmetric blocks against a
-per-block scipy reference, the closed forms for sizes 1 and 2, and the
+"""Batched eigenvalues of small symmetric blocks against a per-block
+scipy reference, the closed forms for sizes 1 and 2 bit for bit, the size-3
+closed form on hard spectra, the Jacobi sweep's relative accuracy, and the
 positive-definiteness check of the generalized problem."""
 
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -80,6 +84,10 @@ def test_matches_per_block_reference(k, lead, chunk):
     for got, want, scale in cases:
         assert got.shape == lead
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    w = smallmat.eigvalsh(A)
+    assert w.shape == lead + (k,)
+    assert np.all(np.diff(w, axis=-1) >= 0.0)
+    assert np.all(np.abs(w - std) <= 1e-12 * scale_std[..., None])
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -98,16 +106,26 @@ def test_closed_forms_bitwise(k, lead):
 
 
 def test_chunking_keeps_the_bits():
-    # LAPACK treats every block on its own, so the chunk boundaries of a
-    # batch longer than one chunk cannot change a result
+    # every block is computed on its own, by LAPACK at k = 4 and by the
+    # closed form at k = 3, so the chunk boundaries of a batch longer than
+    # one chunk cannot change a result
     rng = np.random.default_rng(3)
-    A, M = random_pairs(rng, (smallmat._CHUNK + 5,), 3)
+    A, _ = random_pairs(rng, (smallmat._CHUNK + 5,), 4)
     assert (smallmat.eig_min(A).tobytes()
             == np.linalg.eigvalsh(A)[:, 0].tobytes())
+    A, M = random_pairs(rng, (smallmat._CHUNK + 5,), 3)
     idx = [0, smallmat._CHUNK - 1, smallmat._CHUNK, smallmat._CHUNK + 4]
-    one_by_one = [smallmat.gen_eig_max(A[i], M[i]) for i in idx]
-    assert (smallmat.gen_eig_max(A, M)[idx].tobytes()
-            == np.array(one_by_one).tobytes())
+    w, Q = smallmat.eigh(A)
+    pairs = [
+        (smallmat.eigvalsh(A), lambda i: smallmat.eigvalsh(A[i])),
+        (w, lambda i: smallmat.eigh(A[i])[0]),
+        (Q, lambda i: smallmat.eigh(A[i])[1]),
+        (smallmat.gen_eig_max(A, M),
+         lambda i: smallmat.gen_eig_max(A[i], M[i])),
+    ]
+    for whole, one in pairs:
+        assert (whole[idx].tobytes()
+                == np.array([one(i) for i in idx]).tobytes())
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -209,3 +227,92 @@ def test_congruence(k, trans):
         assert got.shape == R.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(got, np.swapaxes(got, -1, -2)) or k != 2
+
+
+def rotated(rng, spectra, copies=40):
+    """Blocks Q diag(spectrum) Q^T, symmetrized, for random orthogonal Q."""
+    spectra = np.repeat(np.asarray(spectra, dtype=float), copies, axis=0)
+    Q, _ = np.linalg.qr(rng.standard_normal((len(spectra), 3, 3)))
+    T = (Q * spectra[:, None, :]) @ np.swapaxes(Q, -1, -2)
+    return 0.5 * (T + np.swapaxes(T, -1, -2))
+
+
+def hard_blocks(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "scaled identity":
+        return np.array([c * np.eye(3)
+                         for c in (0.0, 1.0, -2.5, 1e-300, 3e300)])
+    if name.startswith("double"):
+        gaps = (0.0, 1e-12, 1e-8)
+        if name.endswith("lower"):
+            return rotated(rng, [(1.0, 1.0 + g, 3.0) for g in gaps])
+        return rotated(rng, [(-3.0, 1.0, 1.0 + g) for g in gaps])
+    if name == "diagonal":
+        orders = itertools.permutations((-1.0, 0.5, 2.0))
+        return np.array([np.diag(d) for d in orders]
+                        + [np.diag(d) for d in ((1.0, 1.0, 2.0),
+                                                (1.0, 2.0, 1.0),
+                                                (2.0, 1.0, 1.0))])
+    if name == "permuted diagonal":
+        out = []
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            for a, b in ((1.5, -0.5), (2.0, 2.0), (-1.0, 0.0)):
+                T = np.zeros((3, 3))
+                T[i, j] = T[j, i] = a
+                T[3 - i - j, 3 - i - j] = b
+                out.append(T)
+        return np.array(out)
+    if name.startswith("scale"):
+        X = rng.standard_normal((100, 3, 3))
+        return float(name.split()[1]) * (X + np.swapaxes(X, -1, -2))
+    # a 1e-9 eigenvalue next to O(1) ones
+    return rotated(rng, [(1e-9, 1.0, 2.0), (-1.0, 1e-9, 2.0),
+                         (-2.0, -1.0, 1e-9)])
+
+
+HARD = ["scaled identity", "double lower", "double upper", "diagonal",
+        "permuted diagonal", "scale 1e150", "scale 1e-150",
+        "tiny eigenvalue"]
+
+
+@pytest.mark.parametrize("name", HARD)
+def test_hard_spectra_at_size_three(name):
+    T = hard_blocks(name)
+    want = reference(T)
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    w, Q = smallmat.eigh(T)
+    for got in (smallmat.eigvalsh(T), w):
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    assert np.abs(np.swapaxes(Q, -1, -2) @ Q - np.eye(3)).max() <= 1e-14
+    back = (Q * w[:, None, :]) @ np.swapaxes(Q, -1, -2)
+    assert np.all(np.abs(back - T) <= 1e-14 * scale[..., None])
+
+
+def test_triple_generalized_eigenvalue():
+    # M J + J^T M for J = -I is -2 M, so every generalized eigenvalue is
+    # -2; M = diag(1, 2, 3) as in the 3-D orbital derivative test, then
+    # rotated
+    rng = np.random.default_rng(8)
+    M = np.concatenate([np.diag([1.0, 2.0, 3.0])[None],
+                        rotated(rng, [(1.0, 2.0, 3.0)], copies=20)])
+    for fun in (smallmat.gen_eig_min, smallmat.gen_eig_max):
+        assert np.abs(fun(-2.0 * M, M) + 2.0).max() <= 2e-14
+
+
+def test_gram_eigh_is_relatively_accurate():
+    # G^T G = L^T Z L for ill-conditioned S = L L^T and Z = R R^T, as in
+    # the Nesterov-Todd scaling: its eigenvalues span ~20 decades
+    rng = np.random.default_rng(9)
+    S, Z = spd_blocks(rng, (12,), 3, 1e10), spd_blocks(rng, (12,), 3, 1e10)
+    L, R = np.linalg.cholesky(S), np.linalg.cholesky(Z)
+    G = np.swapaxes(R, -1, -2) @ L
+    T = np.swapaxes(G, -1, -2) @ G
+    with mpmath.workdps(50):
+        exact = np.array([sorted(float(x) for x in mpmath.eigsy(g.T * g)[0])
+                          for g in map(mpmath.matrix, G.tolist())])
+    closed, Q = smallmat.eigh(T)
+    w, V = smallmat.gram_eigh(G, Q)
+    assert np.abs(w / exact - 1.0).max() <= 1e-12
+    assert np.abs(np.swapaxes(V, -1, -2) @ V - np.eye(3)).max() <= 1e-14
+    # the closed form alone is accurate only relative to the largest
+    assert np.abs(closed / exact - 1.0).max() > 1e-6

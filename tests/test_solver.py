@@ -238,7 +238,7 @@ class TestConeKernels:
         assert np.allclose(lin.d, mat.w2[:, 0, 0], rtol=1e-14, atol=0.0)
         assert np.allclose(lin.d, mat.F[:, 0, 0] ** 4, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_closed_forms_match_lapack(self, k, monkeypatch):
         rng = np.random.default_rng(30 + k)
         S, Z = spd_blocks(rng, (300,), k, 10.0), spd_blocks(rng, (300,), k, 10.0)
