@@ -19,10 +19,10 @@ The Schur complement over the m variables is formed from a fixed scatter
 pattern built once per solve: the matrix blocks are grouped per simplex,
 each group's local Gram matrix is computed in one batch and one bincount
 adds it into G, and the scalar blocks add a fixed sparse map of d. G is
-factored by a dense Cholesky at desk scale, and for the large meshes by a
-banded Cholesky in the variable order that the assembly reads off the
-mesh, with the few variables that touch every simplex eliminated as a
-dense border.
+factored by a banded Cholesky in the variable order that the assembly
+reads off the mesh, at every size, with the few variables that touch every
+simplex eliminated as a dense border (all of G without an order); both
+parts take their ridge from the mean diagonal of the whole G.
 
 `certify` re-checks a candidate y independently of the solver internals:
 blocks are recomputed by plain sparse summation and, above size 2, their
@@ -42,7 +42,6 @@ from .errors import DimensionMismatchError
 from .smallmat import (cholesky, congruence, eig_min, eigh, gram_eigh,
                        inv_lower)
 
-_DENSE_LIMIT = 2500
 _MAX_BAND = 6000
 
 
@@ -100,14 +99,15 @@ class _LinearCone:
     SDPA), scaled at the iterate (s, z). Its Nesterov-Todd scaling is
     d = z/s: W^-1 x W^-1 = d x."""
 
-    def __init__(self, s, z):
+    def __init__(self, s, z, factors=None):
         self.s, self.z = s, z
         self.d = self.schur = self.w2 = z / s
         self.s_inv = 1.0 / s
 
     @staticmethod
-    def interior(x):
-        return bool(np.isfinite(x).all() and x.min(initial=1.0) > 0.0)
+    def factor(x):
+        """x itself when it is interior, else None."""
+        return x if np.isfinite(x).all() and x.min(initial=1.0) > 0.0 else None
 
     def direction(self, ds, mu):
         """(ds, dz) for the primal step ds, centred on mu."""
@@ -130,24 +130,29 @@ class _MatrixCone:
     F = lam^(1/4) Q^T L^-1. Then W^-1 = F^T F and F S F^T = F^-T Z F^-1 =
     diag(v), v = lam^(1/2), so directions and step lengths are taken in
     that scaled space, with no further factor. L^T Z L = G^T G for
-    G = R^T L, so lam are the squared singular values of G."""
+    G = R^T L, so lam are the squared singular values of G. `factors` are
+    chol(S) and chol(Z) when the interior tests already took them."""
 
-    def __init__(self, S, Z):
-        L = cholesky(S)
+    def __init__(self, S, Z, factors=(None, None)):
+        L, LZ = factors
+        L = cholesky(S) if L is None else L
         lam, Q = eigh(congruence(L, Z, trans=True))
         if L.shape[-1] > 2:
             # above k = 2 eigh is accurate only relative to the largest lam,
             # and S Z can be ill-conditioned far beyond 1/eps; the sweep on
             # G Q makes every lam accurate relative to itself
-            lam, Q = gram_eigh(np.swapaxes(cholesky(Z), -1, -2) @ L, Q)
+            LZ = cholesky(Z) if LZ is None else LZ
+            lam, Q = gram_eigh(np.swapaxes(LZ, -1, -2) @ L, Q)
         self.v = np.sqrt(lam)
         R = np.swapaxes(Q, -1, -2) @ inv_lower(L)  # R S R^T = I
         self.F = self.schur = np.sqrt(self.v)[..., None] * R
         self.s_inv = congruence(R, np.eye(R.shape[-1]), trans=True)  # R^T R
 
     @staticmethod
-    def interior(x):
-        return bool(np.isfinite(cholesky(x)).all())
+    def factor(x):
+        """chol(x), or None when a block is not positive definite."""
+        L = cholesky(x)
+        return L if np.isfinite(L).all() else None
 
     @property
     def w2(self):
@@ -288,10 +293,10 @@ class _SchurPlan:
     triangles with one `np.bincount` to precomputed targets. Scalar blocks
     store no rows: their part of G is sum_r d_r a_r a_r^T, a fixed linear
     map K of the scaling d onto the targets their rows' pairs reach.
-    Variables go in `order` (identity without one). The leading `ns` form
-    a band factored by `cholesky_banded`; the trailing border variables
-    keep full rows of G and are eliminated densely. Up to `_DENSE_LIMIT`
-    variables there is no band, so G is one dense lower triangle. The
+    Variables go in the mesh's `order`. The leading `ns` form a band
+    factored by `cholesky_banded`; the trailing `border` variables keep
+    full rows of G and are eliminated densely. Without an order every
+    variable is in the border, so G is one dense lower triangle. The
     phase-1 variable tau is the last border variable; its column
     A^T svec(W^{-2}) comes from the caller, so both phases share the plan.
     """
@@ -302,10 +307,9 @@ class _SchurPlan:
                  for ci, k, _, sl in segs.seg_slices() if k > 1]
         self.classes = _frame_classes(cones, m)
         del cones  # the row slices are copies; free them before the pairs
-        if m <= _DENSE_LIMIT:  # no band: every variable is in the border
-            order, border = None, m
-        self.order = np.append(np.arange(m) if order is None else order,
-                               m).astype(np.int64)
+        if order is None:  # no band: every variable is in the border
+            order, border = np.arange(m), m
+        self.order = np.append(order, m).astype(np.int64)
         self.ns, self.nb = m - border, border + 1
         self.pos = np.empty(m + 1, dtype=np.int64)
         self.pos[self.order] = np.arange(m + 1)
@@ -394,18 +398,29 @@ class _SchurPlan:
         column by column, the order in which LAPACK reads it."""
         return buf[:self.row0].reshape(self.ns, self.bandwidth + 1).T
 
-    def factor(self, buf, tau):
-        """A solver for G (with the tau row and column when `tau`): banded
-        Cholesky of the band, then the dense border's Schur complement."""
+    def factor(self, weights, tau_col=None):
+        """A solver for G (with the tau row and column in phase 1) at the
+        cones' scalings: banded Cholesky of the band, in place in the formed
+        buffer, then the dense border's Schur complement. Both start from
+        the ridge 1e-13 trace(G)/n of the whole G."""
+        buf = self.form(weights, tau_col)
         if not np.isfinite(buf).all():
             raise _FactorizationError
-        ns, nbt = self.ns, self.nb - 1 + tau
+        ns, nbt = self.ns, self.nb - 1 + (tau_col is not None)
         rows = buf[self.row0:].reshape(self.nb, self.m + 1)[:nbt, :ns + nbt]
-        solve_ss = _cholesky(self.band(buf), banded=True)
+        band = self.band(buf)
+        ridge = 1e-13 * max(1.0, (float(band[0].sum()) + float(
+            rows[:, ns:][np.diag_indices(nbt)].sum())) / (ns + nbt))
         Gsb = np.ascontiguousarray(rows[:, :ns].T)
+
+        def reform():  # a failed factor overwrote the band
+            band[...] = self.band(self.form(weights, tau_col))
+
+        solve_ss = _cholesky(band, ridge, reform)
         X = solve_ss(Gsb)
         # only lower triangles are stored and read
-        solve_bb = _cholesky(rows[:, ns:] - Gsb.T @ X if ns else rows[:, ns:])
+        solve_bb = _cholesky(rows[:, ns:] - Gsb.T @ X if ns else rows[:, ns:],
+                             ridge)
         perm = self.order[:ns + nbt]
 
         def solve(r):
@@ -419,29 +434,33 @@ class _SchurPlan:
         return solve
 
 
-def _cholesky(G, banded=False):
-    """Solver for the positive definite G from its lower triangle, dense
-    or (when `banded`) in band storage. A ridge of 1e-13 times the mean
-    diagonal is added in place, and grown on failure."""
+def _cholesky(G, ridge, reform=None):
+    """Solver for the positive definite G from its lower triangle: dense,
+    or, when `reform` restores G after a failed attempt, in band storage
+    and factored in place. `ridge` is added to the diagonal in place and
+    grown on failure."""
     n = G.shape[1]
     if n == 0:
         return lambda r: r
-    diag = (0, slice(None)) if banded else np.diag_indices(n)
-    ridge = 1e-13 * max(1.0, float(G[diag].sum()) / n)
+    diag = (0, slice(None)) if reform else np.diag_indices(n)
     added = 0.0
     for _ in range(4):
         G[diag] += ridge - added
         added = ridge
         try:
-            if banded:
-                cb = scipy.linalg.cholesky_banded(G, lower=True,
-                                                  check_finite=False)
+            if reform:
+                kept = G[diag].copy()
+                cb = scipy.linalg.cholesky_banded(
+                    G, overwrite_ab=True, lower=True, check_finite=False)
                 return lambda r: scipy.linalg.cho_solve_banded(
                     (cb, True), r, check_finite=False)
             cho = scipy.linalg.cho_factor(G, lower=True, check_finite=False)
             return lambda r: scipy.linalg.cho_solve(cho, r, check_finite=False)
         except (np.linalg.LinAlgError, ValueError):
             ridge *= 1e4
+            if reform:
+                reform()
+                G[diag] = kept
     raise _FactorizationError
 
 
@@ -454,10 +473,12 @@ class _Segments:
     blocks of every family as one linear cone, then one matrix cone per
     size. Rows of the stacked svec system follow that order; `block_order`
     and `row_order` give each block's and row's index in the groups' own
-    order."""
+    order. In phase 1 the variable tau follows the m variables; its column,
+    svec(I) on every block, is kept apart from A as the 1-column `tau`."""
 
     def __init__(self, groups, m):
         self.m = m
+        self.tau = None
         self.sizes = sorted({g.size for g in groups})
         idx = sorted(range(len(groups)), key=lambda i: groups[i].size)
         self.A = sp.vstack([groups[i].A for i in idx], format="csr")
@@ -480,6 +501,18 @@ class _Segments:
         self.block_order = order([g.count for g in groups])
         self.row_order = order([g.count * g.svdim for g in groups])
 
+    def apply(self, y):
+        """A y, with tau's column in phase 1: y[m] adds only on its rows."""
+        out = self.A @ y[:self.A.shape[1]]
+        if self.tau is not None:
+            out[self.tau.indices] += y[-1]
+        return out
+
+    def apply_t(self, v):
+        """A^T v, with tau's entry in phase 1 from the 1-column product."""
+        out = self.A.T @ v
+        return out if self.tau is None else np.append(out, self.tau.T @ v)
+
     def seg_slices(self):
         for ci, k in enumerate(self.sizes):
             yield ci, k, self.counts[ci], slice(self.row_starts[ci],
@@ -501,9 +534,15 @@ class _Segments:
         return [np.ones(cnt) if k == 1 else np.tile(np.eye(k), (cnt, 1, 1))
                 for _, k, cnt, _ in self.seg_slices()]
 
-    def interior(self, xs):
-        """True when every block of every cone is positive definite."""
-        return all(cone.interior(x) for cone, x in zip(self.cones, xs))
+    def factors(self, xs):
+        """Each cone's factor of xs, or None when a block is not positive
+        definite."""
+        out = []
+        for cone, x in zip(self.cones, xs):
+            out.append(cone.factor(x))
+            if out[-1] is None:
+                return None
+        return out
 
     def min_eigs(self, vec):
         out = np.empty(sum(self.counts))
@@ -531,21 +570,23 @@ def _ipm_core(segs, schur, c, settings, y0, mode, tau_index=None,
     steps are capped so tau does not overshoot far below tau_floor (the
     phase-1 objective is typically unbounded)."""
     y = np.asarray(y0, dtype=float).copy()
-    A = segs.A
-    S = segs.unpack(A @ y - segs.f0)
-    if not segs.interior(S):
+    S = segs.unpack(segs.apply(y) - segs.f0)
+    fS = segs.factors(S)
+    if fS is None:
         return _CoreResult(False, False, y, segs.identity(), 0, np.inf, np.inf,
                            failure="initial point not strictly feasible")
     Z = segs.identity()
     norm_c = max(1.0, float(np.abs(c).max()))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode,
+        return _ipm_loop(segs, c, settings, y, S, Z, fS, schur, norm_c, mode,
                          tau_index, tau_exit, tau_floor)
 
 
-def _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode, tau_index,
+def _ipm_loop(segs, c, settings, y, S, Z, fS, schur, norm_c, mode, tau_index,
               tau_exit, tau_floor):
-    A = segs.A
+    # one factor per block per iteration: the interior tests of the accepted
+    # step keep theirs for the next scaling, which factors the first Z
+    fZ = [None] * len(fS)
     gap = segs.dot(S, Z)
     dual_res = np.inf
     it = 0
@@ -553,7 +594,7 @@ def _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode, tau_index,
         svec_Z = segs.pack(Z)
         gap = segs.dot(S, Z)
         mu = gap / segs.Ntot
-        dual_res = float(np.abs(c - A.T @ svec_Z).max())
+        dual_res = float(np.abs(c - segs.apply_t(svec_Z)).max())
         obj = float(c @ y)
 
         if mode == "tau" and y[tau_index] < tau_exit:
@@ -566,17 +607,17 @@ def _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode, tau_index,
                                failure="objective appears unbounded below")
 
         try:
-            cones = [cone(s, z) for cone, s, z in zip(segs.cones, S, Z)]
+            cones = [cone(s, z, f) for cone, s, z, f in
+                     zip(segs.cones, S, Z, zip(fS, fZ))]
         except np.linalg.LinAlgError:
             return _CoreResult(False, False, y, Z, it - 1, gap, dual_res,
                                failure="scaling breakdown")
-        tau = tau_index is not None
         # tau's coefficient is the identity in every block, so its column
         # of G is A^T svec(W^{-2})
-        tau_col = A.T @ segs.pack([w.w2 for w in cones]) if tau else None
+        tau_col = (segs.apply_t(segs.pack([w.w2 for w in cones]))
+                   if tau_index is not None else None)
         try:
-            solve = schur.factor(
-                schur.form([w.schur for w in cones], tau_col), tau)
+            solve = schur.factor([w.schur for w in cones], tau_col)
         except _FactorizationError:
             return _CoreResult(False, False, y, Z, it - 1, gap, dual_res,
                                failure="factorization failed")
@@ -588,7 +629,7 @@ def _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode, tau_index,
             if not np.isfinite(dy).all():
                 return None
             dirs = [w.direction(ds, mu_c)
-                    for w, ds in zip(cones, segs.unpack(A @ dy))]
+                    for w, ds in zip(cones, segs.unpack(segs.apply(dy)))]
             steps = [w.steps(d) for w, d in zip(cones, dirs)]
             return (dy, dirs, min(1.0, frac * min(s[0] for s in steps)),
                     min(1.0, frac * min(s[1] for s in steps)))
@@ -601,7 +642,7 @@ def _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode, tau_index,
             sigma = min(0.9, max(1e-6, (max(gap_aff, 0.0) / gap) ** 3))
             mu_t = sigma * mu
             # corrector
-            asv = A.T @ segs.pack([w.s_inv for w in cones])
+            asv = segs.apply_t(segs.pack([w.s_inv for w in cones]))
             step = direction(mu_t * asv - c, mu_t, 0.98)
         if step is None:
             return _CoreResult(False, False, y, Z, it, gap, dual_res,
@@ -617,8 +658,9 @@ def _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode, tau_index,
         # until both iterates are strictly inside
         for _ in range(40):
             y_try = y + ap * dy
-            S_try = segs.unpack(A @ y_try - segs.f0)
-            if segs.interior(S_try):
+            S_try = segs.unpack(segs.apply(y_try) - segs.f0)
+            fS = segs.factors(S_try)
+            if fS is not None:
                 break
             ap *= 0.5
         else:
@@ -627,7 +669,8 @@ def _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode, tau_index,
         dZ = [w.dz(d) for w, d in zip(cones, dirs)]
         for _ in range(40):
             Z_try = [Zb + ad * d for Zb, d in zip(Z, dZ)]
-            if segs.interior(Z_try):
+            fZ = segs.factors(Z_try)
+            if fZ is not None:
                 break
             ad *= 0.5
         else:
@@ -643,14 +686,14 @@ def _ipm_loop(segs, c, settings, y, S, Z, schur, norm_c, mode, tau_index,
 
 
 def _augment_tau(segs, settings):
-    """Append the tau column (identity on every block) and the starting
-    point of the phase-1 problem min tau s.t. A(y) + tau I - F0 >= 0."""
-    ident = segs.pack(segs.identity())
-    A_aug = sp.hstack([segs.A, sp.csr_matrix(ident[:, None])], format="csr")
+    """The tau column (identity on every block) as a 1-column sparse matrix,
+    and the starting point of the phase-1 problem
+    min tau s.t. A(y) + tau I - F0 >= 0."""
+    col = sp.csc_matrix(segs.pack(segs.identity())[:, None])
     f0_eigs = segs.min_eigs(-segs.f0)
     tau0 = float(-f0_eigs.min())
     tau0 = tau0 + max(1.0, abs(tau0)) * max(settings.inflation, 0.1)
-    return A_aug, tau0
+    return col, tau0
 
 
 def solve(problem, settings=None):
@@ -677,7 +720,7 @@ def solve(problem, settings=None):
     aug = _Segments.__new__(_Segments)
     aug.__dict__.update(segs.__dict__)
     aug.m = m + 1
-    aug.A, tau0 = _augment_tau(segs, settings)
+    aug.tau, tau0 = _augment_tau(segs, settings)
     c_tau = np.zeros(m + 1)
     c_tau[m] = 1.0
     y0 = np.zeros(m + 1)
@@ -723,7 +766,7 @@ def solve(problem, settings=None):
 
 def _extract_ray(segs, aug, Z):
     svec_Z = segs.pack(Z)
-    trace = float(np.asarray(aug.A[:, -1].T @ svec_Z).ravel()[0])
+    trace = float((aug.tau.T @ svec_Z)[0])
     if trace <= 0:
         trace = 1.0
     svec_Zn = svec_Z / trace

@@ -1,9 +1,11 @@
 """The Schur complement of the interior-point solver: the fixed-pattern
-assembly against a sparse reference, the mesh-derived variable order, and
-the answers of the banded path on the 2-D oscillator."""
+assembly against a sparse reference, the mesh-derived variable order, the
+ridge and its retry, and the answers of the banded path on the 1-D and
+2-D meshes."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -86,17 +88,34 @@ def _stored_to_dense(plan, buf, tau):
     return full if tau else full[:plan.m, :plan.m]
 
 
-def _check_against_reference(problem, seed):
-    rng = np.random.default_rng(seed)
+def _plan(problem, kind):
+    """The dense plan (no order), or the banded plan in the mesh's order,
+    the identity for a problem without one."""
     segs = _Segments(problem.groups, problem.m)
-    plan = _SchurPlan(segs, problem.schur_order, problem.schur_border)
+    if kind == "dense":
+        return segs, _SchurPlan(segs)
+    order = problem.schur_order
+    return segs, _SchurPlan(segs, np.arange(problem.m) if order is None
+                            else order, problem.schur_border)
+
+
+def _augmented(segs):
+    """A with the phase-1 tau column stacked on."""
+    col, _ = _augment_tau(segs, SolverSettings())
+    return sp.hstack([segs.A, col], format="csr")
+
+
+def _check_against_reference(problem, seed, kind):
+    rng = np.random.default_rng(seed)
+    segs, plan = _plan(problem, kind)
+    assert plan.info["kind"] == kind
     # frames hold matrix blocks only; scalar blocks keep no rows
     for cls in plan.classes:
         assert all(d > 1 for *_, d in cls["parts"])
         assert cls["C"].shape[1] == sum(cnt * d for *_, cnt, d in cls["parts"])
     weights = _random_scalings(segs, rng)
     Wi = _dense_inverse_scalings(weights)
-    A_aug, _ = _augment_tau(segs, SolverSettings())
+    A_aug = _augmented(segs)
     ref = _reference_gram(segs, Wi, A_aug)
     scale = np.abs(ref).max()
     tau_col = A_aug.T @ np.concatenate([svec(w @ w).ravel() for w in Wi])
@@ -107,15 +126,13 @@ def _check_against_reference(problem, seed):
     # the factorization solves with that matrix, in both phases
     for tau, G in ((True, ref), (False, ref[:-1, :-1])):
         r = rng.normal(size=len(G))
-        x = plan.factor(plan.form(weights, tau_col if tau else None), tau)(r)
+        x = plan.factor(weights, tau_col if tau else None)(r)
         assert np.abs(G @ x - r).max() <= 1e-10 * scale * np.abs(x).max()
     return plan
 
 
 @pytest.fixture(params=["dense", "banded"])
-def plan_kind(request, monkeypatch):
-    if request.param == "banded":
-        monkeypatch.setattr(solver, "_DENSE_LIMIT", 0)
+def plan_kind(request):
     return request.param
 
 
@@ -123,28 +140,85 @@ class TestScatterAssembly:
     def test_uniform_2d_mesh(self, osc_2d, plan_kind):
         problem, _ = _mesh_problem(osc_2d, [[[-0.5, 0.5], [-0.5, 0.5]]], 2,
                                    True, "min_c")
-        plan = _check_against_reference(problem, 0)
-        assert plan.info["kind"] == plan_kind
+        _check_against_reference(problem, 0, plan_kind)
 
     def test_per_simplex_min_c(self, linear_1d, osc_2d, plan_kind):
         for sys, region in ((linear_1d, [[[-2.0, 1.0]]]),
                             (osc_2d, [[[-0.5, 0.5], [-0.5, 0.5]]])):
             problem, _ = _mesh_problem(sys, region, 1, False, "min_c")
-            _check_against_reference(problem, 1)
+            _check_against_reference(problem, 1, plan_kind)
 
     def test_level_zero_repeats_slots(self, linear_1d, plan_kind):
         # at K=0 the t=0 and t=T copies of a vertex share one slot, so a
         # simplex reads fewer distinct slots than it has vertices
         problem, _ = _mesh_problem(linear_1d, [[[-2.0, 1.0]]], 0, True,
                                    "none")
-        _check_against_reference(problem, 2)
+        _check_against_reference(problem, 2, plan_kind)
 
     def test_random_suite(self, plan_kind):
         rng = np.random.default_rng(2024)
         for trial in range(8):
             problem, _ = random_feasible_problem(rng)
             assert problem.schur_order is None
-            _check_against_reference(problem, trial)
+            _check_against_reference(problem, trial, plan_kind)
+
+
+class TestRidge:
+    def _weights(self, osc_2d):
+        problem, _ = _mesh_problem(osc_2d, [[[-0.5, 0.5], [-0.5, 0.5]]], 2,
+                                   True, "min_c")
+        segs, plan = _plan(problem, "banded")
+        weights = _random_scalings(segs, np.random.default_rng(3))
+        Wi = _dense_inverse_scalings(weights)
+        A_aug = _augmented(segs)
+        tau_col = A_aug.T @ np.concatenate([svec(w @ w).ravel() for w in Wi])
+        return plan, weights, tau_col, _reference_gram(segs, Wi, A_aug)
+
+    def test_both_parts_start_from_the_whole_ridge(self, osc_2d,
+                                                   monkeypatch):
+        # the band and the border get 1e-13 trace(G)/n of the whole G, the
+        # dense plan's rule, and not a ridge from their own diagonals
+        plan, weights, tau_col, ref = self._weights(osc_2d)
+        ridges = []
+        factor = solver._cholesky
+        monkeypatch.setattr(solver, "_cholesky", lambda G, ridge, *a: (
+            ridges.append(ridge) or factor(G, ridge, *a)))
+        for tau, G in ((True, ref), (False, ref[:-1, :-1])):
+            ridges.clear()
+            plan.factor(weights, tau_col if tau else None)
+            whole = 1e-13 * np.trace(G) / len(G)
+            band = 1e-13 * np.diag(G)[plan.order[:plan.ns]].mean()
+            assert whole > 1e-13 and band < 0.1 * whole
+            assert ridges == pytest.approx([whole, whole], rel=1e-12)
+
+    def test_band_retry_reforms_the_band(self, osc_2d, monkeypatch):
+        # the band is factored in place; when that fails, it is formed
+        # again and retried with the grown ridge on the same diagonal as a
+        # factor of a copy would see
+        plan, weights, tau_col, ref = self._weights(osc_2d)
+        seen = []
+        factor = scipy.linalg.cholesky_banded
+
+        def fail_once(ab, **kwargs):
+            seen.append(ab.copy())
+            if len(seen) == 1:
+                ab[...] = np.nan  # what a failed in-place factor leaves
+                raise np.linalg.LinAlgError("not positive definite")
+            return factor(ab, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", fail_once)
+        ridges = []
+        cholesky = solver._cholesky
+        monkeypatch.setattr(solver, "_cholesky", lambda G, ridge, *a: (
+            ridges.append(ridge) or cholesky(G, ridge, *a)))
+        r = np.random.default_rng(4).normal(size=len(ref))
+        x = plan.factor(weights, tau_col)(r)
+        assert len(seen) == 2
+        retried = seen[0].copy()
+        retried[0] += ridges[0] * 1e4 - ridges[0]
+        np.testing.assert_array_equal(seen[1], retried)
+        assert np.abs(ref @ x - r).max() <= (
+            1e-10 * np.abs(ref).max() * np.abs(x).max())
 
 
 class TestSchurOrder:
@@ -173,12 +247,18 @@ class TestSchurOrder:
         runs = seen[np.r_[True, np.diff(seen) != 0]]
         assert runs.tolist() == [0, 7, 1, 6, 2, 5, 3, 4]
 
+    def test_criterion_1_reports_banded_plan(self, solved_linear):
+        # the certified level of criterion 1 is small, and still takes the
+        # mesh's band and border rather than one dense triangle
+        assert solved_linear["problem"].m == 578
+        assert solved_linear["sol"].schur == {"kind": "banded",
+                                              "bandwidth": 37, "border": 3}
+
     def test_large_problem_reports_banded_plan(self):
         config = Config.from_dict(OSC_2D_CONFIG)
         sys0 = config.build_system()
         problem, vmap = _mesh_problem(sys0, config.region, 6, True, "none",
                                       config.scaling_matrix(sys0.n))
-        assert problem.m > solver._DENSE_LIMIT
         # the 248,832 scalar grad_bound blocks keep no dense rows, so the
         # simplex class holds the contraction blocks' 12 rows per frame
         plan = _SchurPlan(_Segments(problem.groups, problem.m),

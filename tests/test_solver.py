@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from cpacontract import solver
-from cpacontract.assembly import BlockGroup, SDPProblem, svec
+from cpacontract.assembly import BlockGroup, SDPProblem, assemble, svec
 from cpacontract.solver import (
     SolverSettings,
     _LinearCone,
@@ -13,6 +13,8 @@ from cpacontract.solver import (
     solve,
     tridiagonal_ql_eigenvalues,
 )
+from cpacontract.systems import parse_system
+from cpacontract.triangulation import build_complex
 
 from test_smallmat import spd_blocks
 
@@ -260,6 +262,23 @@ class TestConeKernels:
         assert _rel(*[np.swapaxes(p, 1, 2) @ p for p in P]) <= 1e-12
 
 
+def test_one_cholesky_per_block_per_iteration(monkeypatch):
+    # the interior tests of the accepted step keep their factors, and the
+    # next scaling takes them: S and Z are factored once per iteration,
+    # plus, per phase, the start point's S and the first scaling's Z
+    sys3 = parse_system("dim=3; period=1; f1 = -x1; f2 = -2*x2; f3 = -x3")
+    cx = build_complex([[[0.05, 0.95]] * 3], 1.0, 0)
+    problem, _ = assemble(cx, sys3, 0.01, uniform_cd=True, objective="min_c")
+    calls = []
+    factor = solver.cholesky
+    monkeypatch.setattr(solver, "cholesky",
+                        lambda x: calls.append(x.shape) or factor(x))
+    sol = solve(problem)
+    assert sol.status == "Optimal"
+    assert {shape[1:] for shape in calls} == {(3, 3)}
+    assert len(calls) == 2 * sol.iterations + 2 * 2
+
+
 class TestNonFiniteDirection:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_step_computation_failed(self, k, monkeypatch):
@@ -267,8 +286,8 @@ class TestNonFiniteDirection:
         # failure; at k >= 3 the eigenvalue kernel used to raise, and at
         # k <= 2 it backtracked 40 times into "primal step stalled"
         monkeypatch.setattr(solver._SchurPlan, "factor",
-                            lambda self, buf, tau: lambda r: np.full_like(
-                                r, np.nan))
+                            lambda self, weights, tau_col: lambda r:
+                            np.full_like(r, np.nan))
         prob = make_problem([([np.eye(k)], np.eye(k))], [1.0])
         sol = solve(prob)
         assert sol.status == "NumericalFailure"
