@@ -90,7 +90,6 @@ class Config:
                 feas_tol=float(solver_raw.get("feas_tol", 1e-8)),
                 gap_tol=float(solver_raw.get("gap_tol", 1e-8)),
                 max_iterations=int(solver_raw.get("max_iterations", 200)),
-                inflation=float(solver_raw.get("inflation", 1.0)),
             )
             verify_samples = int(verify_raw.get("samples", 100000))
             verify_seed = int(verify_raw.get("seed", 12345))
@@ -155,8 +154,6 @@ def load_config(path):
 def build_certificate(config, sys0, cx, vmap, sol, report, bound):
     C, D = vmap.bound_constants(sol.y)
     metric = vmap.metric_values(sol.y)
-    slot_keys = cx.vert_q[cx.slot_rep].copy()
-    slot_keys[:, 0] %= cx.n_slabs
     return {
         "format": CERT_FORMAT,
         "config": config.raw,
@@ -167,7 +164,7 @@ def build_certificate(config, sys0, cx, vmap, sol, report, bound):
         "scaling": [_fmt(s) for s in cx.scaling.diag],
         "n_slots": cx.n_slots,
         "n_simplices": cx.n_simplices,
-        "slot_keys": [[int(v) for v in row] for row in slot_keys],
+        "slot_keys": [[int(v) for v in row] for row in cx.slot_keys],
         "slot_coordinates": [[_fmt(v) for v in row]
                              for row in cx.slot_coordinates()],
         "metric_upper": [[_fmt(v) for v in row] for row in metric],
@@ -221,10 +218,8 @@ def rebuild_from_certificate(cert):
             or coords is not None and len(coords) != cx.n_slots):
         raise InputError(f"certificate must list {cx.n_slots} slots with "
                          f"{P} metric entries each")
-    rep_keys = cx.vert_q[cx.slot_rep].copy()
-    rep_keys[:, 0] %= cx.n_slabs
     key_to_idx = {tuple(int(v) for v in row): i
-                  for i, row in enumerate(rep_keys)}
+                  for i, row in enumerate(cx.slot_keys)}
     idx = [key_to_idx.get(tuple(int(v) for v in key)) for key in keys]
     if None in idx:
         raise InputError("certificate vertex keys do not match the "

@@ -24,9 +24,10 @@ reads off the mesh, at every size, with the few variables that touch every
 simplex eliminated as a dense border (all of G without an order); both
 parts take their ridge from the mean diagonal of the whole G.
 
-`certify` re-checks a candidate y independently of the solver internals:
-blocks are recomputed by plain sparse summation and, above size 2, their
-eigenvalues by a local Householder tridiagonalization + QL routine.
+`certify` re-checks a candidate y apart from the solver's iterates and
+cones: it recomputes every block from its group's own rows of A and F0 and
+takes the smallest eigenvalues with `smallmat.eig_min`, the one batched
+eigen kernel, at every block size. `Solution.block_min_eigs` is its answer.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class SolverSettings:
     feas_tol: float = 1e-8
     gap_tol: float = 1e-8
     max_iterations: int = 200
-    inflation: float = 1.0
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.gap_tol <= 0:
@@ -471,10 +471,10 @@ def _cholesky(G, ridge, reform=None):
 class _Segments:
     """The blocks of all groups by size, in ascending order: the scalar
     blocks of every family as one linear cone, then one matrix cone per
-    size. Rows of the stacked svec system follow that order; `block_order`
-    and `row_order` give each block's and row's index in the groups' own
-    order. In phase 1 the variable tau follows the m variables; its column,
-    svec(I) on every block, is kept apart from A as the 1-column `tau`."""
+    size. Rows of the stacked svec system follow that order; `row_order`
+    gives each row's index in the groups' own order. In phase 1 the
+    variable tau follows the m variables; its column, svec(I) on every
+    block, is kept apart from A as the 1-column `tau`."""
 
     def __init__(self, groups, m):
         self.m = m
@@ -492,14 +492,9 @@ class _Segments:
         self.Ntot = sum(n * k for n, k in zip(self.counts, self.sizes))
         self.cones = [_LinearCone if k == 1 else _MatrixCone
                       for k in self.sizes]
-
-        def order(lengths):
-            start = np.cumsum([0] + lengths)
-            return np.concatenate([np.arange(start[i], start[i + 1])
-                                   for i in idx])
-
-        self.block_order = order([g.count for g in groups])
-        self.row_order = order([g.count * g.svdim for g in groups])
+        start = np.cumsum([0] + [g.count * g.svdim for g in groups])
+        self.row_order = np.concatenate([np.arange(start[i], start[i + 1])
+                                         for i in idx])
 
     def apply(self, y):
         """A y, with tau's column in phase 1: y[m] adds only on its rows."""
@@ -542,12 +537,6 @@ class _Segments:
             out.append(cone.factor(x))
             if out[-1] is None:
                 return None
-        return out
-
-    def min_eigs(self, vec):
-        out = np.empty(sum(self.counts))
-        out[self.block_order] = np.concatenate(
-            [x if x.ndim == 1 else eig_min(x) for x in self.unpack(vec)])
         return out
 
 
@@ -685,15 +674,15 @@ def _ipm_loop(segs, c, settings, y, S, Z, fS, schur, norm_c, mode, tau_index,
     return _CoreResult(False, False, y, Z, it, gap, dual_res)
 
 
-def _augment_tau(segs, settings):
+def _augment_tau(segs):
     """The tau column (identity on every block) as a 1-column sparse matrix,
-    and the starting point of the phase-1 problem
-    min tau s.t. A(y) + tau I - F0 >= 0."""
+    and the starting tau of the phase-1 problem
+    min tau s.t. A(y) + tau I - F0 >= 0 at y = 0: the largest eigenvalue of
+    F0 plus max(1, |that eigenvalue|)."""
     col = sp.csc_matrix(segs.pack(segs.identity())[:, None])
-    f0_eigs = segs.min_eigs(-segs.f0)
-    tau0 = float(-f0_eigs.min())
-    tau0 = tau0 + max(1.0, abs(tau0)) * max(settings.inflation, 0.1)
-    return col, tau0
+    tau0 = -float(np.concatenate([x if x.ndim == 1 else eig_min(x)
+                                  for x in segs.unpack(-segs.f0)]).min())
+    return col, tau0 + max(1.0, abs(tau0))
 
 
 def solve(problem, settings=None):
@@ -709,18 +698,19 @@ def solve(problem, settings=None):
         schur = _SchurPlan(segs, problem.schur_order, problem.schur_border)
     except _FactorizationError as exc:
         return Solution("NumericalFailure", np.zeros(m), 0.0,
-                        segs.min_eigs(-segs.f0), 0, np.inf, notes=[str(exc)])
+                        certify(problem, np.zeros(m), 0.0).min_eigs, 0,
+                        np.inf, notes=[str(exc)])
 
     def result(status, y, gap, **kw):
         return Solution(status, y, float(c @ y),
-                        segs.min_eigs(segs.A @ y - segs.f0), iterations, gap,
+                        certify(problem, y, 0.0).min_eigs, iterations, gap,
                         schur=schur.info, **kw)
 
     # ---- phase 1: minimize tau ----
     aug = _Segments.__new__(_Segments)
     aug.__dict__.update(segs.__dict__)
     aug.m = m + 1
-    aug.tau, tau0 = _augment_tau(segs, settings)
+    aug.tau, tau0 = _augment_tau(segs)
     c_tau = np.zeros(m + 1)
     c_tau[m] = 1.0
     y0 = np.zeros(m + 1)
@@ -753,8 +743,8 @@ def solve(problem, settings=None):
     res2 = _ipm_core(segs, schur, c, settings, y_feas, "objective")
     iterations += res2.iterations
     y = res2.y
-    eigs = segs.min_eigs(segs.A @ y - segs.f0)
-    if res2.failure is not None or float(eigs.min()) < -settings.feas_tol:
+    if (res2.failure is not None
+            or not certify(problem, y, settings.feas_tol).clean):
         # fall back to the strictly feasible phase-1 point
         return result("Feasible", y_feas, res1.gap, notes=[
             res2.failure or "phase-2 left the cone; phase-1 point kept"])
@@ -785,88 +775,10 @@ def _extract_ray(segs, aug, Z):
 # independent certification
 
 
-def tridiagonal_ql_eigenvalues(mat):
-    """Eigenvalues of a dense symmetric matrix by Householder
-    tridiagonalization followed by implicit-shift QL."""
-    a = np.array(mat, dtype=float)
-    k = a.shape[0]
-    if k == 1:
-        return a[0, :1].copy()
-    # Householder reduction to tridiagonal form
-    d = np.zeros(k)
-    e = np.zeros(k)
-    for i in range(k - 1, 0, -1):
-        l = i - 1
-        h = 0.0
-        if l > 0:
-            scale = np.sum(np.abs(a[i, :l + 1]))
-            if scale == 0.0:
-                e[i] = a[i, l]
-            else:
-                row = a[i, :l + 1] / scale
-                h = float(row @ row)
-                f = row[l]
-                g = -np.sqrt(h) if f >= 0 else np.sqrt(h)
-                e[i] = scale * g
-                h -= f * g
-                row[l] = f - g
-                a[i, :l + 1] = row
-                p = (a[:l + 1, :l + 1] @ row) / h
-                K = float(row @ p) / (2.0 * h)
-                p -= K * row
-                a[:l + 1, :l + 1] -= (np.outer(row, p) + np.outer(p, row))
-        else:
-            e[i] = a[i, l]
-        d[i] = h
-    d[0] = 0.0
-    e[0] = 0.0
-    for i in range(k):
-        d[i] = a[i, i]
-
-    # implicit-shift QL on the tridiagonal (d, e)
-    e[:-1] = e[1:]
-    e[-1] = 0.0
-    for l in range(k):
-        for _ in range(50):
-            mtop = k - 1
-            for mm in range(l, k - 1):
-                dd = abs(d[mm]) + abs(d[mm + 1])
-                if abs(e[mm]) <= np.finfo(float).eps * dd:
-                    mtop = mm
-                    break
-            if mtop == l:
-                break
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            g = d[mtop] - d[l] + e[l] / (g + (r if g >= 0 else -r))
-            s_, c_ = 1.0, 1.0
-            p = 0.0
-            for i in range(mtop - 1, l - 1, -1):
-                f = s_ * e[i]
-                b = c_ * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[mtop] = 0.0
-                    break
-                s_ = f / r
-                c_ = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s_ + 2.0 * c_ * b
-                p = s_ * r
-                d[i + 1] = g + p
-                g = c_ * r - b
-            else:
-                d[l] -= p
-                e[l] = g
-                e[mtop] = 0.0
-    return np.sort(d)
-
-
 def certify(problem, y, tol):
-    """Recompute every block of sum F_i y_i - F_0 by plain summation and
-    report the blocks whose smallest eigenvalue falls below -tol."""
+    """Recompute every block of sum F_i y_i - F_0 from each group's own rows
+    and report the blocks whose smallest eigenvalue falls below -tol; the
+    smallest eigenvalues come in the groups' block order."""
     y = np.asarray(y, dtype=float)
     if y.shape != (problem.m,):
         raise DimensionMismatchError(f"y must have shape ({problem.m},)")
@@ -874,11 +786,7 @@ def certify(problem, y, tol):
     flagged = []
     base = 0
     for g in problem.groups:
-        mats = unsvec((g.A @ y - g.f0).reshape(g.count, -1), g.size)
-        if g.size <= 2:
-            vals = eig_min(mats)
-        else:
-            vals = np.array([tridiagonal_ql_eigenvalues(mm)[0] for mm in mats])
+        vals = eig_min(unsvec((g.A @ y - g.f0).reshape(g.count, -1), g.size))
         mins.append(vals)
         for idx in np.nonzero(vals < -tol)[0]:
             flagged.append((base + int(idx), float(vals[idx])))

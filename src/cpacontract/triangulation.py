@@ -65,38 +65,40 @@ class ScalingMatrix:
 
 @dataclass(frozen=True)
 class Geometry:
+    """Shape data of one simplex, or of a stack of S simplices: X and Xinv
+    are (n+1, n+1) or (S, n+1, n+1); h and one_norm_inv are scalars or (S,)."""
+
     X: np.ndarray
     Xinv: np.ndarray
-    h: float
-    one_norm_inv: float
+    h: float | np.ndarray
+    one_norm_inv: float | np.ndarray
 
 
 def simplex_geometry(vertices):
     """Shape matrix, its inverse, diameter, and the 1-norm of the inverse.
 
-    `vertices` is an (n+2, n+1) array; rows of X are v_k - v_0.
-    Raises SingularSimplexError for affinely dependent vertex sets.
+    `vertices` is one simplex, an (n+2, n+1) array, or a stack of S of
+    them, (S, n+2, n+1); rows of X are v_k - v_0. Raises
+    SingularSimplexError when some shape matrix is singular or its 1-norm
+    condition estimate exceeds `_COND_LIMIT`.
     """
     verts = np.asarray(vertices, dtype=float)
-    d = verts.shape[1]
-    if verts.shape[0] != d + 1:
+    d = verts.shape[-1]
+    if verts.ndim not in (2, 3) or verts.shape[-2] != d + 1:
         raise ValueError(f"expected {d + 1} vertices in dimension {d}")
-    X = verts[1:] - verts[0]
+    X = verts[..., 1:, :] - verts[..., :1, :]
     try:
         Xinv = np.linalg.inv(X)
     except np.linalg.LinAlgError:
         raise SingularSimplexError("shape matrix is singular") from None
-    norm_x = np.abs(X).sum(axis=0).max()
-    norm_inv = np.abs(Xinv).sum(axis=0).max()
-    if not np.isfinite(norm_inv) or norm_x * norm_inv > _COND_LIMIT:
+    norm_inv = np.abs(Xinv).sum(axis=-2).max(axis=-1)
+    cond = np.abs(X).sum(axis=-2).max(axis=-1) * norm_inv
+    if not np.isfinite(norm_inv).all() or (cond > _COND_LIMIT).any():
         raise SingularSimplexError(
-            f"shape matrix condition estimate {norm_x * norm_inv:.2e} too large")
-    h = 0.0
-    for a in range(d + 1):
-        dist = np.linalg.norm(verts[a + 1:] - verts[a], axis=1)
-        if dist.size:
-            h = max(h, float(dist.max()))
-    return Geometry(X=X, Xinv=Xinv, h=h, one_norm_inv=float(norm_inv))
+            f"shape matrix condition estimate {cond.max():.2e} too large")
+    a, b = np.triu_indices(d + 1, 1)
+    h = np.linalg.norm(verts[..., a, :] - verts[..., b, :], axis=-1)
+    return Geometry(X=X, Xinv=Xinv, h=h.max(axis=-1), one_norm_inv=norm_inv)
 
 
 def _permutation_patterns(n):
@@ -115,12 +117,7 @@ def reference_shape_constant(n):
     matrix over the reference simplices of the unit cell (reflections do
     not change the value, so permutations suffice)."""
     _, patt = _permutation_patterns(n)
-    worst = 0.0
-    for p in range(patt.shape[0]):
-        verts = patt[p].astype(float)
-        X = verts[1:] - verts[0]
-        worst = max(worst, float(np.abs(np.linalg.inv(X)).sum(axis=0).max()))
-    return worst
+    return float(simplex_geometry(patt).one_norm_inv.max())
 
 
 def normalize_region(region):
@@ -252,8 +249,10 @@ class SimplicialComplex:
         vert_q     (Nv, n+1) integer lattice coordinates, t index unwrapped
         vert_xyz   (Nv, n+1) real coordinates
         vert_slot  (Nv,) periodic storage slot per geometric vertex
+        slot_keys  (n_slots, n+1) lattice coordinates of each slot, t mod 2^K
         simp_verts (S, n+2) geometric vertex ids, generator order
-        simp_gen   (S, n+3) generator key (slab, cell.., perm index)
+        simp_gen   (S, n+3) generator key (slab, cell.., perm index),
+                   sorted by slab and cell
         X, Xinv    (S, n+1, n+1) shape matrices and inverses
         h          (S,) diameters
         Xinv_1norm (S,)
@@ -464,11 +463,15 @@ def build_complex(region, T, K, scaling=None, selection_margin=1e-12):
     tq_all = slab_ids[:, None] + np.tile(patt_kept[:, :, 0], (n_slabs, 1))
     simp_q = np.concatenate([tq_all[:, :, None], xq_all], axis=2)  # (S, n+2, n+1)
 
-    cx.simp_gen = np.concatenate(
+    gen = np.concatenate(
         [slab_ids[:, None], np.tile(cell_of_kept, (n_slabs, 1)),
          np.tile(perm_of_kept, n_slabs)[:, None]], axis=1)
+    # sorted by generator key (slab-major, then cells; stable in the
+    # permutation), the simplices of each cell form one contiguous run
+    order = np.lexsort(tuple(gen[:, k] for k in range(n + 1, -1, -1)))
+    cx.simp_gen = gen[order]
 
-    flat_q = simp_q.reshape(-1, n + 1)
+    flat_q = simp_q[order].reshape(-1, n + 1)
     vert_q, inverse = np.unique(flat_q, axis=0, return_inverse=True)
     cx.vert_q = vert_q
     cx.simp_verts = inverse.reshape(-1, n + 2).astype(np.int64)
@@ -476,9 +479,10 @@ def build_complex(region, T, K, scaling=None, selection_margin=1e-12):
 
     slot_keys = vert_q.copy()
     slot_keys[:, 0] %= n_slabs
-    uniq_slots, slot_inverse = np.unique(slot_keys, axis=0, return_inverse=True)
+    cx.slot_keys, slot_inverse = np.unique(slot_keys, axis=0,
+                                           return_inverse=True)
     cx.vert_slot = slot_inverse.astype(np.int64)
-    cx._n_slots = uniq_slots.shape[0]
+    cx._n_slots = cx.slot_keys.shape[0]
 
     # Representative vertex per slot: the copy with unwrapped t < T.
     rep = np.full(cx._n_slots, -1, dtype=np.int64)
@@ -494,26 +498,14 @@ def build_complex(region, T, K, scaling=None, selection_margin=1e-12):
         [(v, byx[tuple(vert_q[v, 1:])]) for v in at0 if tuple(vert_q[v, 1:]) in byx],
         dtype=np.int64).reshape(-1, 2)
 
-    verts_xyz = cx.vert_xyz[cx.simp_verts]  # (S, n+2, n+1)
-    X = verts_xyz[:, 1:, :] - verts_xyz[:, :1, :]
-    cx.X = X
-    cx.Xinv = np.linalg.inv(X)
-    cx.Xinv_1norm = np.abs(cx.Xinv).sum(axis=1).max(axis=1)
+    geo = simplex_geometry(cx.vert_xyz[cx.simp_verts])
+    cx.X, cx.Xinv = geo.X, geo.Xinv
+    cx.h, cx.Xinv_1norm = geo.h, geo.one_norm_inv
 
-    h = np.zeros(cx.n_simplices)
-    for a in range(n + 2):
-        for b2 in range(a + 1, n + 2):
-            d = np.linalg.norm(verts_xyz[:, a, :] - verts_xyz[:, b2, :], axis=1)
-            h = np.maximum(h, d)
-    cx.h = h
-
-    # Dense (slab, x-cell) -> [start, end) index for point location:
-    # simplices sorted by generator key (slab-major, cells, permutation)
-    # form one contiguous run per cell. A one-cell border keeps the
-    # neighbours of every nonempty cell on the grid; the trailing entry is
-    # an empty range for cells off the grid.
-    order = np.lexsort(tuple(cx.simp_gen[:, k] for k in range(n + 1, -1, -1)))
-    _reorder(cx, order)
+    # Dense (slab, x-cell) -> [start, end) index over the cells' runs of
+    # simplices for point location. A one-cell border keeps the neighbours
+    # of every nonempty cell on the grid; the trailing entry is an empty
+    # range for cells off the grid.
     key = cx.simp_gen[:, :-1]
     cx._cell_origin = np.concatenate(([0], key[:, 1:].min(axis=0) - 1))
     cx._cell_shape = np.concatenate(
@@ -525,15 +517,6 @@ def build_complex(region, T, K, scaling=None, selection_margin=1e-12):
     cx._cell_end = np.searchsorted(flat, cells, side="right")
     cx._offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n + 1)))
     return cx
-
-
-def _reorder(cx, order):
-    cx.simp_gen = cx.simp_gen[order]
-    cx.simp_verts = cx.simp_verts[order]
-    cx.X = cx.X[order]
-    cx.Xinv = cx.Xinv[order]
-    cx.Xinv_1norm = cx.Xinv_1norm[order]
-    cx.h = cx.h[order]
 
 
 def _meets_box_interior(points, box, margin):

@@ -15,7 +15,8 @@ from cpacontract.cli import (
     main,
     rebuild_from_certificate,
 )
-from cpacontract.errors import InputError
+from cpacontract.errors import InputError, SingularSimplexError
+from cpacontract.triangulation import ScalingMatrix, build_complex
 
 LINEAR_CONFIG = {
     "system": "dim=1; period=6.283185307179586; f1 = -x1 + sin(t)",
@@ -92,6 +93,18 @@ class TestSynthesize:
     def test_coarse_budget_fails(self):
         cfg = Config.from_dict(dict(LINEAR_CONFIG, k_min=0, k_max=0))
         assert cmd_synthesize(cfg, progress=quiet) == (1, None)
+
+    def test_ill_conditioned_mesh(self):
+        # the mesh takes the single-simplex conditioning check: cells
+        # 1e-13 wide in x against a t step of 1 give cond ~2e13
+        raw = {"system": "dim=1; period=1; f1 = -x1",
+               "region": [[[0.0, 1e-13]]], "scaling": [1e-13],
+               "k_min": 0, "k_max": 0}
+        with pytest.raises(SingularSimplexError):
+            build_complex(raw["region"], 1.0, 0,
+                          ScalingMatrix.from_spatial(raw["scaling"]))
+        code, cert = cmd_synthesize(Config.from_dict(raw), progress=quiet)
+        assert code == 3 and cert is None
 
     def test_bad_system_text(self):
         raw = dict(LINEAR_CONFIG)

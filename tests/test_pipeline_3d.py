@@ -49,6 +49,18 @@ def test_three_dimensional_pipeline():
     assert -1.0 - 1e-6 <= rep.bound_from_C < 0.0
 
 
+def test_block_min_eigs_are_certify_answer():
+    # the solver reports the blocks' smallest eigenvalues through certify,
+    # bit for bit, in the groups' block order
+    sys3 = parse_system("dim=3; period=1; f1 = -x1; f2 = -2*x2; f3 = -x3")
+    cx = build_complex([[[0.05, 0.95]] * 3], 1.0, 0)
+    problem, _ = assemble(cx, sys3, 0.01, uniform_cd=True, objective="min_c")
+    sol = solve(problem)
+    mins = certify(problem, sol.y, 0.0).min_eigs
+    assert sol.block_min_eigs.shape == (problem.n_blocks,)
+    assert sol.block_min_eigs.tobytes() == mins.tobytes()
+
+
 def _refuse_3x3(fun):
     def guarded(a, *args, **kwargs):
         if np.shape(a)[-2:] == (3, 3):

@@ -101,7 +101,7 @@ def _plan(problem, kind):
 
 def _augmented(segs):
     """A with the phase-1 tau column stacked on."""
-    col, _ = _augment_tau(segs, SolverSettings())
+    col, _ = _augment_tau(segs)
     return sp.hstack([segs.A, col], format="csr")
 
 

@@ -11,7 +11,6 @@ from cpacontract.solver import (
     _svec_congruence,
     certify,
     solve,
-    tridiagonal_ql_eigenvalues,
 )
 from cpacontract.systems import parse_system
 from cpacontract.triangulation import build_complex
@@ -132,25 +131,29 @@ class TestCertify:
 
     def test_min_eig_matches_cubic_roots(self):
         rng = np.random.default_rng(7)
-        for _ in range(25):
-            A = rng.normal(size=(3, 3))
-            A = A + A.T
-            mine = tridiagonal_ql_eigenvalues(A)[0]
+        mats = [A + A.T for A in rng.normal(size=(25, 3, 3))]
+        # at y = 0 the blocks are -F0 = A
+        prob = make_problem([([np.eye(3)], -A) for A in mats], [1.0])
+        mins = certify(prob, np.zeros(1), 0.0).min_eigs
+        for A, mine in zip(mats, mins):
             # characteristic-polynomial oracle
-            coeffs = np.poly(A)
-            roots = np.sort(np.roots(coeffs).real)
+            roots = np.sort(np.roots(np.poly(A)).real)
             assert mine == pytest.approx(roots[0], abs=1e-9)
 
-    def test_ql_against_reference(self):
-        rng = np.random.default_rng(3)
-        for k in range(1, 7):
-            for _ in range(10):
-                A = rng.normal(size=(k, k))
-                A = A + A.T
-                mine = tridiagonal_ql_eigenvalues(A)
-                ref = np.linalg.eigvalsh(A)
-                assert np.max(np.abs(mine - ref)) <= 1e-10 * max(
-                    1.0, np.abs(ref).max())
+    def test_size_three_blocks_use_smallmat(self, monkeypatch):
+        seen, eig_min = [], solver.eig_min
+
+        def counting(mats):
+            seen.append(np.shape(mats))
+            return eig_min(mats)
+
+        monkeypatch.setattr(solver, "eig_min", counting)
+        A = np.diag([1.0, 2.0, 3.0])
+        prob = make_problem([([np.eye(3)], -A), ([np.eye(3)], A)], [1.0])
+        rep = certify(prob, np.zeros(1), 0.5)
+        assert seen == [(1, 3, 3), (1, 3, 3)]
+        assert rep.min_eigs.tolist() == [1.0, -3.0]
+        assert rep.flagged == [(1, -3.0)]
 
 
 class TestRandomSuite:

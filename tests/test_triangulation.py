@@ -54,6 +54,19 @@ class TestGeometry:
         with pytest.raises(SingularSimplexError):
             simplex_geometry([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-14]])
 
+    def test_stack_matches_single_simplices_and_mesh(self):
+        cx = build_complex([[[-1.0, 1.0], [0.0, 0.5]]], 1.0, 1,
+                           ScalingMatrix.from_spatial([0.7, 0.9]))
+        verts = cx.vert_xyz[cx.simp_verts]
+        stack = simplex_geometry(verts)
+        singles = [simplex_geometry(v) for v in verts]
+        for name, mesh in (("X", cx.X), ("Xinv", cx.Xinv), ("h", cx.h),
+                           ("one_norm_inv", cx.Xinv_1norm)):
+            got = getattr(stack, name)
+            one = np.array([getattr(g, name) for g in singles])
+            assert got.shape == one.shape == mesh.shape
+            assert got.tobytes() == one.tobytes() == mesh.tobytes()
+
 
 class TestBuild:
     def test_unit_cell_counts(self, small_complex):
