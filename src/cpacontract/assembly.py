@@ -86,7 +86,8 @@ def enu_coefficient_arrays(cx, smoothness):
 
 @dataclass(frozen=True)
 class VariableMap:
-    """Bijective, gap-free indexing of the SDP variables."""
+    """Bijective, gap-free indexing of the SDP variables. The constants
+    come in `n_cd` pairs: one uniform (C, D), or one per simplex."""
 
     n: int
     n_slots: int
@@ -103,43 +104,40 @@ class VariableMap:
         return self.P * self.n_slots
 
     @property
+    def n_cd(self):
+        return 1 if self.uniform else self.n_simplices
+
+    @property
+    def has_cmax(self):
+        """Whether an auxiliary C_max carries the min_c objective."""
+        return not self.uniform and self.objective == "min_c"
+
+    @property
     def m(self):
-        base = self.metric_count
-        if self.uniform:
-            base += 2
-        else:
-            base += 2 * self.n_simplices
-            if self.objective == "min_c":
-                base += 1
-        return base
+        return self.metric_count + 2 * self.n_cd + int(self.has_cmax)
 
     def c_index(self, nu=0):
-        if self.uniform:
-            return self.metric_count
-        return self.metric_count + nu
+        """Column of the C that bounds simplex nu (an int or an array)."""
+        return self.metric_count + nu % self.n_cd
 
     def d_index(self, nu=0):
-        if self.uniform:
-            return self.metric_count + 1
-        return self.metric_count + self.n_simplices + nu
+        return self.metric_count + self.n_cd + nu % self.n_cd
 
     @property
     def cmax_index(self):
-        if self.uniform or self.objective != "min_c":
+        if not self.has_cmax:
             raise ValueError("no auxiliary C_max in this mode")
-        return self.metric_count + 2 * self.n_simplices
+        return self.metric_count + 2 * self.n_cd
 
     def metric_values(self, y):
         return np.asarray(y)[: self.metric_count].reshape(self.n_slots, self.P)
 
     def bound_constants(self, y):
-        """(C, D) with C = max over simplices in per-simplex mode."""
+        """(C, D), each the largest over its pairs."""
         y = np.asarray(y)
-        if self.uniform:
-            return float(y[self.c_index()]), float(y[self.d_index()])
-        s = self.n_simplices
-        return (float(y[self.metric_count: self.metric_count + s].max()),
-                float(y[self.metric_count + s: self.metric_count + 2 * s].max()))
+        c, d = self.c_index(), self.d_index()
+        return (float(y[c:c + self.n_cd].max()),
+                float(y[d:d + self.n_cd].max()))
 
 
 @dataclass
@@ -236,38 +234,25 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
 
     groups = []
 
-    # ---- bound on M (Constraint 2) ----
+    # ---- bound on M (Constraint 2): C I - M >= 0 ----
+    # a block per slot under the uniform C, else per simplex vertex
     if uniform_cd:
-        cnt = v
-        rows_m = np.arange(v * P, dtype=np.int64)
-        cols_m = np.arange(v * P, dtype=np.int64)
-        data_m = -np.tile(scale, v)
-        rows_c = (np.arange(v, dtype=np.int64)[:, None] * P + diag_p).ravel()
-        cols_c = np.full(rows_c.shape, vmap.c_index(), dtype=np.int64)
-        data_c = np.ones(rows_c.shape)
-        A2 = sp.csr_matrix(
-            (np.concatenate([data_m, data_c]),
-             (np.concatenate([rows_m, rows_c]), np.concatenate([cols_m, cols_c]))),
-            shape=(v * P, m))
-        groups.append(BlockGroup("bound_M", n, cnt, A2, np.zeros(v * P),
-                                 np.full(v, -1, dtype=np.int64),
-                                 np.arange(v, dtype=np.int64)))
+        slot2, simp2, vert2 = np.arange(v), np.full(v, -1), np.arange(v)
     else:
-        cnt = (n + 2) * S
-        blk = np.arange(cnt, dtype=np.int64)
-        rows_m = (blk[:, None] * P + np.arange(P)).ravel()
-        cols_m = (slots_sv.reshape(-1)[:, None] * P + np.arange(P)).ravel()
-        data_m = -np.tile(scale, cnt)
-        nus = np.repeat(np.arange(S, dtype=np.int64), n + 2)
-        rows_c = (blk[:, None] * P + diag_p).ravel()
-        cols_c = np.repeat(vmap.c_index(0) + nus, len(diag_p))
-        data_c = np.ones(rows_c.shape)
-        A2 = sp.csr_matrix(
-            (np.concatenate([data_m, data_c]),
-             (np.concatenate([rows_m, rows_c]), np.concatenate([cols_m, cols_c]))),
-            shape=(cnt * P, m))
-        groups.append(BlockGroup("bound_M", n, cnt, A2, np.zeros(cnt * P),
-                                 nus, cx.simp_verts.reshape(-1).astype(np.int64)))
+        simp2 = np.repeat(np.arange(S, dtype=np.int64), n + 2)
+        slot2, vert2 = slots_sv.reshape(-1), cx.simp_verts.reshape(-1)
+    cnt = len(slot2)
+    blk = np.arange(cnt, dtype=np.int64)[:, None] * P
+    rows_c = (blk + diag_p).ravel()
+    A2 = sp.csr_matrix(
+        (np.concatenate([-np.tile(scale, cnt), np.ones(rows_c.shape)]),
+         (np.concatenate([(blk + np.arange(P)).ravel(), rows_c]),
+          np.concatenate([(slot2[:, None] * P + np.arange(P)).ravel(),
+                          np.repeat(vmap.c_index(np.maximum(simp2, 0)),
+                                    len(diag_p))]))),
+        shape=(cnt * P, m))
+    groups.append(BlockGroup("bound_M", n, cnt, A2, np.zeros(cnt * P),
+                             simp2.astype(np.int64), vert2.astype(np.int64)))
 
     # ---- gradient bound (Constraint 3): D/(n+1) +- (w_ij)_l >= 0 ----
     # block order: (simplex, entry p, component l, sign +/-)
@@ -288,15 +273,13 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     data_w = np.broadcast_to(
         signs[None, None, None, :, None] * beta[:, None, :, None, :],
         rows_w.shape)
-    rows_d = base
-    cols_d = vmap.d_index(0) + (np.zeros_like(base) if uniform_cd
-                                else s_idx[:, None, None, None])
+    cols_d = np.broadcast_to(vmap.d_index(s_idx)[:, None, None, None],
+                             base.shape)
     data_d = np.full(base.shape, 1.0 / (n + 1))
     A3 = sp.csr_matrix(
         (np.concatenate([data_w.ravel(), data_d.ravel()]),
-         (np.concatenate([rows_w.ravel(), rows_d.ravel()]),
-          np.concatenate([cols_w.ravel(),
-                          np.broadcast_to(cols_d, base.shape).ravel()]))),
+         (np.concatenate([rows_w.ravel(), base.ravel()]),
+          np.concatenate([cols_w.ravel(), cols_d.ravel()]))),
         shape=(cnt3, m))
     groups.append(BlockGroup("grad_bound", 1, cnt3, A3, np.zeros(cnt3),
                              np.repeat(np.arange(S, dtype=np.int64), 2 * P * (n + 1)),
@@ -340,10 +323,8 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
 
     # C and D columns: -(a_C C + a_D D) I ; F0 block is +I
     rows_cd = (blk5[:, :, None] * P + diag_p[None, None, :])
-    cols_c5 = vmap.c_index(0) + (np.zeros((S, 1, 1), dtype=np.int64) if uniform_cd
-                                 else s_idx[:, None, None])
-    cols_d5 = vmap.d_index(0) + (np.zeros((S, 1, 1), dtype=np.int64) if uniform_cd
-                                 else s_idx[:, None, None])
+    cols_c5 = vmap.c_index(s_idx)[:, None, None]
+    cols_d5 = vmap.d_index(s_idx)[:, None, None]
     data_c5 = np.broadcast_to(-a_C[:, None, None], rows_cd.shape)
     data_d5 = np.broadcast_to(-a_D[:, None, None], rows_cd.shape)
 
@@ -363,20 +344,20 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
                              cx.simp_verts.reshape(-1).astype(np.int64)))
 
     # ---- auxiliary C_max linking blocks (per-simplex min_c only) ----
-    if not uniform_cd and objective == "min_c":
+    if vmap.has_cmax:
         rows6 = np.arange(S, dtype=np.int64)
         A6 = sp.csr_matrix(
             (np.concatenate([np.ones(S), -np.ones(S)]),
              (np.concatenate([rows6, rows6]),
               np.concatenate([np.full(S, vmap.cmax_index, dtype=np.int64),
-                              vmap.c_index(0) + rows6]))),
+                              vmap.c_index(rows6)]))),
             shape=(S, m))
         groups.append(BlockGroup("cmax_link", 1, S, A6, np.zeros(S),
                                  rows6, np.full(S, -1, dtype=np.int64)))
 
     c = np.zeros(m)
     if objective == "min_c":
-        c[vmap.cmax_index if not uniform_cd else vmap.c_index()] = 1.0
+        c[vmap.cmax_index if vmap.has_cmax else vmap.c_index()] = 1.0
 
     order, border = schur_order(cx, vmap)
     problem = SDPProblem(m=m, c=c, groups=groups, n=n,
@@ -410,10 +391,10 @@ def schur_order(cx, vmap):
         border = [vmap.c_index(), vmap.d_index()]
     else:
         nus = np.arange(vmap.n_simplices)
-        var.append(np.stack([vmap.c_index(0) + nus, vmap.d_index(0) + nus],
+        var.append(np.stack([vmap.c_index(nus), vmap.d_index(nus)],
                             axis=1).ravel())
         key.append(np.repeat(fold(cx.simp_gen[:, 0]), 2))
-        border = [vmap.cmax_index] if vmap.objective == "min_c" else []
+        border = [vmap.cmax_index] if vmap.has_cmax else []
     var, key = np.concatenate(var), np.concatenate(key)
     order = np.concatenate([var[np.argsort(key, kind="stable")], border])
     return order.astype(np.int64), len(border)
@@ -423,7 +404,7 @@ def schur_order(cx, vmap):
 # Sparse SDPA text format
 
 
-def export_sdpa(problem, vmap=None):
+def export_sdpa(problem):
     """Sparse SDPA (.dat-s) text for the assembled problem.
 
     Size-n blocks are written individually in group order; all size-1

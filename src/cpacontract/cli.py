@@ -12,7 +12,7 @@ import argparse
 import json
 import sys as _sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +61,10 @@ class Config:
     orbit_guess: list | None
     raw: dict
 
+    def __post_init__(self):
+        if self.k_min > self.k_max or self.k_min < 0:
+            raise InputError("need 0 <= k_min <= k_max")
+
     @classmethod
     def from_dict(cls, raw):
         try:
@@ -73,8 +77,6 @@ class Config:
             raise InputError(f"bad configuration: {exc}") from exc
         if epsilon0 <= 0:
             raise InputError("epsilon0 must be positive")
-        if k_min > k_max or k_min < 0:
-            raise InputError("need 0 <= k_min <= k_max")
         if not isinstance(region, list) or not region:
             raise InputError("region must be a non-empty list of boxes")
         scaling = raw.get("scaling")
@@ -151,7 +153,7 @@ def load_config(path):
 # certificates
 
 
-def build_certificate(config, sys0, cx, vmap, sol, report, bound):
+def build_certificate(config, cx, vmap, sol, report, bound):
     C, D = vmap.bound_constants(sol.y)
     metric = vmap.metric_values(sol.y)
     return {
@@ -278,8 +280,7 @@ def cmd_synthesize(config, out_path=None, progress=print):
             report.attach_boundary_check(cx, sys0, samples=20,
                                          seed=config.verify_seed)
             bound = floquet_bound(sol, vmap)
-            cert = build_certificate(config, sys0, cx, vmap, sol, report,
-                                     bound)
+            cert = build_certificate(config, cx, vmap, sol, report, bound)
             if out_path:
                 write_certificate(cert, out_path)
                 progress(f"certificate written to {out_path}")
@@ -385,13 +386,13 @@ def cmd_export_sdpa(config, K, out_path, import_y=None, tol=1e-6,
         sys0 = config.build_system()
         scaling = config.scaling_matrix(sys0.n)
         cx = build_complex(config.region, sys0.T, K, scaling)
-        problem, vmap = assemble(cx, sys0, config.epsilon0,
-                                 uniform_cd=config.uniform_cd,
-                                 objective=config.objective)
+        problem, _ = assemble(cx, sys0, config.epsilon0,
+                              uniform_cd=config.uniform_cd,
+                              objective=config.objective)
     except (CpaError, ValueError) as exc:
         progress(f"input error: {exc}")
         return 3
-    text = export_sdpa(problem, vmap)
+    text = export_sdpa(problem)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     progress(f"wrote {out_path}: m={problem.m}, {problem.n_blocks} blocks")
@@ -478,7 +479,7 @@ def main(argv=None):
         if args.command == "synthesize":
             config = load_config(args.config)
             if args.max_k is not None:
-                config.k_max = args.max_k
+                config = replace(config, k_max=args.max_k)
             return cmd_synthesize(config, out_path=args.out)[0]
         if args.command == "verify":
             return cmd_verify(args.certificate, args.samples, args.seed,

@@ -22,11 +22,9 @@ DEFAULT_INFLATION = 1e-12
 _TWO_PI = 2.0 * math.pi
 
 
-def _widen(lo, hi, eps):
-    if eps == 0.0:
-        return lo, hi
+def _widen(lo, hi):
     m = np.maximum(np.abs(lo), np.abs(hi))
-    return lo - eps * m, hi + eps * m
+    return lo - DEFAULT_INFLATION * m, hi + DEFAULT_INFLATION * m
 
 
 def _interval_mul(alo, ahi, blo, bhi):
@@ -47,7 +45,7 @@ def _contains_crit(lo, hi, offset):
 class Expr:
     """Base expression node. Subclasses implement iv / diff."""
 
-    def iv(self, lo, hi, eps):
+    def iv(self, lo, hi):
         raise NotImplementedError
 
     def diff(self, k):
@@ -63,7 +61,7 @@ class Const(Expr):
     def __init__(self, value):
         self.value = float(value)
 
-    def iv(self, lo, hi, eps):
+    def iv(self, lo, hi):
         return self.value, self.value
 
     def diff(self, k):
@@ -79,7 +77,7 @@ class Var(Expr):
     def __init__(self, index):
         self.index = index
 
-    def iv(self, lo, hi, eps):
+    def iv(self, lo, hi):
         return lo[self.index], hi[self.index]
 
     def diff(self, k):
@@ -96,10 +94,10 @@ class Add(Expr):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def iv(self, lo, hi, eps):
-        alo, ahi = self.a.iv(lo, hi, eps)
-        blo, bhi = self.b.iv(lo, hi, eps)
-        return _widen(alo + blo, ahi + bhi, eps)
+    def iv(self, lo, hi):
+        alo, ahi = self.a.iv(lo, hi)
+        blo, bhi = self.b.iv(lo, hi)
+        return _widen(alo + blo, ahi + bhi)
 
     def diff(self, k):
         return add(self.a.diff(k), self.b.diff(k))
@@ -115,10 +113,10 @@ class Sub(Expr):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def iv(self, lo, hi, eps):
-        alo, ahi = self.a.iv(lo, hi, eps)
-        blo, bhi = self.b.iv(lo, hi, eps)
-        return _widen(alo - bhi, ahi - blo, eps)
+    def iv(self, lo, hi):
+        alo, ahi = self.a.iv(lo, hi)
+        blo, bhi = self.b.iv(lo, hi)
+        return _widen(alo - bhi, ahi - blo)
 
     def diff(self, k):
         return sub(self.a.diff(k), self.b.diff(k))
@@ -134,10 +132,10 @@ class Mul(Expr):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def iv(self, lo, hi, eps):
-        alo, ahi = self.a.iv(lo, hi, eps)
-        blo, bhi = self.b.iv(lo, hi, eps)
-        return _widen(*_interval_mul(alo, ahi, blo, bhi), eps)
+    def iv(self, lo, hi):
+        alo, ahi = self.a.iv(lo, hi)
+        blo, bhi = self.b.iv(lo, hi)
+        return _widen(*_interval_mul(alo, ahi, blo, bhi))
 
     def diff(self, k):
         return add(mul(self.a.diff(k), self.b), mul(self.a, self.b.diff(k)))
@@ -153,13 +151,13 @@ class Div(Expr):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def iv(self, lo, hi, eps):
-        alo, ahi = self.a.iv(lo, hi, eps)
-        blo, bhi = self.b.iv(lo, hi, eps)
+    def iv(self, lo, hi):
+        alo, ahi = self.a.iv(lo, hi)
+        blo, bhi = self.b.iv(lo, hi)
         if np.any((blo <= 0.0) & (bhi >= 0.0)):
             raise DomainError("interval division through zero")
         rlo, rhi = 1.0 / bhi, 1.0 / blo
-        return _widen(*_interval_mul(alo, ahi, rlo, rhi), eps)
+        return _widen(*_interval_mul(alo, ahi, rlo, rhi))
 
     def diff(self, k):
         num = sub(mul(self.a.diff(k), self.b), mul(self.a, self.b.diff(k)))
@@ -175,8 +173,8 @@ class Neg(Expr):
     def __init__(self, a):
         self.a = a
 
-    def iv(self, lo, hi, eps):
-        alo, ahi = self.a.iv(lo, hi, eps)
+    def iv(self, lo, hi):
+        alo, ahi = self.a.iv(lo, hi)
         return -ahi, -alo
 
     def diff(self, k):
@@ -194,22 +192,22 @@ class Pow(Expr):
     def __init__(self, a, p):
         self.a, self.p = a, int(p)
 
-    def iv(self, lo, hi, eps):
+    def iv(self, lo, hi):
         p = self.p
         if p < 0:
             inner = Pow(self.a, -p)
-            ilo, ihi = inner.iv(lo, hi, eps)
+            ilo, ihi = inner.iv(lo, hi)
             if np.any((ilo <= 0.0) & (ihi >= 0.0)):
                 raise DomainError("interval reciprocal through zero")
-            return _widen(1.0 / ihi, 1.0 / ilo, eps)
-        alo, ahi = self.a.iv(lo, hi, eps)
+            return _widen(1.0 / ihi, 1.0 / ilo)
+        alo, ahi = self.a.iv(lo, hi)
         plo, phi = alo**p, ahi**p
         if p % 2 == 0 and p > 0:
             crosses = (alo <= 0.0) & (ahi >= 0.0)
             lo_out = np.where(crosses, 0.0, np.minimum(plo, phi))
             hi_out = np.maximum(plo, phi)
-            return _widen(lo_out, hi_out, eps)
-        return _widen(plo, phi, eps)
+            return _widen(lo_out, hi_out)
+        return _widen(plo, phi)
 
     def diff(self, k):
         if self.p == 0:
@@ -230,10 +228,10 @@ class Fun(Expr):
     def __init__(self, name, a):
         self.name, self.a = name, a
 
-    def iv(self, lo, hi, eps):
-        alo, ahi = self.a.iv(lo, hi, eps)
+    def iv(self, lo, hi):
+        alo, ahi = self.a.iv(lo, hi)
         if self.name == "exp":
-            return _widen(np.exp(alo), np.exp(ahi), eps)
+            return _widen(np.exp(alo), np.exp(ahi))
         if self.name == "sin":
             va, vb = np.sin(alo), np.sin(ahi)
             hi_out = np.where(_contains_crit(alo, ahi, 0.5 * math.pi), 1.0,
@@ -246,7 +244,7 @@ class Fun(Expr):
                               np.maximum(va, vb))
             lo_out = np.where(_contains_crit(alo, ahi, math.pi), -1.0,
                               np.minimum(va, vb))
-        lo_out, hi_out = _widen(lo_out, hi_out, eps)
+        lo_out, hi_out = _widen(lo_out, hi_out)
         return np.maximum(lo_out, -1.0), np.minimum(hi_out, 1.0)
 
     def diff(self, k):
@@ -337,18 +335,32 @@ def call(name, a):
     return Fun(name, a)
 
 
+def _ipow(x, p):
+    """x ** p for an integer p by repeated squaring: products and, for
+    p < 0, one division, each rounded once, so that a numpy scalar and an
+    array give the same bits (numpy's `**` rounds the two differently)."""
+    if p < 0:
+        return 1.0 / _ipow(x, -p)
+    if p < 2:
+        return x ** p   # 1 or x, exactly
+    half = _ipow(x, p // 2)
+    return half * half * x if p % 2 else half * half
+
+
 def compile_exprs(exprs):
     """Compile trees into one function `compiled(values, out)` that writes
     the value of tree j to `out[..., j]`.
 
     Each tree becomes one nested expression applying the same operators
     and ufuncs in the same order as a recursive walk, so results are
-    bit-identical to it, and numpy can reuse temporaries. Constants are
+    bit-identical to it, and numpy can reuse temporaries. Integer powers
+    are taken by repeated squaring (`_ipow`), so one point given as numpy
+    scalars and a batch of points give the same bits. Constants are
     bound by value as float64, so non-finite ones survive and `1/0` gives
     inf instead of raising; callers own the `np.errstate` and the
     finiteness check.
     """
-    env = dict(Fun._EV)
+    env = dict(Fun._EV, _ipow=_ipow)
     lines, consts = [], {}
 
     def emit(e):
@@ -364,7 +376,7 @@ def compile_exprs(exprs):
         if isinstance(e, Neg):
             text = f"-{a[0]}"
         elif isinstance(e, Pow):
-            text = f"{a[0]} ** {e.p:d}"
+            text = f"_ipow({a[0]}, {e.p:d})"
         elif isinstance(e, Fun):
             if e.name not in Fun._EV:
                 raise ValueError(f"function {e.name!r} is not whitelisted")
@@ -549,7 +561,8 @@ class ExpressionParser:
         raise ExpressionSyntaxError(f"unexpected token {val!r}", pos)
 
 
-def interval_bound_abs(expr, lo, hi, eps=DEFAULT_INFLATION):
+def interval_bound_abs(expr, lo, hi):
     """Upper bound of |expr| over the box [lo, hi] (arrays broadcast)."""
-    blo, bhi = expr.iv(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), eps)
+    blo, bhi = expr.iv(np.asarray(lo, dtype=float),
+                       np.asarray(hi, dtype=float))
     return np.maximum(np.abs(blo), np.abs(bhi))

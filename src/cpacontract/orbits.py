@@ -56,8 +56,10 @@ class _RK4:
     oracle. The state has shape (n,), or (m, n) for m trajectories; with
     `variational`, the row-major fundamental matrix of Phi' = D_x f Phi
     follows x. Stages evaluate the system's compiled kernel into
-    preallocated buffers, on points laid out as `f`, `f_many` and
-    `f_and_jacobian` lay them out, so the results are theirs bit for bit.
+    preallocated buffers in the kernel's own layout, each coordinate a
+    numpy scalar for one trajectory and a row for m; powers are products
+    in either (`compile_exprs`), so the results are those of `f_many` and
+    `jacobian_many` bit for bit.
     """
 
     def __init__(self, sys, shape, t0, t1, steps, variational=False):

@@ -2,9 +2,14 @@
 small blocks: minimize c.y subject to sum_i F_i y_i - F_0 >= 0.
 
 The iteration is a Nesterov-Todd scaled path-following method that keeps
-the slack S = sum F_i y_i - F_0 exactly primal-feasible (feasibility of
-the start is arranged by an auxiliary minimize-tau phase) and drives the
-dual variable Z towards complementarity. Each cone has its own kernels.
+the slack S = sum F_i y_i - F_0 exactly primal-feasible and drives the
+dual variable Z towards complementarity. One loop, `_ipm`, runs both
+phases. Phase 1 adds tau, a last variable whose coefficient is the
+identity in every block, starts from y = 0 with tau large enough for S to
+be interior, and minimizes tau until it is negative; phase 2 minimizes c.y
+from the strictly feasible point that gives. The phase is data (tau's
+exit level and floor), and one helper backtracks both the primal and the
+dual step. Each cone has its own kernels.
 The size-1 blocks of every family form one linear (LP) cone, scaled by
 d = z/s, with ratio-test step lengths. The blocks of each size k >= 2 form
 a matrix cone, scaled from a factor: L = chol(S), one eigendecomposition
@@ -472,13 +477,12 @@ class _Segments:
     """The blocks of all groups by size, in ascending order: the scalar
     blocks of every family as one linear cone, then one matrix cone per
     size. Rows of the stacked svec system follow that order; `row_order`
-    gives each row's index in the groups' own order. In phase 1 the
-    variable tau follows the m variables; its column, svec(I) on every
-    block, is kept apart from A as the 1-column `tau`."""
+    gives each row's index in the groups' own order. The phase-1 variable
+    tau follows the m variables; its column, svec(I) on every block, is
+    kept apart from A as the 1-column `tau`, and `tau0` is its start."""
 
     def __init__(self, groups, m):
         self.m = m
-        self.tau = None
         self.sizes = sorted({g.size for g in groups})
         idx = sorted(range(len(groups)), key=lambda i: groups[i].size)
         self.A = sp.vstack([groups[i].A for i in idx], format="csr")
@@ -495,18 +499,19 @@ class _Segments:
         start = np.cumsum([0] + [g.count * g.svdim for g in groups])
         self.row_order = np.concatenate([np.arange(start[i], start[i + 1])
                                          for i in idx])
+        self.tau, self.tau0 = _augment_tau(self)
 
     def apply(self, y):
-        """A y, with tau's column in phase 1: y[m] adds only on its rows."""
-        out = self.A @ y[:self.A.shape[1]]
-        if self.tau is not None:
+        """A y, plus tau's column when y ends with tau."""
+        out = self.A @ y[:self.m]
+        if len(y) > self.m:
             out[self.tau.indices] += y[-1]
         return out
 
-    def apply_t(self, v):
-        """A^T v, with tau's entry in phase 1 from the 1-column product."""
+    def apply_t(self, v, nv):
+        """A^T v for the first nv variables: tau's entry when nv = m + 1."""
         out = self.A.T @ v
-        return out if self.tau is None else np.append(out, self.tau.T @ v)
+        return out if nv == self.m else np.append(out, self.tau.T @ v)
 
     def seg_slices(self):
         for ci, k in enumerate(self.sizes):
@@ -548,68 +553,75 @@ class _CoreResult:
     Z: list
     iterations: int
     gap: float
-    dual_res: float
     failure: str | None = None
 
 
-def _ipm_core(segs, schur, c, settings, y0, mode, tau_index=None,
-              tau_exit=None, tau_floor=None):
-    """Path-following loop. `mode` is 'objective' or 'tau'; in tau mode the
-    loop exits as soon as y[tau_index] < tau_exit (strict feasibility) and
-    steps are capped so tau does not overshoot far below tau_floor (the
-    phase-1 objective is typically unbounded)."""
+def _backtrack(segs, alpha, trial):
+    """(alpha, blocks, factors) at the first of alpha, alpha/2, ... (40
+    tries) whose blocks trial(alpha) are strictly inside every cone; None
+    when there is none."""
+    for _ in range(40):
+        blocks = trial(alpha)
+        factors = segs.factors(blocks)
+        if factors is not None:
+            return alpha, blocks, factors
+        alpha *= 0.5
+    return None
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _ipm(segs, schur, c, settings, y0, phase1=None):
+    """Path-following loop from the strictly feasible y0. With `phase1`,
+    the pair (exit level, floor), y ends with tau: the loop exits as soon
+    as tau < exit level (strict feasibility), and steps are capped so that
+    tau does not overshoot far below the floor (the phase-1 objective is
+    typically unbounded)."""
     y = np.asarray(y0, dtype=float).copy()
+    nv = len(y)
+    Z = segs.identity()
     S = segs.unpack(segs.apply(y) - segs.f0)
     fS = segs.factors(S)
+    gap = np.inf
+
+    def stop(iterations, failure=None, converged=False, early_exit=False):
+        return _CoreResult(converged, early_exit, y, Z, iterations, gap,
+                           failure)
+
     if fS is None:
-        return _CoreResult(False, False, y, segs.identity(), 0, np.inf, np.inf,
-                           failure="initial point not strictly feasible")
-    Z = segs.identity()
+        return stop(0, "initial point not strictly feasible")
     norm_c = max(1.0, float(np.abs(c).max()))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _ipm_loop(segs, c, settings, y, S, Z, fS, schur, norm_c, mode,
-                         tau_index, tau_exit, tau_floor)
-
-
-def _ipm_loop(segs, c, settings, y, S, Z, fS, schur, norm_c, mode, tau_index,
-              tau_exit, tau_floor):
     # one factor per block per iteration: the interior tests of the accepted
     # step keep theirs for the next scaling, which factors the first Z
     fZ = [None] * len(fS)
-    gap = segs.dot(S, Z)
-    dual_res = np.inf
     it = 0
     for it in range(1, settings.max_iterations + 1):
         svec_Z = segs.pack(Z)
         gap = segs.dot(S, Z)
         mu = gap / segs.Ntot
-        dual_res = float(np.abs(c - segs.apply_t(svec_Z)).max())
+        dual_res = float(np.abs(c - segs.apply_t(svec_Z, nv)).max())
         obj = float(c @ y)
 
-        if mode == "tau" and y[tau_index] < tau_exit:
-            return _CoreResult(True, True, y, Z, it - 1, gap, dual_res)
+        if phase1 is not None and y[-1] < phase1[0]:
+            return stop(it - 1, converged=True, early_exit=True)
         if (mu <= settings.gap_tol * (1.0 + abs(obj))
                 and dual_res <= 100.0 * settings.gap_tol * norm_c):
-            return _CoreResult(True, False, y, Z, it - 1, gap, dual_res)
-        if mode == "objective" and abs(obj) > 1e14:
-            return _CoreResult(False, False, y, Z, it - 1, gap, dual_res,
-                               failure="objective appears unbounded below")
+            return stop(it - 1, converged=True)
+        if phase1 is None and abs(obj) > 1e14:
+            return stop(it - 1, "objective appears unbounded below")
 
         try:
             cones = [cone(s, z, f) for cone, s, z, f in
                      zip(segs.cones, S, Z, zip(fS, fZ))]
         except np.linalg.LinAlgError:
-            return _CoreResult(False, False, y, Z, it - 1, gap, dual_res,
-                               failure="scaling breakdown")
+            return stop(it - 1, "scaling breakdown")
         # tau's coefficient is the identity in every block, so its column
         # of G is A^T svec(W^{-2})
-        tau_col = (segs.apply_t(segs.pack([w.w2 for w in cones]))
-                   if tau_index is not None else None)
+        tau_col = (segs.apply_t(segs.pack([w.w2 for w in cones]), nv)
+                   if phase1 is not None else None)
         try:
             solve = schur.factor([w.schur for w in cones], tau_col)
         except _FactorizationError:
-            return _CoreResult(False, False, y, Z, it - 1, gap, dual_res,
-                               failure="factorization failed")
+            return stop(it - 1, "factorization failed")
 
         def direction(rhs, mu_c, frac):
             """dy, the cones' directions and the step lengths; None when
@@ -631,47 +643,32 @@ def _ipm_loop(segs, c, settings, y, S, Z, fS, schur, norm_c, mode, tau_index,
             sigma = min(0.9, max(1e-6, (max(gap_aff, 0.0) / gap) ** 3))
             mu_t = sigma * mu
             # corrector
-            asv = segs.apply_t(segs.pack([w.s_inv for w in cones]))
+            asv = segs.apply_t(segs.pack([w.s_inv for w in cones]), nv)
             step = direction(mu_t * asv - c, mu_t, 0.98)
         if step is None:
-            return _CoreResult(False, False, y, Z, it, gap, dual_res,
-                               failure="step computation failed")
+            return stop(it, "step computation failed")
         dy, dirs, ap, ad = step
-        if (mode == "tau" and tau_floor is not None and dy[tau_index] < 0.0
-                and y[tau_index] + ap * dy[tau_index] < tau_floor):
-            ap = (tau_floor - y[tau_index]) / dy[tau_index]
+        if (phase1 is not None and dy[-1] < 0.0
+                and y[-1] + ap * dy[-1] < phase1[1]):
+            ap = (phase1[1] - y[-1]) / dy[-1]
         if not np.isfinite(ap) or not np.isfinite(ad) or ap <= 0 or ad <= 0:
-            return _CoreResult(False, False, y, Z, it, gap, dual_res,
-                               failure="step computation failed")
+            return stop(it, "step computation failed")
         # the fractional step can still graze the cone boundary; backtrack
         # until both iterates are strictly inside
-        for _ in range(40):
-            y_try = y + ap * dy
-            S_try = segs.unpack(segs.apply(y_try) - segs.f0)
-            fS = segs.factors(S_try)
-            if fS is not None:
-                break
-            ap *= 0.5
-        else:
-            return _CoreResult(False, False, y, Z, it, gap, dual_res,
-                               failure="primal step stalled at the boundary")
+        primal = _backtrack(segs, ap, lambda a: segs.unpack(
+            segs.apply(y + a * dy) - segs.f0))
+        if primal is None:
+            return stop(it, "primal step stalled at the boundary")
         dZ = [w.dz(d) for w, d in zip(cones, dirs)]
-        for _ in range(40):
-            Z_try = [Zb + ad * d for Zb, d in zip(Z, dZ)]
-            fZ = segs.factors(Z_try)
-            if fZ is not None:
-                break
-            ad *= 0.5
-        else:
-            return _CoreResult(False, False, y, Z, it, gap, dual_res,
-                               failure="dual step stalled at the boundary")
-        y = y_try
-        S = S_try
-        Z = Z_try
+        dual = _backtrack(segs, ad, lambda a: [Zb + a * d
+                                               for Zb, d in zip(Z, dZ)])
+        if dual is None:
+            return stop(it, "dual step stalled at the boundary")
+        (ap, S, fS), (_, Z, fZ) = primal, dual
+        y = y + ap * dy
         if not np.isfinite(y).all():
-            return _CoreResult(False, False, y, Z, it, gap, dual_res,
-                               failure="non-finite iterate")
-    return _CoreResult(False, False, y, Z, it, gap, dual_res)
+            return stop(it, "non-finite iterate")
+    return stop(it)
 
 
 def _augment_tau(segs):
@@ -701,62 +698,53 @@ def solve(problem, settings=None):
                         certify(problem, np.zeros(m), 0.0).min_eigs, 0,
                         np.inf, notes=[str(exc)])
 
-    def result(status, y, gap, **kw):
-        return Solution(status, y, float(c @ y),
-                        certify(problem, y, 0.0).min_eigs, iterations, gap,
-                        schur=schur.info, **kw)
+    def result(status, res, report=None, **kw):
+        y = res.y[:m]
+        if report is None:
+            report = certify(problem, y, 0.0)
+        return Solution(status, y, float(c @ y), report.min_eigs, iterations,
+                        res.gap, schur=schur.info, **kw)
 
-    # ---- phase 1: minimize tau ----
-    aug = _Segments.__new__(_Segments)
-    aug.__dict__.update(segs.__dict__)
-    aug.m = m + 1
-    aug.tau, tau0 = _augment_tau(segs)
-    c_tau = np.zeros(m + 1)
-    c_tau[m] = 1.0
-    y0 = np.zeros(m + 1)
-    y0[m] = tau0
+    # ---- phase 1: minimize tau, the last variable ----
+    tau0 = segs.tau0
     exit_level = min(-10.0 * settings.feas_tol, -1e-4)
     if has_objective:
         exit_level = min(exit_level, -0.05 * max(1.0, abs(tau0)))
-    res1 = _ipm_core(aug, schur, c_tau, settings, y0, "tau", tau_index=m,
-                     tau_exit=exit_level,
-                     tau_floor=3.0 * exit_level - 0.05 * max(1.0, abs(tau0)))
+    res1 = _ipm(segs, schur, np.append(np.zeros(m), 1.0), settings,
+                np.append(np.zeros(m), tau0),
+                (exit_level, 3.0 * exit_level - 0.05 * max(1.0, abs(tau0))))
     iterations = res1.iterations
-
     if res1.failure is not None:
-        return result("NumericalFailure", res1.y[:m], res1.gap,
-                      notes=[res1.failure])
+        return result("NumericalFailure", res1, notes=[res1.failure])
     tau_final = float(res1.y[m])
     if not res1.early_exit and tau_final >= -10.0 * settings.feas_tol:
         if res1.converged:
-            return result("Infeasible", res1.y[:m], res1.gap,
-                          dual_ray=_extract_ray(segs, aug, res1.Z),
+            return result("Infeasible", res1,
+                          dual_ray=_extract_ray(segs, res1.Z),
                           notes=[f"phase-1 optimum tau = {tau_final:.3e}"])
-        return result("IterationLimit", res1.y[:m], res1.gap)
-
-    y_feas = res1.y[:m]
+        return result("IterationLimit", res1)
     if not has_objective:
-        return result("Feasible", y_feas, res1.gap,
+        return result("Feasible", res1,
                       notes=[f"strict margin {-tau_final:.3e}"])
 
     # ---- phase 2: minimize the objective from the interior point ----
-    res2 = _ipm_core(segs, schur, c, settings, y_feas, "objective")
+    res2 = _ipm(segs, schur, c, settings, res1.y[:m])
     iterations += res2.iterations
-    y = res2.y
-    if (res2.failure is not None
-            or not certify(problem, y, settings.feas_tol).clean):
+    report = (certify(problem, res2.y, settings.feas_tol)
+              if res2.failure is None else None)
+    if report is None or not report.clean:
         # fall back to the strictly feasible phase-1 point
-        return result("Feasible", y_feas, res1.gap, notes=[
+        return result("Feasible", res1, notes=[
             res2.failure or "phase-2 left the cone; phase-1 point kept"])
     if res2.converged:
-        return result("Optimal", y, res2.gap)
-    return result("Feasible", y, res2.gap,
+        return result("Optimal", res2, report)
+    return result("Feasible", res2, report,
                   notes=["iteration limit before gap closure"])
 
 
-def _extract_ray(segs, aug, Z):
+def _extract_ray(segs, Z):
     svec_Z = segs.pack(Z)
-    trace = float((aug.tau.T @ svec_Z)[0])
+    trace = float((segs.tau.T @ svec_Z)[0])
     if trace <= 0:
         trace = 1.0
     svec_Zn = svec_Z / trace

@@ -99,20 +99,15 @@ class SystemDefinition:
 
     # -- evaluation -------------------------------------------------------
 
-    def _at(self, code, point, size):
-        vals = np.asarray(point, dtype=float)
-        if vals.shape != (self.n + 1,):
-            raise DimensionMismatchError(f"point must have shape ({self.n + 1},)")
-        out = np.empty(size)
-        with np.errstate(all="ignore"):
-            code(vals, out)
-        return out
-
     def _batch(self, code, points, shape):
-        vals = np.asarray(points, dtype=float).T
-        out = np.empty((vals.shape[1],) + shape)
+        """The compiled code at points of shape (N, n+1): (N,) + shape."""
+        vals = np.asarray(points, dtype=float)
+        if vals.ndim != 2 or vals.shape[1] != self.n + 1:
+            raise DimensionMismatchError(
+                f"points must have shape (N, {self.n + 1})")
+        out = np.empty((len(vals),) + shape)
         with np.errstate(all="ignore"):
-            code(vals, out.reshape(len(out), math.prod(shape)))
+            code(vals.T, out.reshape(len(out), math.prod(shape)))
         return out
 
     @staticmethod
@@ -122,8 +117,10 @@ class SystemDefinition:
         return out
 
     def f(self, point):
-        """f(t, x) at a single point (t, x1..xn); returns shape (n,)."""
-        return self._finite(self._at(self._f_code, point, self.n), "f")
+        """f(t, x) at a single point (t, x1..xn), as a batch of one;
+        returns shape (n,)."""
+        return self._finite(self._batch(self._f_code, [point], (self.n,))[0],
+                            "f")
 
     def f_many(self, points):
         """Vectorized f over points of shape (N, n+1); returns (N, n)."""
@@ -138,8 +135,9 @@ class SystemDefinition:
         return out
 
     def jacobian(self, point):
-        """Spatial Jacobian D_x f at a single point; returns (n, n)."""
-        out = self._at(self._jac_code, point, self.n**2).reshape(self.n, self.n)
+        """Spatial Jacobian D_x f at a single point, as a batch of one;
+        returns (n, n)."""
+        out = self._batch(self._jac_code, [point], (self.n, self.n))[0]
         return self._finite(out, "Jacobian")
 
     def jacobian_many(self, points):
@@ -150,7 +148,8 @@ class SystemDefinition:
     def f_and_jacobian(self, point):
         """f and D_x f at a single point from one compiled call, with the
         finiteness checks of `f` and then `jacobian`."""
-        out = self._at(self._f_jac_code, point, self.n + self.n**2)
+        out = self._batch(self._f_jac_code, [point],
+                          (self.n + self.n**2,))[0]
         return (self._finite(out[:self.n], "f"),
                 self._finite(out[self.n:].reshape(self.n, self.n), "Jacobian"))
 
@@ -161,7 +160,7 @@ class SystemDefinition:
 
     # -- derivative bounds ------------------------------------------------
 
-    def derivative_bound(self, box, order, inflation=ex.DEFAULT_INFLATION):
+    def derivative_bound(self, box, order):
         """Upper bound on the max-norm of all order-k partials over a box.
 
         Interval-arithmetic over-approximation; a user-supplied global
@@ -169,10 +168,10 @@ class SystemDefinition:
         safe: it only enlarges the interpolation-error margin.
         """
         lo, hi = self._box_arrays(box)
-        return float(self.derivative_bound_boxes(lo[:, None], hi[:, None], order,
-                                                 inflation)[0])
+        return float(self.derivative_bound_boxes(lo[:, None], hi[:, None],
+                                                 order)[0])
 
-    def derivative_bound_boxes(self, lo, hi, order, inflation=ex.DEFAULT_INFLATION):
+    def derivative_bound_boxes(self, lo, hi, order):
         """Batched bounds over boxes given as (n+1, N) lower/upper arrays."""
         if order not in (2, 3):
             raise ValueError("order must be 2 or 3")
@@ -195,7 +194,7 @@ class SystemDefinition:
                 expr = entry[-1]
                 if isinstance(expr, ex.Const) and expr.value == 0.0:
                     continue
-                out = np.maximum(out, ex.interval_bound_abs(expr, lo, hi, inflation))
+                out = np.maximum(out, ex.interval_bound_abs(expr, lo, hi))
         return out
 
     def _box_arrays(self, box):

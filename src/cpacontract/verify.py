@@ -116,7 +116,7 @@ def verify_contraction_sampled(cpa, sys, cx, samples=100000, seed=12345,
                                tol=1e-6, eps0=0.01, C=None, D=None,
                                csv_path=None):
     """Simplex-stratified sampling of the contraction inequality plus the
-    vertex-constraint recomputation.
+    vertex-constraint recomputation, for the scalar constants C and D.
 
     Passes iff every sampled lambda_max is <= -1 + tol, every sampled
     L_M is <= -1/(2C) + tol, the sampled metric stays above eps0 - tol,
@@ -163,18 +163,16 @@ def verify_contraction_sampled(cpa, sys, cx, samples=100000, seed=12345,
     # vertex-constraint recomputation, independent of the solver
     unit = np.broadcast_to(np.eye(n + 2), (S, n + 2, n + 2))
     _, vm, vA = cpa.contraction(sys, sids, unit)
-    C_arr = np.broadcast_to(np.asarray(C, dtype=float), (S,))
-    D_arr = np.broadcast_to(np.asarray(D, dtype=float), (S,))
-    E = a_C * C_arr + a_D * D_arr
+    C, D = float(C), float(D)
+    E = a_C * C + a_D * D
     res5 = float((eig_max(vA) + (E + 1.0)[:, None]).max())
-    res2 = float((eig_max(vm) - C_arr[:, None]).max())
-    res3 = float((np.abs(cpa.W).max(axis=(1, 2)) - D_arr / (n + 1.0)).max())
+    res2 = float((eig_max(vm) - C).max())
+    res3 = float((np.abs(cpa.W).max(axis=(1, 2)) - D / (n + 1.0)).max())
     res4 = float((eps0 - vert_mu[..., 0]).max())
     vertex_residuals = {"bound_M": res2, "grad_bound": res3,
                         "pos_def": res4, "contraction": res5}
 
-    C_sc = float(np.max(C_arr))
-    bound_C = -1.0 / (2.0 * C_sc)
+    bound_C = -1.0 / (2.0 * C)
     bound_mu = -1.0 / (2.0 * mu_max)
     passed = (max_lambda_max <= -1.0 + tol
               and max_lm <= bound_C + tol
@@ -185,7 +183,7 @@ def verify_contraction_sampled(cpa, sys, cx, samples=100000, seed=12345,
         max_lambda_max=max_lambda_max, max_lm=max_lm,
         min_metric_eig=min_metric_eig, mu_max=mu_max,
         bound_from_C=bound_C, bound_from_mu=bound_mu,
-        constants={"C": C_sc, "D": float(np.max(D_arr)), "eps0": eps0},
+        constants={"C": C, "D": D, "eps0": eps0},
         vertex_residuals=vertex_residuals)
 
 

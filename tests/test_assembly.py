@@ -228,16 +228,16 @@ class TestSdpaFormat:
 
     def test_round_trip(self, linear_1d):
         cx = build_complex([[[0.0, 1.0]]], linear_1d.T, 1)
-        prob, vmap = assemble(cx, linear_1d, 0.01, uniform_cd=False,
-                              objective="none")
-        text = export_sdpa(prob, vmap)
+        prob, _ = assemble(cx, linear_1d, 0.01, uniform_cd=False,
+                           objective="none")
+        text = export_sdpa(prob)
         parsed = parse_sdpa(text)
         assert parsed["m"] == prob.m
         assert sum(abs(b) for b in parsed["block_sizes"]) \
             == sum(g.size * g.count if g.size > 1 else g.count
                    for g in prob.groups)
         # bit-exact value strings under re-export
-        text2 = export_sdpa(prob, vmap)
+        text2 = export_sdpa(prob)
         assert text == text2
         entries1 = {(e[0], e[1], e[2], e[3]): e[4] for e in parsed["entries"]}
         parsed2 = parse_sdpa(text2)
@@ -246,9 +246,9 @@ class TestSdpaFormat:
 
     def test_parse_reconstructs_coefficients(self, linear_1d):
         cx = build_complex([[[0.0, 1.0]]], linear_1d.T, 0)
-        prob, vmap = assemble(cx, linear_1d, 0.01, uniform_cd=False,
-                              objective="none")
-        parsed = parse_sdpa(export_sdpa(prob, vmap))
+        prob, _ = assemble(cx, linear_1d, 0.01, uniform_cd=False,
+                           objective="none")
+        parsed = parse_sdpa(export_sdpa(prob))
         # rebuild F matrices per variable from entries and compare one block
         # against the residual of a unit vector
         for var in (1, prob.m):

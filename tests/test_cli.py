@@ -307,3 +307,12 @@ class TestMainEntry:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(LINEAR_CONFIG))
         assert main(["check-complex", "--config", str(path), "--k", "1"]) == 0
+
+    @pytest.mark.parametrize("max_k", ["-3", "3"])
+    def test_max_k_below_k_min_is_input_error(self, tmp_path, max_k, capsys):
+        # LINEAR_CONFIG has k_min 4; the override takes the config's check
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(LINEAR_CONFIG))
+        assert main(["synthesize", "--config", str(path),
+                     "--max-k", max_k]) == 3
+        assert "k_min" in capsys.readouterr().err

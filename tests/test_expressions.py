@@ -103,25 +103,26 @@ class TestIntervals:
         # interval arithmetic does not cancel x - x; the enclosure is wide
         # but must still be sound
         f = parse1("x1 - x1")
-        lo, hi = f.iv(np.array([0.0, -5.0]), np.array([1.0, 5.0]), 0.0)
+        lo, hi = f.iv(np.array([0.0, -5.0]), np.array([1.0, 5.0]))
         assert lo <= 0.0 <= hi
         assert hi == pytest.approx(10.0)
 
     def test_division_by_straddling_interval(self):
         f = parse1("1 / x1")
         with pytest.raises(DomainError):
-            f.iv(np.array([0.0, -1.0]), np.array([1.0, 1.0]), 1e-12)
+            f.iv(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
 
     def test_negative_power(self):
         f = parse1("x1 ^ -2")
-        lo, hi = f.iv(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 0.0)
+        lo, hi = f.iv(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
         assert lo == pytest.approx(0.25)
         assert hi == pytest.approx(1.0)
 
     def test_even_power_through_zero(self):
+        # the relative inflation widens [0, 4] to [-4e-12, 4 + 4e-12]
         f = parse1("x1 ^ 2")
-        lo, hi = f.iv(np.array([0.0, -2.0]), np.array([1.0, 1.0]), 0.0)
-        assert lo == 0.0
+        lo, hi = f.iv(np.array([0.0, -2.0]), np.array([1.0, 1.0]))
+        assert -1e-11 <= lo <= 0.0
         assert hi == pytest.approx(4.0)
 
     @settings(max_examples=120, deadline=None)
@@ -129,7 +130,7 @@ class TestIntervals:
            fun=st.sampled_from(["sin", "cos"]))
     def test_trig_envelope_sound_and_tight(self, a, w, fun):
         f = ExpressionParser(1).parse(f"{fun}(t)")
-        lo, hi = f.iv(np.array([a, 0.0]), np.array([a + w, 0.0]), 0.0)
+        lo, hi = f.iv(np.array([a, 0.0]), np.array([a + w, 0.0]))
         ts = np.linspace(a, a + w, 400)
         vals = np.sin(ts) if fun == "sin" else np.cos(ts)
         assert lo <= vals.min() + 1e-12
@@ -146,7 +147,7 @@ class TestIntervals:
         f = ExpressionParser(2).parse("x1 * x2")
         lo = np.array([0.0, lo1, lo2])
         hi = np.array([1.0, lo1 + w1, lo2 + w2])
-        blo, bhi = f.iv(lo, hi, 0.0)
+        blo, bhi = f.iv(lo, hi)
         rng = np.random.default_rng(0)
         xs = rng.uniform(lo[1:], hi[1:], size=(200, 2))
         prods = xs[:, 0] * xs[:, 1]
@@ -155,7 +156,7 @@ class TestIntervals:
 
     def test_exp_monotone(self):
         f = parse1("exp(x1)")
-        lo, hi = f.iv(np.array([0.0, -1.0]), np.array([1.0, 2.0]), 0.0)
+        lo, hi = f.iv(np.array([0.0, -1.0]), np.array([1.0, 2.0]))
         assert lo == pytest.approx(np.exp(-1.0))
         assert hi == pytest.approx(np.exp(2.0))
 
@@ -163,6 +164,17 @@ class TestIntervals:
 _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
            Div: operator.truediv}
 _UFUNC = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+
+
+def _power_by_squaring(x, p):
+    """x ** p from products, the squares taken from the top bit of |p|
+    down, then one reciprocal for p < 0."""
+    out = x ** 0
+    for bit in bin(abs(p))[2:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return 1.0 / out if p < 0 else out
 
 
 def reference_eval(e, v):
@@ -175,7 +187,7 @@ def reference_eval(e, v):
     if isinstance(e, Neg):
         return -reference_eval(e.a, v)
     if isinstance(e, Pow):
-        return reference_eval(e.a, v) ** e.p
+        return _power_by_squaring(reference_eval(e.a, v), e.p)
     if isinstance(e, Fun):
         return _UFUNC[e.name](reference_eval(e.a, v))
     return _BINARY[type(e)](reference_eval(e.a, v), reference_eval(e.b, v))

@@ -295,3 +295,69 @@ class TestNonFiniteDirection:
         sol = solve(prob)
         assert sol.status == "NumericalFailure"
         assert sol.notes == ["step computation failed"]
+
+
+class TestDriverExits:
+    """Each exit of the interior-point driver, with its status and note."""
+
+    def test_iteration_limit(self):
+        # infeasible, so phase 1 is still short of its optimum after one
+        prob = make_problem([([np.zeros((2, 2))], np.eye(2))], [0.0])
+        sol = solve(prob, SolverSettings(max_iterations=1))
+        assert sol.status == "IterationLimit"
+        assert sol.iterations == 1
+        assert sol.notes == []
+
+    def test_unbounded_objective_keeps_phase_one_point(self):
+        # min -y s.t. y >= 0
+        prob = make_problem([([np.eye(1)], np.zeros((1, 1)))], [-1.0])
+        sol = solve(prob)
+        assert sol.status == "Feasible"
+        assert sol.notes == ["objective appears unbounded below"]
+        assert sol.y[0] > 0.0
+
+    def test_factorization_failed(self, monkeypatch):
+        def fail(self, weights, tau_col):
+            raise solver._FactorizationError
+
+        monkeypatch.setattr(solver._SchurPlan, "factor", fail)
+        sol = solve(make_problem([([np.eye(2)], np.eye(2))], [1.0]))
+        assert sol.status == "NumericalFailure"
+        assert sol.notes == ["factorization failed"]
+
+    @pytest.mark.parametrize("cone", ["_LinearCone", "_MatrixCone"])
+    def test_scaling_breakdown(self, cone, monkeypatch):
+        def fail(self, *args):
+            raise np.linalg.LinAlgError
+
+        monkeypatch.setattr(getattr(solver, cone), "__init__", fail)
+        k = 1 if cone == "_LinearCone" else 2
+        sol = solve(make_problem([([np.eye(k)], np.eye(k))], [1.0]))
+        assert sol.status == "NumericalFailure"
+        assert sol.notes == ["scaling breakdown"]
+
+    @pytest.mark.parametrize("passing, side", [(1, "primal"), (2, "dual")])
+    def test_step_stalled_at_the_boundary(self, passing, side, monkeypatch):
+        # the start point's S and then `passing - 1` trial steps are
+        # interior; every later trial step is not
+        calls, factors = [], solver._Segments.factors
+
+        def stalling(self, xs):
+            calls.append(1)
+            return factors(self, xs) if len(calls) <= passing else None
+
+        monkeypatch.setattr(solver._Segments, "factors", stalling)
+        sol = solve(make_problem([([np.eye(2)], np.eye(2))], [1.0]))
+        assert sol.status == "NumericalFailure"
+        assert sol.notes == [f"{side} step stalled at the boundary"]
+        assert len(calls) == passing + 40
+
+
+def test_one_certify_per_returned_y(monkeypatch):
+    # phase 2's cone test and Solution.block_min_eigs share one certify
+    tols, certify_ = [], solver.certify
+    monkeypatch.setattr(solver, "certify", lambda problem, y, tol: (
+        tols.append(tol) or certify_(problem, y, tol)))
+    sol = solve(make_problem([([np.eye(2)], np.eye(2))], [1.0]))
+    assert sol.status == "Optimal"
+    assert tols == [SolverSettings().feas_tol]

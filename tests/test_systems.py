@@ -121,6 +121,41 @@ class TestEval:
             assert np.allclose(batch[i], osc_2d.f(pts[i]))
 
 
+class TestOnePointIsABatchOfOne:
+    @pytest.mark.parametrize("p", range(-3, 8))
+    def test_powers_bit_identical(self, p):
+        # one point, a batch of one, a batch of 10,000 and the oracle's
+        # scalar layout of the kernel give the same bits
+        sys = parse_system(f"dim=1; period=1; f1 = x1^{p}",
+                           check_periodic=False)
+        rng = np.random.default_rng(100 + p)
+        pts = np.column_stack([np.zeros(10000),
+                               rng.uniform(0.1, 3.0, 10000)
+                               * rng.choice([-1.0, 1.0], 10000)])
+        f, J = sys.f_many(pts), sys.jacobian_many(pts)
+        kernel, out = sys.kernel(jacobian=True), np.empty(2)
+        for i, pt in enumerate(pts):
+            one_f, one_J = sys.f(pt), sys.jacobian(pt)
+            assert one_f.tobytes() == sys.f_many(pt[None])[0].tobytes()
+            assert one_J.tobytes() == sys.jacobian_many(pt[None])[0].tobytes()
+            assert one_f.tobytes() == f[i].tobytes()
+            assert one_J.tobytes() == J[i].tobytes()
+            kernel(pt, out)
+            assert out.tobytes() == np.append(f[i], J[i]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (3,)])
+    def test_batch_shape_checked(self, osc_2d, shape):
+        for method in (osc_2d.f_many, osc_2d.jacobian_many):
+            with pytest.raises(DimensionMismatchError):
+                method(np.zeros(shape))
+
+    def test_point_shape_checked(self, osc_2d):
+        for method in (osc_2d.f, osc_2d.jacobian, osc_2d.f_and_jacobian):
+            for point in (np.zeros(2), np.zeros(4), np.zeros((1, 3))):
+                with pytest.raises(DimensionMismatchError):
+                    method(point)
+
+
 class TestJacobian:
     def test_linear_1d_constant(self, linear_1d):
         for point in ([0.0, 0.3], [1.0, -2.0]):

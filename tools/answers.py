@@ -1,0 +1,138 @@
+"""Write the pipeline's answers to OUTDIR and print one SHA-256 per file.
+
+Usage: python3 tools/answers.py OUTDIR
+
+Two checkouts give byte-identical answers when the printed lists of two
+runs, one per checkout, do not `diff`. The files are:
+
+- the SYNTH_1D, SYNTH_2D and SYNTH_3D certificates of
+  `perfbench/workloads.py` at seed 7;
+- recheck-1d's `cmd_verify --out` report, with the lines that `cmd_verify`
+  and `cmd_floquet` print for that SYNTH_1D certificate;
+- the SDPA text and the `Solution` of three small meshes (1-D at K=3,
+  van der Pol at K=2, affine 3-D at K=0) in all four
+  (uniform_cd, objective) modes;
+- the `Solution`s of 12 draws of `random_feasible_problem` from
+  `tests/test_solver.py` (seed 11, every other one with an objective).
+
+Floats are written as `float.hex`, so equal files mean equal bits.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for sub in ("src", "perfbench", "tests"):
+    sys.path.insert(0, os.path.join(ROOT, sub))
+
+import numpy as np  # noqa: E402
+
+from cpacontract import cli  # noqa: E402
+from cpacontract.assembly import assemble, export_sdpa  # noqa: E402
+from cpacontract.solver import solve  # noqa: E402
+from cpacontract.systems import parse_system  # noqa: E402
+from cpacontract.triangulation import build_complex  # noqa: E402
+from test_solver import random_feasible_problem  # noqa: E402
+from workloads import SYNTH_1D, SYNTH_2D, SYNTH_3D, seeded_config  # noqa: E402
+
+SEED = 7
+
+MESHES = {
+    "linear-1d-k3": ("dim=1; period=6.283185307179586; f1 = -x1 + sin(t)",
+                     [[[-2.0, 1.0]]], 3),
+    "vdp-k2": ("dim=2; period=1; f1 = x2; f2 = -x1 - x2*(x1^2 - 1)",
+               [[[-0.5, 0.5], [-0.5, 0.5]]], 2),
+    "affine-3d-k0": ("dim=3; period=1; f1 = -x1; f2 = -2*x2; f3 = -x3",
+                     [[[0.05, 0.95]] * 3], 0),
+}
+
+
+def _hex(a):
+    return [float(v).hex() for v in np.asarray(a, dtype=float).ravel()]
+
+
+def solution_record(sol):
+    ray = sol.dual_ray
+    return {
+        "status": sol.status, "iterations": int(sol.iterations),
+        "notes": [str(n) for n in sol.notes],
+        "objective": float(sol.objective).hex(),
+        "duality_gap": float(sol.duality_gap).hex(),
+        "y": _hex(sol.y), "block_min_eigs": _hex(sol.block_min_eigs),
+        "schur": sol.schur,
+        "dual_ray": None if ray is None else {
+            k: _hex(v) for k, v in sorted(ray.items())},
+    }
+
+
+def write(outdir, name, data):
+    mode = "wb" if isinstance(data, bytes) else "w"
+    with open(os.path.join(outdir, name), mode) as fh:
+        fh.write(data)
+
+
+def write_json(outdir, name, obj):
+    write(outdir, name, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+
+
+def certificates(outdir):
+    for name, config in (("synth-1d", SYNTH_1D), ("synth-2d", SYNTH_2D),
+                         ("synth-3d", SYNTH_3D)):
+        path = os.path.join(outdir, f"{name}.cert.json")
+        cfg = cli.Config.from_dict(seeded_config(config, SEED))
+        cli.cmd_synthesize(cfg, out_path=path, progress=lambda *a: None)
+    cert = os.path.join(outdir, "synth-1d.cert.json")
+    lines = []
+    code = cli.cmd_verify(cert, progress=lines.append,
+                          report_path=os.path.join(outdir,
+                                                   "recheck-1d.report.json"))
+    lines.append(f"cmd_verify exit {code}")
+    code = cli.cmd_floquet(cli.Config.from_dict(seeded_config(SYNTH_1D, SEED)),
+                           cert, progress=lines.append)
+    lines.append(f"cmd_floquet exit {code}")
+    write(outdir, "recheck-1d.lines.txt", "\n".join(lines) + "\n")
+
+
+def meshes(outdir):
+    for name, (text, region, K) in MESHES.items():
+        sys0 = parse_system(text)
+        cx = build_complex(region, sys0.T, K)
+        for uniform in (True, False):
+            for objective in ("none", "min_c"):
+                problem, _ = assemble(cx, sys0, 0.01, uniform_cd=uniform,
+                                      objective=objective)
+                tag = f"{name}-{'uniform' if uniform else 'simplex'}-{objective}"
+                write(outdir, f"{tag}.dat-s", export_sdpa(problem))
+                write_json(outdir, f"{tag}.solution.json",
+                           solution_record(solve(problem)))
+
+
+def random_problems(outdir):
+    rng = np.random.default_rng(11)
+    for i in range(12):
+        problem, _ = random_feasible_problem(rng, with_objective=i % 2 == 1)
+        write_json(outdir, f"random-{i:02d}.solution.json",
+                   solution_record(solve(problem)))
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    outdir = argv[1]
+    os.makedirs(outdir, exist_ok=True)
+    certificates(outdir)
+    meshes(outdir)
+    random_problems(outdir)
+    for name in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, name), "rb") as fh:
+            print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
