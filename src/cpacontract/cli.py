@@ -12,7 +12,7 @@ import argparse
 import json
 import sys as _sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -479,7 +479,7 @@ def main(argv=None):
         if args.command == "synthesize":
             config = load_config(args.config)
             if args.max_k is not None:
-                config = replace(config, k_max=args.max_k)
+                config = Config.from_dict(dict(config.raw, k_max=args.max_k))
             return cmd_synthesize(config, out_path=args.out)[0]
         if args.command == "verify":
             return cmd_verify(args.certificate, args.samples, args.seed,

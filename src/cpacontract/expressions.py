@@ -4,7 +4,9 @@ differentiation, and interval enclosure.
 Variables are indexed 0..n with index 0 reserved for t. `compile_exprs`
 turns a list of trees into one straight-line numpy function, generated
 from the node types (never from the user's text); `values` may be shaped
-(n+1,) for a single point or (n+1, N) for a batch. Interval evaluation
+(n+1,) for a single point or (n+1, N) for a batch. `compile_rk4` emits
+the same trees, by the same emitter, into the oracle's unrolled RK4 loop
+over numpy scalars. Interval evaluation
 takes parallel lower/upper arrays and returns a sound enclosure, widened
 by a relative epsilon inflation instead of directed rounding.
 """
@@ -347,9 +349,9 @@ def _ipow(x, p):
     return half * half * x if p % 2 else half * half
 
 
-def compile_exprs(exprs):
-    """Compile trees into one function `compiled(values, out)` that writes
-    the value of tree j to `out[..., j]`.
+def _emit(exprs, targets, names, env, lines, indent="    "):
+    """Append `target = tree` to `lines` for each pair, reading variable i
+    (t for i = 0) as `names(i)`; constants are bound in `env`.
 
     Each tree becomes one nested expression applying the same operators
     and ufuncs in the same order as a recursive walk, so results are
@@ -360,17 +362,15 @@ def compile_exprs(exprs):
     inf instead of raising; callers own the `np.errstate` and the
     finiteness check.
     """
-    env = dict(Fun._EV, _ipow=_ipow)
-    lines, consts = [], {}
 
     def emit(e):
         """Source text of e and its nesting depth."""
         if isinstance(e, Const):
-            name = consts.setdefault(repr(e.value), f"_c{len(consts)}")
+            name = f"_c{len(env)}"
             env[name] = np.float64(e.value)
             return name, 0
         if isinstance(e, Var):
-            return f"v[{e.index:d}]", 0
+            return names(e.index), 0
         parts = [emit(getattr(e, s)) for s in ("a", "b") if s in e.__slots__]
         a = [text for text, _ in parts]
         if isinstance(e, Neg):
@@ -385,15 +385,78 @@ def compile_exprs(exprs):
             text = f"{a[0]} {e.op} {a[1]}"
         depth = 1 + max(d for _, d in parts)
         if depth > 32:      # stay well inside the parser's nesting limit
-            lines.append(f"    _{len(lines)} = {text}\n")
+            lines.append(f"{indent}_{len(lines)} = {text}\n")
             return f"_{len(lines) - 1}", 0
         return f"({text})", depth
 
-    for j, e in enumerate(exprs):
-        lines.append(f"    out[..., {j}] = {emit(e)[0]}\n")
-    src = "def compiled(v, out):\n" + "".join(lines)
-    exec(compile(src, "<expressions>", "exec"), env)
+    for target, e in zip(targets, exprs):
+        lines.append(f"{indent}{target} = {emit(e)[0]}\n")
+
+
+def compile_exprs(exprs):
+    """Compile trees into one function `compiled(v, out)` that writes the
+    value of tree j to `out[..., j]`, reading variable i as `v[i]` (see
+    `_emit`)."""
+    env, lines = dict(Fun._EV, _ipow=_ipow), ["def compiled(v, out):\n"]
+    _emit(exprs, [f"out[..., {j}]" for j in range(len(exprs))],
+          "v[{}]".format, env, lines)
+    exec(compile("".join(lines), "<expressions>", "exec"), env)
     return env["compiled"]
+
+
+def compile_rk4(f, jac=None):
+    """The classical RK4 loop for x' = f(t, x) as one function `rk4(t0, h,
+    steps, y, record)`, its four stages unrolled; with `jac`, the trees of
+    D_x f, the state is x and then the row-major Phi of Phi' = D_x f Phi.
+
+    Every coordinate, and t, is a numpy float64 scalar, so each stage
+    evaluates f with the bits of `compile_exprs` and `1/0` gives inf
+    (callers own the `np.errstate`). Stage inputs are x + k*c, the new
+    state x + (((k1 + k2*2) + k3*2) + k4)*(h/6). At n >= 2, D_x f Phi is
+    one `np.matmul` per stage, which keeps the bits of its fused products.
+    `record`, unless None, gets each new finite state as a tuple. Returns
+    (done, domain, state): the first step whose new state is non-finite,
+    or `steps`; whether one of its stage evaluations was non-finite; and
+    the state after the last step taken.
+    """
+    n, jac = len(f), list(jac or ())
+    size = n + len(jac)
+    env = dict(Fun._EV, _ipow=_ipow, isfinite=math.isfinite, _f64=np.float64,
+               _mm=np.matmul, _arr=np.array)
+    x, a, new = ([f"{c}{j}" for j in range(size)] for c in "xan")
+    state, evals, body = ", ".join(x) + ",", [], " " * 8
+    lines = ["def rk4(t0, h, steps, y, record):\n",
+             f"    {state} = map(_f64, y)\n", "    t0, h = _f64(t0), _f64(h)\n",
+             "    hh, w = 0.5 * h, h / 6.0\n", "    for i in range(steps):\n",
+             f"{body}t = t0 + i * h\n", f"{body}th, tn = t + hh, t + h\n"]
+
+    def put(*code):
+        lines.extend(f"{body}{line}\n" for line in code)
+
+    for s, (time, c) in enumerate((("t", ""), ("th", "hh"), ("th", "hh"),
+                                   ("tn", "h"))):
+        v, k = a if s else x, [f"k{s}_{j}" for j in range(size)]
+        if s:
+            put(*(f"{a[j]} = {x[j]} + k{s - 1}_{j} * {c}" for j in range(size)))
+        evals += k[:n] + [f"j{s}_{l}" for l in range(len(jac))]
+        _emit(list(f) + jac, evals[-n - len(jac):], ([time] + v).__getitem__,
+              env, lines, body)
+        if jac and n == 1:
+            put(f"{k[1]} = j{s}_0 * {v[1]}")
+        elif jac:
+            put(f"{', '.join(k[n:])}, = _mm(_arr(({', '.join(evals[-n * n:])}"
+                f")).reshape({n}, {n}), _arr(({', '.join(v[n:])})).reshape("
+                f"{n}, {n})).ravel()")
+    put(*(f"{new[j]} = {x[j]} + (k0_{j} + k1_{j} * 2.0 + k2_{j} * 2.0 "
+          f"+ k3_{j}) * w" for j in range(size)),
+        f"if not ({' and '.join(f'isfinite({e})' for e in new)}):",
+        f"    return i, not ({' and '.join(f'isfinite({e})' for e in evals)}"
+        f"), ({', '.join(new)},)",
+        f"{state} = {', '.join(new)},", "if record is not None:",
+        f"    record(({state}))")
+    lines.append(f"    return steps, False, ({state})\n")
+    exec(compile("".join(lines), "<expressions>", "exec"), env)
+    return env["rk4"]
 
 
 FUNCTIONS = ("sin", "cos", "exp")

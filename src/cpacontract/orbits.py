@@ -3,12 +3,11 @@ shooting for the periodic orbit, the monodromy matrix with Floquet
 exponents, and contraction probes of nearby trajectories in a synthesized
 metric.
 
-One RK4 driver, `_RK4`, steps every trajectory here. It evaluates the
-compiled right-hand side into preallocated stage buffers, checks
-finiteness once per step and tells a non-finite evaluation (DomainError)
-from an overflowing step (NonFiniteStateError) by the stage buffers. The
-Newton shooting ends with the monodromy matrix at its converged point, so
-a Floquet check integrates the variational flow once.
+Every trajectory is one run of the system's compiled RK4 loop
+(`SystemDefinition.stepper`), which tells a non-finite evaluation
+(DomainError) from an overflowing step (NonFiniteStateError); a probe is
+two runs. The Newton shooting ends with the monodromy matrix at its
+converged point, so a Floquet check integrates the variational flow once.
 """
 
 from __future__ import annotations
@@ -51,103 +50,48 @@ class FloquetResult:
     exponents: np.ndarray | None = None
 
 
-class _RK4:
-    """Classical fixed-step RK4 from t0 to t1, the one integrator of the
-    oracle. The state has shape (n,), or (m, n) for m trajectories; with
-    `variational`, the row-major fundamental matrix of Phi' = D_x f Phi
-    follows x. Stages evaluate the system's compiled kernel into
-    preallocated buffers in the kernel's own layout, each coordinate a
-    numpy scalar for one trajectory and a row for m; powers are products
-    in either (`compile_exprs`), so the results are those of `f_many` and
-    `jacobian_many` bit for bit.
-    """
-
-    def __init__(self, sys, shape, t0, t1, steps, variational=False):
-        if steps < 1:
-            raise ValueError("steps must be at least 1")
-        n = sys.n
-        size = n + n * n if variational else n
-        self.t0, self.h, self.steps = t0, (t1 - t0) / steps, steps
-        self.kernel = sys.kernel(jacobian=variational)
-        w = np.empty(shape + (1 + size,))          # rows (t, stage input)
-        self.v, self.ys = w.T, w[..., 1:]
-        self.k = np.empty((4,) + shape + (size,))  # stage derivatives
-        self.e = np.empty((4, size)) if variational else self.k  # evaluations
-        self.acc, self.tmp = np.empty((2,) + shape + (size,))
-        self.phi = self.ys[n:].reshape(n, n) if variational else None
-        if variational:
-            self.jac, self.kphi = (a[:, n:].reshape(4, n, n) for a in (self.e, self.k))
-
-    def step(self, t, h, y, out):
-        """One step of size h from (t, y) into `out`, which may be y.
-        Unchecked: the caller owns the errstate and the finiteness check."""
-        mul, add = np.multiply, np.add
-        v, ys, k, e, acc, tmp = self.v, self.ys, self.k, self.e, self.acc, self.tmp
-        hh = 0.5 * h
-        ys[...] = y
-        for s, c in enumerate((0.0, hh, hh, h)):
-            if s:
-                mul(k[s - 1], c, tmp)
-                add(y, tmp, ys)
-            v[:1].fill(t + c if s else t)
-            self.kernel(v, e[s])
-            if self.phi is not None:    # k = (f, D_x f Phi)
-                k[s] = e[s]
-                np.matmul(self.jac[s], self.phi, self.kphi[s])
-        mul(k[1], 2.0, acc)
-        add(k[0], acc, acc)
-        mul(k[2], 2.0, tmp)
-        add(acc, tmp, acc)
-        add(acc, k[3], acc)
-        mul(acc, h / 6.0, acc)
-        add(y, acc, out)
-
-    def run(self, y=None, states=None):
-        """Advance y in place, or states[i] into states[i + 1], step by
-        step; returns the index of the first step whose new state is
-        non-finite (see `failure`), or `steps`."""
-        with np.errstate(all="ignore"):
-            for i in range(self.steps):
-                x, out = (y, y) if states is None else (states[i], states[i + 1])
-                self.step(self.t0 + i * self.h, self.h, x, out)
-                if not np.isfinite(out).all():
-                    return i
-        return self.steps
-
-    def failure(self, i):
-        """The error of step i, whose new state is non-finite. A non-finite
-        stage evaluation always makes the weighted sum non-finite, so the
-        stage buffers tell the two causes apart exactly."""
-        t = self.t0 + (i + 1) * self.h
-        if not np.isfinite(self.e).all():
-            return DomainError(f"non-finite value in f evaluation before t={t}")
-        return NonFiniteStateError(f"state became non-finite at t={t}")
+def _run(sys, t0, t1, steps, y, variational=False, record=False):
+    """The system's compiled RK4 loop from (t0, y) to t1 (`compile_rk4`);
+    returns (done, error, y), error that of step `done` or None and y the
+    last state, or with `record` the (done + 1, n) finite states."""
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    h, rows = (t1 - t0) / steps, list(y) if record else None
+    with np.errstate(all="ignore"):
+        done, domain, y = sys.stepper(variational)(
+            t0, h, steps, y, rows.extend if record else None)
+    t = t0 + (done + 1) * h
+    y = np.array(rows).reshape(-1, sys.n) if record else y
+    if done == steps:
+        return done, None, y
+    if domain:
+        return done, DomainError(f"non-finite value in f evaluation before t={t}"), y
+    return done, NonFiniteStateError(f"state became non-finite at t={t}"), y
 
 
 def integrate(sys, t0, x0, t1, steps):
     """Classical RK4 with fixed step; records a step-doubling error
     estimate on a sparse subset of steps."""
-    rk = _RK4(sys, (), t0, t1, steps)
-    h = rk.h
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    done, error, xs = _run(sys, t0, t1, steps, x0, record=True)
+    h = (t1 - t0) / steps
     ts = t0 + np.arange(steps + 1) * h
-    xs = np.empty((steps + 1, sys.n))
-    xs[0] = np.atleast_1d(np.asarray(x0, dtype=float))
-    done = rk.run(states=xs)
-    failure = rk.failure(done) if done < steps else None
-    max_err = 0.0
+    max_err, half_step = 0.0, sys.stepper()
     # the estimates up to a failed step come first: a non-finite
     # evaluation in any of them is a DomainError
     with np.errstate(all="ignore"):
         for i in range(0, min(done + 1, steps), max(1, steps // 16)):
-            half = xs[i].copy()
+            half = xs[i]
             for sub in range(2):
-                rk.step(ts[i] + sub * 0.5 * h, 0.5 * h, half, half)
-                if not np.isfinite(half).all() and isinstance(
-                        exc := rk.failure(i), DomainError):
-                    raise exc
-            max_err = max(max_err, float(np.max(np.abs(xs[i + 1] - half))) / 15.0)
-    if failure is not None:
-        raise failure
+                _, bad, half = half_step(ts[i] + sub * 0.5 * h, 0.5 * h, 1,
+                                         half, None)
+                if bad:
+                    raise DomainError("non-finite value in f evaluation "
+                                      f"before t={t0 + (i + 1) * h}")
+            if i < done:
+                max_err = max(max_err, float(np.max(np.abs(xs[i + 1] - half))) / 15.0)
+    if error is not None:
+        raise error
     return Trajectory(t=ts, x=xs, steps=steps, max_local_error=max_err)
 
 
@@ -155,11 +99,12 @@ def _flow(sys, x0, steps, variational=False):
     """S_T^x(0, x0) alone, or with `variational` also the fundamental
     matrix of dy = D_x f(t, x(t)) y."""
     n = sys.n
-    rk = _RK4(sys, (), 0.0, sys.T, steps, variational)
     y = np.atleast_1d(np.asarray(x0, dtype=float))
-    y = np.concatenate([y, np.eye(n).ravel()]) if variational else y.copy()
-    if (done := rk.run(y)) < steps:
-        raise rk.failure(done)
+    y = np.concatenate([y, np.eye(n).ravel()]) if variational else y
+    _, error, y = _run(sys, 0.0, sys.T, steps, y, variational)
+    if error is not None:
+        raise error
+    y = np.array(y)
     return (y[:n], y[n:].reshape(n, n)) if variational else y
 
 
@@ -224,30 +169,29 @@ def contraction_probe(cpa, sys, x0, offset, horizon, steps):
     x0 + offset, measured in the CPA metric along the base trajectory.
 
     For a verified metric and small offsets the series is nonincreasing up
-    to integration error. Both trajectories advance as one (2, n) state;
-    the metric is then located and interpolated for all steps at once.
+    to integration error. Each trajectory is one compiled RK4 run; the
+    metric is then located and interpolated for all steps at once.
     Raises LeftDomainError at the first step where the base trajectory is
     outside the triangulated domain, unless integration failed earlier.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    off = np.atleast_1d(np.asarray(offset, dtype=float))
-    n = sys.n
-    rk = _RK4(sys, (2,), 0.0, horizon, steps)
-    states = np.empty((steps + 1, 2, n))
-    states[0] = x0, x0 + off
-    done = rk.run(states=states)
-    failure = rk.failure(done) if done < steps else None
-    states = states[:done + 1]
+    runs = [_run(sys, 0.0, horizon, steps, start, record=True)
+            for start in (x0, x0 + np.asarray(offset, dtype=float))]
+    # the earlier failure wins, and at a shared step a DomainError
+    done, error, _ = min(runs, key=lambda run: (
+        run[0], not isinstance(run[1], DomainError)))
+    base, other = (states[:done + 1] for _, _, states in runs)
     # distances are due before the step that follows them, so a failed
     # step reports first any earlier exit from the domain
-    ts = np.concatenate(([0.0], np.arange(len(states) - 1) * rk.h + rk.h))
-    sids, lam = cpa.complex.locate_many(np.column_stack([ts, states[:, 0]]))
+    h = horizon / steps
+    ts = np.concatenate(([0.0], np.arange(done) * h + h))
+    sids, lam = cpa.complex.locate_many(np.column_stack([ts, base]))
     if np.any(sids < 0):
         t = float(ts[np.argmax(sids < 0)])
         raise LeftDomainError(f"probe left the domain at t={t}")
-    if failure is not None:
-        raise failure
-    M = unpack_symmetric(cpa.interpolate_batch(sids, lam), n)
-    delta = states[:, 1] - states[:, 0]
+    if error is not None:
+        raise error
+    M = unpack_symmetric(cpa.interpolate_batch(sids, lam), sys.n)
+    delta = other - base
     q = (delta[:, None, :] @ M @ delta[:, :, None])[:, 0, 0]
     return np.sqrt(np.maximum(q, 0.0))

@@ -55,8 +55,9 @@ class SystemDefinition:
 
     Immutable after construction; all evaluations are pure. Expression
     trees for the spatial Jacobian and for all second (and, for C3
-    systems, third) partial derivatives are prepared eagerly so that
-    concurrent use needs no locking.
+    systems, third) partial derivatives are prepared eagerly. The RK4
+    steppers of the dynamics oracle are compiled on first use and cached;
+    the build is pure and idempotent, so concurrent use needs no locking.
     """
 
     def __init__(self, n, period, rhs, smoothness="C2", user_bounds=None):
@@ -81,21 +82,15 @@ class SystemDefinition:
             [(i, j, self._d1[l][i].diff(j)) for i in range(n + 1) for j in range(i, n + 1)]
             for l in range(n)
         ]
-        if smoothness == "C3":
-            self._d3 = [
-                [
-                    (i, j, k, d.diff(k))
-                    for (i, j, d) in self._d2[l]
-                    for k in range(j, n + 1)
-                ]
-                for l in range(n)
-            ]
-        else:
-            self._d3 = None
-        jac = [d[j] for d in self._d1 for j in range(1, n + 1)]
+        # third partials, i <= j <= k, for C3 systems only
+        self._d3 = [
+            [(i, j, k, d.diff(k)) for (i, j, d) in table for k in range(j, n + 1)]
+            for table in self._d2
+        ] if smoothness == "C3" else None
+        self._jac = [d[j] for d in self._d1 for j in range(1, n + 1)]
         self._f_code = ex.compile_exprs(self.rhs)
-        self._jac_code = ex.compile_exprs(jac)
-        self._f_jac_code = ex.compile_exprs(list(self.rhs) + jac)
+        self._jac_code = ex.compile_exprs(self._jac)
+        self._steppers = {}
 
     # -- evaluation -------------------------------------------------------
 
@@ -146,17 +141,17 @@ class SystemDefinition:
         return self._finite(out, "Jacobian")
 
     def f_and_jacobian(self, point):
-        """f and D_x f at a single point from one compiled call, with the
-        finiteness checks of `f` and then `jacobian`."""
-        out = self._batch(self._f_jac_code, [point],
-                          (self.n + self.n**2,))[0]
-        return (self._finite(out[:self.n], "f"),
-                self._finite(out[self.n:].reshape(self.n, self.n), "Jacobian"))
+        """f and D_x f at a single point, with the finiteness checks of `f`
+        and then `jacobian`."""
+        return self.f(point), self.jacobian(point)
 
-    def kernel(self, jacobian=False):
-        """The compiled code behind `f` and `f_many`, or with `jacobian`
-        behind `f_and_jacobian`, unchecked (see `compile_exprs`)."""
-        return self._f_jac_code if jacobian else self._f_code
+    def stepper(self, variational=False):
+        """The flow's compiled RK4 loop, with `variational` also of its
+        fundamental matrix (`compile_rk4`); synthesis never builds it."""
+        if variational not in self._steppers:
+            self._steppers[variational] = ex.compile_rk4(
+                self.rhs, self._jac if variational else None)
+        return self._steppers[variational]
 
     # -- derivative bounds ------------------------------------------------
 
@@ -278,13 +273,10 @@ def parse_system(text, check_periodic=True):
     except ValueError:
         raise ExpressionSyntaxError("period must be a number", period_pos) from None
 
-    smoothness = "C2"
-    if "smoothness" in decls:
-        sm_text, sm_pos = decls.pop("smoothness")
-        sm = sm_text.upper()
-        if sm not in ("C2", "C3"):
-            raise ExpressionSyntaxError("smoothness must be c2 or c3", sm_pos)
-        smoothness = sm
+    sm_text, sm_pos = decls.pop("smoothness", ("C2", 0))
+    smoothness = sm_text.upper()
+    if smoothness not in ("C2", "C3"):
+        raise ExpressionSyntaxError("smoothness must be c2 or c3", sm_pos)
 
     user_bounds = None
     if "bound2" in decls or "bound3" in decls:

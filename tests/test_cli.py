@@ -308,6 +308,22 @@ class TestMainEntry:
         path.write_text(json.dumps(LINEAR_CONFIG))
         assert main(["check-complex", "--config", str(path), "--k", "1"]) == 0
 
+    def test_max_k_echoed_in_certificate(self, tmp_path):
+        # the certificate's config echo records the override, and the
+        # certificate verifies; without the flag it echoes the file
+        cfg = dict(LINEAR_CONFIG, k_min=5,
+                   verify={"samples": 5000, "seed": 1, "tol": 1e-6})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for flag, k_max in ((["--max-k", "5"], 5), ([], 8)):
+            out = tmp_path / f"cert-{k_max}.json"
+            assert main(["synthesize", "--config", str(path),
+                         "--out", str(out), *flag]) == 0
+            cert = load_certificate(str(out))
+            assert cert["k"] == 5
+            assert cert["config"] == dict(cfg, k_max=k_max)
+            assert main(["verify", str(out)]) == 0
+
     @pytest.mark.parametrize("max_k", ["-3", "3"])
     def test_max_k_below_k_min_is_input_error(self, tmp_path, max_k, capsys):
         # LINEAR_CONFIG has k_min 4; the override takes the config's check

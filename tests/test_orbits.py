@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cpacontract import expressions
 from cpacontract.cpa import CPAMetric, pack_symmetric, unpack_symmetric
 from cpacontract.errors import (
     DomainError,
@@ -173,6 +174,82 @@ class TestContractionProbe:
         with pytest.raises(error) as exc:
             contraction_probe(cpa, sys, [0.0], [1e-3], 1.0, steps)
         assert type(exc.value) is error
+
+
+class TestStepperCache:
+    def test_built_on_first_oracle_use(self, monkeypatch):
+        builds = []
+        build = expressions.compile_rk4
+        monkeypatch.setattr(expressions, "compile_rk4",
+                            lambda *args: builds.append(args) or build(*args))
+        sys = parse_system("dim=1; period=6.283185307179586; "
+                           "f1 = -x1 + sin(t)")
+        sys.f_and_jacobian([0.0, 0.5])
+        assert builds == []
+        first = integrate(sys, 0.0, [0.1], 1.0, 10)
+        second = integrate(sys, 0.0, [0.1], 1.0, 10)
+        assert len(builds) == 1
+        assert np.array_equal(first.x, second.x)
+        monodromy(sys, FloquetResult(np.zeros(1), 0.0), steps=10)
+        assert len(builds) == 2 and builds[1][1] is not None
+
+
+class TestScalarLayoutNegativeControls:
+    """Every coordinate and t are numpy scalars in the compiled RK4 loop,
+    so a singular or overflowing f is a DomainError, never a Python
+    ZeroDivisionError or OverflowError."""
+
+    @pytest.mark.parametrize("text, steps", [
+        ("f1 = x1 + t/t", 1), ("f1 = x1 + t/t", 100),
+        ("f1 = x1 + 1/t", 1), ("f1 = x1 + 1/t", 100),
+        # exp(1000) overflows at the last stage of the only step
+        ("f1 = x1 + exp(1000*t)", 1),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_entry_point(self, text, steps):
+        sys = parse_system("dim=1; period=1; " + text, check_periodic=False)
+        cpa = CPAMetric.constant(build_complex([[[-1.0, 1.0]]], 1.0, 1),
+                                 np.eye(1))
+        calls = [
+            lambda: integrate(sys, 0.0, [0.0], 1.0, steps),
+            lambda: monodromy(sys, FloquetResult(np.zeros(1), 0.0),
+                              steps=steps),
+            lambda: contraction_probe(cpa, sys, [0.0], [1e-3], 1.0, steps),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert type(exc.value) is DomainError
+
+
+class TestProbeTrajectoriesDiverge:
+    """The base and offset trajectories are two runs; the earlier failure
+    wins, and any exit of the base from the domain before it."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_only_offset_fails(self):
+        # the offset starts on the pole; the base moves away from it
+        sys = parse_system("dim=1; period=1; f1 = 1/(x1 - 0.001)",
+                           check_periodic=False)
+        integrate(sys, 0.0, [0.0], 1.0, 100)
+        cpa = CPAMetric.constant(build_complex([[[-1.0, 1.0]]], 1.0, 1),
+                                 np.eye(1))
+        with pytest.raises(DomainError,
+                           match=r"before t=0\.01$") as exc:
+            contraction_probe(cpa, sys, [0.0], [1e-3], 1.0, 100)
+        assert type(exc.value) is DomainError
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_base_leaves_before_offset_overflows(self):
+        # x' = x^3 blows up at t = 1/(2 x0^2): 0.22 for the offset, 0.62
+        # for the base, which leaves [-1, 1] at t = 0.12
+        sys = parse_system("dim=1; period=1; f1 = x1^3", check_periodic=False)
+        with pytest.raises((DomainError, NonFiniteStateError)):
+            integrate(sys, 0.0, [1.5], 0.5, 50)
+        cpa = CPAMetric.constant(build_complex([[[-1.0, 1.0]]], 1.0, 1),
+                                 np.eye(1))
+        with pytest.raises(LeftDomainError, match=r"at t=0\.12$"):
+            contraction_probe(cpa, sys, [0.9], [0.6], 0.5, 50)
 
 
 class TestStepsValidated:

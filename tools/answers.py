@@ -13,7 +13,11 @@ runs, one per checkout, do not `diff`. The files are:
   van der Pol at K=2, affine 3-D at K=0) in all four
   (uniform_cd, objective) modes;
 - the `Solution`s of 12 draws of `random_feasible_problem` from
-  `tests/test_solver.py` (seed 11, every other one with an objective).
+  `tests/test_solver.py` (seed 11, every other one with an objective);
+- the dynamics oracle: recheck-1d's 20 seeded contraction probe series,
+  `find_periodic_orbit`'s x*, monodromy matrix and exponents for the
+  three systems of `tests/test_orbits.py::TestRecordedValues.test_floquet`
+  and the SYNTH_3D system, and one `integrate` trajectory.
 
 Floats are written as `float.hex`, so equal files mean equal bits.
 """
@@ -24,6 +28,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for sub in ("src", "perfbench", "tests"):
@@ -32,12 +37,20 @@ for sub in ("src", "perfbench", "tests"):
 import numpy as np  # noqa: E402
 
 from cpacontract import cli  # noqa: E402
+from cpacontract import orbits  # noqa: E402
 from cpacontract.assembly import assemble, export_sdpa  # noqa: E402
 from cpacontract.solver import solve  # noqa: E402
 from cpacontract.systems import parse_system  # noqa: E402
 from cpacontract.triangulation import build_complex  # noqa: E402
 from test_solver import random_feasible_problem  # noqa: E402
-from workloads import SYNTH_1D, SYNTH_2D, SYNTH_3D, seeded_config  # noqa: E402
+from workloads import (  # noqa: E402
+    PROBE_STEPS,
+    SYNTH_1D,
+    SYNTH_2D,
+    SYNTH_3D,
+    WORKLOADS,
+    seeded_config,
+)
 
 SEED = 7
 
@@ -49,6 +62,17 @@ MESHES = {
     "affine-3d-k0": ("dim=3; period=1; f1 = -x1; f2 = -2*x2; f3 = -x3",
                      [[[0.05, 0.95]] * 3], 0),
 }
+
+# the systems of tests/test_orbits.py::TestRecordedValues.test_floquet, and
+# SYNTH_3D's
+FLOQUET_SYSTEMS = (
+    "dim=1; period=6.283185307179586; f1 = -x1 - x1^3 + sin(t)",
+    "dim=2; period=6.283185307179586; f1 = x2; "
+    "f2 = -x1 - x2 - x1^3 + 0.5*cos(t)",
+    "dim=2; period=6.283185307179586; f1 = -x1 + x2/(2 + x1^2); "
+    "f2 = -2*x2 + exp(-x1^2)*sin(t)",
+    SYNTH_3D["system"],
+)
 
 
 def _hex(a):
@@ -119,6 +143,29 @@ def random_problems(outdir):
                    solution_record(solve(problem)))
 
 
+def oracle(outdir):
+    record = {"probes": [], "orbits": []}
+    with tempfile.TemporaryDirectory() as workdir:
+        state = WORKLOADS["recheck-1d"].setup(SEED, workdir)
+        _, sys0, _, cpa = cli.rebuild_from_certificate(
+            cli.load_certificate(state["path"]))
+        for x0, off in state["probes"]:
+            d = orbits.contraction_probe(cpa, sys0, [x0], [off], sys0.T,
+                                         PROBE_STEPS)
+            record["probes"].append(_hex(d))
+    for text in FLOQUET_SYSTEMS:
+        sys1 = parse_system(text)
+        res = orbits.find_periodic_orbit(sys1, np.zeros(sys1.n), steps=1024)
+        record["orbits"].append({
+            "x_star": _hex(res.x_star), "residual": _hex(res.residual),
+            "monodromy": _hex(res.monodromy), "exponents": _hex(res.exponents)})
+    sys2 = parse_system(FLOQUET_SYSTEMS[1])
+    traj = orbits.integrate(sys2, 0.0, [0.1, 0.2], sys2.T, 1000)
+    record["integrate"] = {"t": _hex(traj.t), "x": _hex(traj.x),
+                           "max_local_error": _hex(traj.max_local_error)}
+    write_json(outdir, "oracle.json", record)
+
+
 def main(argv):
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -128,6 +175,7 @@ def main(argv):
     certificates(outdir)
     meshes(outdir)
     random_problems(outdir)
+    oracle(outdir)
     for name in sorted(os.listdir(outdir)):
         with open(os.path.join(outdir, name), "rb") as fh:
             print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
