@@ -349,9 +349,19 @@ def _ipow(x, p):
     return half * half * x if p % 2 else half * half
 
 
-def _emit(exprs, targets, names, env, lines, indent="    "):
+def _variables(e):
+    """Indices of the variables that tree e reads."""
+    if isinstance(e, Var):
+        return {e.index}
+    return set().union(*(_variables(getattr(e, s)) for s in ("a", "b")
+                         if s in e.__slots__))
+
+
+def _emit(exprs, targets, names, env, lines, indent="    ", shared=None):
     """Append `target = tree` to `lines` for each pair, reading variable i
-    (t for i = 0) as `names(i)`; constants are bound in `env`.
+    (t for i = 0) as `names(i)`; constants are bound in `env`. With a dict
+    `shared`, each subtree that reads t alone is assigned once to a name
+    kept there, and later emissions with the same dict read that name.
 
     Each tree becomes one nested expression applying the same operators
     and ufuncs in the same order as a recursive walk, so results are
@@ -363,15 +373,22 @@ def _emit(exprs, targets, names, env, lines, indent="    "):
     finiteness check.
     """
 
-    def emit(e):
+    def emit(e, share=shared is not None):
         """Source text of e and its nesting depth."""
+        if share and not isinstance(e, Var) and _variables(e) == {0}:
+            key = str(e)
+            if key not in shared:
+                shared[key] = f"_t{len(shared)}"
+                lines.append(f"{indent}{shared[key]} = {emit(e, False)[0]}\n")
+            return shared[key], 0
         if isinstance(e, Const):
             name = f"_c{len(env)}"
             env[name] = np.float64(e.value)
             return name, 0
         if isinstance(e, Var):
             return names(e.index), 0
-        parts = [emit(getattr(e, s)) for s in ("a", "b") if s in e.__slots__]
+        parts = [emit(getattr(e, s), share) for s in ("a", "b")
+                 if s in e.__slots__]
         a = [text for text, _ in parts]
         if isinstance(e, Neg):
             text = f"-{a[0]}"
@@ -414,6 +431,8 @@ def compile_rk4(f, jac=None):
     (callers own the `np.errstate`). Stage inputs are x + k*c, the new
     state x + (((k1 + k2*2) + k3*2) + k4)*(h/6). At n >= 2, D_x f Phi is
     one `np.matmul` per stage, which keeps the bits of its fused products.
+    Stages 2 and 3 both run at t + h/2, so each subtree that reads t alone
+    is evaluated once per step for both.
     `record`, unless None, gets each new finite state as a tuple. Returns
     (done, domain, state): the first step whose new state is non-finite,
     or `steps`; whether one of its stage evaluations was non-finite; and
@@ -424,7 +443,7 @@ def compile_rk4(f, jac=None):
     env = dict(Fun._EV, _ipow=_ipow, isfinite=math.isfinite, _f64=np.float64,
                _mm=np.matmul, _arr=np.array)
     x, a, new = ([f"{c}{j}" for j in range(size)] for c in "xan")
-    state, evals, body = ", ".join(x) + ",", [], " " * 8
+    state, evals, body, at_th = ", ".join(x) + ",", [], " " * 8, {}
     lines = ["def rk4(t0, h, steps, y, record):\n",
              f"    {state} = map(_f64, y)\n", "    t0, h = _f64(t0), _f64(h)\n",
              "    hh, w = 0.5 * h, h / 6.0\n", "    for i in range(steps):\n",
@@ -440,7 +459,7 @@ def compile_rk4(f, jac=None):
             put(*(f"{a[j]} = {x[j]} + k{s - 1}_{j} * {c}" for j in range(size)))
         evals += k[:n] + [f"j{s}_{l}" for l in range(len(jac))]
         _emit(list(f) + jac, evals[-n - len(jac):], ([time] + v).__getitem__,
-              env, lines, body)
+              env, lines, body, at_th if time == "th" else None)
         if jac and n == 1:
             put(f"{k[1]} = j{s}_0 * {v[1]}")
         elif jac:

@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DisconnectedRegionError,
@@ -368,8 +367,10 @@ def build_complex(region, T, K, scaling=None, selection_margin=1e-12):
 
     `region` is a list of boxes in x (each a list of [lo, hi] pairs with
     connected-interior union). Keeps the simplices whose interior meets
-    the region interior; the test is exact (vertex membership fast path,
-    then a small LP on barycentric coordinates per region box).
+    the region interior by more than `selection_margin` times the
+    coordinate scale: those in a cell inside a box, those with a vertex
+    or the centroid strictly inside a box, then those whose margin in
+    some box, which `_box_margin` gives in closed form, exceeds it.
     """
     boxes = normalize_region(region)
     n = boxes[0].shape[0]
@@ -439,14 +440,10 @@ def build_complex(region, T, K, scaling=None, selection_margin=1e-12):
             keep[pending[vin | cin]] = True
         pending = np.nonzero(~keep)[0]
     scale = max(1.0, float(np.max(np.abs(x_real))) if x_real.size else 1.0)
-    for idx in pending:
-        pts = x_real[idx]
-        for b in boxes:
-            if np.any(pts.max(axis=0) <= b[:, 0]) or np.any(pts.min(axis=0) >= b[:, 1]):
-                continue
-            if _meets_box_interior(pts, b, selection_margin * scale):
-                keep[idx] = True
-                break
+    on = patt_rep[pending, :, 1:].sum(axis=1)  # earlier turn-on, more ones
+    for b in boxes:
+        keep[pending] |= _box_margin(cell_rep[pending], on, sizes[1:],
+                                     b) > selection_margin * scale
     if not np.any(keep):
         raise EmptySelectionError("no simplex meets the region interior")
 
@@ -519,26 +516,27 @@ def build_complex(region, T, K, scaling=None, selection_margin=1e-12):
     return cx
 
 
-def _meets_box_interior(points, box, margin):
-    """Exact test whether co(points) meets the open box: maximize the
-    margin delta with lo + delta <= sum(lam p) <= hi - delta over the
-    barycentric simplex."""
-    m, n = points.shape
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    a_ub = np.zeros((2 * n, m + 1))
-    b_ub = np.zeros(2 * n)
-    a_ub[:n, :m] = points.T
-    a_ub[:n, -1] = 1.0
-    b_ub[:n] = box[:, 1]
-    a_ub[n:, :m] = -points.T
-    a_ub[n:, -1] = 1.0
-    b_ub[n:] = -box[:, 0]
-    a_eq = np.zeros((1, m + 1))
-    a_eq[0, :m] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * m + [(0, None)], method="highs")
-    return res.status == 0 and res.x is not None and res.x[-1] > margin
+def _box_margin(cells, on, sizes, box):
+    """Largest delta such that the x-projection of each Kuhn simplex meets
+    the box shrunk by delta on every side, [lo + delta, hi - delta].
+
+    A simplex is given by its x-cell and `on`, (P, n): the number of its
+    vertices at which each x-coordinate is on. Its projection is the
+    cell's order simplex: in local coordinates u in [0, 1]^n, reflected
+    where the cell is negative, u_i >= u_j whenever coordinate i turns on
+    no later than j. With the box at alpha <= u <= beta, the ordered
+    chain of intervals [alpha + delta/s, beta - delta/s], cut to [0, 1],
+    is nonempty iff no lower end exceeds an upper end at or before it.
+    """
+    cell_lo, cell_hi = cells * sizes, (cells + 1) * sizes
+    neg = cells < 0
+    alpha = np.where(neg, cell_hi - box[:, 1], box[:, 0] - cell_lo) / sizes
+    beta = np.where(neg, cell_hi - box[:, 0], box[:, 1] - cell_lo) / sizes
+    pair = (beta[:, :, None] - alpha[:, None, :]) / (
+        1.0 / sizes[:, None] + 1.0 / sizes[None, :])
+    pair = np.where(on[:, :, None] >= on[:, None, :], pair, np.inf)
+    ends = np.minimum(cell_hi - box[:, 0], box[:, 1] - cell_lo)
+    return np.minimum(pair.min(axis=(1, 2)), ends.min(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +618,10 @@ def _candidate_pairs(cx):
 def check_face_property(vertex_coords, simplices):
     """Standalone face-to-face check for hand-built simplex sets.
 
-    Returns the list of violating index pairs. All-pairs with a bounding
-    box prefilter; intended for small inputs.
+    Returns the index pairs (i, j), i < j, that violate the face property.
+    Every pair whose bounding boxes meet goes through the vertex
+    enumeration of `_pair_violates_face_property`; intended for small
+    inputs.
     """
     verts = np.asarray(vertex_coords, dtype=float)
     simp = np.asarray(simplices, dtype=int)
@@ -643,9 +643,12 @@ def _pair_violates_face_property(va, vb):
     of their shared vertices.
 
     Coordinates where the two bounding boxes merely touch pin the
-    intersection to a hyperplane; the remaining free coordinates feed a
-    joint barycentric feasibility problem whose basic solutions enumerate
-    the vertices of the intersection polytope.
+    intersection to a hyperplane; the remaining free coordinates give the
+    joint barycentric system E z = rhs, z >= 0, of the common points. The
+    vertices of that polytope are the nonnegative basic solutions over a
+    maximal set of independent rows of E (`_independent_rows`), skipping
+    those that miss a dependent row, which then shows E z = rhs to be
+    inconsistent; a violation is one with weight on an unshared vertex.
     """
     scale = max(1.0, float(np.max(np.abs(va))), float(np.max(np.abs(vb))))
     mtol = 1e-9 * scale
@@ -676,67 +679,45 @@ def _pair_violates_face_property(va, vb):
     if not keep_a.any() or not keep_b.any():
         return False
 
-    ia = np.nonzero(keep_a)[0]
-    ib = np.nonzero(keep_b)[0]
+    ia, ib = np.nonzero(keep_a)[0], np.nonzero(keep_b)[0]
     if shared_a[ia].all() and shared_b[ib].all():
         # both restrictions consist purely of common vertices, so the
         # intersection is exactly their (equal) convex hull
         return False
-    pa = va[ia][:, free] if free else va[ia][:, :0]
-    pb = vb[ib][:, free] if free else vb[ib][:, :0]
-
-    if not free:
-        # intersection is a single point; fine iff it is a shared vertex
-        return not (shared_a[ia].all() and shared_b[ib].all())
-
     p, q = len(ia), len(ib)
-    d = len(free)
-    E = np.zeros((d + 2, p + q))
-    E[0, :p] = 1.0
-    E[1, p:] = 1.0
-    E[2:, :p] = pa.T
-    E[2:, p:] = -pb.T
-    rhs = np.zeros(d + 2)
-    rhs[0] = rhs[1] = 1.0
+    E = np.zeros((len(free) + 2, p + q))
+    E[0, :p] = E[1, p:] = 1.0
+    E[2:, :p], E[2:, p:] = va[ia][:, free].T, -vb[ib][:, free].T
+    rhs = np.r_[1.0, 1.0, np.zeros(len(free))]
+    unshared = ~np.concatenate([shared_a[ia], shared_b[ib]])
 
-    r = d + 2
-    if p + q < r:
-        return False  # not enough vertices to meet in the free space
+    rows = _independent_rows(E)
+    E_dep, rhs_dep = np.delete(E, rows, axis=0), np.delete(rhs, rows)
+    E, rhs = E[rows], rhs[rows]
     wtol = 1e-7
-    found_basis = False
-    for cols in itertools.combinations(range(p + q), r):
+    for cols in itertools.combinations(range(p + q), len(rows)):
         sub = E[:, cols]
-        det = np.linalg.det(sub)
-        if abs(det) <= 1e-10:
+        if abs(np.linalg.det(sub)) <= 1e-10:
             continue
-        found_basis = True
         z = np.linalg.solve(sub, rhs)
         if z.min() < -wtol:
             continue
         full = np.zeros(p + q)
         full[list(cols)] = z
-        bad_a = np.any((full[:p] > wtol) & ~shared_a[ia])
-        bad_b = np.any((full[p:] > wtol) & ~shared_b[ib])
-        if bad_a or bad_b:
-            return True
-    if not found_basis:
-        return _face_check_lp_fallback(E, rhs, p, q, shared_a[ia], shared_b[ib])
-    return False
-
-
-def _face_check_lp_fallback(E, rhs, p, q, shared_a, shared_b):
-    """Degenerate geometry: maximize each non-shared weight by LP."""
-    for k in range(p + q):
-        is_shared = shared_a[k] if k < p else shared_b[k - p]
-        if is_shared:
+        if np.abs(E_dep @ full - rhs_dep).max(initial=0.0) > mtol:
             continue
-        c = np.zeros(p + q)
-        c[k] = -1.0
-        res = linprog(c, A_eq=E, b_eq=rhs, bounds=[(0, None)] * (p + q),
-                      method="highs")
-        if res.status == 0 and res.x is not None and res.x[k] > 1e-7:
+        if np.any((full > wtol) & unshared):
             return True
     return False
+
+
+def _independent_rows(E):
+    """Ascending indices of a maximal set of linearly independent rows."""
+    rows = []
+    for i in range(len(E)):
+        if np.linalg.matrix_rank(E[rows + [i]]) > len(rows):
+            rows.append(i)
+    return rows
 
 
 def _region_sample_points(cx, budget, rng):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -332,3 +335,19 @@ class TestMainEntry:
         assert main(["synthesize", "--config", str(path),
                      "--max-k", max_k]) == 3
         assert "k_min" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_no_scipy_optimize(self):
+        # every entry point loads numpy, scipy.sparse and scipy.linalg only
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        code = ("import sys, cpacontract, cpacontract.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy.optimize')))")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [src, os.environ.get("PYTHONPATH", "")])))
+        assert out.stdout.strip() == "[]"

@@ -194,6 +194,35 @@ class TestStepperCache:
         assert len(builds) == 2 and builds[1][1] is not None
 
 
+class TestMidpointTimeShared:
+    """Stages 2 and 3 of the generated RK4 loop run at the same time
+    t + h/2 and evaluate each subtree that reads t alone once."""
+
+    @staticmethod
+    def _source(monkeypatch, text, variational):
+        sources = []
+        build = compile
+        monkeypatch.setattr(expressions, "compile",
+                            lambda src, *args: sources.append(src)
+                            or build(src, *args), raising=False)
+        parse_system(text).stepper(variational)
+        return sources[-1]
+
+    def test_criterion_1_sin_calls_per_step(self, monkeypatch):
+        # one loop body is one step: stages at t, t + h/2 (twice), t + h
+        src = self._source(monkeypatch, "dim=1; period=6.283185307179586; "
+                           "f1 = -x1 + sin(t)", False)
+        assert src.count("sin(") == 3
+
+    def test_shared_by_f_and_jacobian(self, monkeypatch):
+        # d f2 / d x1 reads sin(t) too: 2 + 1 + 2 evaluations, not 2 * 4
+        src = self._source(monkeypatch, "dim=2; period=6.283185307179586; "
+                           "f1 = -x1 + x2/(2 + x1^2); "
+                           "f2 = -2*x2 + exp(-x1^2)*sin(t)", True)
+        assert src.count("sin(") == 5
+        assert src.count("exp(") == 8   # reads x1: once per stage and tree
+
+
 class TestScalarLayoutNegativeControls:
     """Every coordinate and t are numpy scalars in the compiled RK4 loop,
     so a singular or overflowing f is a DomainError, never a Python

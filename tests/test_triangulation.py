@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from cpacontract import triangulation
 from cpacontract.errors import (
     DisconnectedRegionError,
     OutsideDomainError,
@@ -10,6 +13,9 @@ from cpacontract.errors import (
 )
 from cpacontract.triangulation import (
     ScalingMatrix,
+    _box_margin,
+    _pair_violates_face_property,
+    _permutation_patterns,
     build_complex,
     check_complex,
     check_face_property,
@@ -264,3 +270,188 @@ class TestValidation:
         cx = build_complex([[[-1.0, 0.5]]], 1.0, 2)
         report = check_complex(cx)
         assert report.cover_ok
+
+
+def _lp_margin(points, box):
+    """Reference for `_box_margin`: the largest delta with a convex
+    combination of `points` in [lo + delta, hi - delta], by HiGHS."""
+    m, n = points.shape
+    a_ub = np.block([[points.T, np.ones((n, 1))],
+                     [-points.T, np.ones((n, 1))]])
+    res = linprog(np.append(np.zeros(m), -1.0), A_ub=a_ub,
+                  b_ub=np.concatenate([box[:, 1], -box[:, 0]]),
+                  A_eq=np.append(np.ones(m), 0.0)[None], b_eq=[1.0],
+                  bounds=[(0, None)] * m + [(None, None)], method="highs")
+    assert res.status == 0
+    return res.x[-1]
+
+
+def _kuhn_x_vertices(cell, patt, sizes):
+    """x-coordinates of the Kuhn simplex of pattern `patt` in `cell`,
+    reflected where the cell is negative, as `build_complex` makes them."""
+    x = patt[:, 1:]
+    return np.where(cell >= 0, cell + x, cell + 1 - x) * sizes
+
+
+class TestClosedFormSelection:
+    """`_box_margin` against a linear program over barycentric weights,
+    and the kept simplices of the meshes whose selection needs it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_margin_matches_lp(self, n):
+        rng = np.random.default_rng(100 + n)
+        _, patts = _permutation_patterns(n)
+        verdicts = set()
+        for _ in range(150):
+            cell = rng.integers(-4, 4, n)
+            patt = patts[rng.integers(len(patts))]
+            sizes = 2.0 ** -rng.integers(0, 4) * rng.uniform(0.5, 1.5, n)
+            lo = (cell + rng.uniform(-0.6, 1.2, n)) * sizes
+            hi = lo + rng.uniform(0.05, 1.5, n) * sizes
+            if rng.random() < 0.3:      # box edges on cell facets
+                lo = np.where(rng.random(n) < 0.5, cell * sizes, lo)
+                hi = np.maximum(hi, lo + sizes)
+            box = np.column_stack([lo, hi])
+            pts = _kuhn_x_vertices(cell, patt, sizes)
+            scale = max(1.0, np.abs(pts).max(), np.abs(box).max())
+            on = patt[None, :, 1:].sum(axis=1)
+            delta = _box_margin(cell[None], on, sizes, box)[0]
+            ref = _lp_margin(pts, box)
+            assert abs(delta - ref) <= 1e-12 * scale, (cell, patt, box)
+            margin = 1e-12 * scale
+            assert (delta > margin) == (ref > margin)
+            verdicts.add(bool(delta > margin))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("region, T, K, spatial", [
+        ([[[0.0, 0.5]] * n], 1.0, K, [s] * n)
+        for n in (1, 2) for K in range(3) for s in (1.0, 0.7)
+    ] + [([[[0.4, 0.45]]], 6.283185307179586, 4, [1.0])])
+    def test_kept_sets_match_lp_selection(self, region, T, K, spatial):
+        # the meshes of test_diameter_bound_exact and test_cli.py's
+        # test_empty_selection: every simplex of a cell whose closure meets
+        # the region is kept iff the LP margin in some box exceeds the
+        # selection margin
+        cx = build_complex(region, T, K, ScalingMatrix.from_spatial(spatial))
+        boxes, sizes = [np.array(b) for b in region], cx.cell_sizes[1:]
+        lo = np.min([b[:, 0] for b in boxes], axis=0) / sizes
+        hi = np.max([b[:, 1] for b in boxes], axis=0) / sizes
+        ranges = [range(int(np.floor(a)) - 1, int(np.ceil(b)) + 2)
+                  for a, b in zip(lo, hi)]
+        cells = [np.array(c) for c in itertools.product(*ranges)
+                 if any(np.all((np.array(c) * sizes <= b[:, 1])
+                               & ((np.array(c) + 1) * sizes >= b[:, 0]))
+                        for b in boxes)]
+        corners = np.array(cells)
+        scale = max(1.0, np.abs(corners * sizes).max(),
+                    np.abs((corners + 1) * sizes).max())
+        _, patts = _permutation_patterns(cx.n)
+        expect = {(*c, p) for c in cells for p, patt in enumerate(patts)
+                  if max(_lp_margin(_kuhn_x_vertices(c, patt, sizes), b)
+                         for b in boxes) > 1e-12 * scale}
+        slab0 = cx.simp_gen[cx.simp_gen[:, 0] == 0, 1:]
+        assert {tuple(int(v) for v in g) for g in slab0} == expect
+
+
+def _lp_face_violation(va, vb):
+    """Reference for the face property: some common point of co(va) and
+    co(vb) puts weight above 1e-7 on a vertex the two do not share. One
+    linear program maximizes the unshared weight over every pair of
+    barycentric weights that names a common point."""
+    def shared(u, w):
+        return np.array([np.abs(w - x).max(axis=1).min() <= 1e-9 for x in u])
+
+    p, q = len(va), len(vb)
+    a_eq = np.zeros((va.shape[1] + 2, p + q))
+    a_eq[0, :p] = a_eq[1, p:] = 1.0
+    a_eq[2:, :p], a_eq[2:, p:] = va.T, -vb.T
+    unshared = ~np.concatenate([shared(va, vb), shared(vb, va)])
+    res = linprog(-unshared.astype(float), A_eq=a_eq,
+                  b_eq=np.r_[1.0, 1.0, np.zeros(va.shape[1])],
+                  bounds=[(0, None)] * (p + q), method="highs")
+    return res.status == 0 and -res.fun > 1e-7
+
+
+class TestFaceCheckRankDeficient:
+    """Pairs whose joint barycentric system has dependent rows: the
+    restrictions to the plane where the bounding boxes touch, or the
+    simplices themselves, lie in a common tilted subspace."""
+
+    # two tetrahedra on either side of t = 0 that touch it in an edge
+    # each, both on the diagonal x1 = x2, overlapping from (1, 1) to (2, 2)
+    TETRA_A = [[0, 0, 0], [0, 2, 2], [-1, 2, 0], [-1, 0, 2]]
+    TETRA_B = [[0, 1, 1], [0, 3, 3], [1, 3, 1], [1, 1, 3]]
+
+    def test_violation_reported(self):
+        verts = np.array(self.TETRA_A + self.TETRA_B, dtype=float)
+        simplex_geometry(verts.reshape(2, 4, 3))  # raises if one is flat
+        assert check_face_property(verts, [[0, 1, 2, 3], [4, 5, 6, 7]]) \
+            == [(0, 1)]
+        assert _lp_face_violation(verts[:4], verts[4:])
+
+    def test_vertex_inside_an_edge(self):
+        # B touches t = 0 in one vertex, the midpoint of A's edge there:
+        # three points span fewer than the four rows of the system
+        a = [[0, 0, 0], [0, 2, 2], [-1, 2, 0], [-1, 0, 3]]
+        b = [[0, 1, 1], [1, 3, 0], [1, 0, 3], [1, 3, 3]]
+        verts = np.array(a + b, dtype=float)
+        simplex_geometry(verts.reshape(2, 4, 3))  # raises if one is flat
+        assert check_face_property(verts, [[0, 1, 2, 3], [4, 5, 6, 7]]) \
+            == [(0, 1)]
+        assert _lp_face_violation(verts[:4], verts[4:])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_flat_pairs_match_lp(self, dim):
+        # segments on the line x2 = 2 x1 + c in the plane, triangles on
+        # the plane x3 = x1 + x2 + c in space: every pair that meets has a
+        # rank-deficient system, inconsistent when the two c differ
+        rng = np.random.default_rng(dim)
+
+        def lift(u, c):
+            u = np.asarray(u, dtype=float)
+            return np.column_stack([u, 2 * u[:, 0] + c]) if dim == 2 else \
+                np.column_stack([u, u.sum(axis=1) + c])
+
+        verdicts = []
+        while len(verdicts) < 80:
+            u = rng.integers(0, 4, (2 * dim, dim - 1))
+            a, b = lift(u[:dim], 0), lift(u[dim:], rng.random() < 0.25)
+            if dim == 3 and (np.linalg.matrix_rank(a[1:] - a[0]) < 2 or
+                             np.linalg.matrix_rank(b[1:] - b[0]) < 2):
+                continue
+            if dim == 2 and (np.all(a[0] == a[1]) or np.all(b[0] == b[1])):
+                continue
+            verdict = _pair_violates_face_property(a, b)
+            assert verdict == _lp_face_violation(a, b), (a, b)
+            verdicts.append(verdict)
+        assert 10 <= sum(verdicts) <= 70
+
+    def test_pipeline_mesh_matches_lp(self, monkeypatch):
+        # the rank-deficient pairs of the 3-D mesh of test_pipeline_3d.py
+        # all keep the face property
+        cx = build_complex([[[0.05, 0.95]] * 3], 1.0, 0)
+        dropped, calls = [], []
+        rows_of = triangulation._independent_rows
+        check = triangulation._pair_violates_face_property
+
+        def independent_rows(E):
+            rows = rows_of(E)
+            dropped.append(len(rows) < len(E))
+            return rows
+
+        def spy(va, vb):
+            dropped.clear()
+            verdict = check(va, vb)
+            if any(dropped):
+                calls.append((va, vb, verdict))
+            return verdict
+
+        monkeypatch.setattr(triangulation, "_independent_rows",
+                            independent_rows)
+        monkeypatch.setattr(triangulation, "_pair_violates_face_property", spy)
+        report = check_complex(cx)
+        assert report.ok and report.pairs_checked == 852
+        assert len(calls) >= 60
+        for va, vb, verdict in calls:
+            assert not verdict
+            assert not _lp_face_violation(va, vb)

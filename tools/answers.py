@@ -17,7 +17,13 @@ runs, one per checkout, do not `diff`. The files are:
 - the dynamics oracle: recheck-1d's 20 seeded contraction probe series,
   `find_periodic_orbit`'s x*, monodromy matrix and exponents for the
   three systems of `tests/test_orbits.py::TestRecordedValues.test_floquet`
-  and the SYNTH_3D system, and one `integrate` trajectory.
+  and the SYNTH_3D system, and one `integrate` trajectory;
+- the mesh geometry: `simp_gen` and `simp_verts` of the meshes of
+  `tests/test_triangulation.py::TestBuild::test_diameter_bound_exact` and
+  `tests/test_cli.py::TestExportAndCheck::test_empty_selection`, whose
+  region selection needs more than the vertex and centroid tests, and
+  the `check_complex` reports of the 3-D [0.05, 0.95]^3 mesh at K = 0
+  and 1 and of criterion 3's 2-D mesh at K = 2.
 
 Floats are written as `float.hex`, so equal files mean equal bits.
 """
@@ -41,7 +47,11 @@ from cpacontract import orbits  # noqa: E402
 from cpacontract.assembly import assemble, export_sdpa  # noqa: E402
 from cpacontract.solver import solve  # noqa: E402
 from cpacontract.systems import parse_system  # noqa: E402
-from cpacontract.triangulation import build_complex  # noqa: E402
+from cpacontract.triangulation import (  # noqa: E402
+    ScalingMatrix,
+    build_complex,
+    check_complex,
+)
 from test_solver import random_feasible_problem  # noqa: E402
 from workloads import (  # noqa: E402
     PROBE_STEPS,
@@ -73,6 +83,15 @@ FLOQUET_SYSTEMS = (
     "f2 = -2*x2 + exp(-x1^2)*sin(t)",
     SYNTH_3D["system"],
 )
+
+# (region, T, K, spatial scaling) of the meshes whose region selection
+# needs more than the vertex and centroid tests, and the meshes whose
+# face check runs on rank-deficient systems
+SELECTION_MESHES = [([[[0.0, 0.5]] * n], 1.0, K, [s] * n)
+                    for n in (1, 2) for K in range(3) for s in (1.0, 0.7)]
+SELECTION_MESHES.append(([[[0.4, 0.45]]], 6.283185307179586, 4, [1.0]))
+CHECKED_MESHES = [([[[0.05, 0.95]] * 3], 0), ([[[0.05, 0.95]] * 3], 1),
+                  ([[[0.0, 0.25], [0.0, 0.25]]], 2)]
 
 
 def _hex(a):
@@ -166,6 +185,21 @@ def oracle(outdir):
     write_json(outdir, "oracle.json", record)
 
 
+def geometry(outdir):
+    record = {"selection": [], "checks": []}
+    for region, T, K, spatial in SELECTION_MESHES:
+        cx = build_complex(region, T, K, ScalingMatrix.from_spatial(spatial))
+        record["selection"].append({"simp_gen": cx.simp_gen.tolist(),
+                                    "simp_verts": cx.simp_verts.tolist()})
+    for region, K in CHECKED_MESHES:
+        report = check_complex(build_complex(region, 1.0, K))
+        record["checks"].append({
+            "face_violations": report.face_violations,
+            "duplicate_simplices": report.duplicate_simplices,
+            "pairs_checked": report.pairs_checked})
+    write_json(outdir, "geometry.json", record)
+
+
 def main(argv):
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -176,6 +210,7 @@ def main(argv):
     meshes(outdir)
     random_problems(outdir)
     oracle(outdir)
+    geometry(outdir)
     for name in sorted(os.listdir(outdir)):
         with open(os.path.join(outdir, name), "rb") as fh:
             print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
