@@ -3,7 +3,8 @@ until the feasibility problem admits a solution), verify certificates,
 compare against the Floquet oracle, export the SDP, and validate meshes.
 
 Exit codes: 0 success/verified, 1 infeasible at the maximum level,
-2 verification failed, 3 input error, 4 numerical failure.
+2 verification failed, 3 input error or unwritable output, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -326,6 +327,9 @@ def cmd_verify(cert_path, samples=None, seed=None, tol=None, progress=print,
     except (np.linalg.LinAlgError, NonFiniteStateError, FloatingPointError):
         progress("numerical failure during verification")
         return 4
+    except CpaError as exc:
+        progress(f"input error: {exc}")
+        return 3
     if report_path is not None:
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
@@ -495,6 +499,9 @@ def main(argv=None):
             return cmd_check_complex(load_config(args.config), args.k)
     except InputError as exc:
         print(f"input error: {exc}", file=_sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=_sys.stderr)
         return 3
     return 3
 

@@ -22,7 +22,7 @@ from .errors import (
     OutsideSimplexError,
 )
 from .smallmat import eig_min, gen_eig_max
-from .triangulation import barycentric_weights
+from .triangulation import FACE_TOL, barycentric_weights
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,13 +64,13 @@ def sym_basis(n):
     return out
 
 
-def barycentric(simplex, point, tol=1e-9):
+def barycentric(simplex, point):
     """Barycentric weights of `point` in `simplex` (weight 0 first).
 
-    Raises OutsideSimplexError when any weight is below -tol.
+    Raises OutsideSimplexError when any weight is below -FACE_TOL.
     """
     lam = barycentric_weights(simplex.Xinv, simplex.vertices[0], point)
-    if lam.min() < -tol:
+    if lam.min() < -FACE_TOL:
         raise OutsideSimplexError(
             f"point {point} outside simplex {simplex.index} "
             f"(min weight {lam.min():.3e})")
@@ -118,12 +118,12 @@ class CPAMetric:
         vals = pack_symmetric(np.asarray(matrix, dtype=float))
         return cls(cx, np.tile(vals, (cx.n_slots, 1)))
 
-    def eval_metric(self, point, tol=1e-9):
+    def eval_metric(self, point):
         """Interpolated metric at a point of the domain; exact at vertices."""
-        sid, lam = self.complex.locate(point, tol)
+        sid, lam = self.complex.locate(point)
         return unpack_symmetric(self.interpolate_batch([sid], [lam])[0], self.n)
 
-    def _forward_simplex(self, sys, point, tol, zero_tol=1e-9):
+    def _forward_simplex(self, sys, point):
         """(simplex id, barycentric weights, (1, f)) of the first simplex,
         by index, among those containing the point that the flow
         direction (1, f) enters: every active zero weight must be
@@ -131,30 +131,30 @@ class CPAMetric:
         cx = self.complex
         p = np.asarray(point, dtype=float)
         pw = np.concatenate(([cx.wrap_time(p[0])], p[1:]))
-        hits = cx.containing(pw, tol)
+        hits = cx.containing(pw)
         if not hits:
             raise OutsideDomainError(f"point {point} not in the domain")
         ft = np.concatenate(([1.0], sys.f(pw)))
         for sid, lam in hits:
             dlam_rest = cx.Xinv[sid].T @ ft
             dlam = np.concatenate(([-dlam_rest.sum()], dlam_rest))
-            active = lam <= zero_tol
+            active = lam <= FACE_TOL
             if np.all(dlam[active] >= -1e-12):
                 return sid, lam, ft
         raise NoForwardSimplexError(
             f"flow leaves the triangulated domain at {point}; grow the region")
 
-    def orbital_derivative_plus(self, sys, point, tol=1e-9, zero_tol=1e-9):
+    def orbital_derivative_plus(self, sys, point):
         """Forward orbital derivative at an interior point, taken in the
         forward simplex; the value is simplex-independent for qualifying
         simplices."""
-        sid, _, ft = self._forward_simplex(sys, point, tol, zero_tol)
+        sid, _, ft = self._forward_simplex(sys, point)
         return unpack_symmetric(self.W[sid] @ ft, self.n)
 
-    def lm_value(self, sys, point, tol=1e-9):
+    def lm_value(self, sys, point):
         """Contraction functional: half the largest generalized eigenvalue
         of M Dxf + Dxf^T M + M'_+ with respect to M."""
-        sid, lam, _ = self._forward_simplex(sys, point, tol)
+        sid, lam, _ = self._forward_simplex(sys, point)
         _, M, A = self.contraction(sys, [sid], lam[None, None])
         if eig_min(M[0, 0]) <= 0.0:
             raise NotPositiveDefiniteError(

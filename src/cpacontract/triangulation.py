@@ -25,6 +25,14 @@ from .errors import (
 )
 
 _COND_LIMIT = 1e12
+# a barycentric weight within FACE_TOL of zero lies on the face
+FACE_TOL = 1e-9
+# a kept simplex meets a box shrunk by this times the coordinate scale
+_SELECTION_MARGIN = 1e-12
+# the cover check locates this many region points, the random ones drawn
+# from this seed
+_COVER_SAMPLES = 200
+_COVER_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -193,20 +201,10 @@ class Simplex:
         return float(self.complex.h[self.index])
 
     @property
-    def one_norm_inv(self):
-        return float(self.complex.Xinv_1norm[self.index])
-
-    @property
     def B2(self):
         if self.complex.B2 is None:
             return None
         return float(self.complex.B2[self.index])
-
-    @property
-    def B3(self):
-        if self.complex.B3 is None:
-            return None
-        return float(self.complex.B3[self.index])
 
 
 def barycentric_weights(Xinv, v0, point):
@@ -297,8 +295,7 @@ class SimplicialComplex:
 
     def wrap_time(self, t):
         tw = t - self.T * np.floor(t / self.T)
-        return np.where(tw >= self.T, 0.0, tw) if isinstance(tw, np.ndarray) else (
-            0.0 if tw >= self.T else tw)
+        return np.where(tw >= self.T, 0.0, tw)
 
     def _cell_of(self, points):
         """Lattice cell (slab, x-cell..) of points with wrapped t; huge or
@@ -319,7 +316,7 @@ class SimplicialComplex:
         return barycentric_weights(self.Xinv[sids],
                                    self.vert_xyz[self.simp_verts[sids, 0]], points)
 
-    def containing(self, point, tol=1e-9):
+    def containing(self, point):
         """All (simplex id, barycentric weights) containing the point, by
         ascending id; candidates come from its cell and the neighbours."""
         p = np.asarray(point, dtype=float)
@@ -329,9 +326,9 @@ class SimplicialComplex:
         flat = self._flat_cells(q)
         sids = np.unique(_ranges(self._cell_start[flat], self._cell_end[flat]))
         lam = self._weights(sids, p)
-        return [(int(s), w) for s, w in zip(sids, lam) if w.min() >= -tol]
+        return [(int(s), w) for s, w in zip(sids, lam) if w.min() >= -FACE_TOL]
 
-    def locate_many(self, points, tol=1e-9):
+    def locate_many(self, points):
         """Simplex id and barycentric weights for each of N points, shaped
         (N,) and (N, n+2); the id is -1 (zero weights) outside the domain.
 
@@ -346,31 +343,32 @@ class SimplicialComplex:
         valid = sids < end[:, None]
         sids = np.where(valid, sids, 0)
         lam = self._weights(sids, p[:, None, :])
-        hit = valid & (lam.min(axis=-1) >= -tol)
+        hit = valid & (lam.min(axis=-1) >= -FACE_TOL)
         rows, first = np.arange(len(p)), hit.argmax(axis=1)
         out_sid = np.where(hit.any(axis=1), sids[rows, first], -1)
         out_lam = lam[rows, first]
         for i in np.nonzero(out_sid < 0)[0]:
-            hits = self.containing(p[i], tol)
+            hits = self.containing(p[i])
             out_sid[i], out_lam[i] = hits[0] if hits else (-1, 0.0)
         return out_sid, out_lam
 
-    def locate(self, point, tol=1e-9):
-        hits = self.containing(point, tol)
-        if not hits:
+    def locate(self, point):
+        """`locate_many` on a batch of one; raises OutsideDomainError
+        outside the domain."""
+        sids, lam = self.locate_many([point])
+        if sids[0] < 0:
             raise OutsideDomainError(f"point {point} not in the triangulated domain")
-        return hits[0]
+        return int(sids[0]), lam[0]
 
 
-def build_complex(region, T, K, scaling=None, selection_margin=1e-12):
+def build_complex(region, T, K, scaling=None):
     """Construct the level-K triangulation of [0,T) x region.
 
     `region` is a list of boxes in x (each a list of [lo, hi] pairs with
     connected-interior union). Keeps the simplices whose interior meets
-    the region interior by more than `selection_margin` times the
-    coordinate scale: those in a cell inside a box, those with a vertex
-    or the centroid strictly inside a box, then those whose margin in
-    some box, which `_box_margin` gives in closed form, exceeds it.
+    the region interior: those in a cell inside a box, and those whose
+    margin in some box, which `_box_margin` gives in closed form, exceeds
+    `_SELECTION_MARGIN` times the coordinate scale.
     """
     boxes = normalize_region(region)
     n = boxes[0].shape[0]
@@ -427,23 +425,13 @@ def build_complex(region, T, K, scaling=None, selection_margin=1e-12):
     )                                                        # (Nc*P, n+2, n)
 
     # Selection on the x-projection (identical for every slab).
-    x_real = xq * sizes[1:]
     keep = np.repeat(cell_inside, n_perm)
     pending = np.nonzero(~keep)[0]
-    if pending.size:
-        # fast path: any vertex or the centroid strictly inside some box
-        cent = x_real[pending].mean(axis=1)
-        for b in boxes:
-            vin = np.all((x_real[pending] > b[:, 0]) & (x_real[pending] < b[:, 1]),
-                         axis=2).any(axis=1)
-            cin = np.all((cent > b[:, 0]) & (cent < b[:, 1]), axis=1)
-            keep[pending[vin | cin]] = True
-        pending = np.nonzero(~keep)[0]
-    scale = max(1.0, float(np.max(np.abs(x_real))) if x_real.size else 1.0)
+    scale = max(1.0, float(np.max(np.abs(xq * sizes[1:]))))
     on = patt_rep[pending, :, 1:].sum(axis=1)  # earlier turn-on, more ones
     for b in boxes:
         keep[pending] |= _box_margin(cell_rep[pending], on, sizes[1:],
-                                     b) > selection_margin * scale
+                                     b) > _SELECTION_MARGIN * scale
     if not np.any(keep):
         raise EmptySelectionError("no simplex meets the region interior")
 
@@ -543,38 +531,33 @@ def _box_margin(cells, on, sizes, box):
 # Validation
 
 
-def check_complex(cx, cover_samples=200, seed=0):
+def check_complex(cx):
     """Structural validation: face-to-face property, periodic pairing,
     and sampled confirmation that the domain covers the region."""
     report = ValidationReport()
 
     order = np.sort(cx.simp_verts, axis=1)
     _, first, counts = np.unique(order, axis=0, return_index=True, return_counts=True)
-    for idx in first[counts > 1]:
-        report.duplicate_simplices.append(int(idx))
+    report.duplicate_simplices = [int(i) for i in first[counts > 1]]
 
     # Face property is checked on the exact integer lattice coordinates
     # (the real mesh is their image under a positive diagonal scaling,
-    # which preserves convex structure). Identical translation classes
-    # share one verdict.
-    pairs = _candidate_pairs(cx)
+    # which preserves convex structure). Pairs equal up to a lattice
+    # translation form one class and share the verdict of its first pair.
+    pairs = np.array(_candidate_pairs(cx), dtype=np.int64).reshape(-1, 3)
     report.pairs_checked = len(pairs)
-    vq = cx.vert_q
-    cache = {}
-    for i, j, wrap in pairs:
-        qa = vq[cx.simp_verts[i]]
-        qb = vq[cx.simp_verts[j]].copy()
-        if wrap:
-            qb[:, 0] += cx.n_slabs
-        base = np.minimum(qa.min(axis=0), qb.min(axis=0))
-        key = (qa - base).tobytes() + b"|" + (qb - base).tobytes()
-        verdict = cache.get(key)
-        if verdict is None:
-            verdict = _pair_violates_face_property(qa.astype(float),
-                                                   qb.astype(float))
-            cache[key] = verdict
-        if verdict:
-            report.face_violations.append((int(i), int(j)))
+    qa = cx.vert_q[cx.simp_verts[pairs[:, 0]]]
+    qb = cx.vert_q[cx.simp_verts[pairs[:, 1]]]
+    qb[:, :, 0] += pairs[:, 2:] * cx.n_slabs
+    base = np.minimum(qa.min(axis=1), qb.min(axis=1))[:, None]
+    shifted = np.concatenate([qa - base, qb - base], axis=1)
+    _, first, cls = np.unique(shifted.reshape(len(pairs), -1), axis=0,
+                              return_index=True, return_inverse=True)
+    verdict = np.array([_pair_violates_face_property(qa[k].astype(float),
+                                                     qb[k].astype(float))
+                        for k in first], dtype=bool)
+    report.face_violations = [(int(i), int(j))
+                              for i, j, _ in pairs[verdict[cls.ravel()]]]
 
     # periodic pairing: every t=0 vertex needs a t=T twin and vice versa
     n_slabs = cx.n_slabs
@@ -589,9 +572,9 @@ def check_complex(cx, cover_samples=200, seed=0):
         if cx.vert_slot[a] != cx.vert_slot[b]:
             report.unpaired_vertices.append(("slot-mismatch", (a, b)))
 
-    rng = np.random.default_rng(seed)
-    pts = np.asarray(_region_sample_points(cx, cover_samples, rng))
-    sids, _ = cx.locate_many(pts, tol=1e-9)
+    rng = np.random.default_rng(_COVER_SEED)
+    pts = np.asarray(_region_sample_points(cx, _COVER_SAMPLES, rng))
+    sids, _ = cx.locate_many(pts)
     report.cover_failures = [tuple(p) for p in pts[sids < 0]]
     report.cover_ok = not report.cover_failures
     return report
@@ -646,38 +629,27 @@ def _pair_violates_face_property(va, vb):
     intersection to a hyperplane; the remaining free coordinates give the
     joint barycentric system E z = rhs, z >= 0, of the common points. The
     vertices of that polytope are the nonnegative basic solutions over a
-    maximal set of independent rows of E (`_independent_rows`), skipping
-    those that miss a dependent row, which then shows E z = rhs to be
-    inconsistent; a violation is one with weight on an unshared vertex.
+    maximal set of independent rows of E (`_independent_rows`) that also
+    meet the dependent rows; one batched det and solve takes every basis
+    at once. A violation is a vertex with weight on an unshared vertex.
     """
     scale = max(1.0, float(np.max(np.abs(va))), float(np.max(np.abs(vb))))
     mtol = 1e-9 * scale
 
-    shared_a = np.zeros(len(va), dtype=bool)
-    shared_b = np.zeros(len(vb), dtype=bool)
-    for ai in range(len(va)):
-        d = np.max(np.abs(vb - va[ai]), axis=1)
-        hit = np.nonzero(d <= mtol)[0]
-        if hit.size:
-            shared_a[ai] = True
-            shared_b[hit[0]] = True
+    same = np.abs(va[:, None, :] - vb[None, :, :]).max(axis=2) <= mtol
+    shared_a, shared_b = same.any(axis=1), same.any(axis=0)
 
-    keep_a = np.ones(len(va), dtype=bool)
-    keep_b = np.ones(len(vb), dtype=bool)
-    free = []
-    for c in range(va.shape[1]):
-        ov_lo = max(va[:, c].min(), vb[:, c].min())
-        ov_hi = min(va[:, c].max(), vb[:, c].max())
-        if ov_hi < ov_lo - mtol:
-            return False  # disjoint
-        if ov_hi - ov_lo <= mtol:
-            v = 0.5 * (ov_lo + ov_hi)
-            keep_a &= np.abs(va[:, c] - v) <= mtol
-            keep_b &= np.abs(vb[:, c] - v) <= mtol
-        else:
-            free.append(c)
+    ov_lo = np.maximum(va.min(axis=0), vb.min(axis=0))
+    ov_hi = np.minimum(va.max(axis=0), vb.max(axis=0))
+    if np.any(ov_hi < ov_lo - mtol):
+        return False  # disjoint
+    pinned = ov_hi - ov_lo <= mtol
+    mid = 0.5 * (ov_lo + ov_hi)
+    keep_a = np.all(np.abs(va - mid)[:, pinned] <= mtol, axis=1)
+    keep_b = np.all(np.abs(vb - mid)[:, pinned] <= mtol, axis=1)
     if not keep_a.any() or not keep_b.any():
         return False
+    free = np.nonzero(~pinned)[0]
 
     ia, ib = np.nonzero(keep_a)[0], np.nonzero(keep_b)[0]
     if shared_a[ia].all() and shared_b[ib].all():
@@ -694,21 +666,17 @@ def _pair_violates_face_property(va, vb):
     rows = _independent_rows(E)
     E_dep, rhs_dep = np.delete(E, rows, axis=0), np.delete(rhs, rows)
     E, rhs = E[rows], rhs[rows]
+    cols = np.array(list(itertools.combinations(range(p + q), len(rows))))
+    sub = np.moveaxis(E[:, cols], 1, 0)                 # (bases, r, r)
+    basic = np.abs(np.linalg.det(sub)) > 1e-10
+    cols, sub = cols[basic], sub[basic]
+    z = np.linalg.solve(sub, np.broadcast_to(rhs[:, None], sub.shape[:2] + (1,)))[..., 0]
+    full = np.zeros((len(cols), p + q))
+    np.put_along_axis(full, cols, z, axis=1)
     wtol = 1e-7
-    for cols in itertools.combinations(range(p + q), len(rows)):
-        sub = E[:, cols]
-        if abs(np.linalg.det(sub)) <= 1e-10:
-            continue
-        z = np.linalg.solve(sub, rhs)
-        if z.min() < -wtol:
-            continue
-        full = np.zeros(p + q)
-        full[list(cols)] = z
-        if np.abs(E_dep @ full - rhs_dep).max(initial=0.0) > mtol:
-            continue
-        if np.any((full > wtol) & unshared):
-            return True
-    return False
+    feasible = (z.min(axis=1) >= -wtol) & (
+        np.abs(full @ E_dep.T - rhs_dep).max(axis=1, initial=0.0) <= mtol)
+    return bool(np.any(feasible & np.any((full > wtol) & unshared, axis=1)))
 
 
 def _independent_rows(E):
@@ -722,11 +690,9 @@ def _independent_rows(E):
 
 def _region_sample_points(cx, budget, rng):
     pts = []
-    n = cx.n
     t_grid = np.linspace(0.0, cx.T, 5, endpoint=False)
     for b in cx.region:
-        grid_1d = [np.linspace(b[j, 0], b[j, 1], 3) for j in range(n)]
-        mesh = np.meshgrid(*grid_1d, indexing="ij") if n > 1 else [grid_1d[0]]
+        mesh = np.meshgrid(*[np.linspace(lo, hi, 3) for lo, hi in b], indexing="ij")
         xs = np.stack([g.ravel() for g in mesh], axis=1)
         for t in t_grid:
             for x in xs:
@@ -736,4 +702,4 @@ def _region_sample_points(cx, budget, rng):
         x = rng.uniform(b[:, 0], b[:, 1])
         t = rng.uniform(0.0, cx.T)
         pts.append(np.concatenate(([t], x)))
-    return pts[: max(budget, 1)] if len(pts) > budget else pts
+    return pts[:budget]

@@ -156,6 +156,17 @@ class TestVerify:
         bad.write_bytes(certificate_bytes(cert))
         assert main(["verify", str(bad)]) == 3
 
+    def test_unbounded_system_is_input_error(self, cert_path, tmp_path):
+        # a pole inside the region: the derivative bounds cannot be taken
+        cert = load_certificate(cert_path)
+        cert["config"]["system"] = ("dim=1; period=6.283185307179586; "
+                                    "f1 = -x1 + sin(t) + 1e-9/(x1 - 0.3)")
+        bad = tmp_path / "pole.json"
+        bad.write_bytes(certificate_bytes(cert))
+        lines = []
+        assert cmd_verify(str(bad), progress=lines.append) == 3
+        assert lines[-1].startswith("input error")
+
     def test_round_trip_bit_exact(self, cert_path):
         cert = load_certificate(cert_path)
         again = json.loads(certificate_bytes(cert))
@@ -326,6 +337,18 @@ class TestMainEntry:
             assert cert["k"] == 5
             assert cert["config"] == dict(cfg, k_max=k_max)
             assert main(["verify", str(out)]) == 0
+
+    def test_unwritable_output_is_input_error(self, cert_path, tmp_path,
+                                              capsys):
+        cfg = dict(LINEAR_CONFIG, k_min=5, k_max=5,
+                   verify={"samples": 500, "seed": 1, "tol": 1e-6})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = str(tmp_path / "missing" / "out.json")
+        assert main(["synthesize", "--config", str(path), "--out", out]) == 3
+        assert main(["verify", cert_path, "--samples", "500",
+                     "--out", out]) == 3
+        assert capsys.readouterr().err.count("cannot write output") == 2
 
     @pytest.mark.parametrize("max_k", ["-3", "3"])
     def test_max_k_below_k_min_is_input_error(self, tmp_path, max_k, capsys):

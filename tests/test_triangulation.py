@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from cpacontract import triangulation
+from cpacontract.cpa import CPAMetric, unpack_symmetric
 from cpacontract.errors import (
     DisconnectedRegionError,
     OutsideDomainError,
@@ -179,6 +180,32 @@ class TestLocation:
         hits = cx.containing([0.5, 0.5])  # on the shared diagonal
         assert len(hits) == 2
 
+    @pytest.mark.parametrize("region, T, K", [
+        ([[[-2.0, 1.0]]], 2 * np.pi, 3),
+        ([[[-1.0, 0.7], [-0.5, 0.6]]], 1.0, 1),
+    ])
+    def test_one_location_rule(self, region, T, K):
+        # vertices, facet centroids and edge midpoints lie on shared faces:
+        # `locate`, `locate_many` and `eval_metric` pick the same simplex
+        # and the same weights there, bit for bit
+        cx = build_complex(region, T, K)
+        faces = cx.vert_xyz[cx.simp_verts]
+        points = np.vstack([cx.vert_xyz, faces[:, 1:].mean(axis=1),
+                            faces[:, :2].mean(axis=1)])
+        rng = np.random.default_rng(K)
+        P = cx.n * (cx.n + 1) // 2
+        cpa = CPAMetric(cx, rng.uniform(0.5, 1.5, (cx.n_slots, P)))
+        sids, lams = cx.locate_many(points)
+        assert (sids >= 0).all()
+        entries = cpa.interpolate_batch(sids, lams)
+        for p, sid, lam, vals in zip(points, sids, lams, entries):
+            one_sid, one_lam = cx.locate(p)
+            many_sid, many_lam = cx.locate_many([p])
+            assert one_sid == many_sid[0] == sid
+            assert one_lam.tobytes() == many_lam[0].tobytes() == lam.tobytes()
+            assert cpa.eval_metric(p).tobytes() == \
+                unpack_symmetric(vals, cx.n).tobytes()
+
     @staticmethod
     def _brute_force(cx, point, tol=1e-9):
         """Every simplex of the complex, one barycentric solve each."""
@@ -326,12 +353,14 @@ class TestClosedFormSelection:
     @pytest.mark.parametrize("region, T, K, spatial", [
         ([[[0.0, 0.5]] * n], 1.0, K, [s] * n)
         for n in (1, 2) for K in range(3) for s in (1.0, 0.7)
-    ] + [([[[0.4, 0.45]]], 6.283185307179586, 4, [1.0])])
+    ] + [([[[0.4, 0.45]]], 6.283185307179586, 4, [1.0]),
+         ([[[0.0, 0.5000000000000001]]], 1.0, 2, [1.0])])
     def test_kept_sets_match_lp_selection(self, region, T, K, spatial):
         # the meshes of test_diameter_bound_exact and test_cli.py's
-        # test_empty_selection: every simplex of a cell whose closure meets
-        # the region is kept iff the LP margin in some box exceeds the
-        # selection margin
+        # test_empty_selection, and a box one ulp past a cell facet, whose
+        # vertex at 0.5 lies inside it: every simplex of a cell whose
+        # closure meets the region is kept iff the LP margin in some box
+        # exceeds the selection margin
         cx = build_complex(region, T, K, ScalingMatrix.from_spatial(spatial))
         boxes, sizes = [np.array(b) for b in region], cx.cell_sizes[1:]
         lo = np.min([b[:, 0] for b in boxes], axis=0) / sizes

@@ -20,10 +20,12 @@ runs, one per checkout, do not `diff`. The files are:
   and the SYNTH_3D system, and one `integrate` trajectory;
 - the mesh geometry: `simp_gen` and `simp_verts` of the meshes of
   `tests/test_triangulation.py::TestBuild::test_diameter_bound_exact` and
-  `tests/test_cli.py::TestExportAndCheck::test_empty_selection`, whose
-  region selection needs more than the vertex and centroid tests, and
-  the `check_complex` reports of the 3-D [0.05, 0.95]^3 mesh at K = 0
-  and 1 and of criterion 3's 2-D mesh at K = 2.
+  `tests/test_cli.py::TestExportAndCheck::test_empty_selection`, of the
+  workloads' meshes (SYNTH_1D at K = 0 to 5, SYNTH_2D at K = 6, SYNTH_3D
+  at K = 0) and of 60 seeded random one- or two-box regions in one to
+  three dimensions, and the `check_complex` reports of the 3-D
+  [0.05, 0.95]^3 mesh at K = 0 and 1 and of criterion 3's 2-D mesh at
+  K = 2.
 
 Floats are written as `float.hex`, so equal files mean equal bits.
 """
@@ -84,14 +86,42 @@ FLOQUET_SYSTEMS = (
     SYNTH_3D["system"],
 )
 
-# (region, T, K, spatial scaling) of the meshes whose region selection
-# needs more than the vertex and centroid tests, and the meshes whose
-# face check runs on rank-deficient systems
+# (region, T, K, spatial scaling) of meshes with simplices, in cells that
+# meet the region, with no vertex and no centroid strictly inside it, and
+# the meshes whose face check runs on rank-deficient systems
 SELECTION_MESHES = [([[[0.0, 0.5]] * n], 1.0, K, [s] * n)
                     for n in (1, 2) for K in range(3) for s in (1.0, 0.7)]
 SELECTION_MESHES.append(([[[0.4, 0.45]]], 6.283185307179586, 4, [1.0]))
+WORKLOAD_MESHES = ([(SYNTH_1D, K) for K in range(6)]
+                   + [(SYNTH_2D, 6), (SYNTH_3D, 0)])
 CHECKED_MESHES = [([[[0.05, 0.95]] * 3], 0), ([[[0.05, 0.95]] * 3], 1),
                   ([[[0.0, 0.25], [0.0, 0.25]]], 2)]
+
+
+def random_meshes():
+    """(region, T, K, spatial scaling) of 60 seeded one- or two-box regions
+    in one to three dimensions, T = 1. Some first boxes have their edges on
+    cell facets; a second box starts inside the first, so the union has a
+    connected interior."""
+    rng = np.random.default_rng(5)
+    out = []
+    for i in range(60):
+        n, K = 1 + i % 3, int(rng.integers(0, 3 - (i % 3 == 2)))
+        spatial = rng.uniform(0.5, 1.5, n)
+        lo = rng.uniform(-1.0, 0.5, n)
+        hi = lo + rng.uniform(0.05, 0.8, n)
+        if rng.random() < 0.3:
+            size = 2.0 ** -K * spatial
+            first = np.round(lo / size)
+            last = first + np.maximum(np.round((hi - lo) / size), 1.0)
+            lo, hi = first * size, last * size
+        boxes = [(lo, hi)]
+        if rng.random() < 0.5:
+            lo2 = rng.uniform(lo, hi)
+            boxes.append((lo2, lo2 + rng.uniform(0.05, 0.8, n)))
+        out.append(([np.column_stack(b).tolist() for b in boxes], 1.0, K,
+                    spatial.tolist()))
+    return out
 
 
 def _hex(a):
@@ -186,11 +216,20 @@ def oracle(outdir):
 
 
 def geometry(outdir):
-    record = {"selection": [], "checks": []}
-    for region, T, K, spatial in SELECTION_MESHES:
-        cx = build_complex(region, T, K, ScalingMatrix.from_spatial(spatial))
-        record["selection"].append({"simp_gen": cx.simp_gen.tolist(),
-                                    "simp_verts": cx.simp_verts.tolist()})
+    record = {"selection": [], "workloads": [], "random": [], "checks": []}
+    meshes = [("selection", region, T, K, ScalingMatrix.from_spatial(s))
+              for region, T, K, s in SELECTION_MESHES]
+    for config, K in WORKLOAD_MESHES:
+        cfg = cli.Config.from_dict(config)
+        sys0 = cfg.build_system()
+        meshes.append(("workloads", cfg.region, sys0.T, K,
+                       cfg.scaling_matrix(sys0.n)))
+    meshes += [("random", region, T, K, ScalingMatrix.from_spatial(s))
+               for region, T, K, s in random_meshes()]
+    for part, region, T, K, scaling in meshes:
+        cx = build_complex(region, T, K, scaling)
+        record[part].append({"simp_gen": cx.simp_gen.tolist(),
+                             "simp_verts": cx.simp_verts.tolist()})
     for region, K in CHECKED_MESHES:
         report = check_complex(build_complex(region, 1.0, K))
         record["checks"].append({
