@@ -6,10 +6,10 @@ entries per periodic vertex slot), followed by the simplex bound variables
 (either one uniform C and one uniform D, or per-simplex arrays), and an
 optional auxiliary C_max.
 
-Blocks are stored group-wise as sparse "svec" matrices: each block of size
-k contributes k(k+1)/2 rows holding the upper triangle of its coefficient
+All blocks share one sparse "svec" matrix A (and F0): each block of size k
+contributes k(k+1)/2 rows holding the upper triangle of its coefficient
 matrices, off-diagonal entries scaled by sqrt(2) so that row-dot-row equals
-the matrix inner product.
+the matrix inner product. Each family of blocks is a range of rows.
 """
 
 from __future__ import annotations
@@ -142,13 +142,13 @@ class VariableMap:
 
 @dataclass
 class BlockGroup:
-    """Homogeneous family of SDP blocks in svec row storage."""
+    """Homogeneous family of SDP blocks: the row range `rows` of the
+    problem's A and f0, `svdim` rows per block."""
 
     family: str
     size: int
     count: int
-    A: sp.csr_matrix
-    f0: np.ndarray
+    rows: slice
     simplex: np.ndarray
     vertex: np.ndarray
 
@@ -159,13 +159,16 @@ class BlockGroup:
 
 @dataclass
 class SDPProblem:
-    """Assembled SDP. `schur_order`, when set, is the variable order for a
+    """Assembled SDP, built by `stack_problem`: the svec rows A and f0 of
+    all `groups`. `schur_order`, when set, is the variable order for a
     banded Schur complement; its last `schur_border` entries are the
     variables that touch every simplex."""
 
     m: int
     c: np.ndarray
     groups: list
+    A: sp.csr_matrix
+    f0: np.ndarray
     n: int
     meta: dict = field(default_factory=dict)
     schur_order: np.ndarray | None = None
@@ -193,9 +196,36 @@ class SDPProblem:
             raise DimensionMismatchError(f"y must have shape ({self.m},)")
         gi, bi = self.block_location(block_index)
         g = self.groups[gi]
-        rows = slice(bi * g.svdim, (bi + 1) * g.svdim)
-        vec = g.A[rows] @ y - g.f0[rows]
+        rows = g.rows.start + bi * g.svdim + np.arange(g.svdim)
+        vec = self.A[rows] @ y - self.f0[rows]
         return unsvec(vec, g.size)
+
+
+def stack_problem(parts, c, n, **kw):
+    """The SDPProblem of the families `parts`, (family, size, count, A, f0,
+    simplex, vertex) each, with one CSR A and one f0 in the solver's cone
+    order: blocks by ascending size, family order kept within a size. Each
+    row's columns are sorted, as the solver's scalar pairs need."""
+    order = sorted(range(len(parts)), key=lambda i: parts[i][1])
+    start = dict(zip(order, np.cumsum(
+        [0] + [len(parts[i][4]) for i in order]).tolist()))
+    A = sp.vstack([parts[i][3] for i in order], format="csr")
+    A.sort_indices()
+    groups = [BlockGroup(fam, k, cnt, slice(start[i], start[i] + len(f0)),
+                         simplex, vertex)
+              for i, (fam, k, cnt, _, f0, simplex, vertex) in enumerate(parts)]
+    return SDPProblem(m=A.shape[1], c=c, groups=groups, A=A, n=n, f0=(
+        np.concatenate([parts[i][4] for i in order])), **kw)
+
+
+def row_entries(A, rows):
+    """(row - rows.start, column, value) of the nonzero entries that the CSR
+    A stores in the row range `rows`, in storage order."""
+    ptr = A.indptr[rows.start:rows.stop + 1]
+    span = slice(ptr[0], ptr[-1])
+    keep = A.data[span] != 0.0
+    return (np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))[keep],
+            A.indices[span][keep], A.data[span][keep])
 
 
 def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
@@ -232,7 +262,7 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     Jv = J_geo[cx.simp_verts]                           # (S, n+2, n, n)
     ftv = f_geo[cx.simp_verts]                          # (S, n+2, n+1)
 
-    groups = []
+    parts = []  # per family: (family, size, count, A, f0, simplex, vertex)
 
     # ---- bound on M (Constraint 2): C I - M >= 0 ----
     # a block per slot under the uniform C, else per simplex vertex
@@ -251,8 +281,8 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
                           np.repeat(vmap.c_index(np.maximum(simp2, 0)),
                                     len(diag_p))]))),
         shape=(cnt * P, m))
-    groups.append(BlockGroup("bound_M", n, cnt, A2, np.zeros(cnt * P),
-                             simp2.astype(np.int64), vert2.astype(np.int64)))
+    parts.append(("bound_M", n, cnt, A2, np.zeros(cnt * P),
+                  simp2.astype(np.int64), vert2.astype(np.int64)))
 
     # ---- gradient bound (Constraint 3): D/(n+1) +- (w_ij)_l >= 0 ----
     # block order: (simplex, entry p, component l, sign +/-)
@@ -281,9 +311,9 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
          (np.concatenate([rows_w.ravel(), base.ravel()]),
           np.concatenate([cols_w.ravel(), cols_d.ravel()]))),
         shape=(cnt3, m))
-    groups.append(BlockGroup("grad_bound", 1, cnt3, A3, np.zeros(cnt3),
-                             np.repeat(np.arange(S, dtype=np.int64), 2 * P * (n + 1)),
-                             np.full(cnt3, -1, dtype=np.int64)))
+    parts.append(("grad_bound", 1, cnt3, A3, np.zeros(cnt3),
+                  np.repeat(np.arange(S, dtype=np.int64), 2 * P * (n + 1)),
+                  np.full(cnt3, -1, dtype=np.int64)))
 
     # ---- positive definiteness (Constraint 4): M(slot) - eps0 I >= 0 ----
     rows4 = np.arange(v * P, dtype=np.int64)
@@ -291,9 +321,8 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     f04 = np.zeros(v * P)
     f04[(np.arange(v, dtype=np.int64)[:, None] * P + diag_p).ravel()] = eps0
     A4 = sp.csr_matrix((data4, (rows4, rows4)), shape=(v * P, m))
-    groups.append(BlockGroup("pos_def", n, v, A4, f04,
-                             np.full(v, -1, dtype=np.int64),
-                             np.arange(v, dtype=np.int64)))
+    parts.append(("pos_def", n, v, A4, f04, np.full(v, -1, dtype=np.int64),
+                  np.arange(v, dtype=np.int64)))
 
     # ---- contraction (Constraint 5) ----
     cnt5 = (n + 2) * S
@@ -339,9 +368,9 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
         shape=(cnt5 * P, m))
     f05 = np.zeros(cnt5 * P)
     f05[rows_cd.ravel()] = 1.0
-    groups.append(BlockGroup("contraction", n, cnt5, A5, f05,
-                             np.repeat(np.arange(S, dtype=np.int64), n + 2),
-                             cx.simp_verts.reshape(-1).astype(np.int64)))
+    parts.append(("contraction", n, cnt5, A5, f05,
+                  np.repeat(np.arange(S, dtype=np.int64), n + 2),
+                  cx.simp_verts.reshape(-1).astype(np.int64)))
 
     # ---- auxiliary C_max linking blocks (per-simplex min_c only) ----
     if vmap.has_cmax:
@@ -352,19 +381,19 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
               np.concatenate([np.full(S, vmap.cmax_index, dtype=np.int64),
                               vmap.c_index(rows6)]))),
             shape=(S, m))
-        groups.append(BlockGroup("cmax_link", 1, S, A6, np.zeros(S),
-                                 rows6, np.full(S, -1, dtype=np.int64)))
+        parts.append(("cmax_link", 1, S, A6, np.zeros(S), rows6,
+                      np.full(S, -1, dtype=np.int64)))
 
     c = np.zeros(m)
     if objective == "min_c":
         c[vmap.cmax_index if vmap.has_cmax else vmap.c_index()] = 1.0
 
     order, border = schur_order(cx, vmap)
-    problem = SDPProblem(m=m, c=c, groups=groups, n=n,
-                         meta={"eps0": eps0, "uniform": uniform_cd,
-                               "objective": objective,
-                               "a_C": a_C, "a_D": a_D},
-                         schur_order=order, schur_border=border)
+    problem = stack_problem(parts, c, n,
+                            meta={"eps0": eps0, "uniform": uniform_cd,
+                                  "objective": objective,
+                                  "a_C": a_C, "a_D": a_D},
+                            schur_order=order, schur_border=border)
     return problem, vmap
 
 
@@ -414,56 +443,36 @@ def export_sdpa(problem):
     """
     if problem.n_blocks == 0:
         raise EmptyComplexError("problem has no blocks")
-    matrix_groups = [g for g in problem.groups if g.size > 1]
-    diag_groups = [g for g in problem.groups if g.size == 1]
-
-    block_sizes = []
-    block_of = {}
-    for g in matrix_groups:
-        start = len(block_sizes)
-        block_sizes.extend([g.size] * g.count)
-        block_of[g.family] = start
-    diag_total = sum(g.count for g in diag_groups)
-    diag_block = None
-    if diag_total:
-        diag_block = len(block_sizes)
-        block_sizes.append(-diag_total)
-
-    entries = []  # (var, block+1, row+1, col+1, value)
-
-    def emit(g, base_block, diag_offset=0):
-        iu = triu_layout(g.size)
-        scale = svec_scale(g.size)
-        coo = g.A.tocoo()
-        nz = np.nonzero(g.f0)[0]
-        # coefficient matrices first (variable = column + 1), then F0
-        for var, rows, data in ((coo.col + 1, coo.row, coo.data),
-                                (np.zeros_like(nz), nz, g.f0[nz])):
-            blk, q = np.divmod(rows, g.svdim)
-            if g.size == 1:
-                b = np.full(blk.shape, diag_block)
-                r = cidx = diag_offset + blk
-            else:
-                b, r, cidx = base_block + blk, iu[0][q], iu[1][q]
-            vals = data / scale[q]
-            for i in range(len(vals)):
-                entries.append((int(var[i]), int(b[i]) + 1, int(r[i]) + 1,
-                                int(cidx[i]) + 1, vals[i]))
-
-    for g in matrix_groups:
-        emit(g, block_of[g.family])
-    off = 0
-    for g in diag_groups:
-        emit(g, 0, diag_offset=off)
-        off += g.count
-
-    entries.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
+    # per svec row: its block, its (row, col) in the block and its scale;
+    # the diagonal block follows the matrix blocks
+    at = np.empty((4, len(problem.f0)))
+    block_sizes, diag = [], 0
+    n_matrix = sum(g.count for g in problem.groups if g.size > 1)
+    for g in problem.groups:
+        blk, q = np.divmod(np.arange(g.count * g.svdim), g.svdim)
+        if g.size == 1:
+            at[:, g.rows] = np.broadcast_arrays(n_matrix, diag + blk,
+                                                diag + blk, 1.0)
+            diag += g.count
+        else:
+            iu = triu_layout(g.size)
+            at[:, g.rows] = (len(block_sizes) + blk, iu[0][q], iu[1][q],
+                             svec_scale(g.size)[q])
+            block_sizes.extend([g.size] * g.count)
+    block_sizes += [-diag] if diag else []
+    # coefficient matrices (variable = column + 1), then F0 (variable 0)
+    row, col, val = row_entries(problem.A, slice(0, len(problem.f0)))
+    nz = np.flatnonzero(problem.f0)
+    pos = np.concatenate([row, nz])
+    var = np.concatenate([col + 1, np.zeros(len(nz), dtype=col.dtype)])
+    val = np.concatenate([val, problem.f0[nz]]) / at[3, pos]
+    b, r, c = at[:3, pos].astype(np.int64) + 1
+    keep = np.lexsort((c, r, b, var))  # every value is nonzero
     lines = [str(problem.m), str(len(block_sizes)),
              " ".join(str(s) for s in block_sizes),
              " ".join(repr(float(x)) for x in problem.c)]
-    for var, b, r, cidx, val in entries:
-        if val != 0.0:
-            lines.append(f"{var} {b} {r} {cidx} {repr(float(val))}")
+    lines += [f"{e[0]} {e[1]} {e[2]} {e[3]} {e[4]!r}" for e in zip(
+        *(x[keep].tolist() for x in (var, b, r, c, val)))]
     return "\n".join(lines) + "\n"
 
 

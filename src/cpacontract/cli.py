@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys as _sys
 import time
 from dataclasses import dataclass
@@ -252,6 +254,12 @@ def cmd_synthesize(config, out_path=None, progress=print):
     except (CpaError, ValueError) as exc:
         progress(f"input error: {exc}")
         return 3, None
+    if out_path:  # an unwritable path fails here, before the first level
+        existed = os.path.exists(out_path)
+        if not existed or not stat.S_ISFIFO(os.stat(out_path).st_mode):
+            open(out_path, "ab").close()  # a named pipe is left unopened
+        if not existed:  # remove only the file this check made
+            os.remove(os.path.realpath(out_path))
     last_ray = None
     for K in range(config.k_min, config.k_max + 1):
         t0 = time.time()

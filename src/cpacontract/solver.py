@@ -30,9 +30,9 @@ simplex eliminated as a dense border (all of G without an order); both
 parts take their ridge from the mean diagonal of the whole G.
 
 `certify` re-checks a candidate y apart from the solver's iterates and
-cones: it recomputes every block from its group's own rows of A and F0 and
-takes the smallest eigenvalues with `smallmat.eig_min`, the one batched
-eigen kernel, at every block size. `Solution.block_min_eigs` is its answer.
+cones: it slices one product A y - F0 by the groups' row ranges and takes
+the smallest eigenvalues with `smallmat.eig_min`, the one batched eigen
+kernel, at every block size. `Solution.block_min_eigs` is its answer.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import svec, unsvec
+from .assembly import row_entries, svec, unsvec
 from .errors import DimensionMismatchError
 from .smallmat import (cholesky, congruence, eig_min, eigh, gram_eigh,
                        inv_lower)
@@ -212,12 +212,12 @@ class _FactorizationError(Exception):
     pass
 
 
-def _frame_classes(cones, m):
+def _frame_classes(A, cones, m):
     """Frames of the Schur plan, batched into classes.
 
-    `cones` are the matrix cones as (cone index, A, simplex, svdim). A frame
-    is all their blocks of one simplex, or one block without a simplex; its
-    local columns are the sorted distinct variables its rows of A touch.
+    `cones` are the matrix cones as (cone index, rows of A, simplex, svdim).
+    A frame is all their blocks of one simplex, or one block without a
+    simplex; its local columns are the sorted distinct variables it touches.
     Frames with the same width and the same block count from each cone form
     a class. Per class: `cols` (frames, width) variables, and `parts`, one
     (cone index, block selection, dense local rows (blocks, svdim, width),
@@ -225,16 +225,14 @@ def _frame_classes(cones, m):
     """
     frame_of, nz = [], []
     lone = max((int(c[2].max()) + 1 for c in cones if len(c[2])), default=0)
-    for _, A, simplex, d in cones:
+    for _, rows, simplex, d in cones:
         f = np.array(simplex, dtype=np.int64)
         solo = f < 0
         f[solo] = lone + np.arange(solo.sum())
         lone += int(solo.sum())
         frame_of.append(f)
-        coo = A.tocoo()
-        k = coo.data != 0.0
-        nz.append((*np.divmod(coo.row[k].astype(np.int64), d),
-                   coo.col[k].astype(np.int64), coo.data[k]))
+        row, col, val = row_entries(A, rows)
+        nz.append((*np.divmod(row, d), col.astype(np.int64), val))
     if not cones:
         return []
     ukey, inv = np.unique(np.concatenate(
@@ -271,20 +269,19 @@ def _frame_classes(cones, m):
     return classes
 
 
-def _scalar_pairs(A):
-    """The terms a_i a_j, i <= j, of the outer product of each row of A,
-    grouped by row: (columns i, columns j, a_i a_j, terms per row)."""
-    A = A.tocsr()
-    A.eliminate_zeros()
-    A.sort_indices()
-    q = np.diff(A.indptr)
-    e = np.arange(A.nnz, dtype=A.indptr.dtype)
-    reps = np.repeat(A.indptr[1:], q) - e  # entries from e to its row's end
+def _scalar_pairs(A, rows):
+    """The terms a_i a_j, i <= j, of the outer product of each of A's rows
+    `rows`, grouped by row: (columns i, columns j, a_i a_j, terms per row).
+    Explicit zeros are left out; `stack_problem` sorts each row's columns."""
+    row, col, val = row_entries(A, rows)
+    q = np.bincount(row, minlength=rows.stop - rows.start)
+    e = np.arange(len(col), dtype=A.indptr.dtype)
+    reps = np.repeat(np.cumsum(q), q) - e  # entries from e to its row's end
     first = np.repeat(e, reps)
     second = first + (np.arange(len(first), dtype=e.dtype)
                       - np.repeat(np.cumsum(reps) - reps, reps))
-    return (A.indices[first], A.indices[second],
-            A.data[first] * A.data[second], q * (q + 1) // 2)
+    return (col[first], col[second], val[first] * val[second],
+            q * (q + 1) // 2)
 
 
 class _SchurPlan:
@@ -308,10 +305,9 @@ class _SchurPlan:
 
     def __init__(self, segs, order=None, border=0):
         self.m = m = segs.m
-        cones = [(ci, segs.A[sl], segs.simplex[ci], k * (k + 1) // 2)
-                 for ci, k, _, sl in segs.seg_slices() if k > 1]
-        self.classes = _frame_classes(cones, m)
-        del cones  # the row slices are copies; free them before the pairs
+        self.classes = _frame_classes(
+            segs.A, [(ci, sl, segs.simplex[ci], k * (k + 1) // 2)
+                     for ci, k, _, sl in segs.seg_slices() if k > 1], m)
         if order is None:  # no band: every variable is in the border
             order, border = np.arange(m), m
         self.order = np.append(order, m).astype(np.int64)
@@ -326,8 +322,7 @@ class _SchurPlan:
             pairs.append((self.pos[cls["cols"][:, il0]].ravel(),
                           self.pos[cls["cols"][:, il1]].ravel()))
         if segs.sizes[0] == 1:
-            ci, cj, coef, per_row = _scalar_pairs(
-                segs.A[:segs.row_starts[1]])
+            ci, cj, coef, per_row = _scalar_pairs(segs.A, segs.rows[0])
             pos = self.pos.astype(np.int32)  # halves the temporaries
             pairs.append((pos[ci], pos[cj]))
             del ci, cj, pos
@@ -476,29 +471,25 @@ def _cholesky(G, ridge, reform=None):
 class _Segments:
     """The blocks of all groups by size, in ascending order: the scalar
     blocks of every family as one linear cone, then one matrix cone per
-    size. Rows of the stacked svec system follow that order; `row_order`
-    gives each row's index in the groups' own order. The phase-1 variable
-    tau follows the m variables; its column, svec(I) on every block, is
-    kept apart from A as the 1-column `tau`, and `tau0` is its start."""
+    size. The problem's A and f0 hold their rows in that order, and are
+    read as they are; a cone's `rows` span those of its groups. The phase-1
+    variable tau follows the m variables; its column, svec(I) on every
+    block, is kept apart from A as the 1-column `tau`, and `tau0` is its
+    start."""
 
-    def __init__(self, groups, m):
-        self.m = m
+    def __init__(self, problem):
+        groups = self.groups = problem.groups
+        self.m, self.A, self.f0 = problem.m, problem.A, problem.f0
         self.sizes = sorted({g.size for g in groups})
-        idx = sorted(range(len(groups)), key=lambda i: groups[i].size)
-        self.A = sp.vstack([groups[i].A for i in idx], format="csr")
-        self.f0 = np.concatenate([groups[i].f0 for i in idx])
-        self.counts = [sum(g.count for g in groups if g.size == k)
-                       for k in self.sizes]
-        self.simplex = [np.concatenate([g.simplex for g in groups
-                                        if g.size == k]) for k in self.sizes]
-        self.row_starts = np.cumsum([0] + [n * k * (k + 1) // 2 for n, k in
-                                           zip(self.counts, self.sizes)])
+        by_size = [[g for g in groups if g.size == k] for k in self.sizes]
+        self.counts = [sum(g.count for g in gs) for gs in by_size]
+        self.simplex = [np.concatenate([g.simplex for g in gs])
+                        for gs in by_size]
+        self.rows = [slice(gs[0].rows.start, gs[-1].rows.stop)
+                     for gs in by_size]
         self.Ntot = sum(n * k for n, k in zip(self.counts, self.sizes))
         self.cones = [_LinearCone if k == 1 else _MatrixCone
                       for k in self.sizes]
-        start = np.cumsum([0] + [g.count * g.svdim for g in groups])
-        self.row_order = np.concatenate([np.arange(start[i], start[i + 1])
-                                         for i in idx])
         self.tau, self.tau0 = _augment_tau(self)
 
     def apply(self, y):
@@ -515,8 +506,7 @@ class _Segments:
 
     def seg_slices(self):
         for ci, k in enumerate(self.sizes):
-            yield ci, k, self.counts[ci], slice(self.row_starts[ci],
-                                                self.row_starts[ci + 1])
+            yield ci, k, self.counts[ci], self.rows[ci]
 
     def unpack(self, vec):
         return [vec[sl] if k == 1 else unsvec(vec[sl].reshape(cnt, -1), k)
@@ -685,9 +675,10 @@ def _augment_tau(segs):
 def solve(problem, settings=None):
     """Solve the assembled problem; feasibility when the objective is zero,
     otherwise phase-1 feasibility followed by objective minimization. The
-    Solution records the Schur plan that both phases used."""
+    Solution records the Schur plan that both phases used, of kind
+    "refused" when its band is wider than `_MAX_BAND`."""
     settings = settings or SolverSettings()
-    segs = _Segments(problem.groups, problem.m)
+    segs = _Segments(problem)
     m = problem.m
     c = np.asarray(problem.c, dtype=float)
     has_objective = bool(np.any(c != 0.0))
@@ -696,7 +687,7 @@ def solve(problem, settings=None):
     except _FactorizationError as exc:
         return Solution("NumericalFailure", np.zeros(m), 0.0,
                         certify(problem, np.zeros(m), 0.0).min_eigs, 0,
-                        np.inf, notes=[str(exc)])
+                        np.inf, notes=[str(exc)], schur={"kind": "refused"})
 
     def result(status, res, report=None, **kw):
         y = res.y[:m]
@@ -749,13 +740,11 @@ def _extract_ray(segs, Z):
         trace = 1.0
     svec_Zn = svec_Z / trace
     eq = segs.A.T @ svec_Zn
-    ray = np.empty_like(svec_Zn)
-    ray[segs.row_order] = svec_Zn  # in the rows of the problem's groups
     return {
         "objective": float(segs.f0 @ svec_Zn),
         "eq_residual": float(np.abs(eq).max()),
         "trace": 1.0,
-        "svec": ray,
+        "svec": np.concatenate([svec_Zn[g.rows] for g in segs.groups]),
     }
 
 
@@ -764,20 +753,14 @@ def _extract_ray(segs, Z):
 
 
 def certify(problem, y, tol):
-    """Recompute every block of sum F_i y_i - F_0 from each group's own rows
-    and report the blocks whose smallest eigenvalue falls below -tol; the
+    """Recompute every block of sum F_i y_i - F_0 from the problem's A and
+    F0 and report the blocks whose smallest eigenvalue falls below -tol; the
     smallest eigenvalues come in the groups' block order."""
     y = np.asarray(y, dtype=float)
     if y.shape != (problem.m,):
         raise DimensionMismatchError(f"y must have shape ({problem.m},)")
-    mins = []
-    flagged = []
-    base = 0
-    for g in problem.groups:
-        vals = eig_min(unsvec((g.A @ y - g.f0).reshape(g.count, -1), g.size))
-        mins.append(vals)
-        for idx in np.nonzero(vals < -tol)[0]:
-            flagged.append((base + int(idx), float(vals[idx])))
-        base += g.count
-    return CertifyReport(min_eigs=np.concatenate(mins), flagged=flagged,
-                         tol=tol)
+    res = problem.A @ y - problem.f0
+    mins = np.concatenate([eig_min(unsvec(res[g.rows].reshape(g.count, -1),
+                                          g.size)) for g in problem.groups])
+    return CertifyReport(min_eigs=mins, tol=tol, flagged=[
+        (int(i), float(mins[i])) for i in np.flatnonzero(mins < -tol)])

@@ -195,8 +195,9 @@ class TestResidual:
         for _ in range(5):
             y = rng.normal(size=prob.m)
             direct = direct_block_svecs(cx, linear_1d, y, vmap, a_C, a_D, 0.01)
+            res = prob.A @ y - prob.f0
             for g in prob.groups:
-                got = g.A @ y - g.f0
+                got = res[g.rows]
                 assert np.max(np.abs(got - direct[g.family])) <= 1e-10
 
     def test_constraint3_implies_w_norm(self, solved_linear):
@@ -212,11 +213,10 @@ class TestSdpaFormat:
     def test_single_variable_example(self):
         # y * I2 - I2 >= 0 written by hand through the block-group layout
         import scipy.sparse as sp
-        from cpacontract.assembly import BlockGroup, SDPProblem
+        from cpacontract.assembly import stack_problem
         A = sp.csr_matrix(svec(np.eye(2))[:, None])
-        g = BlockGroup("b", 2, 1, A, svec(np.eye(2)), np.array([-1]),
-                       np.array([-1]))
-        prob = SDPProblem(m=1, c=np.zeros(1), groups=[g], n=2)
+        prob = stack_problem([("b", 2, 1, A, svec(np.eye(2)), np.array([-1]),
+                               np.array([-1]))], np.zeros(1), 2)
         text = export_sdpa(prob)
         lines = text.strip().splitlines()
         assert lines[0] == "1"

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from cpacontract import cli, solver
 from cpacontract.cli import (
     Config,
     certificate_bytes,
@@ -349,6 +350,53 @@ class TestMainEntry:
         assert main(["verify", cert_path, "--samples", "500",
                      "--out", out]) == 3
         assert capsys.readouterr().err.count("cannot write output") == 2
+
+    def test_unwritable_output_fails_before_the_first_level(
+            self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a level ran before the output check")
+
+        monkeypatch.setattr(cli, "build_complex", unreachable)
+        monkeypatch.setattr(cli, "solve", unreachable)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(LINEAR_CONFIG))
+        out = str(tmp_path / "missing" / "out.json")
+        assert main(["synthesize", "--config", str(path), "--out", out]) == 3
+        assert "cannot write output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["devnull", "empty file"])
+    def test_output_check_removes_nothing_it_did_not_make(
+            self, tmp_path, monkeypatch, target):
+        def forbidden(path):
+            raise AssertionError(f"os.remove({path!r}) called")
+
+        monkeypatch.setattr(cli.os, "remove", forbidden)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(
+            LINEAR_CONFIG, k_min=5, k_max=5,
+            verify={"samples": 500, "seed": 1, "tol": 1e-6})))
+        if target == "devnull":
+            out = os.devnull
+        else:
+            out = str(tmp_path / "out.json")
+            open(out, "wb").close()
+        assert main(["synthesize", "--config", str(path), "--out", out]) == 0
+        if target == "empty file":
+            assert json.loads(open(out).read())["k"] == 5
+
+    def test_refused_schur_plan_is_numerical_failure(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # every mesh's Schur band is wider than 2 variables
+        monkeypatch.setattr(solver, "_MAX_BAND", 2)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(LINEAR_CONFIG, k_min=1, k_max=1)))
+        out = tmp_path / "out.json"
+        assert main(["synthesize", "--config", str(path),
+                     "--out", str(out)]) == 4
+        lines = capsys.readouterr().out
+        assert "Schur plan kind refused" in lines
+        assert "numerical failure at K=1" in lines
+        assert not out.exists()
 
     @pytest.mark.parametrize("max_k", ["-3", "3"])
     def test_max_k_below_k_min_is_input_error(self, tmp_path, max_k, capsys):

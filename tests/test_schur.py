@@ -91,7 +91,7 @@ def _stored_to_dense(plan, buf, tau):
 def _plan(problem, kind):
     """The dense plan (no order), or the banded plan in the mesh's order,
     the identity for a problem without one."""
-    segs = _Segments(problem.groups, problem.m)
+    segs = _Segments(problem)
     if kind == "dense":
         return segs, _SchurPlan(segs)
     order = problem.schur_order
@@ -161,6 +161,45 @@ class TestScatterAssembly:
             problem, _ = random_feasible_problem(rng)
             assert problem.schur_order is None
             _check_against_reference(problem, trial, plan_kind)
+
+
+class TestOneStore:
+    """The problem's A is the only CSR of the constraint operator: the
+    solver reads it as it is, and each block family is a row range of it."""
+
+    def _check(self, problem, monkeypatch):
+        sizes = [g.size for g in problem.groups]
+        assert sizes != sorted(sizes)  # size order differs from family order
+        tiles = sorted(problem.groups, key=lambda g: g.rows.start)
+        assert [g.size for g in tiles] == sorted(sizes)
+        assert [g.family for g in tiles] == [
+            g.family for k in sorted(set(sizes))
+            for g in problem.groups if g.size == k]
+        assert tiles[0].rows.start == 0
+        for g, nxt in zip(tiles, tiles[1:] + [None]):
+            assert g.rows.stop - g.rows.start == g.count * g.svdim
+            assert g.rows.stop == (problem.A.shape[0] if nxt is None
+                                   else nxt.rows.start)
+        assert len(problem.f0) == problem.A.shape[0]
+        assert _Segments(problem).A is problem.A
+        seen = []
+        ipm = solver._ipm
+        monkeypatch.setattr(solver, "_ipm", lambda segs, *a, **kw: (
+            seen.append(segs.A) or ipm(segs, *a, **kw)))
+        A = problem.A
+        before = [a.tobytes() for a in (A.data, A.indices, A.indptr)]
+        solve(problem, SolverSettings(max_iterations=3))
+        assert seen and all(s is A for s in seen)
+        assert [a.tobytes() for a in (A.data, A.indices, A.indptr)] == before
+
+    def test_2d_mesh(self, osc_2d, monkeypatch):
+        problem, _ = _mesh_problem(osc_2d, [[[-0.5, 0.5], [-0.5, 0.5]]], 1,
+                                   False, "min_c")
+        self._check(problem, monkeypatch)
+
+    def test_hand_built_mixed_sizes(self, monkeypatch):
+        problem, _ = random_feasible_problem(np.random.default_rng(5))
+        self._check(problem, monkeypatch)
 
 
 class TestRidge:
@@ -261,19 +300,20 @@ class TestSchurOrder:
                                       config.scaling_matrix(sys0.n))
         # the 248,832 scalar grad_bound blocks keep no dense rows, so the
         # simplex class holds the contraction blocks' 12 rows per frame
-        plan = _SchurPlan(_Segments(problem.groups, problem.m),
-                          problem.schur_order, problem.schur_border)
+        plan = _SchurPlan(_Segments(problem), problem.schur_order,
+                          problem.schur_border)
         assert max(cls["C"].nbytes for cls in plan.classes) <= 20e6
         assert plan.K.shape[1] == problem.census()["grad_bound"][1]
         sol = solve(problem, SolverSettings(max_iterations=1))
         assert sol.schur["kind"] == "banded"
         assert sol.schur["border"] == 3
         # reverse Cuthill-McKee on the same pattern, border removed
-        A = sp.vstack([g.A for g in problem.groups], format="csr")
+        A = problem.A.copy()
         A.data = np.ones_like(A.data)
-        blk = np.concatenate([np.repeat(np.arange(g.count), g.svdim) + off
-                              for g, off in zip(problem.groups, np.cumsum(
-                                  [0] + [g.count for g in problem.groups]))])
+        blk = np.empty(A.shape[0], dtype=np.int64)
+        for g, off in zip(problem.groups, np.cumsum(
+                [0] + [g.count for g in problem.groups])):
+            blk[g.rows] = np.repeat(np.arange(g.count), g.svdim) + off
         E = sp.csr_matrix((np.ones(len(blk)), (blk, np.arange(len(blk)))))
         touch = (E @ A).tocsc()
         keep = np.setdiff1d(np.arange(problem.m),

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from cpacontract import solver
-from cpacontract.assembly import BlockGroup, SDPProblem, assemble, svec
+from cpacontract.assembly import assemble, stack_problem, svec
 from cpacontract.solver import (
     SolverSettings,
     _LinearCone,
@@ -20,15 +20,14 @@ from test_smallmat import spd_blocks
 
 def make_problem(blocks, c):
     """Dense test problems: blocks is a list of (F_i list, F0)."""
-    m = len(c)
-    groups = []
+    parts = []
     for k, (Fis, F0) in enumerate(blocks):
         n = np.asarray(F0).shape[0]
         A = np.stack([svec(np.asarray(F, dtype=float)) for F in Fis], axis=1)
-        groups.append(BlockGroup(f"b{k}", n, 1, sp.csr_matrix(A),
-                                 svec(np.asarray(F0, dtype=float)),
-                                 np.array([-1]), np.array([-1])))
-    return SDPProblem(m=m, c=np.asarray(c, dtype=float), groups=groups, n=0)
+        parts.append((f"b{k}", n, 1, sp.csr_matrix(A),
+                      svec(np.asarray(F0, dtype=float)),
+                      np.array([-1]), np.array([-1])))
+    return stack_problem(parts, np.asarray(c, dtype=float), 0)
 
 
 def random_feasible_problem(rng, with_objective=False):
