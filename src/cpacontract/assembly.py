@@ -205,12 +205,14 @@ def stack_problem(parts, c, n, **kw):
     """The SDPProblem of the families `parts`, (family, size, count, A, f0,
     simplex, vertex) each, with one CSR A and one f0 in the solver's cone
     order: blocks by ascending size, family order kept within a size. Each
-    row's columns are sorted, as the solver's scalar pairs need."""
+    row's columns are sorted, as the solver's scalar pairs need, and A
+    stores no explicit zeros, which every product with it would read."""
     order = sorted(range(len(parts)), key=lambda i: parts[i][1])
     start = dict(zip(order, np.cumsum(
         [0] + [len(parts[i][4]) for i in order]).tolist()))
     A = sp.vstack([parts[i][3] for i in order], format="csr")
     A.sort_indices()
+    A.eliminate_zeros()
     groups = [BlockGroup(fam, k, cnt, slice(start[i], start[i] + len(f0)),
                          simplex, vertex)
               for i, (fam, k, cnt, _, f0, simplex, vertex) in enumerate(parts)]
@@ -219,13 +221,12 @@ def stack_problem(parts, c, n, **kw):
 
 
 def row_entries(A, rows):
-    """(row - rows.start, column, value) of the nonzero entries that the CSR
-    A stores in the row range `rows`, in storage order."""
+    """(row - rows.start, column, value) of the entries that the CSR A
+    stores in the row range `rows`, in storage order."""
     ptr = A.indptr[rows.start:rows.stop + 1]
     span = slice(ptr[0], ptr[-1])
-    keep = A.data[span] != 0.0
-    return (np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))[keep],
-            A.indices[span][keep], A.data[span][keep])
+    return (np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)),
+            A.indices[span], A.data[span])
 
 
 def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):

@@ -6,7 +6,8 @@ turns a list of trees into one straight-line numpy function, generated
 from the node types (never from the user's text); `values` may be shaped
 (n+1,) for a single point or (n+1, N) for a batch. `compile_rk4` emits
 the same trees, by the same emitter, into the oracle's unrolled RK4 loop
-over numpy scalars. Interval evaluation
+over Python floats, with the same bits; the subtrees that read t alone
+are tabulated before that loop by the numpy code. Interval evaluation
 takes parallel lower/upper arrays and returns a sound enclosure, widened
 by a relative epsilon inflation instead of directed rounding.
 """
@@ -349,6 +350,12 @@ def _ipow(x, p):
     return half * half * x if p % 2 else half * half
 
 
+def _div(a, b):
+    """a / b on Python floats, a zero b divided as a float64: numpy's inf
+    or nan instead of ZeroDivisionError."""
+    return a / b if b else a / np.float64(b)
+
+
 def _variables(e):
     """Indices of the variables that tree e reads."""
     if isinstance(e, Var):
@@ -357,11 +364,17 @@ def _variables(e):
                          if s in e.__slots__))
 
 
-def _emit(exprs, targets, names, env, lines, indent="    ", shared=None):
+def _time_subtrees(e):
+    """The maximal subtrees of e that read t alone, t itself among them."""
+    if _variables(e) == {0}:
+        return [e]
+    return [s for c in ("a", "b") if c in e.__slots__
+            for s in _time_subtrees(getattr(e, c))]
+
+
+def _emit(exprs, targets, names, env, lines, indent="    ", table=None):
     """Append `target = tree` to `lines` for each pair, reading variable i
-    (t for i = 0) as `names(i)`; constants are bound in `env`. With a dict
-    `shared`, each subtree that reads t alone is assigned once to a name
-    kept there, and later emissions with the same dict read that name.
+    (t for i = 0) as `names(i)`; constants are bound in `env`.
 
     Each tree becomes one nested expression applying the same operators
     and ufuncs in the same order as a recursive walk, so results are
@@ -371,33 +384,44 @@ def _emit(exprs, targets, names, env, lines, indent="    ", shared=None):
     bound by value as float64, so non-finite ones survive and `1/0` gives
     inf instead of raising; callers own the `np.errstate` and the
     finiteness check.
-    """
 
-    def emit(e, share=shared is not None):
+    With `table`, the code is for one point over Python floats, with the
+    same bits, since IEEE +, -, * and / round alike on Python floats and
+    on float64. Each maximal subtree that reads t alone, t itself aside,
+    is read as the text `table(tree)`. Constants are Python floats, and a
+    function value is the numpy ufunc's at the point, converted by
+    `float`. Each division whose divisor is not a nonzero constant, and
+    each negative power, goes through `_div`, which divides a zero divisor
+    as a float64, so that it gives numpy's inf or nan and never raises
+    ZeroDivisionError.
+    """
+    def emit(e):
         """Source text of e and its nesting depth."""
-        if share and not isinstance(e, Var) and _variables(e) == {0}:
-            key = str(e)
-            if key not in shared:
-                shared[key] = f"_t{len(shared)}"
-                lines.append(f"{indent}{shared[key]} = {emit(e, False)[0]}\n")
-            return shared[key], 0
+        if table and not isinstance(e, Var) and _variables(e) == {0}:
+            return table(e), 0
         if isinstance(e, Const):
             name = f"_c{len(env)}"
-            env[name] = np.float64(e.value)
+            env[name] = e.value if table else np.float64(e.value)
             return name, 0
         if isinstance(e, Var):
             return names(e.index), 0
-        parts = [emit(getattr(e, s), share) for s in ("a", "b")
-                 if s in e.__slots__]
+        parts = [emit(getattr(e, s)) for s in ("a", "b") if s in e.__slots__]
         a = [text for text, _ in parts]
         if isinstance(e, Neg):
             text = f"-{a[0]}"
         elif isinstance(e, Pow):
-            text = f"_ipow({a[0]}, {e.p:d})"
+            if table and e.p < 0:
+                text = f"_div(1.0, _ipow({a[0]}, {-e.p:d}))"
+            else:
+                text = f"_ipow({a[0]}, {e.p:d})"
         elif isinstance(e, Fun):
             if e.name not in Fun._EV:
                 raise ValueError(f"function {e.name!r} is not whitelisted")
             text = f"{e.name}({a[0]})"
+            text = f"float({text})" if table else text
+        elif table and isinstance(e, Div) and not (
+                _is_const(e.b) and e.b.value != 0.0):
+            text = f"_div({a[0]}, {a[1]})"
         else:
             text = f"{a[0]} {e.op} {a[1]}"
         depth = 1 + max(d for _, d in parts)
@@ -426,46 +450,65 @@ def compile_rk4(f, jac=None):
     steps, y, record)`, its four stages unrolled; with `jac`, the trees of
     D_x f, the state is x and then the row-major Phi of Phi' = D_x f Phi.
 
-    Every coordinate, and t, is a numpy float64 scalar, so each stage
-    evaluates f with the bits of `compile_exprs` and `1/0` gives inf
-    (callers own the `np.errstate`). Stage inputs are x + k*c, the new
-    state x + (((k1 + k2*2) + k3*2) + k4)*(h/6). At n >= 2, D_x f Phi is
-    one `np.matmul` per stage, which keeps the bits of its fused products.
-    Stages 2 and 3 both run at t + h/2, so each subtree that reads t alone
-    is evaluated once per step for both.
+    The loop runs over Python floats with the bits of `compile_exprs` (see
+    `_emit`), and `1/0` gives inf (callers own the `np.errstate`). Each
+    subtree that reads t alone is tabulated before the loop, once for
+    each stage time t, t + h/2 and t + h, by `compile_exprs`'s array code
+    over the step grid t0 + arange(steps) * h, which holds each step's t
+    bit for bit; f and D_x f share a table when the subtree's text is the
+    same. numpy's sin, cos and exp give the same bits on a batch as on one
+    point, so the tables hold the values that the loop would compute.
+    Stage inputs are x + k*c, the new state
+    x + (((k1 + k2*2) + k3*2) + k4)*(h/6). At n >= 2, D_x f Phi is one
+    `np.matmul` per stage, which keeps the bits of its fused products.
     `record`, unless None, gets each new finite state as a tuple. Returns
     (done, domain, state): the first step whose new state is non-finite,
     or `steps`; whether one of its stage evaluations was non-finite; and
     the state after the last step taken.
     """
     n, jac = len(f), list(jac or ())
-    size = n + len(jac)
-    env = dict(Fun._EV, _ipow=_ipow, isfinite=math.isfinite, _f64=np.float64,
-               _mm=np.matmul, _arr=np.array)
+    trees = list(f) + jac
+    size = len(trees)
+    env = dict(Fun._EV, _ipow=_ipow, isfinite=math.isfinite, _div=_div,
+                _mm=np.matmul, _arr=np.array,
+               _arange=np.arange)
     x, a, new = ([f"{c}{j}" for j in range(size)] for c in "xan")
-    state, evals, body, at_th = ", ".join(x) + ",", [], " " * 8, {}
+    state, evals, body = ", ".join(x) + ",", [], " " * 8
     lines = ["def rk4(t0, h, steps, y, record):\n",
-             f"    {state} = map(_f64, y)\n", "    t0, h = _f64(t0), _f64(h)\n",
-             "    hh, w = 0.5 * h, h / 6.0\n", "    for i in range(steps):\n",
-             f"{body}t = t0 + i * h\n", f"{body}th, tn = t + hh, t + h\n"]
+             f"    {state} = map(float, y)\n",
+             "    t0, h = float(t0), float(h)\n",
+             "    hh, w = 0.5 * h, h / 6.0\n"]
+    found = {str(s): s for e in trees for s in _time_subtrees(e)}
+    bare = found.pop("t", None) is not None
+    tables = {key: k for k, key in enumerate(found)}
+    if found:
+        lines += ["    _g0 = t0 + _arange(steps) * h\n",
+                  "    _g1, _g2 = _g0 + hh, _g0 + h\n"]
+        for g in range(3):
+            grid = [f"_T{k}_{g}" for k in range(len(found))]
+            _emit(list(found.values()), grid, [f"_g{g}"].__getitem__, env,
+                  lines)
+            lines += [f"    {T} = {T}.tolist()\n" for T in grid]
+    lines.append("    for i in range(steps):\n")
+    if bare:
+        lines += [f"{body}t = t0 + i * h\n", f"{body}th, tn = t + hh, t + h\n"]
 
     def put(*code):
         lines.extend(f"{body}{line}\n" for line in code)
 
-    for s, (time, c) in enumerate((("t", ""), ("th", "hh"), ("th", "hh"),
-                                   ("tn", "h"))):
+    for s, (g, c) in enumerate(((0, ""), (1, "hh"), (1, "hh"), (2, "h"))):
         v, k = a if s else x, [f"k{s}_{j}" for j in range(size)]
         if s:
             put(*(f"{a[j]} = {x[j]} + k{s - 1}_{j} * {c}" for j in range(size)))
         evals += k[:n] + [f"j{s}_{l}" for l in range(len(jac))]
-        _emit(list(f) + jac, evals[-n - len(jac):], ([time] + v).__getitem__,
-              env, lines, body, at_th if time == "th" else None)
+        _emit(trees, evals[-size:], ([("t", "th", "tn")[g]] + v).__getitem__,
+              env, lines, body, lambda e, g=g: f"_T{tables[str(e)]}_{g}[i]")
         if jac and n == 1:
             put(f"{k[1]} = j{s}_0 * {v[1]}")
         elif jac:
             put(f"{', '.join(k[n:])}, = _mm(_arr(({', '.join(evals[-n * n:])}"
                 f")).reshape({n}, {n}), _arr(({', '.join(v[n:])})).reshape("
-                f"{n}, {n})).ravel()")
+                f"{n}, {n})).ravel().tolist()")
     put(*(f"{new[j]} = {x[j]} + (k0_{j} + k1_{j} * 2.0 + k2_{j} * 2.0 "
           f"+ k3_{j}) * w" for j in range(size)),
         f"if not ({' and '.join(f'isfinite({e})' for e in new)}):",

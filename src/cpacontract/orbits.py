@@ -4,10 +4,12 @@ exponents, and contraction probes of nearby trajectories in a synthesized
 metric.
 
 Every trajectory is one run of the system's compiled RK4 loop
-(`SystemDefinition.stepper`), which tells a non-finite evaluation
-(DomainError) from an overflowing step (NonFiniteStateError); a probe is
-two runs. The Newton shooting ends with the monodromy matrix at its
-converged point, so a Floquet check integrates the variational flow once.
+(`SystemDefinition.stepper`), straight-line code over Python floats that
+gives the bits of the numpy evaluation of f and D_x f, and tells a
+non-finite evaluation (DomainError) from an overflowing step
+(NonFiniteStateError); a probe is two runs. The Newton shooting ends
+with the monodromy matrix at its converged point, so a Floquet check
+integrates the variational flow once.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import row_entries, svec, unsvec
+from .assembly import row_entries, svec, svec_scale, unsvec
 from .errors import DimensionMismatchError
 from .smallmat import (cholesky, congruence, eig_min, eigh, gram_eigh,
                        inv_lower)
@@ -272,7 +272,7 @@ def _frame_classes(A, cones, m):
 def _scalar_pairs(A, rows):
     """The terms a_i a_j, i <= j, of the outer product of each of A's rows
     `rows`, grouped by row: (columns i, columns j, a_i a_j, terms per row).
-    Explicit zeros are left out; `stack_problem` sorts each row's columns."""
+    `stack_problem` sorts each row's columns."""
     row, col, val = row_entries(A, rows)
     q = np.bincount(row, minlength=rows.stop - rows.start)
     e = np.arange(len(col), dtype=A.indptr.dtype)
@@ -491,12 +491,19 @@ class _Segments:
         self.cones = [_LinearCone if k == 1 else _MatrixCone
                       for k in self.sizes]
         self.tau, self.tau0 = _augment_tau(self)
+        # tau's column is 1 on the diagonal svec rows of every block: one
+        # strided slice per cone and diagonal entry
+        self.tau_rows = [
+            slice(rows.start + q, rows.stop, k * (k + 1) // 2)
+            for k, rows in zip(self.sizes, self.rows)
+            for q in np.flatnonzero(svec_scale(k) == 1.0).tolist()]
 
     def apply(self, y):
         """A y, plus tau's column when y ends with tau."""
         out = self.A @ y[:self.m]
         if len(y) > self.m:
-            out[self.tau.indices] += y[-1]
+            for rows in self.tau_rows:
+                out[rows] += y[-1]
         return out
 
     def apply_t(self, v, nv):
@@ -608,6 +615,9 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
         # of G is A^T svec(W^{-2})
         tau_col = (segs.apply_t(segs.pack([w.w2 for w in cones]), nv)
                    if phase1 is not None else None)
+        # the last factor goes before the next is formed, so that the two
+        # never hold memory at once
+        solve = None
         try:
             solve = schur.factor([w.schur for w in cones], tau_col)
         except _FactorizationError:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cpacontract.assembly import (
     assemble,
@@ -7,6 +8,7 @@ from cpacontract.assembly import (
     export_sdpa,
     fill_derivative_bounds,
     parse_sdpa,
+    stack_problem,
     svec,
     unsvec,
 )
@@ -162,6 +164,39 @@ class TestAssemble:
         assert prob.m == 2 * cx.n_simplices + cx.n_slots + 1
         assert prob.census()["cmax_link"] == (1, cx.n_simplices)
         assert prob.c[vmap.cmax_index] == 1.0
+
+
+class TestNoExplicitZeros:
+    """`stack_problem` drops the families' explicit zeros, so A stores only
+    entries that a product with it needs."""
+
+    @pytest.mark.parametrize("text, region, K", [
+        ("dim=1; period=6.283185307179586; f1 = -x1 + sin(t)",
+         [[[-2.0, 1.0]]], 3),
+        ("dim=2; period=6.283185307179586; f1 = x2; f2 = -x1 - 2*x2 + sin(t)",
+         [[[-0.5, 0.5], [-0.5, 0.5]]], 1),
+        ("dim=3; period=1; f1 = -x1 + 1.5*x2 + 0.2*x2*x3; "
+         "f2 = -x2 + 1.5*x3 - 0.2*x1*x3; f3 = -x3 + 0.2*x1*x2",
+         [[[-0.5, 0.5]] * 3], 0),
+    ])
+    def test_assembled_meshes(self, text, region, K):
+        sys = parse_system(text)
+        cx = build_complex(region, sys.T, K)
+        for uniform, objective in ((True, "min_c"), (False, "none")):
+            prob, _ = assemble(cx, sys, 0.01, uniform_cd=uniform,
+                               objective=objective)
+            assert (prob.A.data != 0).all()
+
+    def test_hand_built_explicit_zero(self):
+        # y1 I2 + 0 y2 on the first diagonal entry, stored explicitly
+        A = sp.csr_matrix((np.array([1.0, 0.0, 1.0]), np.array([0, 1, 0]),
+                           np.array([0, 2, 2, 3])), shape=(3, 2))
+        assert A.nnz == 3
+        prob = stack_problem([("b", 2, 1, A, svec(np.eye(2)), np.array([-1]),
+                               np.array([-1]))], np.zeros(2), 2)
+        assert (prob.A.data != 0).all()
+        assert prob.A.nnz == 2
+        assert np.array_equal(prob.A.toarray(), A.toarray())
 
 
 class TestResidual:

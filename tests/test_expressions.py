@@ -269,3 +269,46 @@ class TestCompiledEvaluation:
         else:
             with pytest.raises(DomainError):
                 sys.jacobian_many(point[None])
+
+
+class TestUfuncBatchBits:
+    """numpy's sin, cos and exp give the bits of one point, a Python float
+    or a float64, on a batch. The RK4 loop's time tables rest on this: they
+    evaluate each subtree that reads t alone on the whole step grid."""
+
+    @pytest.mark.parametrize("t0, h, steps", [
+        (0.0, 6.283185307179586 / 2000, 2000),
+        (0.0, 6.283185307179586 / 8192, 8192),
+        (-3.7, 1e-3, 4096),
+        (12345.678, 0.37, 3000),
+    ])
+    @pytest.mark.parametrize("name", ["sin", "cos", "exp"])
+    def test_stage_time_grids(self, name, t0, h, steps):
+        grid = t0 + np.arange(steps) * h
+        t = [t0 + i * h for i in range(steps)]
+        # the loop's t, t + h/2 and t + h, bit for bit
+        for shift in (0.0, 0.5 * h, h):
+            times = grid + shift
+            assert times.tobytes() == np.array([v + shift
+                                                for v in t]).tobytes()
+            if name == "exp":   # into exp's finite range
+                times *= 700.0 / max(700.0, np.abs(times).max())
+            self._check(getattr(np, name), times)
+
+    @pytest.mark.parametrize("half_width", [10.0, 700.0, 1e6])
+    @pytest.mark.parametrize("name", ["sin", "cos", "exp"])
+    def test_random_arguments(self, name, half_width):
+        args = np.random.default_rng(17).uniform(-half_width, half_width,
+                                                 3000)
+        if name == "exp":
+            args = np.clip(args, -745.0, 709.0)
+        self._check(getattr(np, name), args)
+
+    @staticmethod
+    def _check(fn, args):
+        with np.errstate(all="ignore"):
+            batch = fn(args)
+            floats = [fn(v) for v in args.tolist()]
+            scalars = [fn(v) for v in args]
+        assert batch.tobytes() == np.array(floats).tobytes()
+        assert batch.tobytes() == np.array(scalars).tobytes()

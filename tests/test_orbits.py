@@ -3,8 +3,11 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cpacontract import expressions
+from cpacontract import expressions, orbits
 from cpacontract.cpa import CPAMetric, pack_symmetric, unpack_symmetric
 from cpacontract.errors import (
     DomainError,
@@ -19,8 +22,10 @@ from cpacontract.orbits import (
     integrate,
     monodromy,
 )
-from cpacontract.systems import parse_system
+from cpacontract.systems import SystemDefinition, parse_system
 from cpacontract.triangulation import build_complex
+
+from test_expressions import _TREES
 
 TWO_PI = 2.0 * np.pi
 
@@ -195,8 +200,9 @@ class TestStepperCache:
 
 
 class TestMidpointTimeShared:
-    """Stages 2 and 3 of the generated RK4 loop run at the same time
-    t + h/2 and evaluate each subtree that reads t alone once."""
+    """Each subtree that reads t alone is tabulated before the generated
+    RK4 loop, once per stage time t, t + h/2 and t + h, so stages 2 and 3
+    share it and the loop body never evaluates it."""
 
     @staticmethod
     def _source(monkeypatch, text, variational):
@@ -206,27 +212,31 @@ class TestMidpointTimeShared:
                             lambda src, *args: sources.append(src)
                             or build(src, *args), raising=False)
         parse_system(text).stepper(variational)
-        return sources[-1]
+        src = sources[-1]
+        return src, src[src.index("    for i in range(steps):"):]
 
     def test_criterion_1_sin_calls_per_step(self, monkeypatch):
-        # one loop body is one step: stages at t, t + h/2 (twice), t + h
-        src = self._source(monkeypatch, "dim=1; period=6.283185307179586; "
-                           "f1 = -x1 + sin(t)", False)
+        src, loop = self._source(monkeypatch,
+                                 "dim=1; period=6.283185307179586; "
+                                 "f1 = -x1 + sin(t)", False)
         assert src.count("sin(") == 3
+        assert "sin(" not in loop
 
     def test_shared_by_f_and_jacobian(self, monkeypatch):
-        # d f2 / d x1 reads sin(t) too: 2 + 1 + 2 evaluations, not 2 * 4
-        src = self._source(monkeypatch, "dim=2; period=6.283185307179586; "
-                           "f1 = -x1 + x2/(2 + x1^2); "
-                           "f2 = -2*x2 + exp(-x1^2)*sin(t)", True)
-        assert src.count("sin(") == 5
+        # d f2 / d x1 reads sin(t) too, and reads the same three tables
+        src, loop = self._source(monkeypatch,
+                                 "dim=2; period=6.283185307179586; "
+                                 "f1 = -x1 + x2/(2 + x1^2); "
+                                 "f2 = -2*x2 + exp(-x1^2)*sin(t)", True)
+        assert src.count("sin(") == 3
+        assert "sin(" not in loop
         assert src.count("exp(") == 8   # reads x1: once per stage and tree
 
 
 class TestScalarLayoutNegativeControls:
-    """Every coordinate and t are numpy scalars in the compiled RK4 loop,
-    so a singular or overflowing f is a DomainError, never a Python
-    ZeroDivisionError or OverflowError."""
+    """The compiled RK4 loop runs on Python floats, and still a singular
+    or overflowing f is a DomainError, never a Python ZeroDivisionError or
+    OverflowError."""
 
     @pytest.mark.parametrize("text, steps", [
         ("f1 = x1 + t/t", 1), ("f1 = x1 + t/t", 100),
@@ -347,6 +357,99 @@ def _rk4_reference(fun, x, h, steps):
         for i in range(steps):
             states.append(_rk4_reference_step(fun, i * h, states[-1], h))
     return np.array(states)
+
+
+def _rk4_reference_run(fun, evals, x, h, steps):
+    """`_rk4_reference` up to the first non-finite state, as the compiled
+    loop returns it: (done, domain, states), domain telling whether one of
+    that step's stage evaluations `evals(t, x)` was non-finite."""
+    states = [x]
+    with np.errstate(all="ignore"):
+        for i in range(steps):
+            seen = []
+            new = _rk4_reference_step(
+                lambda t, y: seen.append(evals(t, y)) or fun(t, y),
+                i * h, states[-1], h)
+            if not np.isfinite(new).all():
+                return i, not np.isfinite(seen).all(), np.array(states)
+            states.append(new)
+    return steps, False, np.array(states)
+
+
+def _check_stepper(sys, x0, h, steps, variational):
+    """The compiled loop from (0, x0), and with `variational` Phi = I,
+    against `_rk4_reference_run` with every stage evaluated by the numpy
+    code of `compile_exprs` as a batch of one: the same (done, domain),
+    recorded states and exception class. Returns the reference's run."""
+    n = sys.n
+    y0 = np.concatenate([x0, np.eye(n).ravel()]) if variational else x0
+
+    def evals(t, y):
+        pt = [np.concatenate(([t], y[:n]))]
+        fx = sys._batch(sys._f_code, pt, (n,))[0]
+        return (np.append(fx, sys._batch(sys._jac_code, pt, (n, n))[0])
+                if variational else fx)
+
+    def fun(t, y):
+        e = evals(t, y)
+        return np.concatenate([e[:n], (e[n:].reshape(n, n)
+                                       @ y[n:].reshape(n, n)).ravel()])
+
+    ref = _rk4_reference_run(fun if variational else evals, evals, y0, h,
+                             steps)
+    rows = []
+    with np.errstate(all="ignore"):
+        got = sys.stepper(variational)(0.0, h, steps, y0, rows.extend)
+    assert got[:2] == ref[:2]
+    assert np.array([*y0, *rows]).tobytes() == ref[2].tobytes()
+    error = orbits._run(sys, 0.0, h * steps, steps, y0, variational)[1]
+    assert type(error) is (type(None) if ref[0] == steps else
+                           DomainError if ref[1] else NonFiniteStateError)
+    return ref
+
+
+class TestZeroDivisorsMatchReference:
+    """The compiled loop runs on Python floats, yet a zero divisor divides
+    as numpy does: against RK4 with every stage evaluated by the numpy
+    code, the same step count, domain flag, exception class and recorded
+    states. With h = 1/8 and x1 = t, the poles at 0.5 are hit exactly."""
+
+    STEPS = 8
+
+    @pytest.mark.parametrize("text, done, domain", [
+        # -1/0 = -inf and exp(-inf) = 0: finite through the pole
+        ("f1 = 1; f2 = exp(-1/(x1 - 0.5)^2)", 8, False),
+        ("f1 = 1; f2 = exp(-(x1 - 0.5)^-2)", 8, False),
+        # x2 divided by the table of t - 0.5 at its zero, at step 3's last
+        # stage
+        ("f1 = x2/(t - 0.5); f2 = 1", 3, True),
+        # exp overflows: of the state at step 5, of the table at step 7
+        ("f1 = 1; f2 = exp(1000*x1)", 5, True),
+        ("f1 = x2; f2 = -x1 + exp(800*t)", 7, True),
+        # every stage is finite, their weighted sum is not
+        ("f1 = 0.5; f2 = 1e308*cos(t) + x1", 0, False),
+    ])
+    @pytest.mark.parametrize("variational", [False, True])
+    def test_against_reference(self, text, done, domain, variational):
+        sys = parse_system("dim=2; period=1; " + text, check_periodic=False)
+        ref = _check_stepper(sys, np.zeros(2), 1.0 / self.STEPS, self.STEPS,
+                             variational)
+        if not variational:
+            assert ref[:2] == (done, domain)
+
+
+class TestRandomTreesMatchReference:
+    """Random trees over t, x1 and x2: the compiled loop, with its time
+    tables, zero guards and written-out powers, against RK4 over the numpy
+    code of `compile_exprs`, non-finite values included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(f1=_TREES, f2=_TREES, variational=st.booleans(),
+           x0=hnp.arrays(np.float64, 2,
+                         elements=st.floats(-2.0, 2.0, width=64)))
+    def test_three_steps(self, f1, f2, x0, variational):
+        _check_stepper(SystemDefinition(2, 1.0, [f1, f2]), x0, 0.25, 3,
+                       variational)
 
 
 class TestDriverMatchesPerStageReference:

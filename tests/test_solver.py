@@ -281,6 +281,30 @@ def test_one_cholesky_per_block_per_iteration(monkeypatch):
     assert len(calls) == 2 * sol.iterations + 2 * 2
 
 
+class TestPhaseOneApply:
+    """Phase 1 adds tau to the diagonal svec rows of every block through
+    strided slices, with the bits of indexing tau's column."""
+
+    def test_block_sizes_1_2_3(self):
+        rng = np.random.default_rng(3)
+        m = 4
+        blocks = []
+        for k in (2, 1, 3, 1, 2):
+            Fis = [rng.normal(size=(k, k)) for _ in range(m)]
+            blocks.append(([F + F.T for F in Fis], np.eye(k)))
+        segs = solver._Segments(make_problem(blocks, np.zeros(m)))
+        assert segs.sizes == [1, 2, 3]
+        rows = np.arange(len(segs.f0))
+        assert np.array_equal(
+            np.sort(np.concatenate([rows[r] for r in segs.tau_rows])),
+            segs.tau.indices)
+        y = rng.normal(size=m + 1)
+        ref = segs.A @ y[:m]
+        ref[segs.tau.indices] += y[-1]
+        assert segs.apply(y).tobytes() == ref.tobytes()
+        assert segs.apply(y[:m]).tobytes() == (segs.A @ y[:m]).tobytes()
+
+
 class TestNonFiniteDirection:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_step_computation_failed(self, k, monkeypatch):

@@ -17,7 +17,10 @@ runs, one per checkout, do not `diff`. The files are:
 - the dynamics oracle: recheck-1d's 20 seeded contraction probe series,
   `find_periodic_orbit`'s x*, monodromy matrix and exponents for the
   three systems of `tests/test_orbits.py::TestRecordedValues.test_floquet`
-  and the SYNTH_3D system, and one `integrate` trajectory;
+  and the SYNTH_3D system, one `integrate` trajectory, and for
+  `EMITTER_SYSTEM`, which takes every branch of the compiled RK4 loop, a
+  trajectory and a monodromy matrix; then a run of `DOMAIN_SYSTEM` that
+  ends in a DomainError at step 3;
 - the mesh geometry: `simp_gen` and `simp_verts` of the meshes of
   `tests/test_triangulation.py::TestBuild::test_diameter_bound_exact` and
   `tests/test_cli.py::TestExportAndCheck::test_empty_selection`, of the
@@ -47,6 +50,7 @@ import numpy as np  # noqa: E402
 from cpacontract import cli  # noqa: E402
 from cpacontract import orbits  # noqa: E402
 from cpacontract.assembly import assemble, export_sdpa  # noqa: E402
+from cpacontract.errors import DomainError, NonFiniteStateError  # noqa: E402
 from cpacontract.solver import solve  # noqa: E402
 from cpacontract.systems import parse_system  # noqa: E402
 from cpacontract.triangulation import (  # noqa: E402
@@ -85,6 +89,14 @@ FLOQUET_SYSTEMS = (
     "f2 = -2*x2 + exp(-x1^2)*sin(t)",
     SYNTH_3D["system"],
 )
+
+# time tables of cos(t) and exp(-t), a function of the state, a division
+# and a negative power
+EMITTER_SYSTEM = ("dim=2; period=6.283185307179586; f1 = x2 + cos(t)*exp(-t); "
+                  "f2 = -sin(x1) - x2/(2 + x1^2) + 0.1*(1 + x2^2)^-2")
+# x2 = t is divided by the table of t - 0.5 at its zero: the last stage of
+# step 3 of 8
+DOMAIN_SYSTEM = "dim=2; period=1; f1 = x2/(t - 0.5); f2 = 1"
 
 # (region, T, K, spatial scaling) of meshes with simplices, in cells that
 # meet the region, with no vertex and no centroid strictly inside it, and
@@ -212,6 +224,25 @@ def oracle(outdir):
     traj = orbits.integrate(sys2, 0.0, [0.1, 0.2], sys2.T, 1000)
     record["integrate"] = {"t": _hex(traj.t), "x": _hex(traj.x),
                            "max_local_error": _hex(traj.max_local_error)}
+    sys3 = parse_system(EMITTER_SYSTEM, check_periodic=False)
+    traj = orbits.integrate(sys3, 0.0, [0.1, 0.2], sys3.T, 1000)
+    mono = orbits.monodromy(sys3, orbits.FloquetResult(np.array([0.1, 0.2]),
+                                                       0.0), steps=512)
+    record["emitter"] = {"x": _hex(traj.x),
+                         "max_local_error": _hex(traj.max_local_error),
+                         "monodromy": _hex(mono.monodromy),
+                         "residual": _hex(mono.residual)}
+    sys4, rows = parse_system(DOMAIN_SYSTEM, check_periodic=False), []
+    with np.errstate(all="ignore"):
+        done, domain, _ = sys4.stepper()(0.0, 0.125, 8, [0.0, 0.0],
+                                         rows.extend)
+    error = None
+    try:
+        orbits.integrate(sys4, 0.0, [0.0, 0.0], 1.0, 8)
+    except (DomainError, NonFiniteStateError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    record["domain_error"] = {"done": done, "domain": domain,
+                              "x": _hex(rows), "error": error}
     write_json(outdir, "oracle.json", record)
 
 
