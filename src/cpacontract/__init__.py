@@ -4,12 +4,8 @@ time-periodic ODEs via semidefinite optimization."""
 __version__ = "0.1.0"
 
 from .systems import (  # noqa: F401
-    Box,
     DerivativeBounds,
     SystemDefinition,
-    derivative_bound,
-    eval_f,
-    eval_jacobian,
     parse_system,
 )
 from .triangulation import (  # noqa: F401
@@ -20,13 +16,12 @@ from .triangulation import (  # noqa: F401
     check_complex,
     simplex_geometry,
 )
-from .cpa import CPAMetric, barycentric, shape_gradient  # noqa: F401
+from .cpa import CPAMetric  # noqa: F401
 from .assembly import (  # noqa: F401
     SDPProblem,
     VariableMap,
     assemble,
     export_sdpa,
-    parse_sdpa,
 )
 from .solver import SolverSettings, Solution, certify, solve  # noqa: F401
 from .verify import (  # noqa: F401
@@ -35,7 +30,6 @@ from .verify import (  # noqa: F401
     floquet_bound,
     verify_contraction_sampled,
     verify_interpolation_bound,
-    verify_lemma_412_gap,
 )
 from .orbits import (  # noqa: F401
     FloquetResult,

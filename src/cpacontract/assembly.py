@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cpa import sym_basis, triu_layout, unpack_symmetric
-from .errors import DimensionMismatchError, EmptyComplexError, MissingBoundsError
+from .errors import EmptyComplexError, MissingBoundsError
 from .systems import simplex_bounding_boxes
 
 _SQRT2 = np.sqrt(2.0)
@@ -177,28 +177,6 @@ class SDPProblem:
     @property
     def n_blocks(self):
         return sum(g.count for g in self.groups)
-
-    def census(self):
-        """family -> (block size, block count)."""
-        return {g.family: (g.size, g.count) for g in self.groups}
-
-    def block_location(self, index):
-        for gi, g in enumerate(self.groups):
-            if index < g.count:
-                return gi, index
-            index -= g.count
-        raise IndexError("block index out of range")
-
-    def residual(self, y, block_index):
-        """Sum F_i y_i - F_0 restricted to one block, as a dense matrix."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.m,):
-            raise DimensionMismatchError(f"y must have shape ({self.m},)")
-        gi, bi = self.block_location(block_index)
-        g = self.groups[gi]
-        rows = g.rows.start + bi * g.svdim + np.arange(g.svdim)
-        vec = self.A[rows] @ y - self.f0[rows]
-        return unsvec(vec, g.size)
 
 
 def stack_problem(parts, c, n, **kw):
@@ -476,23 +454,3 @@ def export_sdpa(problem):
         *(x[keep].tolist() for x in (var, b, r, c, val)))]
     return "\n".join(lines) + "\n"
 
-
-def parse_sdpa(text):
-    """Parse sparse SDPA text; returns a dict with m, block sizes, the
-    objective vector, and the entry list (value strings preserved)."""
-    lines = [ln for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith(("*", '"'))]
-    m = int(lines[0].split()[0])
-    nblocks = int(lines[1].split()[0])
-    sizes = [int(tok) for tok in lines[2].replace(",", " ").split()]
-    if len(sizes) != nblocks:
-        raise ValueError("block size line does not match block count")
-    c = np.array([float(tok) for tok in lines[3].replace(",", " ").split()])
-    if len(c) != m:
-        raise ValueError("objective line does not match variable count")
-    entries = []
-    for ln in lines[4:]:
-        toks = ln.split()
-        entries.append((int(toks[0]), int(toks[1]), int(toks[2]),
-                        int(toks[3]), toks[4]))
-    return {"m": m, "block_sizes": sizes, "c": c, "entries": entries}

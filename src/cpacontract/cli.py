@@ -286,8 +286,7 @@ def cmd_synthesize(config, out_path=None, progress=print):
                 tol=config.verify_tol, eps0=config.epsilon0, C=C, D=D)
             report.attach_interpolation_check(cpa, sys0,
                                               seed=config.verify_seed)
-            report.attach_boundary_check(cx, sys0, samples=20,
-                                         seed=config.verify_seed)
+            report.attach_boundary_check(cx, sys0, seed=config.verify_seed)
             bound = floquet_bound(sol, vmap)
             cert = build_certificate(config, cx, vmap, sol, report, bound)
             if out_path:

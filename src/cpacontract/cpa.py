@@ -2,11 +2,10 @@
 
 The field is determined by one symmetric n x n value per periodic vertex
 slot (upper-triangle storage) and interpolated barycentrically inside each
-simplex. Per-simplex entry gradients are cached; the forward orbital
-derivative picks a simplex that contains a short segment of the flow
-direction and contracts its gradient table with (1, f). The contraction
+simplex. Per-simplex entry gradients are cached; a simplex's orbital
+derivative M' contracts its gradient table with (1, f). The contraction
 matrix M Dxf + Dxf^T M + M' is formed in one place, `CPAMetric.contraction`,
-which the verifier and the contraction functional share.
+which the verifier uses.
 """
 
 from __future__ import annotations
@@ -14,15 +13,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-from .errors import (
-    NoForwardSimplexError,
-    NotPositiveDefiniteError,
-    OutsideDomainError,
-    OutsideSimplexError,
-)
-from .smallmat import eig_min, gen_eig_max
-from .triangulation import FACE_TOL, barycentric_weights
 
 
 @functools.lru_cache(maxsize=None)
@@ -34,13 +24,6 @@ def triu_layout(n):
     for a in iu:
         a.flags.writeable = False
     return iu
-
-
-def pack_symmetric(mat):
-    """(..., n, n) symmetric -> (..., P) upper triangle, row-major."""
-    n = mat.shape[-1]
-    iu = triu_layout(n)
-    return mat[..., iu[0], iu[1]]
 
 
 def unpack_symmetric(vals, n):
@@ -62,28 +45,6 @@ def sym_basis(n):
     out[np.arange(P), iu[0], iu[1]] = 1.0
     out[np.arange(P), iu[1], iu[0]] = 1.0
     return out
-
-
-def barycentric(simplex, point):
-    """Barycentric weights of `point` in `simplex` (weight 0 first).
-
-    Raises OutsideSimplexError when any weight is below -FACE_TOL.
-    """
-    lam = barycentric_weights(simplex.Xinv, simplex.vertices[0], point)
-    if lam.min() < -FACE_TOL:
-        raise OutsideSimplexError(
-            f"point {point} outside simplex {simplex.index} "
-            f"(min weight {lam.min():.3e})")
-    return lam
-
-
-def shape_gradient(simplex, entry_values):
-    """Gradient of the affine interpolant of scalar vertex values.
-
-    Independent of which vertex is taken as the base point.
-    """
-    vals = np.asarray(entry_values, dtype=float)
-    return simplex.Xinv @ (vals[1:] - vals[0])
 
 
 class CPAMetric:
@@ -112,54 +73,6 @@ class CPAMetric:
     @classmethod
     def from_solution(cls, cx, y, varmap):
         return cls(cx, varmap.metric_values(y))
-
-    @classmethod
-    def constant(cls, cx, matrix):
-        vals = pack_symmetric(np.asarray(matrix, dtype=float))
-        return cls(cx, np.tile(vals, (cx.n_slots, 1)))
-
-    def eval_metric(self, point):
-        """Interpolated metric at a point of the domain; exact at vertices."""
-        sid, lam = self.complex.locate(point)
-        return unpack_symmetric(self.interpolate_batch([sid], [lam])[0], self.n)
-
-    def _forward_simplex(self, sys, point):
-        """(simplex id, barycentric weights, (1, f)) of the first simplex,
-        by index, among those containing the point that the flow
-        direction (1, f) enters: every active zero weight must be
-        nondecreasing along the direction."""
-        cx = self.complex
-        p = np.asarray(point, dtype=float)
-        pw = np.concatenate(([cx.wrap_time(p[0])], p[1:]))
-        hits = cx.containing(pw)
-        if not hits:
-            raise OutsideDomainError(f"point {point} not in the domain")
-        ft = np.concatenate(([1.0], sys.f(pw)))
-        for sid, lam in hits:
-            dlam_rest = cx.Xinv[sid].T @ ft
-            dlam = np.concatenate(([-dlam_rest.sum()], dlam_rest))
-            active = lam <= FACE_TOL
-            if np.all(dlam[active] >= -1e-12):
-                return sid, lam, ft
-        raise NoForwardSimplexError(
-            f"flow leaves the triangulated domain at {point}; grow the region")
-
-    def orbital_derivative_plus(self, sys, point):
-        """Forward orbital derivative at an interior point, taken in the
-        forward simplex; the value is simplex-independent for qualifying
-        simplices."""
-        sid, _, ft = self._forward_simplex(sys, point)
-        return unpack_symmetric(self.W[sid] @ ft, self.n)
-
-    def lm_value(self, sys, point):
-        """Contraction functional: half the largest generalized eigenvalue
-        of M Dxf + Dxf^T M + M'_+ with respect to M."""
-        sid, lam, _ = self._forward_simplex(sys, point)
-        _, M, A = self.contraction(sys, [sid], lam[None, None])
-        if eig_min(M[0, 0]) <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"metric not positive definite at {point}")
-        return 0.5 * float(gen_eig_max(A[0, 0], M[0, 0]))
 
     def contraction(self, sys, sids, lam):
         """The contraction matrix M Dxf + Dxf^T M + M' at barycentric

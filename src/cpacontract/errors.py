@@ -41,22 +41,6 @@ class SingularSimplexError(CpaError):
     """Vertices affinely dependent or shape matrix numerically singular."""
 
 
-class OutsideSimplexError(CpaError):
-    """Point has a barycentric weight below the tolerance."""
-
-
-class OutsideDomainError(CpaError):
-    """Point is not covered by any simplex of the complex."""
-
-
-class NoForwardSimplexError(CpaError):
-    """The flow direction leaves the triangulated domain at this point."""
-
-
-class NotPositiveDefiniteError(CpaError):
-    """Metric evaluation produced a matrix that is not positive definite."""
-
-
 class MissingBoundsError(CpaError):
     """Simplex derivative-bound caches are required but absent."""
 

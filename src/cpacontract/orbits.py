@@ -27,6 +27,9 @@ from .errors import (
 )
 
 _DIVERGENCE_GUARD = 1e8
+# Newton shooting's max-norm residual tolerance and step budget
+_NEWTON_TOL = 1e-10
+_MAX_NEWTON = 50
 
 
 @dataclass
@@ -119,13 +122,13 @@ def _floquet(sys, x_star, residual, Phi):
                          exponents=exponents)
 
 
-def find_periodic_orbit(sys, guess, tol=1e-10, max_newton=50, steps=4096):
+def find_periodic_orbit(sys, guess, steps=4096):
     """Damped Newton on x -> S_T^x(0, x) - x with the exact period-map
     Jacobian from the variational equation. At convergence that Jacobian
     is the monodromy matrix, returned with the Floquet exponents."""
     x = np.atleast_1d(np.asarray(guess, dtype=float)).copy()
     n = sys.n
-    for _ in range(max_newton):
+    for _ in range(_MAX_NEWTON):
         if np.max(np.abs(x)) > _DIVERGENCE_GUARD:
             raise NoConvergenceError("iterate diverged")
         try:
@@ -135,7 +138,7 @@ def find_periodic_orbit(sys, guess, tol=1e-10, max_newton=50, steps=4096):
                 f"flow from the current iterate blew up: {exc}") from exc
         g = xT - x
         res = float(np.max(np.abs(g)))
-        if res <= tol:
+        if res <= _NEWTON_TOL:
             return _floquet(sys, x, res, Phi)
         try:
             dx = np.linalg.solve(Phi - np.eye(n), -g)
@@ -149,13 +152,14 @@ def find_periodic_orbit(sys, guess, tol=1e-10, max_newton=50, steps=4096):
             except (NonFiniteStateError, DomainError):
                 alpha *= 0.5
                 continue
-            if np.max(np.abs(g_try)) <= (1.0 - 0.5 * alpha) * res + tol:
+            if (np.max(np.abs(g_try))
+                    <= (1.0 - 0.5 * alpha) * res + _NEWTON_TOL):
                 break
             alpha *= 0.5
         else:
             raise NoConvergenceError("line search stalled")
         x = x + alpha * dx
-    raise NoConvergenceError(f"no convergence in {max_newton} Newton steps")
+    raise NoConvergenceError(f"no convergence in {_MAX_NEWTON} Newton steps")
 
 
 def monodromy(sys, result, steps=4096):

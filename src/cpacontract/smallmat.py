@@ -203,8 +203,8 @@ def eig_max(mats):
     return eigvalsh(mats)[..., -1]
 
 
-def _gen_eig(A, M, sign):
-    """Smallest (sign -1) or largest (sign +1) eigenvalue of each pair."""
+def gen_eig_max(A, M):
+    """Largest generalized eigenvalue of each pair (A, M), M spd."""
     A, M = np.asarray(A, dtype=float), np.asarray(M, dtype=float)
     k = A.shape[-1]
     if k > 2:
@@ -213,7 +213,7 @@ def _gen_eig(A, M, sign):
             if np.isnan(L[:, 0, 0]).any():
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
             w = _values(congruence(inv_lower(L), a))
-            return (w[:, 0] if sign < 0 else w[:, -1],)
+            return (w[:, -1],)
 
         return _chunked(whitened, ((),), A, M)[0]
     with np.errstate(invalid="ignore"):  # as in eigvalsh
@@ -226,18 +226,8 @@ def _gen_eig(A, M, sign):
                  - 2.0 * A[..., 0, 1] * M[..., 0, 1])
             c = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] ** 2
             disc = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
-            out = (b + sign * disc) / (2.0 * a)
+            out = (b + disc) / (2.0 * a)
     return np.where(_finite(A, M), out, np.nan)
-
-
-def gen_eig_min(A, M):
-    """Smallest generalized eigenvalue of each pair (A, M), M spd."""
-    return _gen_eig(A, M, -1.0)
-
-
-def gen_eig_max(A, M):
-    """Largest generalized eigenvalue of each pair (A, M), M spd."""
-    return _gen_eig(A, M, 1.0)
 
 
 def eigh(mats):

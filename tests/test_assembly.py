@@ -7,71 +7,16 @@ from cpacontract.assembly import (
     enu_coefficient_arrays,
     export_sdpa,
     fill_derivative_bounds,
-    parse_sdpa,
     stack_problem,
     svec,
     unsvec,
 )
-from cpacontract.cpa import CPAMetric, sym_basis, unpack_symmetric
+from cpacontract.cpa import sym_basis
 from cpacontract.errors import MissingBoundsError
 from cpacontract.systems import parse_system
 from cpacontract.triangulation import build_complex
 
-
-def direct_block_svecs(cx, sys, y, vmap, a_C, a_D, eps0):
-    """Independent evaluation of every constraint block from a CPA metric
-    built out of y; returns per-family svec arrays in block order."""
-    n = cx.n
-    P = n * (n + 1) // 2
-    cpa = CPAMetric.from_solution(cx, y, vmap)
-    S, v = cx.n_simplices, cx.n_slots
-    uniform = vmap.uniform
-
-    def c_of(nu):
-        return y[vmap.c_index(0 if uniform else nu)]
-
-    def d_of(nu):
-        return y[vmap.d_index(0 if uniform else nu)]
-
-    out = {}
-    slot_mats = unpack_symmetric(cpa.values, n)
-    # bound_M
-    rows = []
-    if uniform:
-        for u in range(v):
-            rows.append(svec(c_of(0) * np.eye(n) - slot_mats[u]))
-    else:
-        for nu in range(S):
-            for k in range(n + 2):
-                u = cx.vert_slot[cx.simp_verts[nu, k]]
-                rows.append(svec(c_of(nu) * np.eye(n) - slot_mats[u]))
-    out["bound_M"] = np.concatenate(rows)
-    # grad_bound, order (simplex, entry, component, sign)
-    rows = []
-    for nu in range(S):
-        for p in range(P):
-            for l in range(n + 1):
-                for sign in (1.0, -1.0):
-                    rows.append(d_of(nu) / (n + 1.0)
-                                + sign * cpa.W[nu, p, l])
-    out["grad_bound"] = np.asarray(rows)
-    # pos_def
-    rows = [svec(slot_mats[u] - eps0 * np.eye(n)) for u in range(v)]
-    out["pos_def"] = np.concatenate(rows)
-    # contraction
-    rows = []
-    for nu in range(S):
-        for k in range(n + 2):
-            vert = cx.simp_verts[nu, k]
-            pt = cx.vert_xyz[vert]
-            J = sys.jacobian(pt)
-            ft = np.concatenate([[1.0], sys.f(pt)])
-            M = slot_mats[cx.vert_slot[vert]]
-            Mdot = unpack_symmetric(cpa.W[nu] @ ft, n)
-            E = a_C[nu] * c_of(nu) + a_D[nu] * d_of(nu)
-            rows.append(svec(-(M @ J + J.T @ M + Mdot + (E + 1.0) * np.eye(n))))
-    out["contraction"] = np.concatenate(rows)
-    return out
+from reference import constraint_blocks, parse_sdpa
 
 
 class TestECoefficients:
@@ -135,7 +80,7 @@ class TestAssemble:
                 prob, _ = assemble(cx, sys, 0.01, uniform_cd=False,
                                    objective="none")
                 s, v = cx.n_simplices, cx.n_slots
-                census = prob.census()
+                census = {g.family: (g.size, g.count) for g in prob.groups}
                 assert census["grad_bound"] == (1, n * (n + 1) ** 2 * s)
                 size_n = (census["bound_M"][1] + census["pos_def"][1]
                           + census["contraction"][1])
@@ -153,7 +98,7 @@ class TestAssemble:
         prob, vmap = assemble(cx, linear_1d, 0.01, uniform_cd=True,
                               objective="min_c")
         assert prob.m == cx.n_slots + 2
-        census = prob.census()
+        census = {g.family: (g.size, g.count) for g in prob.groups}
         assert census["bound_M"][1] == cx.n_slots
         assert np.count_nonzero(prob.c) == 1
 
@@ -162,7 +107,8 @@ class TestAssemble:
         prob, vmap = assemble(cx, linear_1d, 0.01, uniform_cd=False,
                               objective="min_c")
         assert prob.m == 2 * cx.n_simplices + cx.n_slots + 1
-        assert prob.census()["cmax_link"] == (1, cx.n_simplices)
+        census = {g.family: (g.size, g.count) for g in prob.groups}
+        assert census["cmax_link"] == (1, cx.n_simplices)
         assert prob.c[vmap.cmax_index] == 1.0
 
 
@@ -200,26 +146,15 @@ class TestNoExplicitZeros:
 
 
 class TestResidual:
+    """The residual A y - f0, sliced by the groups' row ranges."""
+
     def test_zero_gives_minus_f0(self, solved_linear):
         prob = solved_linear["problem"]
-        y0 = np.zeros(prob.m)
+        res = prob.A @ np.zeros(prob.m) - prob.f0
         # a positive-definiteness block: -F0 = -eps0 I
-        base = sum(g.count for g in prob.groups[:2])
-        R = prob.residual(y0, base)
+        g = next(g for g in prob.groups if g.family == "pos_def")
+        R = unsvec(res[g.rows][:g.svdim], g.size)
         assert np.allclose(R, -0.01 * np.eye(1))
-
-    def test_unit_vector_linearity(self, solved_linear):
-        prob = solved_linear["problem"]
-        rng = np.random.default_rng(0)
-        for bidx in rng.integers(0, prob.n_blocks, size=10):
-            e = np.zeros(prob.m)
-            j = int(rng.integers(prob.m))
-            e[j] = 1.0
-            lhs = prob.residual(e, int(bidx))
-            rhs = (prob.residual(np.zeros(prob.m), int(bidx))
-                   + (prob.residual(2 * e, int(bidx))
-                      - prob.residual(e, int(bidx))))
-            assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_matches_direct_cpa_evaluation(self, linear_1d):
         cx = build_complex([[[-2.0, 1.0]]], linear_1d.T, 2)
@@ -229,11 +164,15 @@ class TestResidual:
         rng = np.random.default_rng(42)
         for _ in range(5):
             y = rng.normal(size=prob.m)
-            direct = direct_block_svecs(cx, linear_1d, y, vmap, a_C, a_D, 0.01)
+            direct = constraint_blocks(cx, linear_1d, y, vmap, a_C, a_D, 0.01)
             res = prob.A @ y - prob.f0
             for g in prob.groups:
                 got = res[g.rows]
                 assert np.max(np.abs(got - direct[g.family])) <= 1e-10
+        # negative control: the margin with a_C doubled
+        wrong = constraint_blocks(cx, linear_1d, y, vmap, 2 * a_C, a_D, 0.01)
+        assert not all(np.allclose(res[g.rows], wrong[g.family], atol=1e-10)
+                       for g in prob.groups)
 
     def test_constraint3_implies_w_norm(self, solved_linear):
         # a feasible point satisfies |w|_1 <= D by direct summation
@@ -268,6 +207,8 @@ class TestSdpaFormat:
         text = export_sdpa(prob)
         parsed = parse_sdpa(text)
         assert parsed["m"] == prob.m
+        with pytest.raises(ValueError):  # negative control: a wrong m
+            parse_sdpa(f"{prob.m + 1}" + text[len(str(prob.m)):])
         assert sum(abs(b) for b in parsed["block_sizes"]) \
             == sum(g.size * g.count if g.size > 1 else g.count
                    for g in prob.groups)

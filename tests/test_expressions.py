@@ -263,7 +263,7 @@ class TestCompiledEvaluation:
         with pytest.raises(DomainError):
             sys.f_many(point[None])
         with pytest.raises(DomainError):
-            sys.f_and_jacobian(point)
+            sys.f_tilde_many(point[None])
         if jacobian_finite:
             assert sys.jacobian(point)[0, 0] == 1.0
         else:

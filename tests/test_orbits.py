@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cpacontract import expressions, orbits
-from cpacontract.cpa import CPAMetric, pack_symmetric, unpack_symmetric
+from cpacontract.cpa import CPAMetric, unpack_symmetric
 from cpacontract.errors import (
     DomainError,
     LeftDomainError,
@@ -25,6 +25,7 @@ from cpacontract.orbits import (
 from cpacontract.systems import SystemDefinition, parse_system
 from cpacontract.triangulation import build_complex
 
+from reference import constant_metric, pack_symmetric
 from test_expressions import _TREES
 
 TWO_PI = 2.0 * np.pi
@@ -144,7 +145,7 @@ class TestContractionProbe:
     def test_expanding_negative_control(self):
         sys = parse_system("dim=1; period=1; f1 = x1")
         cx = build_complex([[[-1.0, 1.0]]], 1.0, 1)
-        cpa = CPAMetric.constant(cx, np.eye(1))
+        cpa = constant_metric(cx, np.eye(1))
         d = contraction_probe(cpa, sys, [0.1], [1e-3], 1.0, 100)
         assert d[-1] > d[0]
 
@@ -159,7 +160,7 @@ class TestContractionProbe:
     def test_left_domain_negative_control(self, text, x0, region, steps,
                                           t_exit):
         sys = parse_system(text, check_periodic=False)
-        cpa = CPAMetric.constant(build_complex([region], 1.0, 1),
+        cpa = constant_metric(build_complex([region], 1.0, 1),
                                  np.eye(sys.n))
         with pytest.raises(LeftDomainError,
                            match=re.escape(f"at t={t_exit!r}") + "$"):
@@ -174,7 +175,7 @@ class TestContractionProbe:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_in_one_step_negative_control(self, text, steps, error):
         sys = parse_system(text, check_periodic=False)
-        cpa = CPAMetric.constant(build_complex([[[-1.0, 1.0]]], 1.0, 1),
+        cpa = constant_metric(build_complex([[[-1.0, 1.0]]], 1.0, 1),
                                  np.eye(1))
         with pytest.raises(error) as exc:
             contraction_probe(cpa, sys, [0.0], [1e-3], 1.0, steps)
@@ -189,7 +190,7 @@ class TestStepperCache:
                             lambda *args: builds.append(args) or build(*args))
         sys = parse_system("dim=1; period=6.283185307179586; "
                            "f1 = -x1 + sin(t)")
-        sys.f_and_jacobian([0.0, 0.5])
+        sys.f([0.0, 0.5]), sys.jacobian([0.0, 0.5])
         assert builds == []
         first = integrate(sys, 0.0, [0.1], 1.0, 10)
         second = integrate(sys, 0.0, [0.1], 1.0, 10)
@@ -247,7 +248,7 @@ class TestScalarLayoutNegativeControls:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_entry_point(self, text, steps):
         sys = parse_system("dim=1; period=1; " + text, check_periodic=False)
-        cpa = CPAMetric.constant(build_complex([[[-1.0, 1.0]]], 1.0, 1),
+        cpa = constant_metric(build_complex([[[-1.0, 1.0]]], 1.0, 1),
                                  np.eye(1))
         calls = [
             lambda: integrate(sys, 0.0, [0.0], 1.0, steps),
@@ -271,7 +272,7 @@ class TestProbeTrajectoriesDiverge:
         sys = parse_system("dim=1; period=1; f1 = 1/(x1 - 0.001)",
                            check_periodic=False)
         integrate(sys, 0.0, [0.0], 1.0, 100)
-        cpa = CPAMetric.constant(build_complex([[[-1.0, 1.0]]], 1.0, 1),
+        cpa = constant_metric(build_complex([[[-1.0, 1.0]]], 1.0, 1),
                                  np.eye(1))
         with pytest.raises(DomainError,
                            match=r"before t=0\.01$") as exc:
@@ -285,7 +286,7 @@ class TestProbeTrajectoriesDiverge:
         sys = parse_system("dim=1; period=1; f1 = x1^3", check_periodic=False)
         with pytest.raises((DomainError, NonFiniteStateError)):
             integrate(sys, 0.0, [1.5], 0.5, 50)
-        cpa = CPAMetric.constant(build_complex([[[-1.0, 1.0]]], 1.0, 1),
+        cpa = constant_metric(build_complex([[[-1.0, 1.0]]], 1.0, 1),
                                  np.eye(1))
         with pytest.raises(LeftDomainError, match=r"at t=0\.12$"):
             contraction_probe(cpa, sys, [0.9], [0.6], 0.5, 50)
@@ -294,7 +295,7 @@ class TestProbeTrajectoriesDiverge:
 class TestStepsValidated:
     @pytest.mark.parametrize("steps", [0, -3])
     def test_every_entry_point(self, linear_1d, steps):
-        cpa = CPAMetric.constant(build_complex([[[-2.0, 1.0]]], linear_1d.T, 1),
+        cpa = constant_metric(build_complex([[[-2.0, 1.0]]], linear_1d.T, 1),
                                  np.eye(1))
         calls = [
             lambda: integrate(linear_1d, 0.0, [0.0], 1.0, steps),
@@ -454,7 +455,7 @@ class TestRandomTreesMatchReference:
 
 class TestDriverMatchesPerStageReference:
     """The oracle's RK4 driver against RK4 with every stage evaluated
-    through `f`, `f_and_jacobian` or `f_many`, bit for bit."""
+    through `f` and `jacobian`, or `f_many`, bit for bit."""
 
     STEPS = 300
 
@@ -484,7 +485,8 @@ class TestDriverMatchesPerStageReference:
         n = sys.n
 
         def fun(t, state):
-            fx, J = sys.f_and_jacobian(np.concatenate(([t], state[:n])))
+            point = np.concatenate(([t], state[:n]))
+            fx, J = sys.f(point), sys.jacobian(point)
             return np.concatenate([fx, (J @ state[n:].reshape(n, n)).ravel()])
 
         ref = _rk4_reference(fun, np.concatenate([x0, np.eye(n).ravel()]),

@@ -303,7 +303,8 @@ class TestSchurOrder:
         plan = _SchurPlan(_Segments(problem), problem.schur_order,
                           problem.schur_border)
         assert max(cls["C"].nbytes for cls in plan.classes) <= 20e6
-        assert plan.K.shape[1] == problem.census()["grad_bound"][1]
+        assert plan.K.shape[1] == next(g.count for g in problem.groups
+                                       if g.family == "grad_bound")
         sol = solve(problem, SolverSettings(max_iterations=1))
         assert sol.schur["kind"] == "banded"
         assert sol.schur["border"] == 3

@@ -7,11 +7,7 @@ from scipy.optimize import linprog
 
 from cpacontract import triangulation
 from cpacontract.cpa import CPAMetric, unpack_symmetric
-from cpacontract.errors import (
-    DisconnectedRegionError,
-    OutsideDomainError,
-    SingularSimplexError,
-)
+from cpacontract.errors import DisconnectedRegionError, SingularSimplexError
 from cpacontract.triangulation import (
     ScalingMatrix,
     _box_margin,
@@ -19,9 +15,15 @@ from cpacontract.triangulation import (
     _permutation_patterns,
     build_complex,
     check_complex,
-    check_face_property,
-    reference_shape_constant,
     simplex_geometry,
+)
+
+from reference import (
+    S_star,
+    check_face_property,
+    metric_at,
+    reference_shape_constant,
+    s_star,
 )
 
 
@@ -34,9 +36,9 @@ class TestScaling:
 
     def test_derived_constants(self):
         s = ScalingMatrix.from_spatial([0.5, 2.0])
-        assert s.s_star == 0.5
-        assert s.S_star == pytest.approx(np.sqrt(3.0) * 2.0)
-        assert s.S_star >= np.sqrt(s.n + 1) * s.s_star
+        assert s_star(s) == 0.5
+        assert S_star(s) == pytest.approx(np.sqrt(3.0) * 2.0)
+        assert S_star(s) >= np.sqrt(s.n + 1) * s_star(s)
 
 
 class TestGeometry:
@@ -123,14 +125,24 @@ class TestBuild:
                 for sdiag in ([1.0] * n, [0.7] * n):
                     scal = ScalingMatrix.from_spatial(sdiag)
                     cx = build_complex([[[0.0, 0.5]] * n], 1.0, K, scal)
-                    assert cx.h.max() <= scal.S_star * 2.0 ** (-K) * cx.T
+                    assert cx.h.max() <= S_star(scal) * 2.0 ** (-K) * cx.T
+        # negative control: S* of the identity on a mesh stretched by 1.5
+        cx = build_complex([[[0.0, 0.5]]], 1.0, 1,
+                           ScalingMatrix.from_spatial([1.5]))
+        assert cx.h.max() > S_star(ScalingMatrix.identity(1)) * 2.0**-1 * cx.T
 
     def test_inverse_norm_bound(self):
         for K in range(4):
             scal = ScalingMatrix.from_spatial([0.8])
             cx = build_complex([[[0.0, 1.0]]], 1.0, K, scal)
-            cap = 2.0**K / (scal.s_star * cx.T) * cx.X_star
+            cap = (2.0**K / (s_star(scal) * cx.T)
+                   * reference_shape_constant(cx.n))
             assert cx.Xinv_1norm.max() <= cap * (1 + 1e-12)
+        # negative control: s* of the identity on a mesh shrunk to 0.5
+        cx = build_complex([[[0.0, 1.0]]], 1.0, 1,
+                           ScalingMatrix.from_spatial([0.5]))
+        cap = 2.0 / (s_star(ScalingMatrix.identity(1)) * cx.T)  # K = 1
+        assert cx.Xinv_1norm.max() > cap * reference_shape_constant(1)
 
     def test_scaling_law_across_levels(self):
         for n in (1, 2):
@@ -144,7 +156,7 @@ class TestBuild:
     def test_vertex_dedup_spacing(self):
         cx = build_complex([[[0.0, 1.0]]], 1.0, 2,
                            ScalingMatrix.from_spatial([0.9]))
-        limit = cx.rho * cx.scaling.s_star / 2.0
+        limit = cx.rho * s_star(cx.scaling) / 2.0
         pts = cx.vert_xyz
         for i in range(len(pts)):
             d = np.abs(pts[i + 1:] - pts[i]).max(axis=1)
@@ -155,10 +167,15 @@ class TestBuild:
         assert reference_shape_constant(1) == pytest.approx(2.0)
 
 
+def _locate_one(cx, point):
+    sids, lam = cx.locate_many([point])
+    return sids[0], lam[0]
+
+
 class TestLocation:
     def test_locate_and_containing(self):
         cx = build_complex([[[-2.0, 1.0]]], 2 * np.pi, 3)
-        sid, lam = cx.locate([1.0, -0.5])
+        sid, lam = _locate_one(cx, [1.0, -0.5])
         assert lam.min() >= -1e-9
         assert abs(lam.sum() - 1.0) <= 1e-10
         verts = cx.vert_xyz[cx.simp_verts[sid]]
@@ -166,14 +183,13 @@ class TestLocation:
 
     def test_wrap_time(self):
         cx = build_complex([[[0.0, 1.0]]], 1.0, 1)
-        sid, _ = cx.locate([1.0 + 0.25, 0.5])  # t wraps to 0.25
-        sid2, _ = cx.locate([0.25, 0.5])
+        sid, _ = _locate_one(cx, [1.0 + 0.25, 0.5])  # t wraps to 0.25
+        sid2, _ = _locate_one(cx, [0.25, 0.5])
         assert sid == sid2
 
     def test_outside(self):
         cx = build_complex([[[0.0, 1.0]]], 1.0, 1)
-        with pytest.raises(OutsideDomainError):
-            cx.locate([0.5, 3.0])
+        assert _locate_one(cx, [0.5, 3.0])[0] == -1
 
     def test_shared_face_multiple_hits(self):
         cx = build_complex([[[0.0, 1.0]]], 1.0, 0)
@@ -186,8 +202,8 @@ class TestLocation:
     ])
     def test_one_location_rule(self, region, T, K):
         # vertices, facet centroids and edge midpoints lie on shared faces:
-        # `locate`, `locate_many` and `eval_metric` pick the same simplex
-        # and the same weights there, bit for bit
+        # `locate_many` on one point and on the batch, and the metric
+        # there, pick the same simplex and the same weights, bit for bit
         cx = build_complex(region, T, K)
         faces = cx.vert_xyz[cx.simp_verts]
         points = np.vstack([cx.vert_xyz, faces[:, 1:].mean(axis=1),
@@ -199,11 +215,10 @@ class TestLocation:
         assert (sids >= 0).all()
         entries = cpa.interpolate_batch(sids, lams)
         for p, sid, lam, vals in zip(points, sids, lams, entries):
-            one_sid, one_lam = cx.locate(p)
-            many_sid, many_lam = cx.locate_many([p])
-            assert one_sid == many_sid[0] == sid
-            assert one_lam.tobytes() == many_lam[0].tobytes() == lam.tobytes()
-            assert cpa.eval_metric(p).tobytes() == \
+            one_sid, one_lam = _locate_one(cx, p)
+            assert one_sid == sid
+            assert one_lam.tobytes() == lam.tobytes()
+            assert metric_at(cpa, p).tobytes() == \
                 unpack_symmetric(vals, cx.n).tobytes()
 
     @staticmethod
@@ -279,6 +294,8 @@ class TestValidation:
     def test_proper_shared_edge_ok(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         assert check_face_property(verts, [[0, 1, 2], [0, 2, 3]]) == []
+        # negative control: two triangles on one edge that overlap
+        assert check_face_property(verts, [[0, 1, 2], [0, 1, 3]]) != []
 
     def test_shared_vertex_only_ok(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],

@@ -10,9 +10,13 @@ from cpacontract.triangulation import build_complex
 from cpacontract.verify import (
     boundary_flow_check,
     floquet_bound,
-    margin_coefficients_consistent,
     verify_contraction_sampled,
     verify_interpolation_bound,
+)
+
+from reference import (
+    constant_metric,
+    margin_coefficients_consistent,
     verify_lemma_412_gap,
 )
 
@@ -23,7 +27,7 @@ class TestContractionSampled:
     def test_constant_metric_linear_system(self, linear_1d):
         # M = [1]: sampled matrix is 2*1*(-1) = -2 everywhere, L_M = -1
         cx = build_complex([[[-2.0, 1.0]]], linear_1d.T, 3)
-        cpa = CPAMetric.constant(cx, np.eye(1))
+        cpa = constant_metric(cx, np.eye(1))
         rep = verify_contraction_sampled(cpa, linear_1d, cx, samples=5000,
                                          seed=0, tol=1e-6, eps0=0.01,
                                          C=1.0, D=0.0)
@@ -35,7 +39,7 @@ class TestContractionSampled:
     def test_no_contraction_without_x_dependence(self):
         sys = parse_system("dim=1; period=6.283185307179586; f1 = sin(t)")
         cx = build_complex([[[-1.0, 1.0]]], sys.T, 2)
-        cpa = CPAMetric.constant(cx, np.eye(1))
+        cpa = constant_metric(cx, np.eye(1))
         rep = verify_contraction_sampled(cpa, sys, cx, samples=2000, seed=0,
                                          tol=1e-6, eps0=0.01, C=1.0, D=0.0)
         assert rep.max_lambda_max == pytest.approx(0.0, abs=1e-9)
@@ -129,12 +133,15 @@ class TestLemma412Gap:
         sys = parse_system("dim=1; period=1; f1 = -x1")
         cx = build_complex([[[0.0, 1.0]]], 1.0, 1)
         fill_derivative_bounds(cx, sys)
-        cpa = CPAMetric.constant(cx, np.eye(1))
+        cpa = constant_metric(cx, np.eye(1))
         a_C, a_D = enu_coefficient_arrays(cx, "C2")
         assert np.all(a_C == 0.0)
         for sid in range(cx.n_simplices):
             gap = verify_lemma_412_gap(cpa, sys, cx.simplex(sid), 200)
             assert gap <= 1e-12
+        # negative control: a cubic field bends the matrix inside
+        cubic = parse_system("dim=1; period=1; f1 = -x1 + x1^3")
+        assert verify_lemma_412_gap(cpa, cubic, cx.simplex(0), 200) > 1e-3
 
     def test_solved_gap_within_margin(self, solved_linear):
         cx, sys, cpa = (solved_linear["cx"], solved_linear["sys"],
@@ -155,6 +162,9 @@ class TestLemma412Gap:
         assert margin_coefficients_consistent(cx, sys, a_C, a_D)
         assert not margin_coefficients_consistent(cx, sys, a_C / 2.0,
                                                   a_D / 2.0)
+        tampered = a_C.copy()
+        tampered[-1] *= 1.0 + 1e-6
+        assert not margin_coefficients_consistent(cx, sys, tampered, a_D)
 
 
 class TestFloquetBound:

@@ -56,7 +56,7 @@ def _report(case, metric, C, D):
                                      seed=case["seed"], tol=1e-6, eps0=EPS0,
                                      C=C, D=D)
     rep.attach_interpolation_check(cpa, sys0, seed=case["seed"])
-    rep.attach_boundary_check(cx, sys0, samples=20, seed=case["seed"])
+    rep.attach_boundary_check(cx, sys0, seed=case["seed"])
     return rep.to_dict()
 
 
