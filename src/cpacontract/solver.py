@@ -216,57 +216,50 @@ def _frame_classes(A, cones, m):
     """Frames of the Schur plan, batched into classes.
 
     `cones` are the matrix cones as (cone index, rows of A, simplex, svdim).
-    A frame is all their blocks of one simplex, or one block without a
+    A frame is a cone's blocks of one simplex, or one block without a
     simplex; its local columns are the sorted distinct variables it touches.
-    Frames with the same width and the same block count from each cone form
-    a class. Per class: `cols` (frames, width) variables, and `parts`, one
-    (cone index, block selection, dense local rows (blocks, svdim, width),
-    blocks per frame, svdim) per cone with blocks in the class.
+    A cone's frames with the same width and block count form a class; the
+    classes go by width, then cone (the last first), then block count. Per
+    class: `cols` (frames, width) variables, the `cone` index, the block
+    selection `sel`, the dense local rows `A` (blocks, svdim, width), `cnt`
+    blocks per frame and `svdim`.
     """
-    frame_of, nz = [], []
-    lone = max((int(c[2].max()) + 1 for c in cones if len(c[2])), default=0)
-    for _, rows, simplex, d in cones:
+    classes = []
+    for ci, rows, simplex, d in cones:
         f = np.array(simplex, dtype=np.int64)
         solo = f < 0
+        lone = int(f.max(initial=-1)) + 1
         f[solo] = lone + np.arange(solo.sum())
-        lone += int(solo.sum())
-        frame_of.append(f)
+        nfr = lone + int(solo.sum())
         row, col, val = row_entries(A, rows)
-        nz.append((*np.divmod(row, d), col.astype(np.int64), val))
-    if not cones:
-        return []
-    ukey, inv = np.unique(np.concatenate(
-        [f[e[0]] * m + e[2] for f, e in zip(frame_of, nz)]), return_inverse=True)
-    ufr, ucol = np.divmod(ukey, m)
-    width = np.bincount(ufr, minlength=lone)
-    start = np.cumsum(width) - width
-    local = np.split((np.arange(len(ukey)) - start[ufr])[inv.ravel()],
-                     np.cumsum([len(e[0]) for e in nz])[:-1])
-    sig, cls_of = np.unique(np.stack(
-        [width] + [np.bincount(f, minlength=lone) for f in frame_of], axis=1),
-        axis=0, return_inverse=True)
-    cls_of = cls_of.ravel()
-    classes = []
-    for c in np.nonzero(sig[:, 0])[0]:
-        w, frames, parts = int(sig[c, 0]), np.nonzero(cls_of == c)[0], []
-        for gi in np.nonzero(sig[c, 1:])[0]:
-            (blk, q, _, data), d = nz[gi], cones[gi][3]
-            b = np.nonzero(cls_of[frame_of[gi]] == c)[0]
-            b = b[np.argsort(frame_of[gi][b], kind="stable")]
-            slot = np.full(len(frame_of[gi]), -1)
+        blk, q = np.divmod(row, d)
+        ukey, inv = np.unique(f[blk] * m + col, return_inverse=True)
+        ufr, ucol = np.divmod(ukey, m)
+        width = np.bincount(ufr, minlength=nfr)
+        start = np.cumsum(width) - width
+        local = (np.arange(len(ukey)) - start[ufr])[inv.ravel()]
+        sig, cls_of = np.unique(np.stack(
+            [width, np.bincount(f, minlength=nfr)], axis=1),
+            axis=0, return_inverse=True)
+        cls_of = cls_of.ravel()
+        for c in np.nonzero(sig[:, 0])[0]:
+            (w, cnt), frames = sig[c].tolist(), np.nonzero(cls_of == c)[0]
+            b = np.nonzero(cls_of[f] == c)[0]
+            b = b[np.argsort(f[b], kind="stable")]
+            slot = np.full(len(f), -1)
             slot[b] = np.arange(len(b))
             on = slot[blk] >= 0
-            A_loc = np.bincount((slot[blk[on]] * d + q[on]) * w + local[gi][on],
-                                weights=data[on], minlength=len(b) * d * w)
+            A_loc = np.bincount((slot[blk[on]] * d + q[on]) * w + local[on],
+                                weights=val[on], minlength=len(b) * d * w)
             if np.array_equal(b, np.arange(b[0], b[0] + len(b))):
                 b = slice(b[0], b[0] + len(b))
-            parts.append((cones[gi][0], b, A_loc.reshape(-1, d, w),
-                          int(sig[c, 1 + gi]), d))
-        rows = sum(p[3] * p[4] for p in parts)
-        classes.append({"cols": ucol[start[frames][:, None] + np.arange(w)],
-                        "parts": parts, "C": np.empty((len(frames), rows, w)),
-                        "G": np.empty((len(frames), w, w))})
-    return classes
+            classes.append(((w, -ci, cnt), {
+                "cols": ucol[start[frames][:, None] + np.arange(w)],
+                "cone": ci, "sel": b, "A": A_loc.reshape(-1, d, w),
+                "cnt": cnt, "svdim": d,
+                "C": np.empty((len(frames), cnt * d, w)),
+                "G": np.empty((len(frames), w, w))}))
+    return [cls for _, cls in sorted(classes, key=lambda kc: kc[0])]
 
 
 def _scalar_pairs(A, rows):
@@ -372,13 +365,10 @@ class _SchurPlan:
         off = 0
         for cls in self.classes:
             nf, w = cls["cols"].shape
-            C, G = cls["C"], cls["G"]
-            r = 0
-            for ci, sel, A_loc, cnt, d in cls["parts"]:
-                np.matmul(P[ci][sel].reshape(nf, cnt, d, d),
-                          A_loc.reshape(nf, cnt, d, w),
-                          out=C[:, r:r + cnt * d].reshape(nf, cnt, d, w))
-                r += cnt * d
+            C, G, cnt, d = cls["C"], cls["G"], cls["cnt"], cls["svdim"]
+            np.matmul(P[cls["cone"]][cls["sel"]].reshape(nf, cnt, d, d),
+                      cls["A"].reshape(nf, cnt, d, w),
+                      out=C.reshape(nf, cnt, d, w))
             np.matmul(C.transpose(0, 2, 1), C, out=G)
             nl = len(cls["lower"])
             np.take(G.reshape(nf, w * w), cls["lower"], axis=1,

@@ -109,10 +109,10 @@ def _check_against_reference(problem, seed, kind):
     rng = np.random.default_rng(seed)
     segs, plan = _plan(problem, kind)
     assert plan.info["kind"] == kind
-    # frames hold matrix blocks only; scalar blocks keep no rows
+    # frames hold the blocks of one matrix cone; scalar blocks keep no rows
     for cls in plan.classes:
-        assert all(d > 1 for *_, d in cls["parts"])
-        assert cls["C"].shape[1] == sum(cnt * d for *_, cnt, d in cls["parts"])
+        assert cls["svdim"] > 1
+        assert cls["C"].shape[1] == cls["cnt"] * cls["svdim"]
     weights = _random_scalings(segs, rng)
     Wi = _dense_inverse_scalings(weights)
     A_aug = _augmented(segs)
