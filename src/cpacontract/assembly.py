@@ -180,22 +180,38 @@ class SDPProblem:
 
 
 def stack_problem(parts, c, n, **kw):
-    """The SDPProblem of the families `parts`, (family, size, count, A, f0,
-    simplex, vertex) each, with one CSR A and one f0 in the solver's cone
-    order: blocks by ascending size, family order kept within a size. Each
-    row's columns are sorted, as the solver's scalar pairs need, and A
-    stores no explicit zeros, which every product with it would read."""
+    """The SDPProblem of the families `parts`, (family, size, count,
+    (data, rows, cols), f0, simplex, vertex) each, whose triplets number
+    the rows from the family's first. They are offset into the solver's
+    cone order (blocks by ascending size, family order kept within a size)
+    and summed into one CSR A, with one f0 in the same order. Each row's
+    columns are sorted, as the solver's scalar pairs need, and A stores no
+    explicit zeros, which every product with it would read. Each family's
+    triplets leave `parts` once they are copied, so that the families' and
+    A's entries are never all held twice."""
     order = sorted(range(len(parts)), key=lambda i: parts[i][1])
     start = dict(zip(order, np.cumsum(
         [0] + [len(parts[i][4]) for i in order]).tolist()))
-    A = sp.vstack([parts[i][3] for i in order], format="csr")
+    f0 = np.concatenate([parts[i][4] for i in order])
+    nnz = sum(len(p[3][0]) for p in parts)
+    idx = np.int32 if max(len(f0), len(c), nnz) < 2**31 else np.int64
+    data, rows, cols = np.empty(nnz), np.empty(nnz, idx), np.empty(nnz, idx)
+    at = 0
+    for i in order:
+        (d, r, col), parts[i] = parts[i][3], (*parts[i][:3], None,
+                                              *parts[i][4:])
+        span = slice(at, at + len(d))
+        data[span], rows[span], cols[span] = d, r, col
+        rows[span] += start[i]
+        at, d, r, col = span.stop, None, None, None
+    A = sp.csr_matrix((data, (rows, cols)), shape=(len(f0), len(c)))
+    del data, rows, cols
     A.sort_indices()
     A.eliminate_zeros()
-    groups = [BlockGroup(fam, k, cnt, slice(start[i], start[i] + len(f0)),
+    groups = [BlockGroup(fam, k, cnt, slice(start[i], start[i] + len(b0)),
                          simplex, vertex)
-              for i, (fam, k, cnt, _, f0, simplex, vertex) in enumerate(parts)]
-    return SDPProblem(m=A.shape[1], c=c, groups=groups, A=A, n=n, f0=(
-        np.concatenate([parts[i][4] for i in order])), **kw)
+              for i, (fam, k, cnt, _, b0, simplex, vertex) in enumerate(parts)]
+    return SDPProblem(m=len(c), c=c, groups=groups, A=A, n=n, f0=f0, **kw)
 
 
 def row_entries(A, rows):
@@ -241,7 +257,9 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     Jv = J_geo[cx.simp_verts]                           # (S, n+2, n, n)
     ftv = f_geo[cx.simp_verts]                          # (S, n+2, n+1)
 
-    parts = []  # per family: (family, size, count, A, f0, simplex, vertex)
+    # per family: (family, size, count, (data, rows, cols), f0, simplex,
+    # vertex)
+    parts = []
 
     # ---- bound on M (Constraint 2): C I - M >= 0 ----
     # a block per slot under the uniform C, else per simplex vertex
@@ -253,14 +271,12 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     cnt = len(slot2)
     blk = np.arange(cnt, dtype=np.int64)[:, None] * P
     rows_c = (blk + diag_p).ravel()
-    A2 = sp.csr_matrix(
-        (np.concatenate([-np.tile(scale, cnt), np.ones(rows_c.shape)]),
-         (np.concatenate([(blk + np.arange(P)).ravel(), rows_c]),
-          np.concatenate([(slot2[:, None] * P + np.arange(P)).ravel(),
-                          np.repeat(vmap.c_index(np.maximum(simp2, 0)),
-                                    len(diag_p))]))),
-        shape=(cnt * P, m))
-    parts.append(("bound_M", n, cnt, A2, np.zeros(cnt * P),
+    trip = (np.concatenate([-np.tile(scale, cnt), np.ones(rows_c.shape)]),
+            np.concatenate([(blk + np.arange(P)).ravel(), rows_c]),
+            np.concatenate([(slot2[:, None] * P + np.arange(P)).ravel(),
+                            np.repeat(vmap.c_index(np.maximum(simp2, 0)),
+                                      len(diag_p))]))
+    parts.append(("bound_M", n, cnt, trip, np.zeros(cnt * P),
                   simp2.astype(np.int64), vert2.astype(np.int64)))
 
     # ---- gradient bound (Constraint 3): D/(n+1) +- (w_ij)_l >= 0 ----
@@ -285,12 +301,10 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     cols_d = np.broadcast_to(vmap.d_index(s_idx)[:, None, None, None],
                              base.shape)
     data_d = np.full(base.shape, 1.0 / (n + 1))
-    A3 = sp.csr_matrix(
-        (np.concatenate([data_w.ravel(), data_d.ravel()]),
-         (np.concatenate([rows_w.ravel(), base.ravel()]),
-          np.concatenate([cols_w.ravel(), cols_d.ravel()]))),
-        shape=(cnt3, m))
-    parts.append(("grad_bound", 1, cnt3, A3, np.zeros(cnt3),
+    trip = (np.concatenate([data_w.ravel(), data_d.ravel()]),
+            np.concatenate([rows_w.ravel(), base.ravel()]),
+            np.concatenate([cols_w.ravel(), cols_d.ravel()]))
+    parts.append(("grad_bound", 1, cnt3, trip, np.zeros(cnt3),
                   np.repeat(np.arange(S, dtype=np.int64), 2 * P * (n + 1)),
                   np.full(cnt3, -1, dtype=np.int64)))
 
@@ -299,9 +313,9 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     data4 = np.tile(scale, v)
     f04 = np.zeros(v * P)
     f04[(np.arange(v, dtype=np.int64)[:, None] * P + diag_p).ravel()] = eps0
-    A4 = sp.csr_matrix((data4, (rows4, rows4)), shape=(v * P, m))
-    parts.append(("pos_def", n, v, A4, f04, np.full(v, -1, dtype=np.int64),
-                  np.arange(v, dtype=np.int64)))
+    trip = (data4, rows4, rows4)
+    parts.append(("pos_def", n, v, trip, f04,
+                  np.full(v, -1, dtype=np.int64), np.arange(v, dtype=np.int64)))
 
     # ---- contraction (Constraint 5) ----
     cnt5 = (n + 2) * S
@@ -336,31 +350,27 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     data_c5 = np.broadcast_to(-a_C[:, None, None], rows_cd.shape)
     data_d5 = np.broadcast_to(-a_D[:, None, None], rows_cd.shape)
 
-    A5 = sp.csr_matrix(
-        (np.concatenate([sv1.ravel(), data2.ravel(),
-                         data_c5.ravel(), data_d5.ravel()]),
-         (np.concatenate([rows1.ravel(), rows2.ravel(),
-                          rows_cd.ravel(), rows_cd.ravel()]),
-          np.concatenate([cols1.ravel(), cols2.ravel(),
-                          np.broadcast_to(cols_c5, rows_cd.shape).ravel(),
-                          np.broadcast_to(cols_d5, rows_cd.shape).ravel()]))),
-        shape=(cnt5 * P, m))
+    trip = (np.concatenate([sv1.ravel(), data2.ravel(),
+                            data_c5.ravel(), data_d5.ravel()]),
+            np.concatenate([rows1.ravel(), rows2.ravel(),
+                            rows_cd.ravel(), rows_cd.ravel()]),
+            np.concatenate([cols1.ravel(), cols2.ravel(),
+                            np.broadcast_to(cols_c5, rows_cd.shape).ravel(),
+                            np.broadcast_to(cols_d5, rows_cd.shape).ravel()]))
     f05 = np.zeros(cnt5 * P)
     f05[rows_cd.ravel()] = 1.0
-    parts.append(("contraction", n, cnt5, A5, f05,
+    parts.append(("contraction", n, cnt5, trip, f05,
                   np.repeat(np.arange(S, dtype=np.int64), n + 2),
                   cx.simp_verts.reshape(-1).astype(np.int64)))
 
     # ---- auxiliary C_max linking blocks (per-simplex min_c only) ----
     if vmap.has_cmax:
         rows6 = np.arange(S, dtype=np.int64)
-        A6 = sp.csr_matrix(
-            (np.concatenate([np.ones(S), -np.ones(S)]),
-             (np.concatenate([rows6, rows6]),
-              np.concatenate([np.full(S, vmap.cmax_index, dtype=np.int64),
-                              vmap.c_index(rows6)]))),
-            shape=(S, m))
-        parts.append(("cmax_link", 1, S, A6, np.zeros(S), rows6,
+        trip = (np.concatenate([np.ones(S), -np.ones(S)]),
+                np.concatenate([rows6, rows6]),
+                np.concatenate([np.full(S, vmap.cmax_index, dtype=np.int64),
+                                vmap.c_index(rows6)]))
+        parts.append(("cmax_link", 1, S, trip, np.zeros(S), rows6,
                       np.full(S, -1, dtype=np.int64)))
 
     c = np.zeros(m)
@@ -368,6 +378,7 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
         c[vmap.cmax_index if vmap.has_cmax else vmap.c_index()] = 1.0
 
     order, border = schur_order(cx, vmap)
+    del trip  # stack_problem frees each family's triplets as it copies them
     problem = stack_problem(parts, c, n,
                             meta={"eps0": eps0, "uniform": uniform_cd,
                                   "objective": objective,

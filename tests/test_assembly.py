@@ -138,7 +138,9 @@ class TestNoExplicitZeros:
         A = sp.csr_matrix((np.array([1.0, 0.0, 1.0]), np.array([0, 1, 0]),
                            np.array([0, 2, 2, 3])), shape=(3, 2))
         assert A.nnz == 3
-        prob = stack_problem([("b", 2, 1, A, svec(np.eye(2)), np.array([-1]),
+        coo = A.tocoo()
+        prob = stack_problem([("b", 2, 1, (coo.data, coo.row, coo.col),
+                               svec(np.eye(2)), np.array([-1]),
                                np.array([-1]))], np.zeros(2), 2)
         assert (prob.A.data != 0).all()
         assert prob.A.nnz == 2
@@ -188,8 +190,9 @@ class TestSdpaFormat:
         # y * I2 - I2 >= 0 written by hand through the block-group layout
         import scipy.sparse as sp
         from cpacontract.assembly import stack_problem
-        A = sp.csr_matrix(svec(np.eye(2))[:, None])
-        prob = stack_problem([("b", 2, 1, A, svec(np.eye(2)), np.array([-1]),
+        A = sp.coo_matrix(svec(np.eye(2))[:, None])
+        prob = stack_problem([("b", 2, 1, (A.data, A.row, A.col),
+                               svec(np.eye(2)), np.array([-1]),
                                np.array([-1]))], np.zeros(1), 2)
         text = export_sdpa(prob)
         lines = text.strip().splitlines()

@@ -24,7 +24,8 @@ def make_problem(blocks, c):
     for k, (Fis, F0) in enumerate(blocks):
         n = np.asarray(F0).shape[0]
         A = np.stack([svec(np.asarray(F, dtype=float)) for F in Fis], axis=1)
-        parts.append((f"b{k}", n, 1, sp.csr_matrix(A),
+        A = sp.coo_matrix(A)
+        parts.append((f"b{k}", n, 1, (A.data, A.row, A.col),
                       svec(np.asarray(F0, dtype=float)),
                       np.array([-1]), np.array([-1])))
     return stack_problem(parts, np.asarray(c, dtype=float), 0)
