@@ -1,7 +1,8 @@
 """Layout guards: every function that the benchmark's span tracer wraps
-exists, and every function and method of the package is called from code
-other than its own definition. Code that only tests call belongs under
-tests/, the paper's quantities in `reference.py`."""
+exists, and every function and method of the package is called, by name,
+attribute or import, from code other than its own definition. Code that
+only tests call belongs under tests/, the paper's quantities in
+`reference.py`."""
 
 import ast
 import importlib
@@ -20,11 +21,17 @@ def _resolve(module, path):
     return owner
 
 
-def test_span_targets_resolve():
+def _spans():
+    """perfbench/spans.py, imported by path."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_span_targets_resolve():
+    spans = _spans()
     for module, path, _, _ in spans.TARGETS:
         assert callable(_resolve(module, path)), (module, path)
     tracer = spans.Tracer()
@@ -38,31 +45,23 @@ def test_span_targets_resolve():
 
 
 def _used_names():
-    """Names read in src/, tools/ and perfbench/: variables, attributes,
-    imports and the parts of dotted strings such as the tracer's targets.
-    Docstrings and the package's re-exports in `__init__.py` do not
-    count."""
-    used = set()
+    """Names read in src/, tools/ and perfbench/: variables, attributes and
+    imports, and the parts of the tracer's dotted targets, which it calls
+    through `getattr`. String constants (a dict key, say) do not count, and
+    neither do the package's re-exports in `__init__.py`."""
+    used = {part for _, path, _, _ in _spans().TARGETS
+            for part in path.split(".")}
     for path in [p for sub in ("src", "tools", "perfbench")
                  for p in (ROOT / sub).rglob("*.py")]:
         if path == PACKAGE / "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
-        scopes = (ast.Module, ast.ClassDef, ast.FunctionDef)
-        docs = {id(node.body[0].value) for node in ast.walk(tree)
-                if isinstance(node, scopes)
-                and ast.get_docstring(node, clean=False) is not None}
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name.rsplit(".", 1)[-1])
-            elif (isinstance(node, ast.Constant) and id(node) not in docs
-                  and isinstance(node.value, str)
-                  and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)):
-                used.update(node.value.split("."))
     return used
 
 
