@@ -32,13 +32,6 @@ def svec_scale(n):
     return np.where(iu[0] == iu[1], 1.0, _SQRT2)
 
 
-def svec(mat):
-    """Symmetric (..., n, n) -> scaled upper triangle (..., P)."""
-    n = mat.shape[-1]
-    iu = triu_layout(n)
-    return mat[..., iu[0], iu[1]] * svec_scale(n)
-
-
 def unsvec(vec, n):
     """Scaled upper triangle (..., P) -> symmetric (..., n, n)."""
     return unpack_symmetric(np.asarray(vec) / svec_scale(n), n)
@@ -181,14 +174,13 @@ class SDPProblem:
 
 def stack_problem(parts, c, n, **kw):
     """The SDPProblem of the families `parts`, (family, size, count,
-    (data, rows, cols), f0, simplex, vertex) each, whose triplets number
-    the rows from the family's first. They are offset into the solver's
-    cone order (blocks by ascending size, family order kept within a size)
-    and summed into one CSR A, with one f0 in the same order. Each row's
+    (data, rows, cols), f0, simplex, vertex) each, rows counted from the
+    family's first. The triplets are offset into the solver's cone order
+    (blocks by ascending size, family order kept within a size) and summed
+    into one CSR A, with one f0 in that order; each family's leave `parts`
+    as they are copied, so that no entry is held three times. Each row's
     columns are sorted, as the solver's scalar pairs need, and A stores no
-    explicit zeros, which every product with it would read. Each family's
-    triplets leave `parts` once they are copied, so that the families' and
-    A's entries are never all held twice."""
+    explicit zeros, which every product with it would read."""
     order = sorted(range(len(parts)), key=lambda i: parts[i][1])
     start = dict(zip(order, np.cumsum(
         [0] + [len(parts[i][4]) for i in order]).tolist()))
@@ -204,9 +196,8 @@ def stack_problem(parts, c, n, **kw):
         data[span], rows[span], cols[span] = d, r, col
         rows[span] += start[i]
         at, d, r, col = span.stop, None, None, None
+    # summing the duplicates sorts each row's columns
     A = sp.csr_matrix((data, (rows, cols)), shape=(len(f0), len(c)))
-    del data, rows, cols
-    A.sort_indices()
     A.eliminate_zeros()
     groups = [BlockGroup(fam, k, cnt, slice(start[i], start[i] + len(b0)),
                          simplex, vertex)

@@ -9,16 +9,19 @@ identity in every block, starts from y = 0 with tau large enough for S to
 be interior, and minimizes tau until it is negative; phase 2 minimizes c.y
 from the strictly feasible point that gives. The phase is data (tau's
 exit level and floor), and one helper backtracks both the primal and the
-dual step. Each cone has its own kernels.
-The size-1 blocks of every family form one linear (LP) cone, scaled by
-d = z/s, with ratio-test step lengths. The blocks of each size k >= 2 form
-a matrix cone, scaled from a factor: L = chol(S), one eigendecomposition
-of L^T Z L, and F = lam^(1/4) Q^T L^-1 with W^-1 = F^T F; directions and
-step lengths are taken in the scaled space F S F^T = diag(lam^(1/2)), so
-the predictor and corrector reuse the factor. The small-block kernels,
-with closed forms at k <= 3, come from `smallmat`; above k = 2 one Jacobi
-sweep on R^T L Q, with Z = R R^T, keeps every lam accurate relative to
-itself.
+dual step. Every iterate (S, Z, both directions and the trial points) is
+one vector in A's row order, and each cone has its own kernels on its
+part of it. The size-1 blocks of every family form one linear (LP) cone,
+a vector scaled by d = z/s, with ratio-test step lengths. The blocks of
+each size k >= 2 form a matrix cone of svec rows, scaled from a factor:
+L = chol(S), one eigendecomposition of L^T Z L, and F = lam^(1/4) Q^T L^-1
+with W^-1 = F^T F. The cone keeps F only as its svec map P,
+P svec(X) = svec(F X F^T), its one scaling operator: directions and step
+lengths are taken in the scaled space F S F^T = diag(lam^(1/2)), so the
+predictor and corrector reuse the factor, and P^T maps back. The
+small-block kernels, with closed forms at k <= 3, come from `smallmat`;
+above k = 2 one Jacobi sweep on R^T L Q, with Z = R R^T, keeps every lam
+accurate relative to itself.
 
 The Schur complement over the m variables is formed from a fixed scatter
 pattern built once per solve: the matrix blocks are grouped per simplex,
@@ -37,13 +40,14 @@ kernel, at every block size. `Solution.block_min_eigs` is its answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import row_entries, svec, svec_scale, unsvec
+from .assembly import row_entries, svec_scale, unsvec
 from .errors import DimensionMismatchError
 from .smallmat import (cholesky, congruence, eig_min, eigh, gram_eigh,
                        inv_lower)
@@ -128,21 +132,34 @@ class _LinearCone:
         return dirn[1]
 
 
-class _MatrixCone:
-    """Blocks of one size k >= 2, scaled at the iterate (S, Z). The
-    Nesterov-Todd scaling is built from a factor (Todd, Toh and Tutuncu,
-    SIAM J. Optim. 8, 1998): L = chol(S), L^T Z L = Q diag(lam) Q^T and
-    F = lam^(1/4) Q^T L^-1. Then W^-1 = F^T F and F S F^T = F^-T Z F^-1 =
-    diag(v), v = lam^(1/2), so directions and step lengths are taken in
-    that scaled space, with no further factor. L^T Z L = G^T G for
-    G = R^T L, so lam are the squared singular values of G. `factors` are
-    chol(S) and chol(Z) when the interior tests already took them."""
+def _times(P, x, trans=False):
+    """P x, or P^T x, for each block's svec map P (N, d, d) and svec row x
+    (N, d): an einsum, so no BLAS call."""
+    return np.einsum("nji,nj->ni" if trans else "nij,nj->ni", P, x)
 
-    def __init__(self, S, Z, factors=(None, None)):
+
+class _MatrixCone:
+    """Blocks of one size k >= 2 as svec rows (N, k(k+1)/2), scaled at the
+    iterate (S, Z). The Nesterov-Todd scaling is built from a factor (Todd,
+    Toh and Tutuncu, SIAM J. Optim. 8, 1998): L = chol(S),
+    L^T Z L = Q diag(lam) Q^T and F = lam^(1/4) Q^T L^-1. Then W^-1 = F^T F
+    and F S F^T = F^-T Z F^-1 = diag(v), v = lam^(1/2), so directions and
+    step lengths are taken in that scaled space, with no further factor.
+    The cone keeps F only as its svec map P, P svec(X) = svec(F X F^T),
+    whose transpose is the svec map of F^T: P and P^T carry every scaling.
+    L^T Z L = G^T G for G = R^T L, so lam are the squared singular values
+    of G. `factors` are chol(S) and chol(Z) as the interior tests took them;
+    chol(Z) of the first Z, and chol(S) for a caller without one, are
+    taken here."""
+
+    def __init__(self, s, z, factors=(None, None)):
+        self.k = k = math.isqrt(2 * s.shape[-1])
+        self.diag = np.flatnonzero(svec_scale(k) == 1.0)
         L, LZ = factors
-        L = cholesky(S) if L is None else L
+        L = cholesky(unsvec(s, k)) if L is None else L
+        Z = unsvec(z, k)
         lam, Q = eigh(congruence(L, Z, trans=True))
-        if L.shape[-1] > 2:
+        if k > 2:
             # above k = 2 eigh is accurate only relative to the largest lam,
             # and S Z can be ill-conditioned far beyond 1/eps; the sweep on
             # G Q makes every lam accurate relative to itself
@@ -150,43 +167,45 @@ class _MatrixCone:
             lam, Q = gram_eigh(np.swapaxes(LZ, -1, -2) @ L, Q)
         self.v = np.sqrt(lam)
         R = np.swapaxes(Q, -1, -2) @ inv_lower(L)  # R S R^T = I
-        self.F = self.schur = np.sqrt(self.v)[..., None] * R
-        self.s_inv = congruence(R, np.eye(R.shape[-1]), trans=True)  # R^T R
+        self.P = self.schur = _svec_congruence(np.sqrt(self.v)[..., None] * R)
+        # svec(S^-1) = P^T svec(V^-1), as S^-1 = R^T R = F^T V^-1 F
+        self.s_inv = _times(self.P[:, self.diag], 1.0 / self.v, True)
 
     @staticmethod
     def factor(x):
-        """chol(x), or None when a block is not positive definite."""
-        L = cholesky(x)
+        """chol of x's blocks, or None when one is not positive definite."""
+        L = cholesky(unsvec(x, math.isqrt(2 * x.shape[-1])))
         return L if np.isfinite(L).all() else None
 
     @property
     def w2(self):
-        eye = np.eye(self.F.shape[-1])
-        return congruence(congruence(self.F, eye, trans=True), eye)
+        """svec(W^-2) = P^T P svec(I)."""
+        return _times(self.P, self.P[:, :, self.diag].sum(axis=2), True)
 
-    def direction(self, dS, mu):
-        """(F dS F^T, F^-T dZ F^-1) for the primal step dS, centred on mu:
-        the second is mu V^-1 - V - F dS F^T with V = diag(v)."""
-        X = congruence(self.F, dS)
+    def direction(self, ds, mu):
+        """(P svec(dS), P^-T svec(dZ)) for the primal step dS, centred on
+        mu: the second is mu V^-1 - V - P svec(dS) with V = diag(v)."""
+        X = _times(self.P, ds)
         dZ = -X
-        np.einsum("...ii->...i", dZ)[...] += mu / self.v - self.v
+        dZ[:, self.diag] += mu / self.v - self.v
         return X, dZ
 
     def steps(self, dirn):
         r = 1.0 / np.sqrt(self.v)
-        g = eig_min(np.stack(dirn) * (r[..., :, None] * r[..., None, :]))
+        g = eig_min(unsvec(np.stack(dirn), self.k)
+                    * (r[..., :, None] * r[..., None, :]))
         return _max_step(g[0]), _max_step(g[1])
 
     def gap(self, dirn, ap, ad):
         """<V + ap X, V + ad dZ> for the scaled direction (X, dZ)."""
         X, dZ = dirn
         v = self.v
-        return float((v * v).sum() + ap * np.einsum("nii,ni->", X, v)
-                     + ad * np.einsum("nii,ni->", dZ, v)
+        return float((v * v).sum() + ap * (X[:, self.diag] * v).sum()
+                     + ad * (dZ[:, self.diag] * v).sum()
                      + ap * ad * (X * dZ).sum())
 
     def dz(self, dirn):
-        return congruence(self.F, dirn[1], trans=True)
+        return _times(self.P, dirn[1], True)
 
 
 def _svec_congruence(F):
@@ -228,9 +247,8 @@ def _frame_classes(A, cones, m):
     for ci, rows, simplex, d in cones:
         f = np.array(simplex, dtype=np.int64)
         solo = f < 0
-        lone = int(f.max(initial=-1)) + 1
-        f[solo] = lone + np.arange(solo.sum())
-        nfr = lone + int(solo.sum())
+        f[solo] = f.max(initial=-1) + 1 + np.arange(solo.sum())
+        nfr = int(f.max(initial=-1)) + 1
         row, col, val = row_entries(A, rows)
         blk, q = np.divmod(row, d)
         ukey, inv = np.unique(f[blk] * m + col, return_inverse=True)
@@ -283,7 +301,7 @@ class _SchurPlan:
     and Nakata (Math. Program. 79, 1997).
 
     Matrix blocks: each iteration forms C = P A per block over its frame's
-    local columns, with P svec(X) = svec(F X F^T) for the cone's factor F,
+    local columns, with the cone's svec map P, P svec(X) = svec(F X F^T),
     C^T C per frame as one batch per class, and scatters the lower
     triangles with one `np.bincount` to precomputed targets. Scalar blocks
     store no rows: their part of G is sum_r d_r a_r a_r^T, a fixed linear
@@ -359,14 +377,13 @@ class _SchurPlan:
 
     def form(self, weights, tau_col=None):
         """The stored lower triangle of G for the cones' scalings: d of the
-        linear cone, F of each matrix cone; `tau_col` is G's tau column in
-        phase 1."""
-        P = [w if w.ndim == 1 else _svec_congruence(w) for w in weights]
+        linear cone, the svec map P of each matrix cone; `tau_col` is G's
+        tau column in phase 1."""
         off = 0
         for cls in self.classes:
             nf, w = cls["cols"].shape
             C, G, cnt, d = cls["C"], cls["G"], cls["cnt"], cls["svdim"]
-            np.matmul(P[cls["cone"]][cls["sel"]].reshape(nf, cnt, d, d),
+            np.matmul(weights[cls["cone"]][cls["sel"]].reshape(nf, cnt, d, d),
                       cls["A"].reshape(nf, cnt, d, w),
                       out=C.reshape(nf, cnt, d, w))
             np.matmul(C.transpose(0, 2, 1), C, out=G)
@@ -462,10 +479,11 @@ class _Segments:
     """The blocks of all groups by size, in ascending order: the scalar
     blocks of every family as one linear cone, then one matrix cone per
     size. The problem's A and f0 hold their rows in that order, and are
-    read as they are; a cone's `rows` span those of its groups. The phase-1
-    variable tau follows the m variables; its column, svec(I) on every
-    block, is kept apart from A as the 1-column `tau`, and `tau0` is its
-    start."""
+    read as they are; a cone's `rows` span those of its groups. Every
+    iterate is one vector in that row order, and `views` gives each cone
+    its part. The phase-1 variable tau follows the m variables; its column
+    is `eye`, svec(I) on every block, kept apart from A as the 1-column
+    `tau`, and `tau0` is its start."""
 
     def __init__(self, problem):
         groups = self.groups = problem.groups
@@ -480,20 +498,22 @@ class _Segments:
         self.Ntot = sum(n * k for n, k in zip(self.counts, self.sizes))
         self.cones = [_LinearCone if k == 1 else _MatrixCone
                       for k in self.sizes]
-        self.tau, self.tau0 = _augment_tau(self)
-        # tau's column is 1 on the diagonal svec rows of every block: one
-        # strided slice per cone and diagonal entry
-        self.tau_rows = [
-            slice(rows.start + q, rows.stop, k * (k + 1) // 2)
-            for k, rows in zip(self.sizes, self.rows)
-            for q in np.flatnonzero(svec_scale(k) == 1.0).tolist()]
+        self.eye = np.concatenate([
+            np.tile((svec_scale(k) == 1.0).astype(float), cnt)
+            for k, cnt in zip(self.sizes, self.counts)])
+        self.tau = sp.csc_matrix(self.eye[:, None])
+        # phase 1, min tau s.t. A y + tau I - F0 >= 0, starts at y = 0 from
+        # F0's largest eigenvalue plus max(1, |that eigenvalue|)
+        top = -float(np.concatenate([
+            x if k == 1 else eig_min(unsvec(x, k))
+            for k, x in zip(self.sizes, self.views(-self.f0))]).min())
+        self.tau0 = top + max(1.0, abs(top))
 
     def apply(self, y):
         """A y, plus tau's column when y ends with tau."""
         out = self.A @ y[:self.m]
         if len(y) > self.m:
-            for rows in self.tau_rows:
-                out[rows] += y[-1]
+            out[self.tau.indices] += y[-1]
         return out
 
     def apply_t(self, v, nv):
@@ -505,27 +525,17 @@ class _Segments:
         for ci, k in enumerate(self.sizes):
             yield ci, k, self.counts[ci], self.rows[ci]
 
-    def unpack(self, vec):
-        return [vec[sl] if k == 1 else unsvec(vec[sl].reshape(cnt, -1), k)
-                for _, k, cnt, sl in self.seg_slices()]
+    def views(self, vec):
+        """Each cone's part of vec: the linear cone's entries, a matrix
+        cone's svec rows (blocks, k(k+1)/2)."""
+        return [vec[rows] if k == 1 else vec[rows].reshape(cnt, -1)
+                for _, k, cnt, rows in self.seg_slices()]
 
-    def pack(self, xs):
-        return np.concatenate([x if x.ndim == 1 else svec(x).ravel()
-                               for x in xs])
-
-    def dot(self, xs, ys):
-        # elementwise, not BLAS: a threaded dot of a long vector costs more
-        return float(sum((x * y).sum() for x, y in zip(xs, ys)))
-
-    def identity(self):
-        return [np.ones(cnt) if k == 1 else np.tile(np.eye(k), (cnt, 1, 1))
-                for _, k, cnt, _ in self.seg_slices()]
-
-    def factors(self, xs):
-        """Each cone's factor of xs, or None when a block is not positive
+    def factors(self, vec):
+        """Each cone's factor of vec, or None when a block is not positive
         definite."""
         out = []
-        for cone, x in zip(self.cones, xs):
+        for cone, x in zip(self.cones, self.views(vec)):
             out.append(cone.factor(x))
             if out[-1] is None:
                 return None
@@ -537,23 +547,28 @@ class _CoreResult:
     converged: bool
     early_exit: bool
     y: np.ndarray
-    Z: list
+    Z: np.ndarray
     iterations: int
     gap: float
     failure: str | None = None
 
 
 def _backtrack(segs, alpha, trial):
-    """(alpha, blocks, factors) at the first of alpha, alpha/2, ... (40
-    tries) whose blocks trial(alpha) are strictly inside every cone; None
+    """(alpha, point, factors) at the first of alpha, alpha/2, ... (40
+    tries) whose point trial(alpha) is strictly inside every cone; None
     when there is none."""
     for _ in range(40):
-        blocks = trial(alpha)
-        factors = segs.factors(blocks)
+        point = trial(alpha)
+        factors = segs.factors(point)
         if factors is not None:
-            return alpha, blocks, factors
+            return alpha, point, factors
         alpha *= 0.5
     return None
+
+
+def _whole(parts):
+    """The cones' parts of a vector joined in A's row order."""
+    return np.concatenate([p.ravel() for p in parts])
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -565,8 +580,8 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
     typically unbounded)."""
     y = np.asarray(y0, dtype=float).copy()
     nv = len(y)
-    Z = segs.identity()
-    S = segs.unpack(segs.apply(y) - segs.f0)
+    Z = segs.eye
+    S = segs.apply(y) - segs.f0
     fS = segs.factors(S)
     gap = np.inf
 
@@ -582,10 +597,10 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
     fZ = [None] * len(fS)
     it = 0
     for it in range(1, settings.max_iterations + 1):
-        svec_Z = segs.pack(Z)
-        gap = segs.dot(S, Z)
+        # elementwise, not BLAS: a threaded dot of a long vector costs more
+        gap = float((S * Z).sum())
         mu = gap / segs.Ntot
-        dual_res = float(np.abs(c - segs.apply_t(svec_Z, nv)).max())
+        dual_res = float(np.abs(c - segs.apply_t(Z, nv)).max())
         obj = float(c @ y)
 
         if phase1 is not None and y[-1] < phase1[0]:
@@ -597,13 +612,13 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
             return stop(it - 1, "objective appears unbounded below")
 
         try:
-            cones = [cone(s, z, f) for cone, s, z, f in
-                     zip(segs.cones, S, Z, zip(fS, fZ))]
+            cones = [cone(s, z, f) for cone, s, z, f in zip(
+                segs.cones, segs.views(S), segs.views(Z), zip(fS, fZ))]
         except np.linalg.LinAlgError:
             return stop(it - 1, "scaling breakdown")
         # tau's coefficient is the identity in every block, so its column
         # of G is A^T svec(W^{-2})
-        tau_col = (segs.apply_t(segs.pack([w.w2 for w in cones]), nv)
+        tau_col = (segs.apply_t(_whole([w.w2 for w in cones]), nv)
                    if phase1 is not None else None)
         # the last factor goes before the next is formed, so that the two
         # never hold memory at once
@@ -620,7 +635,7 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
             if not np.isfinite(dy).all():
                 return None
             dirs = [w.direction(ds, mu_c)
-                    for w, ds in zip(cones, segs.unpack(segs.apply(dy)))]
+                    for w, ds in zip(cones, segs.views(segs.apply(dy)))]
             steps = [w.steps(d) for w, d in zip(cones, dirs)]
             return (dy, dirs, min(1.0, frac * min(s[0] for s in steps)),
                     min(1.0, frac * min(s[1] for s in steps)))
@@ -633,7 +648,7 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
             sigma = min(0.9, max(1e-6, (max(gap_aff, 0.0) / gap) ** 3))
             mu_t = sigma * mu
             # corrector
-            asv = segs.apply_t(segs.pack([w.s_inv for w in cones]), nv)
+            asv = segs.apply_t(_whole([w.s_inv for w in cones]), nv)
             step = direction(mu_t * asv - c, mu_t, 0.98)
         if step is None:
             return stop(it, "step computation failed")
@@ -645,13 +660,12 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
             return stop(it, "step computation failed")
         # the fractional step can still graze the cone boundary; backtrack
         # until both iterates are strictly inside
-        primal = _backtrack(segs, ap, lambda a: segs.unpack(
-            segs.apply(y + a * dy) - segs.f0))
+        primal = _backtrack(segs, ap,
+                            lambda a: segs.apply(y + a * dy) - segs.f0)
         if primal is None:
             return stop(it, "primal step stalled at the boundary")
-        dZ = [w.dz(d) for w, d in zip(cones, dirs)]
-        dual = _backtrack(segs, ad, lambda a: [Zb + a * d
-                                               for Zb, d in zip(Z, dZ)])
+        dZ = _whole([w.dz(d) for w, d in zip(cones, dirs)])
+        dual = _backtrack(segs, ad, lambda a: Z + a * dZ)
         if dual is None:
             return stop(it, "dual step stalled at the boundary")
         (ap, S, fS), (_, Z, fZ) = primal, dual
@@ -659,17 +673,6 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
         if not np.isfinite(y).all():
             return stop(it, "non-finite iterate")
     return stop(it)
-
-
-def _augment_tau(segs):
-    """The tau column (identity on every block) as a 1-column sparse matrix,
-    and the starting tau of the phase-1 problem
-    min tau s.t. A(y) + tau I - F0 >= 0 at y = 0: the largest eigenvalue of
-    F0 plus max(1, |that eigenvalue|)."""
-    col = sp.csc_matrix(segs.pack(segs.identity())[:, None])
-    tau0 = -float(np.concatenate([x if x.ndim == 1 else eig_min(x)
-                                  for x in segs.unpack(-segs.f0)]).min())
-    return col, tau0 + max(1.0, abs(tau0))
 
 
 def solve(problem, settings=None):
@@ -733,8 +736,7 @@ def solve(problem, settings=None):
                   notes=["iteration limit before gap closure"])
 
 
-def _extract_ray(segs, Z):
-    svec_Z = segs.pack(Z)
+def _extract_ray(segs, svec_Z):
     trace = float((segs.tau.T @ svec_Z)[0])
     if trace <= 0:
         trace = 1.0

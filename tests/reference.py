@@ -27,7 +27,8 @@ its definitions or lemmas:
   vertex values.
 
 `parse_sdpa` reads the text of `export_sdpa`; `pack_symmetric`,
-`constant_metric` and `metric_at` build and evaluate metrics by hand.
+`constant_metric` and `metric_at` build and evaluate metrics by hand, and
+`svec` writes blocks as the svec rows of the assembled problem.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from cpacontract.assembly import (
     ensure_derivative_bounds,
     enu_coefficient_arrays,
-    svec,
+    svec_scale,
 )
 from cpacontract.cpa import CPAMetric, triu_layout, unpack_symmetric
 from cpacontract.errors import CpaError
@@ -63,6 +64,14 @@ class NoForwardSimplexError(CpaError):
 
 class NotPositiveDefiniteError(CpaError):
     """Metric evaluation produced a matrix that is not positive definite."""
+
+
+def svec(mat):
+    """Symmetric (..., n, n) -> scaled upper triangle (..., P), the layout
+    of the problem's rows: off-diagonal entries times sqrt(2)."""
+    n = mat.shape[-1]
+    iu = triu_layout(n)
+    return mat[..., iu[0], iu[1]] * svec_scale(n)
 
 
 def pack_symmetric(mat):

@@ -8,7 +8,6 @@ from cpacontract.assembly import (
     export_sdpa,
     fill_derivative_bounds,
     stack_problem,
-    svec,
     unsvec,
 )
 from cpacontract.cpa import sym_basis
@@ -16,7 +15,7 @@ from cpacontract.errors import MissingBoundsError
 from cpacontract.systems import parse_system
 from cpacontract.triangulation import build_complex
 
-from reference import constraint_blocks, parse_sdpa
+from reference import constraint_blocks, parse_sdpa, svec
 
 
 class TestECoefficients:

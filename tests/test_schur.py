@@ -10,17 +10,18 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from cpacontract import solver
-from cpacontract.assembly import assemble, svec, unsvec
+from cpacontract.assembly import assemble, unsvec
 from cpacontract.cli import Config, cmd_synthesize
 from cpacontract.solver import (
     SolverSettings,
-    _augment_tau,
     _SchurPlan,
     _Segments,
+    _svec_congruence,
     solve,
 )
 from cpacontract.triangulation import build_complex
 
+from reference import svec
 from test_solver import random_feasible_problem
 
 # The 2-D oscillator of criterion 2 at K=6 on a quarter of its region.
@@ -43,7 +44,7 @@ def _mesh_problem(sys, region, K, uniform, objective, scaling=None):
 
 
 def _random_scalings(segs, rng):
-    """The plan's weights per cone: d > 0 of the linear cone and a random,
+    """Scalings per cone: d > 0 of the linear cone and a random,
     non-symmetric, nonsingular factor F of each matrix cone."""
     out = []
     for _, k, cnt, _ in segs.seg_slices():
@@ -52,6 +53,12 @@ def _random_scalings(segs, rng):
         else:
             out.append(rng.normal(size=(cnt, k, k)) + 2.0 * np.eye(k))
     return out
+
+
+def _plan_weights(scalings):
+    """The plan's weights: d of the linear cone, the svec map P of each
+    matrix cone's F."""
+    return [w if w.ndim == 1 else _svec_congruence(w) for w in scalings]
 
 
 def _dense_inverse_scalings(weights):
@@ -101,8 +108,7 @@ def _plan(problem, kind):
 
 def _augmented(segs):
     """A with the phase-1 tau column stacked on."""
-    col, _ = _augment_tau(segs)
-    return sp.hstack([segs.A, col], format="csr")
+    return sp.hstack([segs.A, segs.tau], format="csr")
 
 
 def _check_against_reference(problem, seed, kind):
@@ -113,8 +119,9 @@ def _check_against_reference(problem, seed, kind):
     for cls in plan.classes:
         assert cls["svdim"] > 1
         assert cls["C"].shape[1] == cls["cnt"] * cls["svdim"]
-    weights = _random_scalings(segs, rng)
-    Wi = _dense_inverse_scalings(weights)
+    scalings = _random_scalings(segs, rng)
+    weights = _plan_weights(scalings)
+    Wi = _dense_inverse_scalings(scalings)
     A_aug = _augmented(segs)
     ref = _reference_gram(segs, Wi, A_aug)
     scale = np.abs(ref).max()
@@ -207,8 +214,9 @@ class TestRidge:
         problem, _ = _mesh_problem(osc_2d, [[[-0.5, 0.5], [-0.5, 0.5]]], 2,
                                    True, "min_c")
         segs, plan = _plan(problem, "banded")
-        weights = _random_scalings(segs, np.random.default_rng(3))
-        Wi = _dense_inverse_scalings(weights)
+        scalings = _random_scalings(segs, np.random.default_rng(3))
+        weights = _plan_weights(scalings)
+        Wi = _dense_inverse_scalings(scalings)
         A_aug = _augmented(segs)
         tau_col = A_aug.T @ np.concatenate([svec(w @ w).ravel() for w in Wi])
         return plan, weights, tau_col, _reference_gram(segs, Wi, A_aug)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from cpacontract import solver
-from cpacontract.assembly import assemble, stack_problem, svec
+from cpacontract.assembly import assemble, stack_problem, unsvec
 from cpacontract.solver import (
     SolverSettings,
     _LinearCone,
@@ -15,6 +15,7 @@ from cpacontract.solver import (
 from cpacontract.systems import parse_system
 from cpacontract.triangulation import build_complex
 
+from reference import svec
 from test_smallmat import spd_blocks
 
 
@@ -207,62 +208,97 @@ def _rel(a, b):
             / np.abs(b).max(axis=(-2, -1))).max()
 
 
+def _nt_factor(S, Z):
+    """F = lam^(1/4) Q^T L^-1 from numpy's factors: L = chol(S) and
+    L^T Z L = Q diag(lam) Q^T."""
+    L = np.linalg.cholesky(S)
+    lam, Q = np.linalg.eigh(np.swapaxes(L, 1, 2) @ Z @ L)
+    return lam[..., None] ** 0.25 * np.swapaxes(Q, 1, 2) @ np.linalg.inv(L)
+
+
+def _times(P, x, trans=False):
+    """P x, or P^T x, per block, on svec rows."""
+    return (np.swapaxes(P, 1, 2) if trans else P) @ x[..., None]
+
+
 class TestConeKernels:
+    """The matrix cone on svec rows: P svec(X) = svec(F X F^T) is its only
+    scaling operator, with P^T the svec map of F^T."""
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("cond", [1.0, 1e3, 1e10])
     def test_nesterov_todd_factor(self, k, cond):
         rng = np.random.default_rng(k)
         S, Z = spd_blocks(rng, (200,), k, cond), spd_blocks(rng, (200,), k, cond)
-        cone = _MatrixCone(S, Z)
-        F, Ft = cone.F, np.swapaxes(cone.F, 1, 2)
-        Fi = np.linalg.inv(F)
-        Wi = Ft @ F
+        cone = _MatrixCone(svec(S), svec(Z))
+        P = cone.P
+        # W^-1 = F^T F = unsvec(P^T svec(I))
+        Wi = unsvec(_times(P, svec(np.eye(k))[None], trans=True)[..., 0], k)
         V = cone.v[:, :, None] * np.eye(k)
         tol = 1e-13 * np.sqrt(cond)
-        # W Z W = S with W^-1 = F^T F, checked as W^-1 S W^-1 = Z and
-        # with W inverted densely
+        # W Z W = S, checked as W^-1 S W^-1 = Z and with W inverted densely
         assert _rel(Wi @ S @ Wi, Z) <= tol
         assert _rel(np.linalg.inv(Wi) @ Z @ np.linalg.inv(Wi), S) <= 10 * tol
-        # F S F^T = F^-T Z F^-1 = diag(v)
-        assert _rel(F @ S @ Ft, V) <= tol
-        assert _rel(np.swapaxes(Fi, 1, 2) @ Z @ Fi, V) <= 10 * tol
-        assert _rel(cone.w2, Wi @ Wi) <= 1e-14
-        assert _rel(cone.s_inv, np.linalg.inv(S)) <= tol * np.sqrt(cond)
+        # F S F^T = diag(v) as P svec(S) = svec(V), and F^-T Z F^-1 = diag(v)
+        # as P^T svec(V) = svec(Z)
+        assert _rel(unsvec(_times(P, svec(S))[..., 0], k), V) <= tol
+        assert _rel(unsvec(_times(P, svec(V), trans=True)[..., 0], k),
+                    Z) <= 10 * tol
+        assert _rel(unsvec(cone.w2, k), Wi @ Wi) <= 1e-14
+        assert _rel(unsvec(cone.s_inv, k),
+                    np.linalg.inv(S)) <= tol * np.sqrt(cond)
         # P svec(X) = svec(F X F^T)
+        F = _nt_factor(S, Z)
         X = rng.normal(size=(200, k, k))
         X = X + np.swapaxes(X, 1, 2)
-        Px = (_svec_congruence(F) @ svec(X)[..., None])[..., 0]
-        ref = svec(F @ X @ Ft)
+        Px = _times(_svec_congruence(F), svec(X))[..., 0]
+        ref = svec(F @ X @ np.swapaxes(F, 1, 2))
         assert np.abs(Px - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e10])
+    def test_transpose_is_the_map_of_the_transpose(self, k, cond):
+        # the dual direction, s_inv and w2 rest on P(F)^T = P(F^T)
+        rng = np.random.default_rng(60 + k)
+        S, Z = spd_blocks(rng, (200,), k, cond), spd_blocks(rng, (200,), k, cond)
+        F = _nt_factor(S, Z)
+        P, Pt = _svec_congruence(F), _svec_congruence(np.swapaxes(F, 1, 2))
+        assert _rel(np.swapaxes(P, 1, 2), Pt) <= 1e-15
+        X = rng.normal(size=(200, k, k))
+        X = X + np.swapaxes(X, 1, 2)
+        ref = svec(np.swapaxes(F, 1, 2) @ X @ F)
+        got = _times(P, svec(X), trans=True)[..., 0]
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_linear_cone_is_the_size_one_matrix_cone(self):
         rng = np.random.default_rng(5)
         s, z = rng.uniform(1e-6, 1e3, 300), rng.uniform(1e-6, 1e3, 300)
-        lin, mat = _LinearCone(s, z), _MatrixCone(s[:, None, None],
-                                                  z[:, None, None])
-        assert np.allclose(lin.d, mat.w2[:, 0, 0], rtol=1e-14, atol=0.0)
-        assert np.allclose(lin.d, mat.F[:, 0, 0] ** 4, rtol=1e-14, atol=0.0)
+        lin, mat = _LinearCone(s, z), _MatrixCone(s[:, None], z[:, None])
+        assert np.allclose(lin.d, mat.w2[:, 0], rtol=1e-14, atol=0.0)
+        # P = F^2 at k = 1, so F^4 = P^2
+        assert np.allclose(lin.d, mat.P[:, 0, 0] ** 2, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_closed_forms_match_lapack(self, k, monkeypatch):
         rng = np.random.default_rng(30 + k)
         S, Z = spd_blocks(rng, (300,), k, 10.0), spd_blocks(rng, (300,), k, 10.0)
-        closed = _MatrixCone(S, Z)
+        closed = _MatrixCone(svec(S), svec(Z))
         monkeypatch.setattr(solver, "cholesky", np.linalg.cholesky)
         monkeypatch.setattr(solver, "inv_lower", np.linalg.inv)
         monkeypatch.setattr(solver, "eigh", np.linalg.eigh)
         monkeypatch.setattr(solver, "congruence", lambda R, X, trans=False: (
             (np.swapaxes(R, 1, 2) if trans else R) @ X
             @ (R if trans else np.swapaxes(R, 1, 2))))
-        lapack = _MatrixCone(S, Z)
-        Wi = [np.swapaxes(c.F, 1, 2) @ c.F for c in (closed, lapack)]
+        lapack = _MatrixCone(svec(S), svec(Z))
+        Wi = [unsvec(_times(c.P, svec(np.eye(k))[None], trans=True)[..., 0], k)
+              for c in (closed, lapack)]
         assert _rel(Wi[0], Wi[1]) <= 1e-12
         assert np.abs(closed.v - lapack.v).max() <= 1e-12 * np.abs(
             lapack.v).max()
-        assert _rel(closed.s_inv, lapack.s_inv) <= 1e-12
+        assert _rel(unsvec(closed.s_inv, k), unsvec(lapack.s_inv, k)) <= 1e-12
         # the Schur operators P^T P agree although the factors differ
-        P = [_svec_congruence(c.F) for c in (closed, lapack)]
-        assert _rel(*[np.swapaxes(p, 1, 2) @ p for p in P]) <= 1e-12
+        assert _rel(*[np.swapaxes(c.P, 1, 2) @ c.P
+                      for c in (closed, lapack)]) <= 1e-12
 
 
 def test_one_cholesky_per_block_per_iteration(monkeypatch):
@@ -282,9 +318,38 @@ def test_one_cholesky_per_block_per_iteration(monkeypatch):
     assert len(calls) == 2 * sol.iterations + 2 * 2
 
 
+@pytest.mark.parametrize("objective", ["none", "min_c"])
+def test_one_congruence_per_matrix_cone_per_iteration(objective,
+                                                      monkeypatch):
+    # L^T Z L is the one stacked congruence and P the one scaling map, in
+    # phase 1 (objective "none") and in phase 2
+    sys3 = parse_system("dim=3; period=1; f1 = -x1; f2 = -2*x2; f3 = -x3")
+    cx = build_complex([[[0.05, 0.95]] * 3], 1.0, 0)
+    problem, _ = assemble(cx, sys3, 0.01, uniform_cd=True,
+                          objective=objective)
+    counts = {"congruence": 0, "_svec_congruence": 0}
+    for name in counts:
+        def counting(*args, _f=getattr(solver, name), _name=name, **kw):
+            counts[_name] += 1
+            return _f(*args, **kw)
+
+        monkeypatch.setattr(solver, name, counting)
+    iterations = []
+    ipm = solver._ipm
+    monkeypatch.setattr(solver, "_ipm", lambda *a, **kw: (
+        iterations.append(ipm(*a, **kw)) or iterations[-1]))
+    sol = solve(problem)
+    assert sol.status == ("Optimal" if objective == "min_c" else "Feasible")
+    assert len(iterations) == (2 if objective == "min_c" else 1)
+    assert all(res.iterations > 0 for res in iterations)
+    # one matrix cone (size 3) and one linear cone
+    assert counts == {"congruence": sol.iterations,
+                      "_svec_congruence": sol.iterations}
+
+
 class TestPhaseOneApply:
-    """Phase 1 adds tau to the diagonal svec rows of every block through
-    strided slices, with the bits of indexing tau's column."""
+    """Phase 1 adds tau to the diagonal svec rows of every block, the
+    nonzeros of `eye`, with the bits of indexing tau's column."""
 
     def test_block_sizes_1_2_3(self):
         rng = np.random.default_rng(3)
@@ -295,10 +360,9 @@ class TestPhaseOneApply:
             blocks.append(([F + F.T for F in Fis], np.eye(k)))
         segs = solver._Segments(make_problem(blocks, np.zeros(m)))
         assert segs.sizes == [1, 2, 3]
-        rows = np.arange(len(segs.f0))
-        assert np.array_equal(
-            np.sort(np.concatenate([rows[r] for r in segs.tau_rows])),
-            segs.tau.indices)
+        assert np.array_equal(np.flatnonzero(segs.eye), segs.tau.indices)
+        assert np.array_equal(segs.eye, np.concatenate(
+            [np.ones(2)] + [svec(np.eye(k)) for k in (2, 2, 3)]))
         y = rng.normal(size=m + 1)
         ref = segs.A @ y[:m]
         ref[segs.tau.indices] += y[-1]
