@@ -177,10 +177,10 @@ def stack_problem(parts, c, n, **kw):
     (data, rows, cols), f0, simplex, vertex) each, rows counted from the
     family's first. The triplets are offset into the solver's cone order
     (blocks by ascending size, family order kept within a size) and summed
-    into one CSR A, with one f0 in that order; each family's leave `parts`
-    as they are copied, so that no entry is held three times. Each row's
-    columns are sorted, as the solver's scalar pairs need, and A stores no
-    explicit zeros, which every product with it would read."""
+    into one CSR A, with one f0 in that order. Each family's triplets
+    leave `parts` once copied, so that no entry is held three times. Each
+    row's columns are sorted, as the solver's scalar pairs need, and A
+    stores no explicit zeros, which every product with it would read."""
     order = sorted(range(len(parts)), key=lambda i: parts[i][1])
     start = dict(zip(order, np.cumsum(
         [0] + [len(parts[i][4]) for i in order]).tolist()))
@@ -190,12 +190,10 @@ def stack_problem(parts, c, n, **kw):
     data, rows, cols = np.empty(nnz), np.empty(nnz, idx), np.empty(nnz, idx)
     at = 0
     for i in order:
-        (d, r, col), parts[i] = parts[i][3], (*parts[i][:3], None,
-                                              *parts[i][4:])
-        span = slice(at, at + len(d))
-        data[span], rows[span], cols[span] = d, r, col
+        span = slice(at, at + len(parts[i][3][0]))
+        data[span], rows[span], cols[span] = parts[i][3]
         rows[span] += start[i]
-        at, d, r, col = span.stop, None, None, None
+        parts[i], at = (*parts[i][:3], None, *parts[i][4:]), span.stop
     # summing the duplicates sorts each row's columns
     A = sp.csr_matrix((data, (rows, cols)), shape=(len(f0), len(c)))
     A.eliminate_zeros()
