@@ -53,6 +53,9 @@ from .smallmat import (cholesky, congruence, eig_min, eigh, gram_eigh,
                        inv_lower)
 
 _MAX_BAND = 6000
+# frames per batch of the Schur formation: each class's C and G buffers
+# hold this many frames at most, and `form` runs a class chunk by chunk
+_FRAME_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -241,7 +244,8 @@ def _frame_classes(A, cones, m):
     classes go by width, then cone (the last first), then block count. Per
     class: `cols` (frames, width) variables, the `cone` index, the block
     selection `sel`, the dense local rows `A` (blocks, svdim, width), `cnt`
-    blocks per frame and `svdim`.
+    blocks per frame and `svdim`, and the buffers `C` and `G` of at most
+    `_FRAME_CHUNK` frames.
     """
     classes = []
     for ci, rows, simplex, d in cones:
@@ -269,14 +273,13 @@ def _frame_classes(A, cones, m):
             on = slot[blk] >= 0
             A_loc = np.bincount((slot[blk[on]] * d + q[on]) * w + local[on],
                                 weights=val[on], minlength=len(b) * d * w)
-            if np.array_equal(b, np.arange(b[0], b[0] + len(b))):
-                b = slice(b[0], b[0] + len(b))
+            chunk = min(len(frames), _FRAME_CHUNK)
             classes.append(((w, -ci, cnt), {
                 "cols": ucol[start[frames][:, None] + np.arange(w)],
                 "cone": ci, "sel": b, "A": A_loc.reshape(-1, d, w),
                 "cnt": cnt, "svdim": d,
-                "C": np.empty((len(frames), cnt * d, w)),
-                "G": np.empty((len(frames), w, w))}))
+                "C": np.empty((chunk, cnt * d, w)),
+                "G": np.empty((chunk, w, w))}))
     return [cls for _, cls in sorted(classes, key=lambda kc: kc[0])]
 
 
@@ -382,14 +385,18 @@ class _SchurPlan:
         off = 0
         for cls in self.classes:
             nf, w = cls["cols"].shape
-            C, G, cnt, d = cls["C"], cls["G"], cls["cnt"], cls["svdim"]
-            np.matmul(weights[cls["cone"]][cls["sel"]].reshape(nf, cnt, d, d),
-                      cls["A"].reshape(nf, cnt, d, w),
-                      out=C.reshape(nf, cnt, d, w))
-            np.matmul(C.transpose(0, 2, 1), C, out=G)
-            nl = len(cls["lower"])
-            np.take(G.reshape(nf, w * w), cls["lower"], axis=1,
-                    out=self.weights[off:off + nf * nl].reshape(nf, nl))
+            cnt, d, nl = cls["cnt"], cls["svdim"], len(cls["lower"])
+            for a in range(0, nf, len(cls["G"])):
+                k = min(nf - a, len(cls["G"]))
+                blocks = slice(a * cnt, (a + k) * cnt)
+                C, G = cls["C"][:k], cls["G"][:k]
+                np.matmul(weights[cls["cone"]][cls["sel"][blocks]].reshape(
+                    k, cnt, d, d), cls["A"][blocks].reshape(k, cnt, d, w),
+                    out=C.reshape(k, cnt, d, w))
+                np.matmul(C.transpose(0, 2, 1), C, out=G)
+                np.take(G.reshape(k, w * w), cls["lower"], axis=1,
+                        out=self.weights[off + a * nl:off + (a + k) * nl
+                                         ].reshape(k, nl))
             off += nf * nl
         buf = np.bincount(self.targets, weights=self.weights,
                           minlength=self.row0 + self.nb * (self.m + 1)
