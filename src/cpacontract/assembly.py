@@ -196,7 +196,10 @@ def stack_problem(parts, c, n, **kw):
         parts[i], at = (*parts[i][:3], None, *parts[i][4:]), span.stop
     # summing the duplicates sorts each row's columns
     A = sp.csr_matrix((data, (rows, cols)), shape=(len(f0), len(c)))
+    del data, rows, cols
     A.eliminate_zeros()
+    # both leave views of buffers of the triplet count; keep nnz entries
+    A.data, A.indices = A.data.copy(), A.indices.copy()
     groups = [BlockGroup(fam, k, cnt, slice(start[i], start[i] + len(b0)),
                          simplex, vertex)
               for i, (fam, k, cnt, _, b0, simplex, vertex) in enumerate(parts)]
