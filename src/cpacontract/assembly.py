@@ -172,6 +172,12 @@ class SDPProblem:
         return sum(g.count for g in self.groups)
 
 
+def index_dtype(*sizes):
+    """int32 when every size is below 2^31, so that the indices below them
+    fit it, else int64."""
+    return np.int32 if max(sizes) < 2**31 else np.int64
+
+
 def stack_problem(parts, c, n, **kw):
     """The SDPProblem of the families `parts`, (family, size, count,
     (data, rows, cols), f0, simplex, vertex) each, rows counted from the
@@ -186,7 +192,7 @@ def stack_problem(parts, c, n, **kw):
         [0] + [len(parts[i][4]) for i in order]).tolist()))
     f0 = np.concatenate([parts[i][4] for i in order])
     nnz = sum(len(p[3][0]) for p in parts)
-    idx = np.int32 if max(len(f0), len(c), nnz) < 2**31 else np.int64
+    idx = index_dtype(len(f0), len(c), nnz)
     data, rows, cols = np.empty(nnz), np.empty(nnz, idx), np.empty(nnz, idx)
     at = 0
     for i in order:
@@ -240,9 +246,13 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     a_C, a_D = enu_coefficient_arrays(cx, sys.smoothness)
     scale = svec_scale(n)
     iu = triu_layout(n)
-    diag_p = np.nonzero(iu[0] == iu[1])[0]
+    # the triplets' rows and columns in int32 when they fit: no family has
+    # 2 P (n+2) S rows
+    idx = index_dtype(m, 2 * P * (n + 2) * S)
+    diag_p = np.nonzero(iu[0] == iu[1])[0].astype(idx)
+    p_idx = np.arange(P, dtype=idx)
 
-    slots_sv = cx.vert_slot[cx.simp_verts]              # (S, n+2)
+    slots_sv = cx.vert_slot[cx.simp_verts].astype(idx)  # (S, n+2)
     vxyz = cx.vert_xyz
     f_geo = sys.f_tilde_many(vxyz)                      # (Nv, n+1)
     J_geo = sys.jacobian_many(vxyz)                     # (Nv, n, n)
@@ -261,13 +271,14 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
         simp2 = np.repeat(np.arange(S, dtype=np.int64), n + 2)
         slot2, vert2 = slots_sv.reshape(-1), cx.simp_verts.reshape(-1)
     cnt = len(slot2)
-    blk = np.arange(cnt, dtype=np.int64)[:, None] * P
+    blk = np.arange(cnt, dtype=idx)[:, None] * P
     rows_c = (blk + diag_p).ravel()
     trip = (np.concatenate([-np.tile(scale, cnt), np.ones(rows_c.shape)]),
-            np.concatenate([(blk + np.arange(P)).ravel(), rows_c]),
-            np.concatenate([(slot2[:, None] * P + np.arange(P)).ravel(),
-                            np.repeat(vmap.c_index(np.maximum(simp2, 0)),
-                                      len(diag_p))]))
+            np.concatenate([(blk + p_idx).ravel(), rows_c]),
+            np.concatenate([(slot2.astype(idx)[:, None] * P + p_idx).ravel(),
+                            np.repeat(vmap.c_index(
+                                np.maximum(simp2, 0).astype(idx)),
+                                len(diag_p))]))
     parts.append(("bound_M", n, cnt, trip, np.zeros(cnt * P),
                   simp2.astype(np.int64), vert2.astype(np.int64)))
 
@@ -278,15 +289,15 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
                           axis=2)                        # (S, n+1 l, n+2 k)
     signs = np.array([1.0, -1.0])
     # row index r(s,p,l,sigma) = ((s*P + p)*(n+1) + l)*2 + sigma
-    s_idx = np.arange(S, dtype=np.int64)
+    s_idx = np.arange(S, dtype=idx)
     base = (((s_idx[:, None, None, None] * P
-              + np.arange(P)[None, :, None, None]) * (n + 1)
-             + np.arange(n + 1)[None, None, :, None]) * 2
-            + np.arange(2)[None, None, None, :])         # (S,P,n+1,2)
+              + p_idx[None, :, None, None]) * (n + 1)
+             + np.arange(n + 1, dtype=idx)[None, None, :, None]) * 2
+            + np.arange(2, dtype=idx)[None, None, None, :])  # (S,P,n+1,2)
     rows_w = np.broadcast_to(base[..., None], base.shape + (n + 2,))
     cols_w = np.broadcast_to(
         slots_sv[:, None, None, None, :] * P
-        + np.arange(P)[None, :, None, None, None], rows_w.shape)
+        + p_idx[None, :, None, None, None], rows_w.shape)
     data_w = np.broadcast_to(
         signs[None, None, None, :, None] * beta[:, None, :, None, :],
         rows_w.shape)
@@ -301,7 +312,7 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
                   np.full(cnt3, -1, dtype=np.int64)))
 
     # ---- positive definiteness (Constraint 4): M(slot) - eps0 I >= 0 ----
-    rows4 = np.arange(v * P, dtype=np.int64)
+    rows4 = np.arange(v * P, dtype=idx)
     data4 = np.tile(scale, v)
     f04 = np.zeros(v * P)
     f04[(np.arange(v, dtype=np.int64)[:, None] * P + diag_p).ravel()] = eps0
@@ -311,14 +322,14 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
 
     # ---- contraction (Constraint 5) ----
     cnt5 = (n + 2) * S
-    blk5 = np.arange(cnt5, dtype=np.int64).reshape(S, n + 2)
+    blk5 = np.arange(cnt5, dtype=idx).reshape(S, n + 2)
     SymP = sym_basis(n)
     # coefficient of M_p(slot of vertex k): -(Sym_p J + J^T Sym_p)
     SJ = np.einsum("pab,skbc->skpac", SymP, Jv)
     T1 = -(SJ + np.swapaxes(SJ, -1, -2))
     sv1 = T1[..., iu[0], iu[1]] * scale                 # (S, n+2, P, P_rows)
-    rows1 = (blk5[:, :, None, None] * P + np.arange(P)[None, None, None, :])
-    cols1 = (slots_sv[:, :, None, None] * P + np.arange(P)[None, None, :, None])
+    rows1 = blk5[:, :, None, None] * P + p_idx[None, None, None, :]
+    cols1 = slots_sv[:, :, None, None] * P + p_idx[None, None, :, None]
     rows1 = np.broadcast_to(rows1, sv1.shape)
     cols1 = np.broadcast_to(cols1, sv1.shape)
 
@@ -327,10 +338,10 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     g = np.einsum("skl,slc->skc", ftv, cx.Xinv)          # (S, n+2, n+1)
     gamma = np.concatenate([-g.sum(axis=2, keepdims=True), g], axis=2)
     rows2 = np.broadcast_to(
-        (blk5[:, :, None, None] * P + np.arange(P)[None, None, None, :]),
+        blk5[:, :, None, None] * P + p_idx[None, None, None, :],
         (S, n + 2, n + 2, P))
     cols2 = np.broadcast_to(
-        slots_sv[:, None, :, None] * P + np.arange(P)[None, None, None, :],
+        slots_sv[:, None, :, None] * P + p_idx[None, None, None, :],
         (S, n + 2, n + 2, P))
     data2 = np.broadcast_to((-gamma[..., None]) * scale[None, None, None, :],
                             (S, n + 2, n + 2, P))
@@ -357,12 +368,13 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
 
     # ---- auxiliary C_max linking blocks (per-simplex min_c only) ----
     if vmap.has_cmax:
-        rows6 = np.arange(S, dtype=np.int64)
+        rows6 = np.arange(S, dtype=idx)
         trip = (np.concatenate([np.ones(S), -np.ones(S)]),
                 np.concatenate([rows6, rows6]),
-                np.concatenate([np.full(S, vmap.cmax_index, dtype=np.int64),
+                np.concatenate([np.full(S, vmap.cmax_index, dtype=idx),
                                 vmap.c_index(rows6)]))
-        parts.append(("cmax_link", 1, S, trip, np.zeros(S), rows6,
+        parts.append(("cmax_link", 1, S, trip, np.zeros(S),
+                      np.arange(S, dtype=np.int64),
                       np.full(S, -1, dtype=np.int64)))
 
     c = np.zeros(m)
