@@ -214,10 +214,12 @@ def stack_problem(parts, c, n, **kw):
 
 def row_entries(A, rows):
     """(row - rows.start, column, value) of the entries that the CSR A
-    stores in the row range `rows`, in storage order."""
+    stores in the row range `rows`, in storage order; the rows in A's
+    index dtype."""
     ptr = A.indptr[rows.start:rows.stop + 1]
     span = slice(ptr[0], ptr[-1])
-    return (np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)),
+    return (np.repeat(np.arange(len(ptr) - 1, dtype=A.indices.dtype),
+                      np.diff(ptr)),
             A.indices[span], A.data[span])
 
 

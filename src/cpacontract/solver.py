@@ -47,7 +47,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import row_entries, svec_scale, unsvec
+from .assembly import index_dtype, row_entries, svec_scale, unsvec
 from .errors import DimensionMismatchError
 from .smallmat import (cholesky, congruence, eig_min, eigh, gram_eigh,
                        inv_lower)
@@ -253,6 +253,7 @@ def _frame_classes(A, cones, m):
         solo = f < 0
         f[solo] = f.max(initial=-1) + 1 + np.arange(solo.sum())
         nfr = int(f.max(initial=-1)) + 1
+        f = f.astype(index_dtype(nfr * m))  # the dtype of the frame keys
         row, col, val = row_entries(A, rows)
         blk, q = np.divmod(row, d)
         ukey, inv = np.unique(f[blk] * m + col, return_inverse=True)
@@ -286,16 +287,21 @@ def _frame_classes(A, cones, m):
 def _scalar_pairs(A, rows):
     """The terms a_i a_j, i <= j, of the outer product of each of A's rows
     `rows`, grouped by row: (columns i, columns j, a_i a_j, terms per row).
-    `stack_problem` sorts each row's columns."""
+    `stack_problem` sorts each row's columns. The entry positions are int32
+    when the terms' count fits it."""
     row, col, val = row_entries(A, rows)
     q = np.bincount(row, minlength=rows.stop - rows.start)
-    e = np.arange(len(col), dtype=A.indptr.dtype)
-    reps = np.repeat(np.cumsum(q), q) - e  # entries from e to its row's end
+    per_row = q * (q + 1) // 2
+    dt = index_dtype(int(per_row.sum()))
+    e = np.arange(len(col), dtype=dt)
+    # entries from e to its row's end
+    reps = np.repeat(np.cumsum(q, dtype=dt), q) - e
     first = np.repeat(e, reps)
-    second = first + (np.arange(len(first), dtype=e.dtype)
-                      - np.repeat(np.cumsum(reps) - reps, reps))
-    return (col[first], col[second], val[first] * val[second],
-            q * (q + 1) // 2)
+    second = first + (np.arange(len(first), dtype=dt)
+                      - np.repeat(np.cumsum(reps, dtype=dt) - reps, reps))
+    coef = val[first]
+    coef *= val[second]
+    return col[first], col[second], coef, per_row
 
 
 class _SchurPlan:
@@ -328,42 +334,45 @@ class _SchurPlan:
         self.ns, self.nb = m - border, border + 1
         self.pos = np.empty(m + 1, dtype=np.int64)
         self.pos[self.order] = np.arange(m + 1)
+        # the set-up's positions and targets in int32 when every target of
+        # a band within _MAX_BAND fits it; wider bands are refused below
+        pos = self.pos.astype(index_dtype(
+            (_MAX_BAND + 1) * self.ns + self.nb * (m + 1)))
         pairs = []  # (row, column) positions of the lower-triangle terms
         for cls in self.classes:
             w = cls["cols"].shape[1]
             il0, il1 = np.tril_indices(w)
             cls["lower"] = il0 * w + il1
-            pairs.append((self.pos[cls["cols"][:, il0]].ravel(),
-                          self.pos[cls["cols"][:, il1]].ravel()))
+            pairs.append((pos[cls["cols"][:, il0]].ravel(),
+                          pos[cls["cols"][:, il1]].ravel()))
         if segs.sizes[0] == 1:
             ci, cj, coef, per_row = _scalar_pairs(segs.A, segs.rows[0])
-            pos = self.pos.astype(np.int32)  # halves the temporaries
             pairs.append((pos[ci], pos[cj]))
-            del ci, cj, pos
+            del ci, cj
 
         def hi_lo(a, b):
-            return (np.maximum(a, b).astype(np.int64),
-                    np.minimum(a, b).astype(np.int64))
+            return np.maximum(a, b), np.minimum(a, b)
 
-        self.bandwidth = 0
-        for a, b in pairs:
+        def band(a, b):
             hi, lo = hi_lo(a, b)
-            self.bandwidth = max(self.bandwidth,
-                                 int((hi - lo)[hi < self.ns].max(initial=0)))
+            return int((hi - lo)[hi < self.ns].max(initial=0))
+
+        self.bandwidth = max([band(a, b) for a, b in pairs], default=0)
         if self.bandwidth > _MAX_BAND:
             raise _FactorizationError(
                 f"Schur bandwidth {self.bandwidth} exceeds {_MAX_BAND}")
         self.row0 = (self.bandwidth + 1) * self.ns
-        targets = []
-        while pairs:  # one at a time, to keep the temporaries small
-            hi, lo = hi_lo(*pairs.pop(0))
-            targets.append(np.where(hi < self.ns,
-                                    lo * (self.bandwidth + 1) + hi - lo,
-                                    self.row0 + (hi - self.ns) * (m + 1) + lo))
+
+        def targets(a, b):
+            # the branch that np.where drops may wrap around; it is unused
+            hi, lo = hi_lo(a, b)
+            return np.where(hi < self.ns, lo * (self.bandwidth + 1) + hi - lo,
+                            self.row0 + (hi - self.ns) * (m + 1) + lo)
+
         self.K = None
         if segs.sizes[0] == 1:
             # K maps d onto the distinct targets, one column per block
-            t = targets.pop()
+            t = targets(*pairs.pop())
             hit = np.zeros(self.row0 + self.nb * (m + 1), dtype=bool)
             hit[t] = True
             self.lp_targets = np.flatnonzero(hit)
@@ -372,7 +381,13 @@ class _SchurPlan:
                 (coef, rank[t], np.append(0, np.cumsum(per_row))),
                 shape=(len(self.lp_targets), segs.counts[0]))
             del t, hit, rank
-        self.targets = np.concatenate([np.zeros(0, dtype=np.int64)] + targets)
+        # intp, the one index dtype that np.bincount reads without a copy
+        self.targets = np.empty(sum(len(a) for a, _ in pairs), dtype=np.intp)
+        at = 0
+        while pairs:  # one at a time, to keep the temporaries small
+            t = targets(*pairs.pop(0))
+            self.targets[at:at + len(t)] = t
+            at += len(t)
         self.weights = np.empty(len(self.targets))
         self.info = ({"kind": "banded", "bandwidth": self.bandwidth,
                       "border": self.nb} if self.ns else
