@@ -538,6 +538,13 @@ class _Segments:
             out[self.tau.indices] += y[-1]
         return out
 
+    def slack(self, y):
+        """A y - f0, with tau's column when y ends with tau: in place in the
+        product."""
+        out = self.apply(y)
+        out -= self.f0
+        return out
+
     def apply_t(self, v, nv):
         """A^T v for the first nv variables: tau's entry when nv = m + 1."""
         out = self.A.T @ v
@@ -603,7 +610,7 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
     y = np.asarray(y0, dtype=float).copy()
     nv = len(y)
     Z = segs.eye
-    S = segs.apply(y) - segs.f0
+    S = segs.slack(y)
     fS = segs.factors(S)
     gap = np.inf
 
@@ -669,9 +676,11 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
             gap_aff = sum(w.gap(d, ap, ad) for w, d in zip(cones, dirs))
             sigma = min(0.9, max(1e-6, (max(gap_aff, 0.0) / gap) ** 3))
             mu_t = sigma * mu
+            step = dirs = None  # the predictor's directions go first
             # corrector
             asv = segs.apply_t(_whole([w.s_inv for w in cones]), nv)
             step = direction(mu_t * asv - c, mu_t, 0.98)
+        solve = None  # the factor is not held through the backtracks
         if step is None:
             return stop(it, "step computation failed")
         dy, dirs, ap, ad = step
@@ -682,8 +691,7 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
             return stop(it, "step computation failed")
         # the fractional step can still graze the cone boundary; backtrack
         # until both iterates are strictly inside
-        primal = _backtrack(segs, ap,
-                            lambda a: segs.apply(y + a * dy) - segs.f0)
+        primal = _backtrack(segs, ap, lambda a: segs.slack(y + a * dy))
         if primal is None:
             return stop(it, "primal step stalled at the boundary")
         dZ = _whole([w.dz(d) for w, d in zip(cones, dirs)])
