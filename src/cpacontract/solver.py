@@ -454,7 +454,9 @@ class _SchurPlan:
 
         def solve(r):
             rp = r[perm]
-            u = solve_ss(rp[:ns])
+            # the predictor's right-hand side -c is zero on the band, and
+            # the band's solves of a zero vector give +0.0 everywhere
+            u = solve_ss(rp[:ns]) if rp[:ns].any() else np.zeros(ns)
             yb = solve_bb(rp[ns:] - Gsb.T @ u)
             out = np.empty(len(perm))
             out[perm] = np.concatenate([u - X @ yb, yb])
