@@ -526,6 +526,9 @@ class _Segments:
             np.tile((svec_scale(k) == 1.0).astype(float), cnt)
             for k, cnt in zip(self.sizes, self.counts)])
         self.tau = sp.csc_matrix(self.eye[:, None])
+        # the transposes share A's and tau's arrays: built once, not per
+        # product
+        self.A_t, self.tau_t = self.A.T, self.tau.T
         # phase 1, min tau s.t. A y + tau I - F0 >= 0, starts at y = 0 from
         # F0's largest eigenvalue plus max(1, |that eigenvalue|)
         top = -float(np.concatenate([
@@ -549,8 +552,8 @@ class _Segments:
 
     def apply_t(self, v, nv):
         """A^T v for the first nv variables: tau's entry when nv = m + 1."""
-        out = self.A.T @ v
-        return out if nv == self.m else np.append(out, self.tau.T @ v)
+        out = self.A_t @ v
+        return out if nv == self.m else np.append(out, self.tau_t @ v)
 
     def seg_slices(self):
         for ci, k in enumerate(self.sizes):
@@ -769,11 +772,11 @@ def solve(problem, settings=None):
 
 
 def _extract_ray(segs, svec_Z):
-    trace = float((segs.tau.T @ svec_Z)[0])
+    trace = float((segs.tau_t @ svec_Z)[0])
     if trace <= 0:
         trace = 1.0
     svec_Zn = svec_Z / trace
-    eq = segs.A.T @ svec_Zn
+    eq = segs.A_t @ svec_Zn
     return {
         "objective": float(segs.f0 @ svec_Zn),
         "eq_residual": float(np.abs(eq).max()),
