@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cpacontract import assembly
 from cpacontract.assembly import (
     assemble,
     enu_coefficient_arrays,
@@ -111,19 +112,23 @@ class TestAssemble:
         assert prob.c[vmap.cmax_index] == 1.0
 
 
+# a 1-D, a 2-D and a 3-D mesh as (system, region, K)
+MESHES = [
+    ("dim=1; period=6.283185307179586; f1 = -x1 + sin(t)",
+     [[[-2.0, 1.0]]], 3),
+    ("dim=2; period=6.283185307179586; f1 = x2; f2 = -x1 - 2*x2 + sin(t)",
+     [[[-0.5, 0.5], [-0.5, 0.5]]], 1),
+    ("dim=3; period=1; f1 = -x1 + 1.5*x2 + 0.2*x2*x3; "
+     "f2 = -x2 + 1.5*x3 - 0.2*x1*x3; f3 = -x3 + 0.2*x1*x2",
+     [[[-0.5, 0.5]] * 3], 0),
+]
+
+
 class TestNoExplicitZeros:
     """`stack_problem` drops the families' explicit zeros, so A stores only
     entries that a product with it needs."""
 
-    @pytest.mark.parametrize("text, region, K", [
-        ("dim=1; period=6.283185307179586; f1 = -x1 + sin(t)",
-         [[[-2.0, 1.0]]], 3),
-        ("dim=2; period=6.283185307179586; f1 = x2; f2 = -x1 - 2*x2 + sin(t)",
-         [[[-0.5, 0.5], [-0.5, 0.5]]], 1),
-        ("dim=3; period=1; f1 = -x1 + 1.5*x2 + 0.2*x2*x3; "
-         "f2 = -x2 + 1.5*x3 - 0.2*x1*x3; f3 = -x3 + 0.2*x1*x2",
-         [[[-0.5, 0.5]] * 3], 0),
-    ])
+    @pytest.mark.parametrize("text, region, K", MESHES)
     def test_assembled_meshes(self, text, region, K):
         sys = parse_system(text)
         cx = build_complex(region, sys.T, K)
@@ -144,6 +149,35 @@ class TestNoExplicitZeros:
         assert (prob.A.data != 0).all()
         assert prob.A.nnz == 2
         assert np.array_equal(prob.A.toarray(), A.toarray())
+
+
+class TestCompactStore:
+    """Every family builds its triplets' rows and columns in int32, and A's
+    data and indices own exactly its nnz entries."""
+
+    @pytest.mark.parametrize("text, region, K", MESHES)
+    def test_assembled_meshes(self, text, region, K, monkeypatch):
+        dtypes = {}
+        stack = assembly.stack_problem
+
+        def spy(parts, *args, **kwargs):
+            for fam, _, _, (_, rows, cols), *_ in parts:
+                dtypes.setdefault(fam, set()).update((rows.dtype, cols.dtype))
+            return stack(parts, *args, **kwargs)
+
+        monkeypatch.setattr(assembly, "stack_problem", spy)
+        sys = parse_system(text)
+        cx = build_complex(region, sys.T, K)
+        for uniform in (True, False):
+            for objective in ("none", "min_c"):
+                prob, _ = assemble(cx, sys, 0.01, uniform_cd=uniform,
+                                   objective=objective)
+                for a in (prob.A.data, prob.A.indices):
+                    assert len(a) == prob.A.nnz
+                    assert a.base is None or a.base.size == prob.A.nnz
+        assert set(dtypes) == {"bound_M", "grad_bound", "pos_def",
+                               "contraction", "cmax_link"}
+        assert all(d == {np.dtype(np.int32)} for d in dtypes.values())
 
 
 class TestResidual:

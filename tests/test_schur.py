@@ -170,6 +170,87 @@ class TestScatterAssembly:
             _check_against_reference(problem, trial, plan_kind)
 
 
+class TestChunkedFormation:
+    """`form` runs each frame class in chunks of at most `_FRAME_CHUNK`
+    frames, and every frame's product stays the one of a single batch."""
+
+    def _one_batch(self, plan, weights):
+        """The plan's lower-triangle weights, each class in one batch."""
+        out = []
+        for cls in plan.classes:
+            nf, w = cls["cols"].shape
+            cnt, d = cls["cnt"], cls["svdim"]
+            C = np.matmul(weights[cls["cone"]][cls["sel"]].reshape(
+                nf, cnt, d, d), cls["A"].reshape(nf, cnt, d, w)).reshape(
+                nf, cnt * d, w)
+            G = np.matmul(C.transpose(0, 2, 1), C)
+            out.append(G.reshape(nf, w * w)[:, cls["lower"]].ravel())
+        return np.concatenate(out)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_chunks_give_the_one_batch_bytes(self, osc_2d, uniform,
+                                             monkeypatch):
+        problem, _ = _mesh_problem(osc_2d, [[[-0.5, 0.5], [-0.5, 0.5]]], 2,
+                                   uniform, "min_c")
+        segs = _Segments(problem)
+        weights = _plan_weights(_random_scalings(segs,
+                                                 np.random.default_rng(6)))
+        monkeypatch.setattr(solver, "_FRAME_CHUNK", 7)
+        _, plan = _plan(problem, "banded")
+        frames = [len(cls["cols"]) for cls in plan.classes]
+        assert all(len(cls["C"]) == len(cls["G"]) == min(nf, 7)
+                   for cls, nf in zip(plan.classes, frames))
+        assert any(nf > 7 and nf % 7 for nf in frames)
+        buf = plan.form(weights)
+        assert plan.weights.tobytes() == self._one_batch(
+            plan, weights).tobytes()
+        monkeypatch.setattr(solver, "_FRAME_CHUNK", max(frames))
+        _, whole = _plan(problem, "banded")
+        assert all(len(cls["C"]) == nf
+                   for cls, nf in zip(whole.classes, frames))
+        assert buf.tobytes() == whole.form(weights).tobytes()
+
+
+class TestBandSolves:
+    def test_one_band_solve_fewer_per_iteration(self, solved_linear,
+                                                monkeypatch):
+        # an iteration solves with the band for the border's columns and
+        # for the corrector; the predictor's right-hand side -c is zero on
+        # the band, since c touches border variables only
+        problem = solved_linear["problem"]
+        counts = {"solves": 0, "factors": 0}
+        phases = []
+        cho_solve = scipy.linalg.cho_solve_banded
+
+        def count_solve(*args, **kwargs):
+            counts["solves"] += 1
+            return cho_solve(*args, **kwargs)
+
+        factor = _SchurPlan.factor
+
+        def count_factor(self, *args, **kwargs):
+            counts["factors"] += 1
+            return factor(self, *args, **kwargs)
+
+        ipm = solver._ipm
+
+        def phase(*args, **kwargs):
+            counts.update(solves=0, factors=0)
+            res = ipm(*args, **kwargs)
+            phases.append((dict(counts), res.iterations))
+            return res
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve_banded", count_solve)
+        monkeypatch.setattr(_SchurPlan, "factor", count_factor)
+        monkeypatch.setattr(solver, "_ipm", phase)
+        sol = solve(problem)
+        assert sol.schur["kind"] == "banded"
+        assert len(phases) == 2  # phase 1, then phase 2 for min_c
+        for seen, iterations in phases:
+            assert seen["factors"] == iterations > 0
+            assert seen["solves"] == 2 * iterations
+
+
 class TestOneStore:
     """The problem's A is the only CSR of the constraint operator: the
     solver reads it as it is, and each block family is a row range of it."""
@@ -192,12 +273,22 @@ class TestOneStore:
         seen = []
         ipm = solver._ipm
         monkeypatch.setattr(solver, "_ipm", lambda segs, *a, **kw: (
-            seen.append(segs.A) or ipm(segs, *a, **kw)))
+            seen.append(segs) or ipm(segs, *a, **kw)))
         A = problem.A
         before = [a.tobytes() for a in (A.data, A.indices, A.indptr)]
         solve(problem, SolverSettings(max_iterations=3))
-        assert seen and all(s is A for s in seen)
+        assert seen and all(s.A is A for s in seen)
         assert [a.tobytes() for a in (A.data, A.indices, A.indptr)] == before
+        # the transposes are views of the same arrays, built once
+        segs = seen[0]
+        for t, a in ((segs.A_t, A), (segs.tau_t, segs.tau)):
+            for x, y in ((t.data, a.data), (t.indices, a.indices),
+                         (t.indptr, a.indptr)):
+                assert np.shares_memory(x, y)
+        v = np.random.default_rng(7).normal(size=A.shape[0])
+        assert segs.apply_t(v, problem.m).tobytes() == (A.T @ v).tobytes()
+        assert segs.apply_t(v, problem.m + 1).tobytes() == np.append(
+            A.T @ v, segs.tau.T @ v).tobytes()
 
     def test_2d_mesh(self, osc_2d, monkeypatch):
         problem, _ = _mesh_problem(osc_2d, [[[-0.5, 0.5], [-0.5, 0.5]]], 1,
@@ -310,7 +401,12 @@ class TestSchurOrder:
         # simplex class holds the contraction blocks' 12 rows per frame
         plan = _SchurPlan(_Segments(problem), problem.schur_order,
                           problem.schur_border)
-        assert max(cls["C"].nbytes for cls in plan.classes) <= 20e6
+        # C and G hold one chunk of frames: the simplex class's 13,824
+        # frames of width 14 run in chunks
+        chunk = solver._FRAME_CHUNK
+        assert max(len(cls["cols"]) for cls in plan.classes) > chunk
+        assert max(cls["C"].nbytes + cls["G"].nbytes
+                   for cls in plan.classes) <= chunk * (12 + 14) * 14 * 8
         assert plan.K.shape[1] == next(g.count for g in problem.groups
                                        if g.family == "grad_bound")
         sol = solve(problem, SolverSettings(max_iterations=1))
