@@ -311,10 +311,15 @@ class _SchurPlan:
 
     Matrix blocks: each iteration forms C = P A per block over its frame's
     local columns, with the cone's svec map P, P svec(X) = svec(F X F^T),
-    C^T C per frame as one batch per class, and scatters the lower
-    triangles with one `np.bincount` to precomputed targets. Scalar blocks
-    store no rows: their part of G is sum_r d_r a_r a_r^T, a fixed linear
-    map K of the scaling d onto the targets their rows' pairs reach.
+    and C^T C per frame, class by class in chunks of at most
+    `_FRAME_CHUNK` frames (each frame's product is its own, so a chunk
+    keeps its bits); each chunk's lower triangles go straight into the
+    weights, which one `np.bincount` scatters to precomputed targets. The
+    targets are intp, the one index dtype `np.bincount` reads without a
+    copy; the set-up's positions are int32 when the targets fit it.
+    Scalar blocks store no rows: their part of G is sum_r d_r a_r a_r^T, a
+    fixed linear map K of the scaling d onto the targets their rows'
+    pairs reach.
     Variables go in the mesh's `order`. The leading `ns` form a band
     factored by `cholesky_banded`; the trailing `border` variables keep
     full rows of G and are eliminated densely. Without an order every
