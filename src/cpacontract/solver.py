@@ -25,8 +25,9 @@ accurate relative to itself.
 
 The Schur complement over the m variables is formed from a fixed scatter
 pattern built once per solve: the matrix blocks are grouped per simplex,
-each group's local Gram matrix is computed in one batch and one bincount
-adds it into G, and the scalar blocks add a fixed sparse map of d. G is
+the groups' local Gram matrices are computed in chunks of a fixed number
+of groups, one bincount adds them into G, and the scalar blocks add a
+fixed sparse map of d. G is
 factored by a banded Cholesky in the variable order that the assembly
 reads off the mesh, at every size, with the few variables that touch every
 simplex eliminated as a dense border (all of G without an order); both

@@ -162,6 +162,33 @@ class TestScatterAssembly:
                                    "none")
         _check_against_reference(problem, 2, plan_kind)
 
+    def test_gradient_bound_pairs(self, linear_1d, osc_2d, plan_kind):
+        # the linear cone's part of G alone, sum_r d_r a_r a_r^T, on the
+        # +- pairs of grad_bound rows (D/(n+1) +- w) at n = 1 and n = 2
+        for sys, region in ((linear_1d, [[[-2.0, 1.0]]]),
+                            (osc_2d, [[[-0.5, 0.5], [-0.5, 0.5]]])):
+            problem, _ = _mesh_problem(sys, region, 1, True, "none")
+            g = next(g for g in problem.groups if g.family == "grad_bound")
+            rows = problem.A[g.rows]
+            plus, minus = rows[0::2], rows[1::2]
+            assert np.array_equal(plus.indptr, minus.indptr)
+            assert np.array_equal(plus.indices, minus.indices)
+            # one equal entry per pair, the D column; the w entries negated
+            same = plus.data == minus.data
+            assert (same | (plus.data == -minus.data)).all()
+            assert (np.add.reduceat(same.astype(int), plus.indptr[:-1])
+                    == 1).all()
+            segs, plan = _plan(problem, plan_kind)
+            assert segs.sizes[0] == 1
+            d = np.random.default_rng(8).uniform(0.2, 3.0, segs.counts[0])
+            weights = [d] + [np.zeros((cnt, k * (k + 1) // 2,
+                                       k * (k + 1) // 2))
+                             for _, k, cnt, _ in segs.seg_slices() if k > 1]
+            A_lin = segs.A[segs.rows[0]]
+            ref = (A_lin.T @ sp.diags(d) @ A_lin).toarray()
+            G = _stored_to_dense(plan, plan.form(weights), tau=False)
+            assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_random_suite(self, plan_kind):
         rng = np.random.default_rng(2024)
         for trial in range(8):
