@@ -268,7 +268,8 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     # ---- bound on M (Constraint 2): C I - M >= 0 ----
     # a block per slot under the uniform C, else per simplex vertex
     if uniform_cd:
-        slot2, simp2, vert2 = np.arange(v), np.full(v, -1), np.arange(v)
+        slot2, simp2, vert2 = (np.arange(v, dtype=idx), np.full(v, -1),
+                               np.arange(v))
     else:
         simp2 = np.repeat(np.arange(S, dtype=np.int64), n + 2)
         slot2, vert2 = slots_sv.reshape(-1), cx.simp_verts.reshape(-1)
@@ -277,7 +278,7 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     rows_c = (blk + diag_p).ravel()
     trip = (np.concatenate([-np.tile(scale, cnt), np.ones(rows_c.shape)]),
             np.concatenate([(blk + p_idx).ravel(), rows_c]),
-            np.concatenate([(slot2.astype(idx)[:, None] * P + p_idx).ravel(),
+            np.concatenate([(slot2[:, None] * P + p_idx).ravel(),
                             np.repeat(vmap.c_index(
                                 np.maximum(simp2, 0).astype(idx)),
                                 len(diag_p))]))

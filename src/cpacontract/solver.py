@@ -27,11 +27,11 @@ The Schur complement over the m variables is formed from a fixed scatter
 pattern built once per solve: the matrix blocks are grouped per simplex,
 the groups' local Gram matrices are computed in chunks of a fixed number
 of groups, one bincount adds them into G, and the scalar blocks add a
-fixed sparse map of d. G is
-factored by a banded Cholesky in the variable order that the assembly
-reads off the mesh, at every size, with the few variables that touch every
-simplex eliminated as a dense border (all of G without an order); both
-parts take their ridge from the mean diagonal of the whole G.
+fixed sparse map of d. G is factored by a banded Cholesky in the variable
+order that the assembly reads off the mesh, at every size, with the few
+variables that touch every simplex eliminated as a dense border (all of G
+without an order); both parts take their ridge from the mean diagonal of
+the whole G.
 
 `certify` re-checks a candidate y apart from the solver's iterates and
 cones: it slices one product A y - F0 by the groups' row ranges and takes
