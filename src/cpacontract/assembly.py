@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cpa import sym_basis, triu_layout, unpack_symmetric
 from .errors import EmptyComplexError, MissingBoundsError
@@ -160,7 +159,7 @@ class SDPProblem:
     m: int
     c: np.ndarray
     groups: list
-    A: sp.csr_matrix
+    A: scipy.sparse.csr_matrix
     f0: np.ndarray
     n: int
     meta: dict = field(default_factory=dict)
@@ -187,6 +186,8 @@ def stack_problem(parts, c, n, **kw):
     leave `parts` once copied, so that no entry is held three times. Each
     row's columns are sorted, as the solver's scalar pairs need, and A
     stores no explicit zeros, which every product with it would read."""
+    import scipy.sparse as sp  # here, so that only a built SDP loads it
+
     order = sorted(range(len(parts)), key=lambda i: parts[i][1])
     start = dict(zip(order, np.cumsum(
         [0] + [len(parts[i][4]) for i in order]).tolist()))

@@ -45,8 +45,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .assembly import index_dtype, row_entries, svec_scale, unsvec
 from .errors import DimensionMismatchError
@@ -383,6 +381,8 @@ class _SchurPlan:
             hit[t] = True
             self.lp_targets = np.flatnonzero(hit)
             rank = np.cumsum(hit, dtype=np.int32) - 1
+            import scipy.sparse as sp  # loaded by the solve that needs it
+
             self.K = sp.csc_matrix(
                 (coef, rank[t], np.append(0, np.cumsum(per_row))),
                 shape=(len(self.lp_targets), segs.counts[0]))
@@ -476,6 +476,8 @@ def _cholesky(G, ridge, reform=None):
     or, when `reform` restores G after a failed attempt, in band storage
     and factored in place. `ridge` is added to the diagonal in place and
     grown on failure."""
+    import scipy.linalg  # loaded by the solve that needs it
+
     n = G.shape[1]
     if n == 0:
         return lambda r: r
@@ -516,6 +518,8 @@ class _Segments:
     `tau`, and `tau0` is its start."""
 
     def __init__(self, problem):
+        import scipy.sparse as sp  # loaded by the solve that needs it
+
         groups = self.groups = problem.groups
         self.m, self.A, self.f0 = problem.m, problem.A, problem.f0
         self.sizes = sorted({g.size for g in groups})
