@@ -37,6 +37,11 @@ the whole G.
 cones: it slices one product A y - F0 by the groups' row ranges and takes
 the smallest eigenvalues with `smallmat.eig_min`, the one batched eigen
 kernel, at every block size. `Solution.block_min_eigs` is its answer.
+
+scipy is imported where it is called (the sparse tau and K, the banded
+and dense Cholesky factors), not at module level, so that a process that
+imports the package but solves no SDP, a certificate check say, never
+loads it.
 """
 
 from __future__ import annotations
