@@ -408,17 +408,58 @@ class TestMainEntry:
         assert "k_min" in capsys.readouterr().err
 
 
+def scipy_after(*steps):
+    """The scipy modules loaded in one fresh process after each of `steps`,
+    Python statements that it runs in turn, one sorted list per step."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    lines = ["import json, sys"]
+    for step in steps:
+        lines += [step, "print('SCIPY', json.dumps(sorted(m for m in "
+                  "sys.modules if m.partition('.')[0] == 'scipy')))"]
+    out = subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)], capture_output=True,
+        text=True, check=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])))
+    return [json.loads(line[6:]) for line in out.stdout.splitlines()
+            if line.startswith("SCIPY ")]
+
+
 class TestImports:
-    def test_no_scipy_optimize(self):
-        # every entry point loads numpy, scipy.sparse and scipy.linalg only
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        code = ("import sys, cpacontract, cpacontract.cli; "
-                "print(sorted(m for m in sys.modules "
-                "if m.startswith('scipy.optimize')))")
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            check=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-                [src, os.environ.get("PYTHONPATH", "")])))
-        assert out.stdout.strip() == "[]"
+    def test_no_scipy_at_import(self):
+        assert scipy_after("import cpacontract, cpacontract.cli, "
+                           "cpacontract.assembly, cpacontract.solver") == [[]]
+
+    def test_certificate_consumer_loads_no_scipy(self, cert_path, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(dict(LINEAR_CONFIG, orbit_guess=[0.0])))
+        cert, cfg = json.dumps(cert_path), json.dumps(str(config))
+        after = scipy_after(
+            "from cpacontract import cli, orbits",
+            f"assert cli.main(['verify', {cert}]) == 0",
+            f"assert cli.main(['floquet', '--config', {cfg}, "
+            f"'--cert', {cert}]) == 0",
+            f"assert cli.main(['check-complex', '--config', {cfg}, "
+            "'--k', '2']) == 0",
+            "_, sys0, _, cpa = cli.rebuild_from_certificate("
+            f"cli.load_certificate({cert})); "
+            "d = orbits.contraction_probe(cpa, sys0, [-0.5], [1e-3], "
+            "sys0.T, 500); assert d[-1] < d[0]")
+        assert after == [[]] * 5
+
+    def test_building_an_sdp_loads_scipy(self):
+        # the positive control of the two cases above: scipy.sparse loads
+        # with the first A, scipy.linalg with the first factor
+        imported, assembled, solved = scipy_after(
+            "from cpacontract import assembly, solver, systems, "
+            "triangulation",
+            "sys0 = systems.parse_system('dim=1; period=6.283185307179586; "
+            "f1 = -x1 + sin(t)'); "
+            "cx = triangulation.build_complex([[[-2.0, 1.0]]], sys0.T, 2); "
+            "problem, _ = assembly.assemble(cx, sys0, 0.01)",
+            "solver.solve(problem)")
+        assert imported == []
+        assert "scipy.sparse" in assembled
+        assert "scipy.linalg" not in assembled
+        assert "scipy.linalg" in solved

@@ -2,7 +2,8 @@
 exists, and every function and method of the package is called, by name,
 attribute or import, from code other than its own definition. Code that
 only tests call belongs under tests/, the paper's quantities in
-`reference.py`."""
+`reference.py`. scipy is imported only inside the functions of `assembly`
+and `solver` that build and solve an SDP."""
 
 import ast
 import importlib
@@ -81,3 +82,28 @@ def test_no_function_is_called_only_by_tests():
                 if item.name not in used and name != "cli.main":
                     uncalled.append(name)
     assert uncalled == []
+
+
+def test_scipy_is_imported_only_where_an_sdp_is_built():
+    # a module-level scipy import costs every process that imports the
+    # package, a certificate check too, ~0.4 s
+    wrong = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        in_function = {id(inner) for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                       for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "scipy" for name in names) and (
+                    path.parent != PACKAGE
+                    or path.stem not in ("assembly", "solver")
+                    or id(node) not in in_function):
+                wrong.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert wrong == []
