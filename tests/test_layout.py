@@ -86,7 +86,7 @@ def test_no_function_is_called_only_by_tests():
 
 def test_scipy_is_imported_only_where_an_sdp_is_built():
     # a module-level scipy import costs every process that imports the
-    # package, a certificate check too, ~0.4 s
+    # package, a certificate check too, ~0.3 s on a 2-vCPU host
     wrong = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text())

@@ -184,10 +184,10 @@ def summary(name, data):
     kind = _kind(name)
     if kind is not None:
         obj = json.loads(data)
-        record["invariants"] = {label: value for label, paths in
-                                INVARIANTS.items() for value in
-                                [_get(obj, paths[kind])]
-                                if value is not MISSING}
+        invariants = {label: _get(obj, paths[kind])
+                      for label, paths in INVARIANTS.items()}
+        record["invariants"] = {label: value for label, value in
+                                invariants.items() if value is not MISSING}
         for label in ("y", "C", "D", "floquet_bound"):
             value = _get(obj, NUMBERS[label][kind])
             if value is not MISSING:
