@@ -10,7 +10,6 @@ from .systems import (  # noqa: F401
 )
 from .triangulation import (  # noqa: F401
     ScalingMatrix,
-    Simplex,
     SimplicialComplex,
     build_complex,
     check_complex,
@@ -27,7 +26,6 @@ from .solver import SolverSettings, Solution, certify, solve  # noqa: F401
 from .verify import (  # noqa: F401
     VerificationReport,
     boundary_flow_check,
-    floquet_bound,
     verify_contraction_sampled,
     verify_interpolation_bound,
 )

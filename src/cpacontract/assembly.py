@@ -11,21 +11,26 @@ contributes k(k+1)/2 rows holding the upper triangle of its coefficient
 matrices, off-diagonal entries scaled by sqrt(2) so that row-dot-row equals
 the matrix inner product. Each family of blocks is a range of rows.
 
-`scipy.sparse` is imported in `stack_problem`, which builds A, and not at
-module level: checking a certificate reads the margin formula and the
-bounds here but builds no SDP, and importing scipy.sparse takes ~0.3 s
-on a 2-vCPU host.
+The margin coefficients of the contraction blocks come from `cpa`, which
+the verifier reads too; this module only builds the SDP. `scipy.sparse` is
+imported in `stack_problem`, which builds A, and not at module level, so
+that importing the package costs no scipy (~0.3 s on a 2-vCPU host).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cpa import sym_basis, triu_layout, unpack_symmetric
-from .errors import EmptyComplexError, MissingBoundsError
-from .systems import simplex_bounding_boxes
+from .cpa import (
+    ensure_derivative_bounds,
+    enu_coefficient_arrays,
+    sym_basis,
+    triu_layout,
+    unpack_symmetric,
+)
+from .errors import EmptyComplexError
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -39,46 +44,6 @@ def svec_scale(n):
 def unsvec(vec, n):
     """Scaled upper triangle (..., P) -> symmetric (..., n, n)."""
     return unpack_symmetric(np.asarray(vec) / svec_scale(n), n)
-
-
-def _system_cache_key(sys):
-    return (tuple(str(f) for f in sys.rhs), sys.smoothness,
-            None if sys.user_bounds is None else (sys.user_bounds.B,
-                                                  sys.user_bounds.B3))
-
-
-def fill_derivative_bounds(cx, sys):
-    """Cache the per-simplex bounds B (order 2) and, for C3 systems, B3,
-    over the axis-aligned bounding box of each simplex."""
-    lo, hi = simplex_bounding_boxes(cx.vert_xyz[cx.simp_verts])
-    cx.B2 = sys.derivative_bound_boxes(lo, hi, 2)
-    cx.B3 = (sys.derivative_bound_boxes(lo, hi, 3)
-             if sys.smoothness == "C3" else None)
-    cx._bound_key = _system_cache_key(sys)
-
-
-def ensure_derivative_bounds(cx, sys):
-    """Fill the caches unless they already belong to this system."""
-    if cx.B2 is None or getattr(cx, "_bound_key", None) != _system_cache_key(sys):
-        fill_derivative_bounds(cx, sys)
-
-
-def enu_coefficient_arrays(cx, smoothness):
-    """(a_C, a_D) arrays over all simplices for the given smoothness mode:
-    the linear margin E = a_C * C + a_D * D of the contraction blocks."""
-    if cx.B2 is None:
-        raise MissingBoundsError("order-2 bounds are not cached on the complex")
-    n = cx.n
-    h = cx.h
-    if smoothness == "C2":
-        a_D = h**2 * n * np.sqrt(n + 1.0) * cx.B2
-        a_C = 2.0 * h * n**2 * (n + 1.0) * cx.B2
-    else:
-        if cx.B3 is None:
-            raise MissingBoundsError("order-3 bounds are not cached on the complex")
-        a_D = h**2 * n * np.sqrt(n + 1.0) * (1.0 + 4.0 * n) * cx.B2
-        a_C = 2.0 * h**2 * n**2 * (n + 1.0) * cx.B3
-    return a_C, a_D
 
 
 @dataclass(frozen=True)
@@ -167,7 +132,6 @@ class SDPProblem:
     A: scipy.sparse.csr_matrix
     f0: np.ndarray
     n: int
-    meta: dict = field(default_factory=dict)
     schur_order: np.ndarray | None = None
     schur_border: int = 0
 
@@ -241,7 +205,6 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
         raise ValueError("objective must be 'none' or 'min_c'")
     if cx.n_simplices == 0:
         raise EmptyComplexError("complex has no simplices")
-    ensure_derivative_bounds(cx, sys)
 
     n = cx.n
     P = n * (n + 1) // 2
@@ -251,7 +214,7 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
                        uniform=uniform_cd, objective=objective)
     m = vmap.m
 
-    a_C, a_D = enu_coefficient_arrays(cx, sys.smoothness)
+    a_C, a_D = enu_coefficient_arrays(cx, *ensure_derivative_bounds(cx, sys))
     scale = svec_scale(n)
     iu = triu_layout(n)
     # the triplets' rows and columns in int32 when they fit: no family has
@@ -392,11 +355,8 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
 
     order, border = schur_order(cx, vmap)
     del trip  # stack_problem frees each family's triplets as it copies them
-    problem = stack_problem(parts, c, n,
-                            meta={"eps0": eps0, "uniform": uniform_cd,
-                                  "objective": objective,
-                                  "a_C": a_C, "a_D": a_D},
-                            schur_order=order, schur_border=border)
+    problem = stack_problem(parts, c, n, schur_order=order,
+                            schur_border=border)
     return problem, vmap
 
 

@@ -37,7 +37,7 @@ from .triangulation import (
     check_complex,
     normalize_region,
 )
-from .verify import floquet_bound, verify_contraction_sampled
+from .verify import verify_contraction_sampled
 
 CERT_FORMAT = "cpa-contraction-certificate/1"
 
@@ -78,6 +78,8 @@ class Config:
             k_max = int(raw.get("k_max", 6))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad configuration: {exc}") from exc
+        if not isinstance(system_text, str):
+            raise InputError("system must be a string")
         if epsilon0 <= 0:
             raise InputError("epsilon0 must be positive")
         if not isinstance(region, list) or not region:
@@ -156,7 +158,7 @@ def load_config(path):
 # certificates
 
 
-def build_certificate(config, cx, vmap, sol, report, bound):
+def build_certificate(config, cx, vmap, sol, report):
     C, D = vmap.bound_constants(sol.y)
     metric = vmap.metric_values(sol.y)
     return {
@@ -180,7 +182,7 @@ def build_certificate(config, cx, vmap, sol, report, bound):
                    "objective": _fmt(sol.objective),
                    "min_block_eig": _fmt(float(sol.block_min_eigs.min()))},
         "verification": report.to_dict(),
-        "floquet_bound": _fmt(bound),
+        "floquet_bound": _fmt(report.bound_from_C),
     }
 
 
@@ -200,7 +202,7 @@ def load_certificate(path):
             cert = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read certificate {path}: {exc}") from exc
-    if cert.get("format") != CERT_FORMAT:
+    if not isinstance(cert, dict) or cert.get("format") != CERT_FORMAT:
         raise InputError("not a recognized certificate file")
     return cert
 
@@ -281,20 +283,19 @@ def cmd_synthesize(config, out_path=None, progress=print):
             C, D = vmap.bound_constants(sol.y)
             cpa = CPAMetric.from_solution(cx, sol.y, vmap)
             report = verify_contraction_sampled(
-                cpa, sys0, cx,
+                cpa, sys0, C, D,
                 samples=config.verify_samples, seed=config.verify_seed,
-                tol=config.verify_tol, eps0=config.epsilon0, C=C, D=D)
+                tol=config.verify_tol, eps0=config.epsilon0)
             report.attach_interpolation_check(cpa, sys0,
                                               seed=config.verify_seed)
             report.attach_boundary_check(cx, sys0, seed=config.verify_seed)
-            bound = floquet_bound(sol, vmap)
-            cert = build_certificate(config, cx, vmap, sol, report, bound)
+            cert = build_certificate(config, cx, vmap, sol, report)
             if out_path:
                 write_certificate(cert, out_path)
                 progress(f"certificate written to {out_path}")
             progress(f"verification {'PASS' if report.passed else 'FAIL'}: "
                      f"max lambda_max = {report.max_lambda_max:.6e}, "
-                     f"Floquet bound {bound:.6f}")
+                     f"Floquet bound {report.bound_from_C:.6f}")
             return (0 if report.passed else 2), cert
         if sol.status == "NumericalFailure":
             progress(f"numerical failure at K={K}: {sol.notes}")
@@ -317,20 +318,25 @@ def cmd_verify(cert_path, samples=None, seed=None, tol=None, progress=print,
                csv_path=None, report_path=None):
     try:
         cert = load_certificate(cert_path)
-        config, sys0, cx, cpa = rebuild_from_certificate(cert)
+        config, sys0, _, cpa = rebuild_from_certificate(cert)
+        constants = cert["constants"]
+        C, D = float(constants["C"]), float(constants["D"])
+        if not (np.isfinite(C) and np.isfinite(D) and C > 0.0):
+            raise InputError("constants C and D must be finite, C positive")
+        # eps0 is the configuration's, which from_dict checked is positive
+        if float(constants["epsilon0"]) != config.epsilon0:
+            raise InputError("constants.epsilon0 differs from the "
+                             "configuration's epsilon0")
     except (CpaError, KeyError, TypeError, ValueError) as exc:
         progress(f"bad certificate: {exc}")
         return 3
     try:
         report = verify_contraction_sampled(
-            cpa, sys0, cx,
+            cpa, sys0, C, D,
             samples=samples if samples is not None else config.verify_samples,
             seed=seed if seed is not None else config.verify_seed,
             tol=tol if tol is not None else config.verify_tol,
-            eps0=float(cert["constants"]["epsilon0"]),
-            C=float(cert["constants"]["C"]),
-            D=float(cert["constants"]["D"]),
-            csv_path=csv_path)
+            eps0=config.epsilon0, csv_path=csv_path)
     except (np.linalg.LinAlgError, NonFiniteStateError, FloatingPointError):
         progress("numerical failure during verification")
         return 4
@@ -384,7 +390,7 @@ def cmd_floquet(config, cert_path=None, tol=1e-6, steps=8192, progress=print,
         return 3
     worst = float(result.exponents.max())
     progress(f"certificate bound: {bound:.8f} (must be >= {worst:.8f} - tol)")
-    if bound < worst - tol:
+    if not bound >= worst - tol:  # a NaN bound fails too
         progress("BOUND VIOLATION: certificate bound below the true exponent")
         return 2
     progress("bound consistent with the oracle")

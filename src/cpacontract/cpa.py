@@ -5,7 +5,10 @@ slot (upper-triangle storage) and interpolated barycentrically inside each
 simplex. Per-simplex entry gradients are cached; a simplex's orbital
 derivative M' contracts its gradient table with (1, f). The contraction
 matrix M Dxf + Dxf^T M + M' is formed in one place, `CPAMetric.contraction`,
-which the verifier uses.
+which the verifier uses. The margin E = a_C C + a_D D of the vertex
+conditions is likewise formed in one place, `enu_coefficient_arrays`, from
+the bounds that `ensure_derivative_bounds` computes from the system on
+every call; nothing caches them.
 """
 
 from __future__ import annotations
@@ -45,6 +48,32 @@ def sym_basis(n):
     out[np.arange(P), iu[0], iu[1]] = 1.0
     out[np.arange(P), iu[1], iu[0]] = 1.0
     return out
+
+
+def ensure_derivative_bounds(cx, sys):
+    """Bounds (B2, B3), each (S,), on the system's second and third partials
+    over each simplex's bounding box; B3 is None for a C2 system. The name
+    stays because the benchmark's tracer times `assembly`'s import of it as
+    the `assembly.bounds` span, which then covers `verify`'s calls too."""
+    verts = cx.vert_xyz[cx.simp_verts]
+    lo, hi = verts.min(axis=1).T, verts.max(axis=1).T
+    B3 = (sys.derivative_bound_boxes(lo, hi, 3) if sys.smoothness == "C3"
+          else None)
+    return sys.derivative_bound_boxes(lo, hi, 2), B3
+
+
+def enu_coefficient_arrays(cx, B2, B3=None):
+    """(a_C, a_D) arrays over all simplices: the linear margin
+    E = a_C * C + a_D * D of the contraction blocks, in the C3 form
+    exactly when the order-3 bounds B3 are given, else in the C2 form."""
+    n, h = cx.n, cx.h
+    if B3 is None:
+        a_D = h**2 * n * np.sqrt(n + 1.0) * B2
+        a_C = 2.0 * h * n**2 * (n + 1.0) * B2
+    else:
+        a_D = h**2 * n * np.sqrt(n + 1.0) * (1.0 + 4.0 * n) * B2
+        a_C = 2.0 * h**2 * n**2 * (n + 1.0) * B3
+    return a_C, a_D
 
 
 class CPAMetric:

@@ -41,16 +41,8 @@ class SingularSimplexError(CpaError):
     """Vertices affinely dependent or shape matrix numerically singular."""
 
 
-class MissingBoundsError(CpaError):
-    """Simplex derivative-bound caches are required but absent."""
-
-
 class EmptyComplexError(CpaError):
     """Operation requires a non-empty simplicial complex."""
-
-
-class NotFeasibleInputError(CpaError):
-    """Operation requires a Feasible or Optimal solver result."""
 
 
 class NonFiniteStateError(CpaError):

@@ -806,8 +806,8 @@ def _extract_ray(segs, svec_Z):
 
 def certify(problem, y, tol):
     """Recompute every block of sum F_i y_i - F_0 from the problem's A and
-    F0 and report the blocks whose smallest eigenvalue falls below -tol; the
-    smallest eigenvalues come in the groups' block order."""
+    F0 and report the blocks whose smallest eigenvalue is not >= -tol (a
+    NaN too); the smallest eigenvalues come in the groups' block order."""
     y = np.asarray(y, dtype=float)
     if y.shape != (problem.m,):
         raise DimensionMismatchError(f"y must have shape ({problem.m},)")
@@ -815,4 +815,4 @@ def certify(problem, y, tol):
     mins = np.concatenate([eig_min(unsvec(res[g.rows].reshape(g.count, -1),
                                           g.size)) for g in problem.groups])
     return CertifyReport(min_eigs=mins, tol=tol, flagged=[
-        (int(i), float(mins[i])) for i in np.flatnonzero(mins < -tol)])
+        (int(i), float(mins[i])) for i in np.flatnonzero(~(mins >= -tol))])

@@ -261,13 +261,3 @@ def parse_system(text, check_periodic=True):
     if check_periodic:
         sys.check_periodicity()
     return sys
-
-
-def simplex_bounding_boxes(vertices):
-    """Axis-aligned bounding boxes for stacked simplices (s, n+2, n+1).
-
-    Returns (lo, hi) with shape (n+1, s) each, ready for
-    `derivative_bound_boxes`.
-    """
-    verts = np.asarray(vertices, dtype=float)
-    return verts.min(axis=1).T, verts.max(axis=1).T

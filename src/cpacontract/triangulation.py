@@ -6,8 +6,8 @@ that the mesh is symmetric about the coordinate planes, keeps exactly the
 simplices meeting the region interior, and identifies vertices at t=0 with
 their t=T counterparts (periodic storage slots).
 
-Bulk data is kept in flat numpy arrays; `Simplex` objects are lightweight
-views used by the per-simplex APIs.
+Bulk data is kept in flat numpy arrays indexed by simplex or vertex id:
+the mesh and its geometry, with no per-simplex views and no system's data.
 """
 
 from __future__ import annotations
@@ -158,30 +158,6 @@ def _check_region_connected(boxes):
             "region boxes do not form a connected-interior union")
 
 
-class Simplex:
-    """View of one simplex of a complex (geometry caches included)."""
-
-    __slots__ = ("complex", "index")
-
-    def __init__(self, cx, index):
-        self.complex = cx
-        self.index = int(index)
-
-    @property
-    def vertices(self):
-        return self.complex.vert_xyz[self.complex.simp_verts[self.index]]
-
-    @property
-    def h(self):
-        return float(self.complex.h[self.index])
-
-    @property
-    def B2(self):
-        if self.complex.B2 is None:
-            return None
-        return float(self.complex.B2[self.index])
-
-
 def barycentric_weights(Xinv, v0, point):
     """All n+2 barycentric weights of a point, first weight for v0.
 
@@ -228,7 +204,6 @@ class SimplicialComplex:
         X, Xinv    (S, n+1, n+1) shape matrices and inverses
         h          (S,) diameters
         Xinv_1norm (S,)
-        B2, B3     (S,) derivative-bound caches, None until filled
     """
 
     def __init__(self, n, T, K, scaling, region_boxes):
@@ -239,8 +214,6 @@ class SimplicialComplex:
         self.region = region_boxes
         self.rho = self.T * 2.0 ** (-self.K)
         self.n_slabs = 2 ** self.K
-        self.B2 = None
-        self.B3 = None
 
     # ---- construction helpers (filled by build_complex) ----
 
@@ -255,9 +228,6 @@ class SimplicialComplex:
     @property
     def n_slots(self):
         return self._n_slots
-
-    def simplex(self, i):
-        return Simplex(self, i)
 
     @property
     def cell_sizes(self):

@@ -1,9 +1,9 @@
 """Independent verification of a solved CPA metric: stratified interior
 sampling of the contraction inequality, vertex-constraint recomputation,
-the interpolation-error check, the Floquet-exponent bound, and an advisory
-boundary-flow report. Contraction matrices come from
-`CPAMetric.contraction`; block eigenvalues, L_M among them, from the
-batched kernels of `smallmat`.
+the Floquet-exponent bound -1/(2C), the interpolation-error check, and an
+advisory boundary-flow report, on the metric's own mesh. Contraction
+matrices and the margin E come from `cpa`, block eigenvalues, L_M among
+them, from `smallmat`; no SDP module (`assembly`, `solver`) is imported.
 """
 
 from __future__ import annotations
@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import ensure_derivative_bounds, enu_coefficient_arrays
-from .cpa import unpack_symmetric
-from .errors import NotFeasibleInputError
+from .cpa import (
+    ensure_derivative_bounds,
+    enu_coefficient_arrays,
+    unpack_symmetric,
+)
 from .smallmat import eig_max, eigvalsh, gen_eig_max
 
 _CLIP = 1e-6
@@ -73,10 +75,11 @@ class VerificationReport:
         rng = np.random.default_rng(seed)
         count = min(_INTERP_SIMPLICES, cx.n_simplices)
         sids = rng.choice(cx.n_simplices, size=count, replace=False)
+        B2, _ = ensure_derivative_bounds(cx, sys)
         worst = 0.0
         for sid in sids:
             worst = max(worst, verify_interpolation_bound(
-                cx.simplex(int(sid)), sys, samples=200, seed=int(sid)))
+                cx, int(sid), B2[sid], sys, samples=200, seed=int(sid)))
         self.interp_worst_ratio = worst
         return worst
 
@@ -104,25 +107,23 @@ def _interior_weights(rng, count, dim):
     return lam * (1.0 - dim * _CLIP) + _CLIP
 
 
-def verify_contraction_sampled(cpa, sys, cx, samples=100000, seed=12345,
-                               tol=1e-6, eps0=0.01, C=None, D=None,
-                               csv_path=None):
+def verify_contraction_sampled(cpa, sys, C, D, samples=100000, seed=12345,
+                               tol=1e-6, eps0=0.01, csv_path=None):
     """Simplex-stratified sampling of the contraction inequality plus the
-    vertex-constraint recomputation, for the scalar constants C and D.
+    vertex-constraint recomputation, for the scalar constants C and D, over
+    the metric's complex.
 
     Passes iff every sampled lambda_max is <= -1 + tol, every sampled
     L_M is <= -1/(2C) + tol, the sampled metric stays above eps0 - tol,
     and all vertex constraints, with the margin E recomputed from the
-    complex, hold at tol. `samples` is the total budget, distributed
-    evenly over the simplices. Where a sampled M is not positive definite,
+    complex and the system, hold at tol. `samples` is the total budget,
+    distributed evenly over the simplices. Where a sampled M is not positive definite,
     L_M is undefined and reported as inf; the eps0 gate fails such a
     metric. With `csv_path` the samples are dumped as (t, x.., lambda_max,
     L_M) rows for external plotting.
     """
-    if C is None or D is None:
-        raise NotFeasibleInputError("verification needs the solved C and D")
-    ensure_derivative_bounds(cx, sys)
-    a_C, a_D = enu_coefficient_arrays(cx, sys.smoothness)
+    cx = cpa.complex
+    a_C, a_D = enu_coefficient_arrays(cx, *ensure_derivative_bounds(cx, sys))
 
     n = cx.n
     S = cx.n_simplices
@@ -179,34 +180,25 @@ def verify_contraction_sampled(cpa, sys, cx, samples=100000, seed=12345,
         vertex_residuals=vertex_residuals)
 
 
-def verify_interpolation_bound(simplex, sys, samples=1000, seed=0):
-    """Worst sampled interpolation error of f over the simplex divided by
-    the guaranteed bound (n+1) B h^2; B = 0 simplices return 0 when exact
-    and inf otherwise."""
-    cx = simplex.complex
+def verify_interpolation_bound(cx, sid, B2, sys, samples=1000, seed=0):
+    """Worst sampled interpolation error of f over simplex `sid` of the
+    complex divided by the guaranteed bound (n+1) B h^2, with B = B2 the
+    simplex's order-2 bound; B = 0 simplices return 0 when exact and inf
+    otherwise."""
     n = cx.n
     rng = np.random.default_rng(seed)
     lam = _interior_weights(rng, samples, n + 2)
-    verts = simplex.vertices
+    verts = cx.vert_xyz[cx.simp_verts[sid]]
     pts = lam @ verts
     fv = sys.f_many(verts)
     fp = sys.f_many(pts)
     err = float(np.max(np.abs(fp - lam @ fv)))
-    ensure_derivative_bounds(cx, sys)
-    denom = (n + 1.0) * simplex.B2 * simplex.h**2
+    # Python's float power: numpy's h**2, which is h*h, differs from it in
+    # the last bit for some h, and certificates record the ratio
+    denom = (n + 1.0) * float(B2) * float(cx.h[sid]) ** 2
     if denom == 0.0:
         return 0.0 if err <= 1e-12 else np.inf
     return err / denom
-
-
-def floquet_bound(solution, varmap):
-    """Upper bound -1/(2C) on the largest real part of the Floquet
-    exponents of the certified orbit."""
-    if solution.status not in ("Feasible", "Optimal"):
-        raise NotFeasibleInputError(
-            f"no Floquet bound from a solution with status {solution.status}")
-    C, _ = varmap.bound_constants(solution.y)
-    return -1.0 / (2.0 * C)
 
 
 @dataclass

@@ -20,8 +20,9 @@ its definitions or lemmas:
   respect to M; a contraction metric has L_M <= -1/(2C).
 - `constraint_blocks`: the vertex conditions, constraints 2-5 of the
   semidefinite problem, with the margin E = a_C C + a_D D.
-- `margin_coefficients_consistent`: a_C and a_D recomputed from h, n and
-  the derivative bounds.
+- `margin_coefficients`: a_C and a_D of the margin, from h, n and the
+  per-simplex derivative bounds; `margin_coefficients_consistent` compares
+  given coefficients with them.
 - `verify_lemma_412_gap`: Lemma 4.12: inside a simplex the contraction
   matrix is within E/n, in max-norm, of the barycentric combination of its
   vertex values.
@@ -37,12 +38,13 @@ import itertools
 
 import numpy as np
 
-from cpacontract.assembly import (
+from cpacontract.assembly import svec_scale
+from cpacontract.cpa import (
+    CPAMetric,
     ensure_derivative_bounds,
-    enu_coefficient_arrays,
-    svec_scale,
+    triu_layout,
+    unpack_symmetric,
 )
-from cpacontract.cpa import CPAMetric, triu_layout, unpack_symmetric
 from cpacontract.errors import CpaError
 from cpacontract.smallmat import eig_min, gen_eig_max
 from cpacontract.triangulation import (
@@ -160,25 +162,38 @@ def lm_value(cpa, sys, point):
     return 0.5 * float(gen_eig_max(A[0, 0], M[0, 0]))
 
 
-def verify_lemma_412_gap(cpa, sys, simplex, samples=1000, seed=0):
+def verify_lemma_412_gap(cpa, sys, sid, samples=1000, seed=0):
     """Worst max-norm distance between the contraction matrix at interior
-    samples and the barycentric combination of the vertex matrices; the
-    caller compares it against E/n for the simplex."""
-    n = simplex.complex.n
+    samples of simplex `sid` and the barycentric combination of its vertex
+    matrices; the caller compares it against E/n for the simplex."""
+    n = cpa.n
     rng = np.random.default_rng(seed)
     lam = _interior_weights(rng, samples, n + 2)
-    sid = [simplex.index]
+    sid = [sid]
     _, _, vA = cpa.contraction(sys, sid, np.eye(n + 2)[None])
     _, _, A = cpa.contraction(sys, sid, lam[None])
     target = np.einsum("sk,kij->sij", lam, vA[0])
     return float(np.max(np.abs(A[0] - target)))
 
 
+def margin_coefficients(cx, sys):
+    """(a_C, a_D) per simplex of the margin E = a_C C + a_D D, written out
+    from the paper's interpolation-error terms with the package's bounds
+    B2 (order 2) and B3 (order 3) over each simplex:
+    C2: a_C = 2 h n^2 (n+1) B2,    a_D = h^2 n sqrt(n+1) B2;
+    C3: a_C = 2 h^2 n^2 (n+1) B3,  a_D = h^2 n sqrt(n+1) (1+4n) B2."""
+    n, h = cx.n, cx.h
+    B2, B3 = ensure_derivative_bounds(cx, sys)
+    a_D = h * h * n * np.sqrt(n + 1.0) * B2
+    if sys.smoothness == "C2":
+        return 2.0 * h * n * n * (n + 1.0) * B2, a_D
+    return 2.0 * h * h * n * n * (n + 1.0) * B3, (1.0 + 4.0 * n) * a_D
+
+
 def margin_coefficients_consistent(cx, sys, a_C, a_D, rtol=1e-9):
     """Whether (a_C, a_D) equal the coefficients recomputed from the
-    complex; detects tampered or stale margins."""
-    ensure_derivative_bounds(cx, sys)
-    ref_C, ref_D = enu_coefficient_arrays(cx, sys.smoothness)
+    complex and the system; detects tampered or stale margins."""
+    ref_C, ref_D = margin_coefficients(cx, sys)
     return bool(np.allclose(a_C, ref_C, rtol=rtol, atol=0.0)
                 and np.allclose(a_D, ref_D, rtol=rtol, atol=0.0))
 

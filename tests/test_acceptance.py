@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from cpacontract.assembly import (
-    assemble,
-    enu_coefficient_arrays,
-    fill_derivative_bounds,
-)
+from cpacontract.assembly import assemble
 from cpacontract.cli import Config, cmd_synthesize, load_certificate
-from cpacontract.cpa import CPAMetric
+from cpacontract.cpa import (
+    CPAMetric,
+    ensure_derivative_bounds,
+    enu_coefficient_arrays,
+)
 from cpacontract.orbits import contraction_probe, find_periodic_orbit, monodromy
 from cpacontract.solver import SolverSettings, certify, solve
 from cpacontract.systems import parse_system
@@ -26,6 +26,7 @@ from reference import (
     S_star,
     constant_metric,
     constraint_blocks,
+    margin_coefficients,
     margin_coefficients_consistent,
     verify_lemma_412_gap,
 )
@@ -212,7 +213,7 @@ def test_criterion_4_assembly_oracle(criterion1_solved):
     assert census["pos_def"] == (n, v)
     assert census["contraction"] == (n, (n + 2) * s)
 
-    a_C, a_D = problem.meta["a_C"], problem.meta["a_D"]
+    a_C, a_D = margin_coefficients(cx, sys0)
     rng = np.random.default_rng(404)
     worst = 0.0
     for _ in range(100):
@@ -234,12 +235,12 @@ def test_criterion_4_assembly_oracle(criterion1_solved):
 def test_criterion_5_interpolation_bound(vdp):
     from cpacontract.verify import verify_interpolation_bound
     cx = build_complex([[[-2.5, 2.5], [-2.5, 2.5]]], 1.0, 2)
-    fill_derivative_bounds(cx, vdp)
+    B2, _ = ensure_derivative_bounds(cx, vdp)
     rng = np.random.default_rng(5)
     sids = rng.choice(cx.n_simplices, size=50, replace=False)
     worst = 0.0
     for sid in sids:
-        ratio = verify_interpolation_bound(cx.simplex(int(sid)), vdp,
+        ratio = verify_interpolation_bound(cx, int(sid), B2[sid], vdp,
                                            samples=1000, seed=int(sid))
         worst = max(worst, ratio)
         assert ratio <= 1.0, (sid, ratio)
@@ -253,11 +254,10 @@ def test_criterion_6_lemma_gap(criterion1_solved):
                      criterion1_solved["cpa"])
     C, D = criterion1_solved["vmap"].bound_constants(
         criterion1_solved["sol"].y)
-    a_C, a_D = enu_coefficient_arrays(cx, sys0.smoothness)
+    a_C, a_D = enu_coefficient_arrays(cx, *ensure_derivative_bounds(cx, sys0))
     worst_excess = -np.inf
     for sid in range(cx.n_simplices):
-        gap = verify_lemma_412_gap(cpa, sys0, cx.simplex(sid), samples=200,
-                                   seed=sid)
+        gap = verify_lemma_412_gap(cpa, sys0, sid, samples=200, seed=sid)
         E = a_C[sid] * C + a_D[sid] * D
         excess = gap - E / cx.n
         worst_excess = max(worst_excess, excess)

@@ -1,65 +1,62 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from cpacontract import assembly
-from cpacontract.assembly import (
-    assemble,
+from cpacontract.assembly import assemble, export_sdpa, stack_problem, unsvec
+from cpacontract.cpa import (
+    ensure_derivative_bounds,
     enu_coefficient_arrays,
-    export_sdpa,
-    fill_derivative_bounds,
-    stack_problem,
-    unsvec,
+    sym_basis,
 )
-from cpacontract.cpa import sym_basis
-from cpacontract.errors import MissingBoundsError
 from cpacontract.systems import parse_system
 from cpacontract.triangulation import build_complex
 
-from reference import constraint_blocks, parse_sdpa, svec
+from reference import (
+    constraint_blocks,
+    margin_coefficients,
+    parse_sdpa,
+    svec,
+)
 
 
 class TestECoefficients:
-    def test_c2_example(self, small_complex, linear_1d):
-        cx = small_complex
-        cx.B2 = np.ones(cx.n_simplices)
-        cx.h = np.full(cx.n_simplices, 0.25)
-        a_C, a_D = enu_coefficient_arrays(cx, linear_1d.smoothness)
+    """The margin formula takes the bounds as arguments; it reads only n
+    and h from the complex."""
+
+    def test_c2_example(self):
+        cx = SimpleNamespace(n=1, h=np.array([0.25]))
+        a_C, a_D = enu_coefficient_arrays(cx, np.ones(1))
         assert a_D[0] == pytest.approx(np.sqrt(2.0) / 16.0)
         assert a_C[0] == pytest.approx(1.0)
 
     def test_affine_vanishes(self):
         sys = parse_system("dim=1; period=1; f1 = -x1")
         cx = build_complex([[[0.0, 1.0]]], 1.0, 1)
-        fill_derivative_bounds(cx, sys)
-        a_C, a_D = enu_coefficient_arrays(cx, "C2")
+        a_C, a_D = enu_coefficient_arrays(cx,
+                                          *ensure_derivative_bounds(cx, sys))
         assert np.all(a_C == 0.0) and np.all(a_D == 0.0)
 
     def test_c3_example(self):
-        sys = parse_system("dim=1; period=1; smoothness=c3; f1 = -x1")
-        cx = build_complex([[[0.0, 1.0]]], 1.0, 0)
-        cx.B2 = np.ones(cx.n_simplices)
-        cx.B3 = np.zeros(cx.n_simplices)
-        cx.h = np.ones(cx.n_simplices)
-        a_C, a_D = enu_coefficient_arrays(cx, sys.smoothness)
+        cx = SimpleNamespace(n=1, h=np.ones(1))
+        a_C, a_D = enu_coefficient_arrays(cx, np.ones(1), np.zeros(1))
         assert a_D[0] == pytest.approx(5.0 * np.sqrt(2.0))
         assert a_C[0] == 0.0
 
-    def test_missing_bounds(self, linear_1d):
-        cx = build_complex([[[0.0, 1.0]]], 1.0, 0)
-        with pytest.raises(MissingBoundsError):
-            enu_coefficient_arrays(cx, linear_1d.smoothness)
-
-    def test_bound_cache_tracks_system(self):
-        from cpacontract.assembly import ensure_derivative_bounds
+    def test_bounds_follow_the_system(self):
+        # one complex, two systems: nothing of the first stays on the mesh
         cx = build_complex([[[0.0, 1.0]]], 1.0, 1)
         affine = parse_system("dim=1; period=1; f1 = -x1")
-        cubic = parse_system("dim=1; period=1; f1 = -x1 + x1^3",
-                             check_periodic=False)
-        ensure_derivative_bounds(cx, affine)
-        assert np.all(cx.B2 == 0.0)
-        ensure_derivative_bounds(cx, cubic)
-        assert np.any(cx.B2 > 0.0)
+        cubic = parse_system("dim=1; period=1; smoothness=c3; "
+                             "f1 = -x1 + x1^3", check_periodic=False)
+        B2, B3 = ensure_derivative_bounds(cx, affine)
+        assert np.all(B2 == 0.0) and B3 is None
+        B2, B3 = ensure_derivative_bounds(cx, cubic)
+        assert np.all(B2 > 0.0) and np.all(B3 > 0.0)
+        assert np.all(ensure_derivative_bounds(cx, affine)[0] == 0.0)
+        assert not hasattr(cx, "B2") and not hasattr(cx, "B3")
 
 
 class TestAssemble:
@@ -195,7 +192,7 @@ class TestResidual:
         cx = build_complex([[[-2.0, 1.0]]], linear_1d.T, 2)
         prob, vmap = assemble(cx, linear_1d, 0.01, uniform_cd=False,
                               objective="none")
-        a_C, a_D = prob.meta["a_C"], prob.meta["a_D"]
+        a_C, a_D = margin_coefficients(cx, linear_1d)
         rng = np.random.default_rng(42)
         for _ in range(5):
             y = rng.normal(size=prob.m)

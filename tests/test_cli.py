@@ -312,11 +312,15 @@ class TestMainEntry:
         ("synthesize", {"solver": []}),
         ("floquet", {"orbit_guess": [0.0, 0.0]}),
         ("floquet", {"region": [[-2.0, 1.0]]}),
+        ("synthesize", {"system": 5}),
+        ("floquet", {"system": 5}),
+        ("check-complex", {"system": 5}),
     ])
     def test_bad_config_is_input_error(self, tmp_path, command, patch):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(LINEAR_CONFIG, **patch)))
-        assert main([command, "--config", str(path)]) == 3
+        extra = ["--k", "1"] if command == "check-complex" else []
+        assert main([command, "--config", str(path)] + extra) == 3
 
     def test_check_complex_subcommand(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -408,20 +412,102 @@ class TestMainEntry:
         assert "k_min" in capsys.readouterr().err
 
 
+def _write_cert(cert, path):
+    path.write_bytes(certificate_bytes(cert))
+    return str(path)
+
+
+class TestMalformedCertificates:
+    """Malformed certificates are input errors, exit 3; none may end in a
+    traceback (exit 1 means infeasible) or a pass."""
+
+    def test_certificate_holding_a_list(self, tmp_path):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(LINEAR_CONFIG, orbit_guess=[0.0])))
+        assert main(["verify", str(bad)]) == 3
+        assert main(["floquet", "--config", str(cfg), "--cert",
+                     str(bad)]) == 3
+
+    def test_missing_constants(self, cert_path, tmp_path):
+        cert = load_certificate(cert_path)
+        del cert["constants"]
+        assert main(["verify", _write_cert(cert, tmp_path / "c.json")]) == 3
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
+    def test_bad_C(self, cert_path, tmp_path, value):
+        cert = load_certificate(cert_path)
+        cert["constants"]["C"] = value
+        assert main(["verify", _write_cert(cert, tmp_path / "c.json")]) == 3
+
+    def test_bad_D(self, cert_path, tmp_path):
+        cert = load_certificate(cert_path)
+        cert["constants"]["D"] = "nan"
+        assert main(["verify", _write_cert(cert, tmp_path / "c.json")]) == 3
+
+    def test_epsilon0_differs_from_config(self, cert_path, tmp_path):
+        # with epsilon0 = 0 the positive-definiteness gate would read
+        # min eig >= -tol and pass an indefinite metric
+        cert = load_certificate(cert_path)
+        assert main(["verify", _write_cert(cert, tmp_path / "ok.json")]) == 0
+        cert["constants"]["epsilon0"] = "0"
+        assert main(["verify", _write_cert(cert, tmp_path / "c.json")]) == 3
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC, os.environ.get("PYTHONPATH", "")]))
+
+
+def run_cli(*args):
+    """`python -m cpacontract.cli ARGS` in a fresh process."""
+    return subprocess.run([sys.executable, "-m", "cpacontract.cli", *args],
+                          capture_output=True, text=True, timeout=300,
+                          env=ENV)
+
+
+class TestGatesRejectNaN:
+    """A gate passes only when its `>=` holds, so a NaN fails it."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_certify_rejects_non_finite_y(self, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(LINEAR_CONFIG))
+        out = tmp_path / "p.dat-s"
+        assert cmd_export_sdpa(Config.from_dict(LINEAR_CONFIG), 0, str(out),
+                               progress=quiet) == 0
+        ypath = tmp_path / "y.txt"
+        np.savetxt(ypath, np.full(int(out.read_text().split()[0]), value))
+        run = run_cli("export-sdpa", "--config", str(cfg), "--k", "0",
+                      "--out", str(out), "--import-y", str(ypath))
+        assert run.returncode == 2, run.stdout + run.stderr
+        assert " 0 flagged" not in run.stdout
+
+    def test_floquet_rejects_nan_bound(self, cert_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(LINEAR_CONFIG, orbit_guess=[0.0])))
+        cert = load_certificate(cert_path)
+        assert run_cli("floquet", "--config", str(cfg), "--cert",
+                       cert_path).returncode == 0
+        cert["floquet_bound"] = "nan"
+        run = run_cli("floquet", "--config", str(cfg), "--cert",
+                      _write_cert(cert, tmp_path / "nan.json"))
+        assert run.returncode == 2, run.stdout + run.stderr
+        assert "BOUND VIOLATION" in run.stdout
+
+
 def scipy_after(*steps):
     """The scipy modules loaded in one fresh process after each of `steps`,
     Python statements that it runs in turn, one sorted list per step."""
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     lines = ["import json, sys"]
     for step in steps:
         lines += [step, "print('SCIPY', json.dumps(sorted(m for m in "
                   "sys.modules if m.partition('.')[0] == 'scipy')))"]
     out = subprocess.run(
         [sys.executable, "-c", "\n".join(lines)], capture_output=True,
-        text=True, check=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")])))
+        text=True, check=True, timeout=300, env=ENV)
     return [json.loads(line[6:]) for line in out.stdout.splitlines()
             if line.startswith("SCIPY ")]
 

@@ -42,35 +42,39 @@ def random_metric(cx, seed=0, base=1.0, spread=0.3):
     return CPAMetric(cx, vals)
 
 
-def barycentric(simplex, point):
-    Xinv = simplex.complex.Xinv[simplex.index]
-    return barycentric_weights(Xinv, simplex.vertices[0], point)
+def vertices(cx, sid):
+    return cx.vert_xyz[cx.simp_verts[sid]]
+
+
+def barycentric(cx, sid, point):
+    return barycentric_weights(cx.Xinv[sid], vertices(cx, sid)[0], point)
 
 
 class TestBarycentric:
     def test_vertex(self, small_complex):
-        s = small_complex.simplex(0)
-        lam = barycentric(s, s.vertices[2])
+        v = vertices(small_complex, 0)
+        lam = barycentric(small_complex, 0, v[2])
         assert np.allclose(lam, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_centroid(self, small_complex):
-        s = small_complex.simplex(0)
-        lam = barycentric(s, s.vertices.mean(axis=0))
+        v = vertices(small_complex, 0)
+        lam = barycentric(small_complex, 0, v.mean(axis=0))
         assert np.allclose(lam, 1.0 / 3.0, atol=1e-12)
 
     def test_outside(self, small_complex):
-        s = small_complex.simplex(0)
-        assert barycentric(s, s.vertices[0] + [0.0, 10.0]).min() < -FACE_TOL
+        v = vertices(small_complex, 0)
+        assert barycentric(small_complex, 0,
+                           v[0] + [0.0, 10.0]).min() < -FACE_TOL
 
     def test_partition_and_reproduction(self, cx1):
         rng = np.random.default_rng(5)
         for sid in rng.integers(0, cx1.n_simplices, size=20):
-            s = cx1.simplex(int(sid))
+            v = vertices(cx1, sid)
             w = rng.dirichlet(np.ones(cx1.n + 2))
-            p = w @ s.vertices
-            lam = barycentric(s, p)
+            p = w @ v
+            lam = barycentric(cx1, sid, p)
             assert abs(lam.sum() - 1.0) <= 1e-10
-            assert np.allclose(lam @ s.vertices, p, atol=1e-10)
+            assert np.allclose(lam @ v, p, atol=1e-10)
 
 
 class TestShapeGradient:
@@ -119,8 +123,7 @@ class TestEvalMetric:
     def test_edge_midpoint_average(self, small_complex):
         vals = np.array([[1.0], [4.0]])  # two slots
         cpa = CPAMetric(small_complex, vals)
-        s = small_complex.simplex(0)
-        a, b = s.vertices[0], s.vertices[1]
+        a, b = vertices(small_complex, 0)[:2]
         Ma = metric_at(cpa, a)[0, 0]
         Mb = metric_at(cpa, b)[0, 0]
         mid = metric_at(cpa, 0.5 * (a + b))[0, 0]
@@ -137,9 +140,8 @@ class TestEvalMetric:
         cpa = random_metric(cx1, seed=6)
         rng = np.random.default_rng(6)
         for sid in rng.integers(0, cx1.n_simplices, size=10):
-            s = cx1.simplex(int(sid))
             w = rng.dirichlet(np.ones(cx1.n + 2), size=2)
-            a, b = w @ s.vertices
+            a, b = w @ vertices(cx1, sid)
             for alpha in (0.25, 0.5, 0.8):
                 p = alpha * a + (1 - alpha) * b
                 lhs = metric_at(cpa, p)
@@ -270,10 +272,9 @@ class TestContraction:
         unit = np.broadcast_to(np.eye(n + 2), (len(sids), n + 2, n + 2))
         pts, M, A = cpa.contraction(vdp, sids, unit)
         for i, sid in enumerate(sids):
-            simplex = cx.simplex(int(sid))
             vals = cpa.values[cx.vert_slot[cx.simp_verts[sid]]]
             grads = np.linalg.solve(cx.X[sid], vals[1:] - vals[0]).T
-            for k, x in enumerate(simplex.vertices):
+            for k, x in enumerate(vertices(cx, sid)):
                 Mk = unpack_symmetric(vals[k], n)
                 J = vdp.jacobian(x)
                 ft = np.concatenate(([1.0], vdp.f(x)))

@@ -107,3 +107,48 @@ def test_scipy_is_imported_only_where_an_sdp_is_built():
                     or id(node) not in in_function):
                 wrong.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert wrong == []
+
+
+# the certificate consumer's trusted base: the modules that checking a
+# certificate runs, none of which may reach the SDP builder or solver
+CONSUMER = ("verify", "cpa", "triangulation", "systems", "expressions",
+            "smallmat", "orbits", "errors")
+SDP_MODULES = ("assembly", "solver")
+
+
+def _imported_modules(node):
+    """The package modules, by stem, that an import statement names."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = ".".join(part for part in (
+            "cpacontract" if node.level else "", node.module) if part)
+        names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+    else:
+        return set()
+    return {name.split(".")[1] for name in names
+            if name.startswith("cpacontract.")}
+
+
+def test_certificate_consumer_imports_no_sdp_module():
+    wrong = []
+    for stem in CONSUMER:
+        path = PACKAGE / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if _imported_modules(node) & set(SDP_MODULES):
+                wrong.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert wrong == []
+
+
+def test_consumer_rule_sees_each_import_form():
+    # the rule's negative control: every way of naming assembly is caught
+    for text in ("from .assembly import assemble", "from . import solver",
+                 "import cpacontract.assembly",
+                 "from cpacontract.solver import solve",
+                 "from cpacontract import assembly"):
+        node = ast.parse(text).body[0]
+        assert _imported_modules(node) & set(SDP_MODULES), text
+    for text in ("from .cpa import CPAMetric", "import numpy as np",
+                 "from . import smallmat"):
+        node = ast.parse(text).body[0]
+        assert not _imported_modules(node) & set(SDP_MODULES), text

@@ -43,8 +43,8 @@ def test_three_dimensional_pipeline():
 
     C, D = vmap.bound_constants(sol.y)
     cpa = CPAMetric.from_solution(cx, sol.y, vmap)
-    rep = verify_contraction_sampled(cpa, sys3, cx, samples=2000, seed=0,
-                                     tol=1e-6, eps0=0.01, C=C, D=D)
+    rep = verify_contraction_sampled(cpa, sys3, C, D, samples=2000, seed=0,
+                                     tol=1e-6, eps0=0.01)
     assert rep.passed
     assert rep.max_lambda_max <= -1.0 + 1e-6
     # mildest decay rate is -1, so the bound must sit at or above it
@@ -89,8 +89,8 @@ def test_no_lapack_call_on_size_three_blocks(monkeypatch):
     assert sol.status in ("Optimal", "Feasible")
     C, D = vmap.bound_constants(sol.y)
     cpa = CPAMetric.from_solution(cx, sol.y, vmap)
-    rep = verify_contraction_sampled(cpa, sys3, cx, samples=2000, seed=0,
-                                     tol=1e-6, eps0=0.01, C=C, D=D)
+    rep = verify_contraction_sampled(cpa, sys3, C, D, samples=2000, seed=0,
+                                     tol=1e-6, eps0=0.01)
     assert rep.passed
 
 
@@ -143,8 +143,9 @@ def test_indefinite_metric_negative_control(tmp_path):
 
     _, sys3, cx, cpa = rebuild_from_certificate(cert)
     rep = verify_contraction_sampled(
-        cpa, sys3, cx, samples=2000, seed=0, tol=1e-6, eps0=0.01,
-        C=float(cert["constants"]["C"]), D=float(cert["constants"]["D"]))
+        cpa, sys3, float(cert["constants"]["C"]),
+        float(cert["constants"]["D"]), samples=2000, seed=0, tol=1e-6,
+        eps0=0.01)
     assert rep.passed is False
     assert rep.min_metric_eig < 0.0
     assert rep.max_lm == np.inf

@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
 
-from cpacontract.assembly import enu_coefficient_arrays, fill_derivative_bounds
-from cpacontract.cpa import CPAMetric
-from cpacontract.errors import NotFeasibleInputError
-from cpacontract.solver import Solution
+from cpacontract.assembly import assemble
+from cpacontract.cpa import (
+    CPAMetric,
+    ensure_derivative_bounds,
+    enu_coefficient_arrays,
+)
 from cpacontract.systems import parse_system
 from cpacontract.triangulation import build_complex
 from cpacontract.verify import (
     boundary_flow_check,
-    floquet_bound,
     verify_contraction_sampled,
     verify_interpolation_bound,
 )
 
 from reference import (
     constant_metric,
+    margin_coefficients,
     margin_coefficients_consistent,
     verify_lemma_412_gap,
 )
@@ -28,9 +30,9 @@ class TestContractionSampled:
         # M = [1]: sampled matrix is 2*1*(-1) = -2 everywhere, L_M = -1
         cx = build_complex([[[-2.0, 1.0]]], linear_1d.T, 3)
         cpa = constant_metric(cx, np.eye(1))
-        rep = verify_contraction_sampled(cpa, linear_1d, cx, samples=5000,
-                                         seed=0, tol=1e-6, eps0=0.01,
-                                         C=1.0, D=0.0)
+        rep = verify_contraction_sampled(cpa, linear_1d, 1.0, 0.0,
+                                         samples=5000, seed=0, tol=1e-6,
+                                         eps0=0.01)
         assert rep.max_lambda_max == pytest.approx(-2.0, abs=1e-9)
         assert rep.max_lm == pytest.approx(-1.0, abs=1e-9)
         assert rep.bound_from_C == pytest.approx(-0.5)
@@ -40,8 +42,8 @@ class TestContractionSampled:
         sys = parse_system("dim=1; period=6.283185307179586; f1 = sin(t)")
         cx = build_complex([[[-1.0, 1.0]]], sys.T, 2)
         cpa = constant_metric(cx, np.eye(1))
-        rep = verify_contraction_sampled(cpa, sys, cx, samples=2000, seed=0,
-                                         tol=1e-6, eps0=0.01, C=1.0, D=0.0)
+        rep = verify_contraction_sampled(cpa, sys, 1.0, 0.0, samples=2000,
+                                         seed=0, tol=1e-6, eps0=0.01)
         assert rep.max_lambda_max == pytest.approx(0.0, abs=1e-9)
         assert not rep.passed
 
@@ -52,16 +54,16 @@ class TestContractionSampled:
         values[7] = -values[7]  # negate one vertex matrix
         cpa = CPAMetric(cx, values)
         C, D = vmap.bound_constants(sol.y)
-        rep = verify_contraction_sampled(cpa, sys, cx, samples=20000, seed=1,
-                                         tol=1e-6, eps0=0.01, C=C, D=D)
+        rep = verify_contraction_sampled(cpa, sys, C, D, samples=20000,
+                                         seed=1, tol=1e-6, eps0=0.01)
         assert not rep.passed
         assert rep.min_metric_eig < 0.0
 
     def test_solved_certificate_passes(self, solved_linear):
         C, D = solved_linear["vmap"].bound_constants(solved_linear["sol"].y)
         rep = verify_contraction_sampled(
-            solved_linear["cpa"], solved_linear["sys"], solved_linear["cx"],
-            samples=20000, seed=3, tol=1e-6, eps0=0.01, C=C, D=D)
+            solved_linear["cpa"], solved_linear["sys"], C, D,
+            samples=20000, seed=3, tol=1e-6, eps0=0.01)
         assert rep.passed
         assert rep.max_lambda_max <= -1.0 + 1e-6
         # bound chain: L_M <= -1/(2 mu_max) <= -1/(2C) at the samples
@@ -78,8 +80,8 @@ class TestContractionSampled:
         m0 = 0.5 - 2.5e-6
         cpa = CPAMetric(cx, np.where(cx.slot_coordinates()[:, 1:] == 0.0,
                                      m0, 1.0))
-        rep = verify_contraction_sampled(cpa, sys, cx, samples=2000, seed=0,
-                                         tol=1e-6, eps0=0.01, C=1.0, D=1.1)
+        rep = verify_contraction_sampled(cpa, sys, 1.0, 1.1, samples=2000,
+                                         seed=0, tol=1e-6, eps0=0.01)
         assert rep.max_lambda_max <= -1.0 + rep.tol
         res = rep.vertex_residuals
         assert res["contraction"] == pytest.approx(5e-6, rel=1e-9)
@@ -91,25 +93,50 @@ class TestContractionSampled:
         # Constraint 4 at the vertices pushes the sampled floor to eps0
         C, D = solved_linear["vmap"].bound_constants(solved_linear["sol"].y)
         rep = verify_contraction_sampled(
-            solved_linear["cpa"], solved_linear["sys"], solved_linear["cx"],
-            samples=10000, seed=4, tol=1e-6, eps0=0.01, C=C, D=D)
+            solved_linear["cpa"], solved_linear["sys"], C, D,
+            samples=10000, seed=4, tol=1e-6, eps0=0.01)
         assert rep.min_metric_eig >= 0.01 - 1e-9
+
+    def test_margin_follows_the_system(self):
+        # a mesh that assemble used with the affine field is verified with
+        # the cubic one: the margin E, and with it the vertex contraction
+        # residual, must be the cubic field's
+        affine = parse_system("dim=1; period=1; f1 = -x1")
+        cubic = parse_system("dim=1; period=1; f1 = -x1 + x1^3",
+                             check_periodic=False)
+        cx = build_complex([[[0.0, 1.0]]], 1.0, 1)
+        assemble(cx, affine, 0.01)
+        cpa = constant_metric(cx, np.eye(1))
+        C, D = 1.0, 2.0
+        rep = verify_contraction_sampled(cpa, cubic, C, D, samples=500,
+                                         seed=0, tol=1e-6, eps0=0.01)
+        # M = 1 and M' = 0, so each vertex block is 2 f'(x) + E + 1
+        J = cubic.jacobian_many(cx.vert_xyz)[cx.simp_verts, 0, 0]
+
+        def residual(sys):
+            a_C, a_D = margin_coefficients(cx, sys)
+            return float((2.0 * J + (a_C * C + a_D * D + 1.0)[:, None]).max())
+
+        assert rep.vertex_residuals["contraction"] == pytest.approx(
+            residual(cubic), rel=1e-12, abs=0.0)
+        assert residual(cubic) > residual(affine)
 
 
 class TestInterpolationBound:
     def test_affine_exact(self):
         sys = parse_system("dim=2; period=1; f1 = x2; f2 = -x1")
         cx = build_complex([[[0.0, 1.0], [0.0, 1.0]]], 1.0, 1)
-        fill_derivative_bounds(cx, sys)
+        B2, _ = ensure_derivative_bounds(cx, sys)
         for sid in (0, 3, 5):
-            assert verify_interpolation_bound(cx.simplex(sid), sys, 200) == 0.0
+            assert verify_interpolation_bound(cx, sid, B2[sid], sys,
+                                              200) == 0.0
 
     def test_vdp_within_bound(self, vdp):
         cx = build_complex([[[-2.0, 2.0], [-2.0, 2.0]]], 1.0, 2)
-        fill_derivative_bounds(cx, vdp)
+        B2, _ = ensure_derivative_bounds(cx, vdp)
         rng = np.random.default_rng(9)
         for sid in rng.integers(0, cx.n_simplices, size=50):
-            ratio = verify_interpolation_bound(cx.simplex(int(sid)), vdp,
+            ratio = verify_interpolation_bound(cx, int(sid), B2[sid], vdp,
                                                samples=1000, seed=int(sid))
             assert ratio <= 1.0 + 1e-9
 
@@ -117,48 +144,48 @@ class TestInterpolationBound:
         # error of interpolating sin(t) on a simplex of diameter h obeys
         # the (n+1) B h^2 = 2 h^2 instance
         cx = build_complex([[[-2.0, 1.0]]], linear_1d.T, 4)
-        fill_derivative_bounds(cx, linear_1d)
         rng = np.random.default_rng(2)
         for sid in rng.integers(0, cx.n_simplices, size=20):
-            s = cx.simplex(int(sid))
+            verts = cx.vert_xyz[cx.simp_verts[sid]]
             lam = rng.dirichlet(np.ones(3), size=500)
-            pts = lam @ s.vertices
-            fv = linear_1d.f_many(s.vertices)
+            pts = lam @ verts
+            fv = linear_1d.f_many(verts)
             err = np.abs(linear_1d.f_many(pts) - lam @ fv).max()
-            assert err <= 2.0 * 1.0 * s.h**2 + 1e-12
+            assert err <= 2.0 * 1.0 * cx.h[sid]**2 + 1e-12
 
 
 class TestLemma412Gap:
     def test_affine_constant_zero(self):
         sys = parse_system("dim=1; period=1; f1 = -x1")
         cx = build_complex([[[0.0, 1.0]]], 1.0, 1)
-        fill_derivative_bounds(cx, sys)
         cpa = constant_metric(cx, np.eye(1))
-        a_C, a_D = enu_coefficient_arrays(cx, "C2")
+        a_C, a_D = enu_coefficient_arrays(cx,
+                                          *ensure_derivative_bounds(cx, sys))
         assert np.all(a_C == 0.0)
         for sid in range(cx.n_simplices):
-            gap = verify_lemma_412_gap(cpa, sys, cx.simplex(sid), 200)
+            gap = verify_lemma_412_gap(cpa, sys, sid, 200)
             assert gap <= 1e-12
         # negative control: a cubic field bends the matrix inside
         cubic = parse_system("dim=1; period=1; f1 = -x1 + x1^3")
-        assert verify_lemma_412_gap(cpa, cubic, cx.simplex(0), 200) > 1e-3
+        assert verify_lemma_412_gap(cpa, cubic, 0, 200) > 1e-3
 
     def test_solved_gap_within_margin(self, solved_linear):
         cx, sys, cpa = (solved_linear["cx"], solved_linear["sys"],
                         solved_linear["cpa"])
         C, D = solved_linear["vmap"].bound_constants(solved_linear["sol"].y)
-        a_C, a_D = enu_coefficient_arrays(cx, sys.smoothness)
+        a_C, a_D = enu_coefficient_arrays(cx,
+                                          *ensure_derivative_bounds(cx, sys))
         rng = np.random.default_rng(5)
         for sid in rng.integers(0, cx.n_simplices, size=40):
             sid = int(sid)
-            gap = verify_lemma_412_gap(cpa, sys, cx.simplex(sid), 500,
-                                       seed=sid)
+            gap = verify_lemma_412_gap(cpa, sys, sid, 500, seed=sid)
             E = a_C[sid] * C + a_D[sid] * D
             assert gap <= E / cx.n + 1e-8
 
     def test_halved_margin_detected(self, solved_linear):
         cx, sys = solved_linear["cx"], solved_linear["sys"]
-        a_C, a_D = enu_coefficient_arrays(cx, sys.smoothness)
+        a_C, a_D = enu_coefficient_arrays(cx,
+                                          *ensure_derivative_bounds(cx, sys))
         assert margin_coefficients_consistent(cx, sys, a_C, a_D)
         assert not margin_coefficients_consistent(cx, sys, a_C / 2.0,
                                                   a_D / 2.0)
@@ -168,31 +195,23 @@ class TestLemma412Gap:
 
 
 class TestFloquetBound:
-    def _solution(self, status, C):
-        y = np.array([C, 0.0])
-        return Solution(status=status, y=y, objective=C,
-                        block_min_eigs=np.zeros(1), iterations=1,
-                        duality_gap=0.0)
+    """The bound -1/(2C) that a certificate records, the report's
+    `bound_from_C`."""
 
-    class _Map:
-        uniform = True
-
-        def bound_constants(self, y):
-            return float(y[0]), float(y[1])
-
-    def test_formula(self):
-        assert floquet_bound(self._solution("Optimal", 1.0), self._Map()) \
-            == pytest.approx(-0.5)
-        assert floquet_bound(self._solution("Feasible", 10.0), self._Map()) \
-            == pytest.approx(-0.05)
-
-    def test_not_feasible_input(self):
-        with pytest.raises(NotFeasibleInputError):
-            floquet_bound(self._solution("Infeasible", 1.0), self._Map())
+    def test_formula(self, linear_1d):
+        cx = build_complex([[[-2.0, 1.0]]], linear_1d.T, 1)
+        cpa = constant_metric(cx, np.eye(1))
+        for C, bound in ((1.0, -0.5), (10.0, -0.05)):
+            rep = verify_contraction_sampled(cpa, linear_1d, C, 0.0,
+                                             samples=10, seed=0)
+            assert rep.bound_from_C == pytest.approx(bound)
 
     def test_solved_bound_sound(self, solved_linear):
         from cpacontract.orbits import find_periodic_orbit, monodromy
-        bound = floquet_bound(solved_linear["sol"], solved_linear["vmap"])
+        C, D = solved_linear["vmap"].bound_constants(solved_linear["sol"].y)
+        bound = verify_contraction_sampled(
+            solved_linear["cpa"], solved_linear["sys"], C, D, samples=100,
+            seed=0).bound_from_C
         res = monodromy(solved_linear["sys"],
                         find_periodic_orbit(solved_linear["sys"], [0.0]))
         assert -1.0 <= bound < 0.0

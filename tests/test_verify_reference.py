@@ -52,9 +52,8 @@ def _report(case, metric, C, D):
     """The report `cmd_synthesize` writes into a certificate."""
     sys0, cx = _setup(case)
     cpa = CPAMetric(cx, metric)
-    rep = verify_contraction_sampled(cpa, sys0, cx, samples=case["samples"],
-                                     seed=case["seed"], tol=1e-6, eps0=EPS0,
-                                     C=C, D=D)
+    rep = verify_contraction_sampled(cpa, sys0, C, D, samples=case["samples"],
+                                     seed=case["seed"], tol=1e-6, eps0=EPS0)
     rep.attach_interpolation_check(cpa, sys0, seed=case["seed"])
     rep.attach_boundary_check(cx, sys0, seed=case["seed"])
     return rep.to_dict()
