@@ -28,7 +28,6 @@ from .cpa import (
     enu_coefficient_arrays,
     sym_basis,
     triu_layout,
-    unpack_symmetric,
 )
 from .errors import EmptyComplexError
 
@@ -39,11 +38,6 @@ def svec_scale(n):
     """Row scaling of the upper-triangle representation (1 diag, √2 off)."""
     iu = triu_layout(n)
     return np.where(iu[0] == iu[1], 1.0, _SQRT2)
-
-
-def unsvec(vec, n):
-    """Scaled upper triangle (..., P) -> symmetric (..., n, n)."""
-    return unpack_symmetric(np.asarray(vec) / svec_scale(n), n)
 
 
 @dataclass(frozen=True)

@@ -1,63 +1,112 @@
-"""Batched kernels for stacks of small blocks (..., k, k): eigenvalues,
-the eigendecomposition, the Cholesky factor and its inverse, and the
-congruence R X R^T.
+"""Batched kernels for small blocks in component layout: eigenvalues, the
+eigendecomposition, the Cholesky factor and its inverse, and congruences.
 
-Sizes k <= 3 use closed forms, so no block of size 3 or less reaches
-LAPACK. At k = 3 the eigenvalues follow Eberly ("A Robust Eigensolver for
-3 x 3 Symmetric Matrices", 2014): the block is scaled by a power of two
-near its largest |entry| and shifted by trace/3, the isolated root comes
-from the trigonometric formula, its eigenvector from the largest row of
-the adjugate of A - lam I (the largest cross product of two of its rows),
-and the other two from the 2 x 2 problem left on the orthogonal
-complement, in the hypot form of k = 2. Larger blocks go to LAPACK. From
-k = 3 up the blocks go in fixed-size chunks, so the temporaries stay small
-however long the batch. These eigenvalues are accurate relative to the
-largest one; `gram_eigh` refines an eigendecomposition of G^T G by a
-one-sided Jacobi sweep on G Q so that each is accurate relative to itself.
+A batch of symmetric or lower triangular k x k blocks is k(k+1)/2 arrays,
+one per lower-triangle entry in `lower_pairs` order, which is the svec
+order of `assembly`: the columns of svec rows are components as they
+stand, and `lower` gives a stack's (..., k, k) as views. Eigenvalues come
+back as k arrays, ascending, and eigenvectors as k columns of k arrays.
 
-The Cholesky factor and its inverse are column loops across the batch. For
-the generalized problem (A, M), M = L L^T reduces it to L^-1 A L^-T as
-LAPACK `sygvd` does, and an M that is not positive definite raises
-`np.linalg.LinAlgError`; the k <= 2 closed forms assume M spd unchecked.
-A block with a non-finite entry has NaN eigenvalues at every size, and at
-k = 3 NaN eigenvectors too.
+Sizes k <= 3 use closed forms, and no block of size 3 or less reaches
+LAPACK or a stacked matmul. At k = 3 the eigenvalues follow Eberly ("A
+Robust Eigensolver for 3 x 3 Symmetric Matrices", 2014): the block is
+scaled by a power of two near its largest |entry| and shifted by trace/3,
+the isolated root comes from the trigonometric formula, its eigenvector
+from the largest row of the adjugate of A - lam I, and the other two from
+the 2 x 2 problem left on the orthogonal complement. Other sizes go to
+LAPACK through one adapter, `_stacked`. From k = 3 up the eigen-solves run
+over chunks of `_CHUNK` blocks, so the temporaries stay small. These
+eigenvalues are accurate relative to the largest one; `gram_eigh` refines
+them by a one-sided Jacobi sweep so that each is accurate relative to
+itself. The factors and products sum their terms in a fixed order
+(`_dot`), skipping structural zeros. For the generalized problem (A, M),
+M = L L^T reduces it to L^-1 A L^-T as LAPACK `sygvd` does, and an M that
+is not positive definite raises `np.linalg.LinAlgError`; the k <= 2 closed
+forms assume M spd unchecked. A block with a non-finite entry has NaN
+eigenvalues at every size, and at k = 3 NaN eigenvectors too.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _CHUNK = 4096
-_LOWER3 = ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2))
+
+
+def lower_pairs(k):
+    """The entries (i, j), i >= j, of a block's components, by column."""
+    return [(i, j) for j in range(k) for i in range(j, k)]
+
+
+def _size(a):
+    """k of the k(k+1)/2 components a."""
+    return math.isqrt(2 * len(a))
+
+
+def _at(a, i, j):
+    """Entry (i, j) of symmetric or lower triangular components a; None
+    above the diagonal of a triangular factor."""
+    if i < j:
+        return None
+    k = _size(a)
+    return a[j * k - j * (j - 1) // 2 + i - j]
+
+
+def _dot(terms):
+    """The sum of the products x * y of `terms` in their order, skipping a
+    term whose factor is None."""
+    out = None
+    for x, y in terms:
+        if x is not None and y is not None:
+            out = x * y if out is None else out + x * y
+    return out
+
+
+def lower(mats):
+    """The lower-triangle components of a stack (..., k, k), as views."""
+    return [mats[..., i, j] for i, j in lower_pairs(np.shape(mats)[-1])]
+
+
+def _stacked(a):
+    """The adapter to LAPACK: symmetric components as (..., k, k)."""
+    k = _size(a)
+    out = np.empty(np.shape(a[0]) + (k, k))
+    for (i, j), x in zip(lower_pairs(k), a):
+        out[..., i, j] = out[..., j, i] = x
+    return out
 
 
 def _finite(*mats):
     """True for each block whose entries are finite in every argument."""
-    ok = np.ones(np.shape(mats[0])[:-2], dtype=bool)
+    ok = np.ones(np.shape(mats[0][0]), dtype=bool)
     for a in mats:
-        if not np.isfinite(a).all():
-            ok &= np.isfinite(a).all(axis=(-2, -1))
+        for x in a:
+            if not np.isfinite(x).all():
+                ok &= np.isfinite(x)
     return ok
 
 
-def _chunked(fun, shapes, *mats):
-    """fun over (N, k, k) chunks of the stacked blocks. fun returns one
-    array (N,) + shape per entry of `shapes`; each comes back shaped
-    (...) + shape. A block with a non-finite entry goes to fun as the
-    identity and gets NaN."""
-    k = mats[0].shape[-1]
-    flat = [np.reshape(a, (-1, k, k)) for a in mats]
-    outs = [np.empty((len(flat[0]),) + shape) for shape in shapes]
-    for i in range(0, len(flat[0]), _CHUNK):
-        part = [a[i:i + _CHUNK] for a in flat]
+def _chunked(fun, count, *mats):
+    """fun over chunks of at most `_CHUNK` blocks of the components `mats`;
+    fun returns `count` arrays of one value per block. A block with a
+    non-finite entry goes to fun as the identity and gets NaN."""
+    k = _size(mats[0])
+    lead = np.shape(mats[0][0])
+    flat = [[np.reshape(x, -1) for x in a] for a in mats]
+    n = math.prod(lead)
+    outs = [np.empty(n) for _ in range(count)]
+    for i in range(0, n, _CHUNK):
+        part = [[x[i:i + _CHUNK] for x in a] for a in flat]
         bad = ~_finite(*part)
         if bad.any():
-            part = [np.where(bad[:, None, None], np.eye(k), a) for a in part]
+            part = [[np.where(bad, float(p == q), x)
+                     for (p, q), x in zip(lower_pairs(k), a)] for a in part]
         for out, res in zip(outs, fun(*part)):
             out[i:i + _CHUNK] = res
             out[i:i + _CHUNK][bad] = np.nan
-    lead = mats[0].shape[:-2]
-    return [out.reshape(lead + shape) for out, shape in zip(outs, shapes)]
+    return [out.reshape(lead) for out in outs]
 
 
 def _pair(a, b, c):
@@ -82,19 +131,18 @@ def _adjugate(a00, a10, a20, a11, a21, a22):
             a10 * a20 - a00 * a21, a00 * a11 - a10 * a10)
 
 
-def _eig3(a, vectors=False):
-    """Ascending eigenvalues (N, 3) of finite symmetric blocks (N, 3, 3),
-    read from the lower triangle, and with `vectors` their orthonormal
-    eigenvectors in the columns of (N, 3, 3); otherwise None."""
+def _eig3(lower3, vectors=False):
+    """Ascending eigenvalues (3 arrays) of finite symmetric 3 x 3 blocks,
+    and with `vectors` their orthonormal eigenvectors (3 columns of 3
+    arrays); otherwise None."""
     # scaled by a power of two near the largest |entry|, so the scaling
     # and its undoing are exact
-    lower = [a[:, i, j] for i, j in _LOWER3]
-    top = np.abs(lower[0])
-    for x in lower[1:]:
+    top = np.abs(lower3[0])
+    for x in lower3[1:]:
         top = np.maximum(top, np.abs(x))
     e = np.clip(np.frexp(top)[1], -1000, 1023)
     down = np.ldexp(1.0, -e)
-    a00, a10, a20, a11, a21, a22 = (x * down for x in lower)
+    a00, a10, a20, a11, a21, a22 = (x * down for x in lower3)
     q = (a00 + a11 + a22) / 3.0
     b00, b11, b22 = a00 - q, a11 - q, a22 - q
     p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
@@ -149,13 +197,13 @@ def _eig3(a, vectors=False):
                 (cs * u0 + sn * w0, cs * u1 + sn * w1, cs * u2 + sn * w2),
                 (v0, v1, v2)]
     w, Q = _ascending([*m, iso], cols)
-    return (w + q[:, None]) * np.ldexp(1.0, e)[:, None], Q
+    scale = np.ldexp(1.0, e)
+    return [(x + q) * scale for x in w], Q
 
 
 def _ascending(w, cols=None):
-    """The eigenvalues w (k arrays) sorted by exchanges into (..., k), and
-    with them the eigenvectors `cols` (k columns of k component arrays)
-    into the columns of (..., k, k); otherwise None."""
+    """The eigenvalues w (k arrays) sorted by exchanges, and with them the
+    eigenvectors `cols` (k columns of k arrays); otherwise None."""
     w = list(w)
     cols = None if cols is None else [list(c) for c in cols]
     for n in range(len(w) - 1, 0, -1):
@@ -165,108 +213,97 @@ def _ascending(w, cols=None):
                 cols[i] = [np.where(swap, y, x) for x, y in zip(lo, hi)]
                 cols[j] = [np.where(swap, x, y) for x, y in zip(lo, hi)]
             w[i], w[j] = np.minimum(w[i], w[j]), np.maximum(w[i], w[j])
-    if cols is None:
-        return np.stack(w, axis=-1), None
-    return (np.stack(w, axis=-1),
-            np.stack([np.stack(c, axis=-1) for c in cols], axis=-1))
+    return w, cols
 
 
 def _values(a):
-    """Ascending eigenvalues (N, k) of a chunk of finite blocks, k >= 3."""
-    return _eig3(a)[0] if a.shape[-1] == 3 else np.linalg.eigvalsh(a)
+    """Ascending eigenvalues of a chunk of finite blocks, k >= 3."""
+    if len(a) == 6:
+        return _eig3(a)[0]
+    return list(np.moveaxis(np.linalg.eigvalsh(_stacked(a)), -1, 0))
 
 
-def eigvalsh(mats):
-    """Ascending eigenvalues (..., k) of each block."""
-    mats = np.asarray(mats, dtype=float)
-    k = mats.shape[-1]
+def eigvalsh(a):
+    """Ascending eigenvalues of each block: k arrays."""
+    k = _size(a)
     if k > 2:
-        return _chunked(lambda a: (_values(a),), ((k,),), mats)[0]
-    out = np.empty(mats.shape[:-1])
-    if k == 1:
-        out[..., 0] = mats[..., 0, 0]
-    else:
-        with np.errstate(invalid="ignore"):  # inf - inf of a non-finite block
-            out[..., 0], out[..., 1] = _pair(mats[..., 0, 0], mats[..., 0, 1],
-                                             mats[..., 1, 1])
-    out[~_finite(mats)] = np.nan
-    return out
+        return _chunked(_values, k, a)
+    with np.errstate(invalid="ignore"):  # inf - inf of a non-finite block
+        w = [np.array(a[0], float)] if k == 1 else list(_pair(*a))
+    ok = _finite(a)
+    return w if ok.all() else [np.where(ok, x, np.nan) for x in w]
 
 
-def eig_min(mats):
+def eig_min(a):
     """Smallest eigenvalue of each block."""
-    return eigvalsh(mats)[..., 0]
+    return eigvalsh(a)[0]
 
 
-def eig_max(mats):
+def eig_max(a):
     """Largest eigenvalue of each block."""
-    return eigvalsh(mats)[..., -1]
+    return eigvalsh(a)[-1]
 
 
 def gen_eig_max(A, M):
     """Largest generalized eigenvalue of each pair (A, M), M spd."""
-    A, M = np.asarray(A, dtype=float), np.asarray(M, dtype=float)
-    k = A.shape[-1]
+    k = _size(A)
     if k > 2:
         def whitened(a, m):
             L = cholesky(m)
-            if np.isnan(L[:, 0, 0]).any():
+            if np.isnan(L[0]).any():
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
-            w = _values(congruence(inv_lower(L), a))
-            return (w[:, -1],)
+            return _values(congruence(inv_lower(L), a))[-1:]
 
-        return _chunked(whitened, ((),), A, M)[0]
+        return _chunked(whitened, 1, A, M)[0]
     with np.errstate(invalid="ignore"):  # as in eigvalsh
         if k == 1:
-            out = A[..., 0, 0] / M[..., 0, 0]
+            out = A[0] / M[0]
         else:
             # roots of the quadratic det(A - g M) = a g^2 - b g + c
-            a = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] ** 2
-            b = (A[..., 0, 0] * M[..., 1, 1] + A[..., 1, 1] * M[..., 0, 0]
-                 - 2.0 * A[..., 0, 1] * M[..., 0, 1])
-            c = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] ** 2
+            a = M[0] * M[2] - M[1] ** 2
+            b = A[0] * M[2] + A[2] * M[0] - 2.0 * A[1] * M[1]
+            c = A[0] * A[2] - A[1] ** 2
             disc = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
             out = (b + disc) / (2.0 * a)
     return np.where(_finite(A, M), out, np.nan)
 
 
-def eigh(mats):
-    """Ascending eigenvalues (..., k) and orthonormal eigenvectors, in the
-    columns of (..., k, k), of each block."""
-    k = mats.shape[-1]
+def eigh(a):
+    """Ascending eigenvalues (k arrays) and orthonormal eigenvectors (k
+    columns of k arrays) of each block."""
+    k = _size(a)
     if k == 3:
-        return tuple(_chunked(lambda a: _eig3(a, vectors=True),
-                              ((3,), (3, 3)), mats))
+        def flat(x):
+            w, Q = _eig3(x, vectors=True)
+            return w + [y for col in Q for y in col]
+
+        out = _chunked(flat, 12, a)
+        return out[:3], [out[3:6], out[6:9], out[9:]]
     if k != 2:
-        return np.linalg.eigh(mats)
-    a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
+        w, Q = np.linalg.eigh(_stacked(a))
+        return ([w[..., i] for i in range(k)],
+                [[Q[..., r, c] for r in range(k)] for c in range(k)])
+    a, b, c = a
     sm, rt = a + c, np.hypot(a - c, 2.0 * b)
-    w, Q = np.empty(mats.shape[:-1]), np.empty(mats.shape)
-    w[..., 0], w[..., 1] = 0.5 * (sm - rt), 0.5 * (sm + rt)
+    w0, w1 = 0.5 * (sm - rt), 0.5 * (sm + rt)
     # the eigenvalue of smaller modulus from the determinant, as LAPACK's
     # dlaev2 does
     with np.errstate(divide="ignore", invalid="ignore"):
-        w[..., 0] = np.where(sm > 0.0, (a * c - b * b) / w[..., 1], w[..., 0])
-        w[..., 1] = np.where(sm < 0.0, (a * c - b * b) / w[..., 0], w[..., 1])
-    cs, sn = _rotation(a, b, c)  # belongs to w[1]
-    Q[..., 0, 1] = Q[..., 1, 0] = cs
-    Q[..., 1, 1] = sn
-    Q[..., 0, 0] = -sn
-    return w, Q
+        w0 = np.where(sm > 0.0, (a * c - b * b) / w1, w0)
+        w1 = np.where(sm < 0.0, (a * c - b * b) / w0, w1)
+    cs, sn = _rotation(a, b, c)  # belongs to w1
+    return [w0, w1], [[-sn, cs], [cs, sn]]
 
 
-def gram_eigh(G, Q):
+def gram_eigh(y, q):
     """Ascending eigenvalues and orthonormal eigenvectors of each G^T G,
-    refined from eigenvectors Q that are right to rounding by one cyclic
-    one-sided Jacobi sweep (Hestenes) over the columns of G Q. Each
-    eigenvalue is the squared norm of its column, so it keeps its relative
-    accuracy however ill-conditioned G^T G is; an eigensolver on G^T G
-    itself is accurate only relative to the largest."""
-    k = Q.shape[-1]
-    Y = G @ Q
-    # column i of Y and of Q as k component arrays each
-    y = [[Y[..., r, i] for r in range(k)] for i in range(k)]
-    q = [[Q[..., r, i] for r in range(k)] for i in range(k)]
+    refined from its eigenvectors q (k columns of k arrays) that are right
+    to rounding by one cyclic one-sided Jacobi sweep (Hestenes) over the
+    columns y of G q. Each eigenvalue is the squared norm of its column,
+    so it keeps its relative accuracy however ill-conditioned G^T G is; an
+    eigensolver on G^T G itself is accurate only relative to the largest."""
+    k = len(q)
+    y, q = [list(c) for c in y], [list(c) for c in q]
     for i in range(k):
         for j in range(i + 1, k):
             a = sum(x * x for x in y[i])
@@ -287,52 +324,55 @@ def gram_eigh(G, Q):
     return _ascending([sum(x * x for x in col) for col in y], q)
 
 
-def cholesky(mats):
-    """Lower factor L with L L^T = block, column by column across the
-    batch; a block that is not positive definite, or not finite, gets an
-    all-NaN factor."""
-    k = mats.shape[-1]
-    L = np.zeros_like(mats)
+def cholesky(a):
+    """Lower factor L with L L^T = block, as components, column by column
+    across the batch; a block that is not positive definite, or not
+    finite, gets an all-NaN factor."""
+    k = _size(a)
+    L = [None] * len(a)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for j in range(k):
-            for i in range(j, k):
-                t = mats[..., i, j]
-                for m in range(j):
-                    t = t - L[..., i, m] * L[..., j, m]
-                L[..., i, j] = np.sqrt(t) if i == j else t / L[..., j, j]
-    ok = _finite(L) & (np.diagonal(L, 0, -2, -1) > 0.0).all(axis=-1)
+        for n, (i, j) in enumerate(lower_pairs(k)):
+            t = a[n]
+            for m in range(j):
+                t = t - _at(L, i, m) * _at(L, j, m)
+            L[n] = np.sqrt(t) if i == j else t / _at(L, j, j)
+    # a non-finite entry of L below the diagonal makes a later diagonal
+    # entry NaN or inf, so the diagonal decides
+    ok = np.ones(np.shape(L[0]), dtype=bool)
+    for i in range(k):
+        d = _at(L, i, i)
+        ok &= (d > 0.0) & (d < np.inf)
     if not ok.all():
-        L[~ok] = np.nan
+        L = [np.where(ok, x, np.nan) for x in L]
     return L
 
 
 def inv_lower(L):
     """Inverse of each lower triangular block, by forward substitution
     across the batch."""
-    Li = np.zeros_like(L)
-    for i in range(L.shape[-1]):
-        Li[..., i, i] = 1.0 / L[..., i, i]
+    k = _size(L)
+    Li = [None] * len(L)
+    for i in range(k):
+        Li[i * k - i * (i - 1) // 2] = 1.0 / _at(L, i, i)
         for j in range(i):
-            t = L[..., i, j] * Li[..., j, j]
-            for m in range(j + 1, i):
-                t = t + L[..., i, m] * Li[..., m, j]
-            Li[..., i, j] = -t * Li[..., i, i]
+            t = _dot((_at(L, i, m), _at(Li, m, j)) for m in range(j, i))
+            Li[j * k - j * (j - 1) // 2 + i - j] = -t * _at(Li, i, i)
     return Li
 
 
+def times(R, x, trans=False):
+    """R x of each block, or R^T x when `trans`, for lower triangular
+    components R and a vector x of k arrays."""
+    k = len(x)
+    return [_dot(((_at(R, m, i) if trans else _at(R, i, m)), x[m])
+                 for m in range(k)) for i in range(k)]
+
+
 def congruence(R, X, trans=False):
-    """R X R^T of each block for symmetric X, or R^T X R when `trans`."""
-    if R.shape[-1] != 2:
-        Rt = np.swapaxes(R, -1, -2)
-        return Rt @ X @ R if trans else R @ X @ Rt
-    r00, r01, r10, r11 = R[..., 0, 0], R[..., 0, 1], R[..., 1, 0], R[..., 1, 1]
-    if trans:
-        r01, r10 = r10, r01
-    x0, x1, x2 = X[..., 0, 0], X[..., 0, 1], X[..., 1, 1]
-    t00, t01 = r00 * x0 + r01 * x1, r00 * x1 + r01 * x2
-    t10, t11 = r10 * x0 + r11 * x1, r10 * x1 + r11 * x2
-    out = np.empty(np.broadcast_shapes(R.shape, X.shape))
-    out[..., 0, 0] = t00 * r00 + t01 * r01
-    out[..., 0, 1] = out[..., 1, 0] = t00 * r10 + t01 * r11
-    out[..., 1, 1] = t10 * r10 + t11 * r11
-    return out
+    """R X R^T of each block, or R^T X R when `trans`, for lower
+    triangular R and symmetric X, both as components."""
+    k = _size(R)
+    RX = [times(R, [_at(X, max(m, j), min(m, j)) for m in range(k)], trans)
+          for j in range(k)]  # the columns of R X
+    rows = [times(R, [c[j] for c in RX], trans) for j in range(k)]
+    return [rows[j][i] for i, j in lower_pairs(k)]  # the upper triangle

@@ -18,10 +18,11 @@ L = chol(S), one eigendecomposition of L^T Z L, and F = lam^(1/4) Q^T L^-1
 with W^-1 = F^T F. The cone keeps F only as its svec map P,
 P svec(X) = svec(F X F^T), its one scaling operator: directions and step
 lengths are taken in the scaled space F S F^T = diag(lam^(1/2)), so the
-predictor and corrector reuse the factor, and P^T maps back. The
-small-block kernels, with closed forms at k <= 3, come from `smallmat`;
-above k = 2 one Jacobi sweep on R^T L Q, with Z = R R^T, keeps every lam
-accurate relative to itself.
+predictor and corrector reuse the factor, and P^T maps back. The cone
+reads its svec rows' columns as `smallmat` components and builds P entry
+by entry, with no (N, k, k) stack, matmul or einsum. The small-block
+kernels come from `smallmat`; above k = 2 one Jacobi sweep on R^T L Q,
+with Z = R R^T, keeps every lam accurate relative to itself.
 
 The Schur complement over the m variables is formed from a fixed scatter
 pattern built once per solve: the matrix blocks are grouped per simplex,
@@ -51,12 +52,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import index_dtype, row_entries, svec_scale, unsvec
+from .assembly import index_dtype, row_entries, svec_scale
 from .errors import DimensionMismatchError
 from .smallmat import (cholesky, congruence, eig_min, eigh, gram_eigh,
-                       inv_lower)
+                       inv_lower, lower_pairs, times)
 
 _MAX_BAND = 6000
+_SQRT2 = math.sqrt(2.0)
 # frames per batch of the Schur formation: each class's C and G buffers
 # hold this many frames at most, and `form` runs a class chunk by chunk
 _FRAME_CHUNK = 1024
@@ -140,9 +142,26 @@ class _LinearCone:
 
 
 def _times(P, x, trans=False):
-    """P x, or P^T x, for each block's svec map P (N, d, d) and svec row x
-    (N, d): an einsum, so no BLAS call."""
-    return np.einsum("nji,nj->ni" if trans else "nij,nj->ni", P, x)
+    """P x, or P^T x, for each block's svec map P, (d, d, N) in component
+    layout, and svec rows x (N, d): a sum over x's columns in their order,
+    as svec rows."""
+    P = np.swapaxes(P, 0, 1) if trans else P
+    out = P[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        out += P[:, j] * x[:, j]
+    return out.T.copy()
+
+
+def _diagonal(k):
+    """The svec positions of a k x k block's diagonal."""
+    return [q for q, (i, j) in enumerate(lower_pairs(k)) if i == j]
+
+
+def _components(x, k):
+    """The lower-triangle components of each block of svec rows x: the
+    columns, divided by sqrt(2) off the diagonal."""
+    return [x[:, q] if i == j else x[:, q] / _SQRT2
+            for q, (i, j) in enumerate(lower_pairs(k))]
 
 
 class _MatrixCone:
@@ -155,39 +174,47 @@ class _MatrixCone:
     The cone keeps F only as its svec map P, P svec(X) = svec(F X F^T),
     whose transpose is the svec map of F^T: P and P^T carry every scaling.
     L^T Z L = G^T G for G = R^T L, so lam are the squared singular values
-    of G. `factors` are chol(S) and chol(Z) as the interior tests took them;
-    chol(Z) of the first Z, and chol(S) for a caller without one, are
-    taken here."""
+    of G. The factors and the eigenvectors are `smallmat` components, read
+    from the svec rows' columns; `factors` are chol(S) and chol(Z) as the
+    interior tests took them; chol(Z) of the first Z, and chol(S) for a
+    caller without one, are taken here."""
 
     def __init__(self, s, z, factors=(None, None)):
         self.k = k = math.isqrt(2 * s.shape[-1])
-        self.diag = np.flatnonzero(svec_scale(k) == 1.0)
+        self.diag = _diagonal(k)
         L, LZ = factors
-        L = cholesky(unsvec(s, k)) if L is None else L
-        Z = unsvec(z, k)
+        L = cholesky(_components(s, k)) if L is None else L
+        Z = _components(z, k)
         lam, Q = eigh(congruence(L, Z, trans=True))
         if k > 2:
             # above k = 2 eigh is accurate only relative to the largest lam,
             # and S Z can be ill-conditioned far beyond 1/eps; the sweep on
             # G Q makes every lam accurate relative to itself
             LZ = cholesky(Z) if LZ is None else LZ
-            lam, Q = gram_eigh(np.swapaxes(LZ, -1, -2) @ L, Q)
-        self.v = np.sqrt(lam)
-        R = np.swapaxes(Q, -1, -2) @ inv_lower(L)  # R S R^T = I
-        self.P = self.schur = _svec_congruence(np.sqrt(self.v)[..., None] * R)
+            lam, Q = gram_eigh([times(LZ, times(L, q), trans=True)
+                                for q in Q], Q)
+        self.v = np.sqrt(np.stack(lam, axis=1))
+        rv = np.sqrt(self.v)
+        self.r = 1.0 / rv  # V^(-1/2), which whitens the step directions
+        # the rows of F = V^(1/2) R, R = Q^T L^-1, so that R S R^T = I
+        Li = inv_lower(L)
+        F = [[rv[:, i] * x for x in times(Li, q, trans=True)]
+             for i, q in enumerate(Q)]
+        self.P = _svec_congruence(F)
+        self.schur = self.P.transpose(2, 0, 1)  # (N, d, d), as a view
         # svec(S^-1) = P^T svec(V^-1), as S^-1 = R^T R = F^T V^-1 F
-        self.s_inv = _times(self.P[:, self.diag], 1.0 / self.v, True)
+        self.s_inv = _times(self.P[self.diag], 1.0 / self.v, True)
 
     @staticmethod
     def factor(x):
         """chol of x's blocks, or None when one is not positive definite."""
-        L = cholesky(unsvec(x, math.isqrt(2 * x.shape[-1])))
-        return L if np.isfinite(L).all() else None
+        L = cholesky(_components(x, math.isqrt(2 * x.shape[-1])))
+        return None if np.isnan(L[0]).any() else L
 
     @property
     def w2(self):
         """svec(W^-2) = P^T P svec(I)."""
-        return _times(self.P, self.P[:, :, self.diag].sum(axis=2), True)
+        return _times(self.P, self.P[:, self.diag].sum(axis=1).T, True)
 
     def direction(self, ds, mu):
         """(P svec(dS), P^-T svec(dZ)) for the primal step dS, centred on
@@ -198,9 +225,12 @@ class _MatrixCone:
         return X, dZ
 
     def steps(self, dirn):
-        r = 1.0 / np.sqrt(self.v)
-        g = eig_min(unsvec(np.stack(dirn), self.k)
-                    * (r[..., :, None] * r[..., None, :]))
+        """The step to the boundary of each scaled direction X, from the
+        smallest eigenvalue of V^(-1/2) X V^(-1/2)."""
+        r = [self.r[:, i] * self.r[:, j] for i, j in lower_pairs(self.k)]
+        # both directions in one batch, (2, N) per component
+        g = eig_min([np.stack(xs) * y for *xs, y in zip(
+            *(_components(d, self.k) for d in dirn), r)])
         return _max_step(g[0]), _max_step(g[1])
 
     def gap(self, dirn, ap, ad):
@@ -216,18 +246,22 @@ class _MatrixCone:
 
 
 def _svec_congruence(F):
-    """P per block with P svec(X) = svec(F X F^T): U^T (F kron F) U for the
-    isometry U with vec(X) = U svec(X), in closed form at k = 2."""
-    N, k, _ = F.shape
-    if k == 2:
-        a, b, c, d = F[:, 0, 0], F[:, 0, 1], F[:, 1, 0], F[:, 1, 1]
-        rt2 = np.sqrt(2.0)
-        return np.stack([a * a, rt2 * a * b, b * b,
-                         rt2 * a * c, a * d + b * c, rt2 * b * d,
-                         c * c, rt2 * c * d, d * d], axis=1).reshape(N, 3, 3)
-    U = unsvec(np.eye(k * (k + 1) // 2), k).reshape(-1, k * k).T
-    kron = F[:, :, None, :, None] * F[:, None, :, None, :]
-    return U.T @ kron.reshape(N, k * k, k * k) @ U
+    """P per block with P svec(X) = svec(F X F^T), entry by entry from the
+    rows F[r][c] of F, in component layout (d, d, N): entry (a, b) of the
+    lower-triangle pairs a = (i, j) and b = (l, m) is F_jm F_il, plus
+    F_jl F_im when both are off the diagonal, times sqrt(2) when one of
+    them is."""
+    pairs = lower_pairs(len(F))
+    P = np.empty((len(pairs), len(pairs)) + np.shape(F[0][0]))
+    for a, (i, j) in enumerate(pairs):
+        for b, (l, m) in enumerate(pairs):
+            if (i == j) != (l == m):
+                P[a, b] = _SQRT2 * F[j][m] * F[i][l]
+            elif i == j:
+                P[a, b] = F[j][m] * F[i][l]
+            else:
+                P[a, b] = F[j][m] * F[i][l] + F[j][l] * F[i][m]
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +581,7 @@ class _Segments:
         # phase 1, min tau s.t. A y + tau I - F0 >= 0, starts at y = 0 from
         # F0's largest eigenvalue plus max(1, |that eigenvalue|)
         top = -float(np.concatenate([
-            x if k == 1 else eig_min(unsvec(x, k))
+            x if k == 1 else eig_min(_components(x, k))
             for k, x in zip(self.sizes, self.views(-self.f0))]).min())
         self.tau0 = top + max(1.0, abs(top))
 
@@ -555,7 +589,10 @@ class _Segments:
         """A y, plus tau's column when y ends with tau."""
         out = self.A @ y[:self.m]
         if len(y) > self.m:
-            out[self.tau.indices] += y[-1]
+            # tau's column svec(I), per cone on the diagonal columns' views
+            for k, x in zip(self.sizes, self.views(out)):
+                for q in _diagonal(k):
+                    x.reshape(len(x), -1)[:, q] += y[-1]
         return out
 
     def slack(self, y):
@@ -812,7 +849,7 @@ def certify(problem, y, tol):
     if y.shape != (problem.m,):
         raise DimensionMismatchError(f"y must have shape ({problem.m},)")
     res = problem.A @ y - problem.f0
-    mins = np.concatenate([eig_min(unsvec(res[g.rows].reshape(g.count, -1),
-                                          g.size)) for g in problem.groups])
+    mins = np.concatenate([eig_min(_components(
+        res[g.rows].reshape(g.count, -1), g.size)) for g in problem.groups])
     return CertifyReport(min_eigs=mins, tol=tol, flagged=[
         (int(i), float(mins[i])) for i in np.flatnonzero(~(mins >= -tol))])

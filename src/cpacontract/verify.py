@@ -12,12 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpa import (
-    ensure_derivative_bounds,
-    enu_coefficient_arrays,
-    unpack_symmetric,
-)
-from .smallmat import eig_max, eigvalsh, gen_eig_max
+from .cpa import ensure_derivative_bounds, enu_coefficient_arrays
+from .smallmat import eig_max, eigvalsh, gen_eig_max, lower
 
 _CLIP = 1e-6
 # the interpolation advisory samples this many simplices
@@ -133,10 +129,11 @@ def verify_contraction_sampled(cpa, sys, C, D, samples=100000, seed=12345,
     sids = np.arange(S)
 
     pts, M, A = cpa.contraction(sys, sids, lam)
+    M, A = lower(M), lower(A)
     lmax = eig_max(A).ravel()
     max_lambda_max = float(lmax.max())
     mu = eigvalsh(M)
-    min_metric_eig = float(mu[..., 0].min())
+    min_metric_eig = float(mu[0].min())
     lm = (0.5 * gen_eig_max(A, M).ravel() if min_metric_eig > 0.0
           else np.full(len(lmax), np.inf))
     max_lm = float(lm.max())
@@ -149,19 +146,20 @@ def verify_contraction_sampled(cpa, sys, C, D, samples=100000, seed=12345,
                    delimiter=",", header=header, comments="")
 
     # mu_max: largest metric eigenvalue over vertices and samples
-    # (lambda_max is convex, so vertex values already dominate)
-    vert_mu = eigvalsh(unpack_symmetric(cpa.values, n))
-    mu_max = float(max(vert_mu[..., -1].max(), mu[..., -1].max()))
+    # (lambda_max is convex, so vertex values already dominate); the
+    # values' upper-triangle columns are the metric's components
+    vert_mu = eigvalsh(cpa.values.T)
+    mu_max = float(max(vert_mu[-1].max(), mu[-1].max()))
 
     # vertex-constraint recomputation, independent of the solver
     unit = np.broadcast_to(np.eye(n + 2), (S, n + 2, n + 2))
     _, vm, vA = cpa.contraction(sys, sids, unit)
     C, D = float(C), float(D)
     E = a_C * C + a_D * D
-    res5 = float((eig_max(vA) + (E + 1.0)[:, None]).max())
-    res2 = float((eig_max(vm) - C).max())
+    res5 = float((eig_max(lower(vA)) + (E + 1.0)[:, None]).max())
+    res2 = float((eig_max(lower(vm)) - C).max())
     res3 = float((np.abs(cpa.W).max(axis=(1, 2)) - D / (n + 1.0)).max())
-    res4 = float((eps0 - vert_mu[..., 0]).max())
+    res4 = float((eps0 - vert_mu[0]).max())
     vertex_residuals = {"bound_M": res2, "grad_bound": res3,
                         "pos_def": res4, "contraction": res5}
 

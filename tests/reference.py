@@ -29,7 +29,17 @@ its definitions or lemmas:
 
 `parse_sdpa` reads the text of `export_sdpa`; `pack_symmetric`,
 `constant_metric` and `metric_at` build and evaluate metrics by hand, and
-`svec` writes blocks as the svec rows of the assembled problem.
+`svec` and `unsvec` convert blocks to and from the svec rows of the
+assembled problem.
+
+The stacked forms state the solver's small-block kernels on (..., k, k)
+stacks, with the operations and their order of the component kernels in
+`smallmat` and `solver._MatrixCone`: `stack`, `vectors` and `triangular`
+turn components back into stacks, `stacked_cholesky`,
+`stacked_inv_lower`, `stacked_eigh2` and `stacked_congruence2` are the
+stacked closed forms the component kernels replaced, `matmul_seq` is a
+matrix product summed term by term, and `stacked_cone` is the matrix
+cone's scaling (v, s_inv, P) with its steps and gap.
 """
 
 from __future__ import annotations
@@ -46,7 +56,14 @@ from cpacontract.cpa import (
     unpack_symmetric,
 )
 from cpacontract.errors import CpaError
-from cpacontract.smallmat import eig_min, gen_eig_max
+from cpacontract.smallmat import (
+    eig_min,
+    eigh,
+    gen_eig_max,
+    gram_eigh,
+    lower,
+    lower_pairs,
+)
 from cpacontract.triangulation import (
     FACE_TOL,
     _pair_violates_face_property,
@@ -74,6 +91,152 @@ def svec(mat):
     n = mat.shape[-1]
     iu = triu_layout(n)
     return mat[..., iu[0], iu[1]] * svec_scale(n)
+
+
+def unsvec(vec, n):
+    """Scaled upper triangle (..., P) -> symmetric (..., n, n)."""
+    return unpack_symmetric(np.asarray(vec) / svec_scale(n), n)
+
+
+def stack(a, symmetric=True):
+    """Components in `smallmat` layout -> (..., k, k) blocks: symmetric,
+    or lower triangular with zeros above the diagonal."""
+    k = int(np.sqrt(2 * len(a)))
+    out = np.zeros(np.shape(a[0]) + (k, k))
+    for (i, j), x in zip(lower_pairs(k), a):
+        out[..., i, j] = x
+        if symmetric:
+            out[..., j, i] = x
+    return out
+
+
+def triangular(a):
+    return stack(a, symmetric=False)
+
+
+def vectors(Q):
+    """Eigenvector columns (k lists of k arrays) -> (..., k, k)."""
+    return np.stack([np.stack(col, axis=-1) for col in Q], axis=-1)
+
+
+def matmul_seq(A, B):
+    """A @ B per block with each entry summed term by term in order, as
+    the component kernels sum (numpy's stacked matmul fuses them)."""
+    out = A[..., :, :1] * B[..., :1, :]
+    for m in range(1, A.shape[-1]):
+        out = out + A[..., :, m:m + 1] * B[..., m:m + 1, :]
+    return out
+
+
+def stacked_cholesky(mats):
+    """The Cholesky factor's column loop across a stack; not positive
+    definite or not finite gives an all-NaN factor."""
+    k = mats.shape[-1]
+    L = np.zeros_like(mats)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(k):
+            for i in range(j, k):
+                t = mats[..., i, j]
+                for m in range(j):
+                    t = t - L[..., i, m] * L[..., j, m]
+                L[..., i, j] = np.sqrt(t) if i == j else t / L[..., j, j]
+    ok = (np.isfinite(L).all(axis=(-2, -1))
+          & (np.diagonal(L, 0, -2, -1) > 0.0).all(axis=-1))
+    L[~ok] = np.nan
+    return L
+
+
+def stacked_inv_lower(L):
+    """Inverse of lower triangular blocks by forward substitution."""
+    Li = np.zeros_like(L)
+    for i in range(L.shape[-1]):
+        Li[..., i, i] = 1.0 / L[..., i, i]
+        for j in range(i):
+            t = L[..., i, j] * Li[..., j, j]
+            for m in range(j + 1, i):
+                t = t + L[..., i, m] * Li[..., m, j]
+            Li[..., i, j] = -t * Li[..., i, i]
+    return Li
+
+
+def stacked_eigh2(mats):
+    """Eigenvalues and eigenvectors of 2 x 2 blocks: LAPACK dlaev2's
+    formulas, the smaller-modulus eigenvalue from the determinant."""
+    a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
+    sm, rt = a + c, np.hypot(a - c, 2.0 * b)
+    w, Q = np.empty(mats.shape[:-1]), np.empty(mats.shape)
+    w[..., 0], w[..., 1] = 0.5 * (sm - rt), 0.5 * (sm + rt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w[..., 0] = np.where(sm > 0.0, (a * c - b * b) / w[..., 1], w[..., 0])
+        w[..., 1] = np.where(sm < 0.0, (a * c - b * b) / w[..., 0], w[..., 1])
+    th = 0.5 * np.arctan2(2.0 * b, a - c)
+    cs, sn = np.cos(th), np.sin(th)
+    Q[..., 0, 1] = Q[..., 1, 0] = cs
+    Q[..., 1, 1] = sn
+    Q[..., 0, 0] = -sn
+    return w, Q
+
+
+def stacked_congruence2(R, X, trans=False):
+    """R X R^T, or R^T X R, of 2 x 2 blocks in closed form."""
+    r00, r01, r10, r11 = R[..., 0, 0], R[..., 0, 1], R[..., 1, 0], R[..., 1, 1]
+    if trans:
+        r01, r10 = r10, r01
+    x0, x1, x2 = X[..., 0, 0], X[..., 0, 1], X[..., 1, 1]
+    t00, t01 = r00 * x0 + r01 * x1, r00 * x1 + r01 * x2
+    t10, t11 = r10 * x0 + r11 * x1, r10 * x1 + r11 * x2
+    out = np.empty(np.broadcast_shapes(R.shape, X.shape))
+    out[..., 0, 0] = t00 * r00 + t01 * r01
+    out[..., 0, 1] = out[..., 1, 0] = t00 * r10 + t01 * r11
+    out[..., 1, 1] = t10 * r10 + t11 * r11
+    return out
+
+
+def stacked_cone(s, z):
+    """The matrix cone at the svec rows (s, z), k = 2 or 3, on stacks:
+    L = chol(S), L^T Z L = Q diag(lam) Q^T (refined at k = 3 by the Jacobi
+    sweep on G Q, G = chol(Z)^T L), v = lam^(1/2), F = v^(1/2) Q^T L^-1 and
+    its svec map P (N, d, d). Returns (v, s_inv, P, steps, gap): steps(X)
+    is the smallest eigenvalue of V^(-1/2) X V^(-1/2) per block for svec
+    rows X, and gap(X, dZ, ap, ad) is <V + ap X, V + ad dZ>."""
+    k = int(np.sqrt(2 * s.shape[-1]))
+    S, Z = unsvec(s, k), unsvec(z, k)
+    L = stacked_cholesky(S)
+    Lt = np.swapaxes(L, -1, -2)
+    T = matmul_seq(matmul_seq(Lt, Z), L)
+    # the upper triangle of the product, which the component kernel forms
+    lam, Q = eigh(lower(np.swapaxes(T, -1, -2)))
+    if k > 2:
+        LZt = np.swapaxes(stacked_cholesky(Z), -1, -2)
+        Y = matmul_seq(LZt, matmul_seq(L, vectors(Q)))
+        lam, Q = gram_eigh([[Y[..., r, c] for r in range(k)]
+                            for c in range(k)], Q)
+    v = np.sqrt(np.stack(lam, axis=-1))
+    F = np.sqrt(v)[..., None] * matmul_seq(np.swapaxes(vectors(Q), -1, -2),
+                                           stacked_inv_lower(L))
+    pairs = lower_pairs(k)
+    P = np.empty(s.shape + (len(pairs),))
+    for a, (i, j) in enumerate(pairs):
+        for b, (l, m) in enumerate(pairs):
+            x = F[..., j, m] * F[..., i, l]
+            if (i == j) != (l == m):
+                x = np.sqrt(2.0) * F[..., j, m] * F[..., i, l]
+            elif i != j:
+                x = x + F[..., j, l] * F[..., i, m]
+            P[..., a, b] = x
+    diag = [q for q, (i, j) in enumerate(pairs) if i == j]
+    s_inv = np.einsum("nji,nj->ni", P[:, diag], 1.0 / v)
+    r = 1.0 / np.sqrt(v)
+
+    def steps(X):
+        return eig_min(lower(unsvec(X, k) * (r[..., :, None]
+                                             * r[..., None, :])))
+
+    def gap(X, dZ, ap, ad):
+        return float((v * v).sum() + ap * (X[:, diag] * v).sum()
+                     + ad * (dZ[:, diag] * v).sum() + ap * ad * (X * dZ).sum())
+
+    return v, s_inv, P, steps, gap
 
 
 def pack_symmetric(mat):
@@ -156,10 +319,10 @@ def lm_value(cpa, sys, point):
     M Dxf + Dxf^T M + M'_+ with respect to M, in the forward simplex."""
     sid, lam, _ = forward_simplices(cpa, sys, point)[0]
     _, M, A = cpa.contraction(sys, [sid], lam[None, None])
-    if eig_min(M[0, 0]) <= 0.0:
+    if eig_min(lower(M[0, 0])) <= 0.0:
         raise NotPositiveDefiniteError(
             f"metric not positive definite at {point}")
-    return 0.5 * float(gen_eig_max(A[0, 0], M[0, 0]))
+    return 0.5 * float(gen_eig_max(lower(A[0, 0]), lower(M[0, 0])))
 
 
 def verify_lemma_412_gap(cpa, sys, sid, samples=1000, seed=0):

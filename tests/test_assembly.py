@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from cpacontract import assembly
-from cpacontract.assembly import assemble, export_sdpa, stack_problem, unsvec
+from cpacontract.assembly import assemble, export_sdpa, stack_problem
 from cpacontract.cpa import (
     ensure_derivative_bounds,
     enu_coefficient_arrays,
@@ -19,6 +19,7 @@ from reference import (
     margin_coefficients,
     parse_sdpa,
     svec,
+    unsvec,
 )
 
 

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from cpacontract import solver
-from cpacontract.assembly import assemble, unsvec
+from cpacontract.assembly import assemble
 from cpacontract.cli import Config, cmd_synthesize
 from cpacontract.solver import (
     SolverSettings,
@@ -21,7 +21,7 @@ from cpacontract.solver import (
 )
 from cpacontract.triangulation import build_complex
 
-from reference import svec
+from reference import svec, unsvec
 from test_solver import random_feasible_problem
 
 # The 2-D oscillator of criterion 2 at K=6 on a quarter of its region.
@@ -58,7 +58,8 @@ def _random_scalings(segs, rng):
 def _plan_weights(scalings):
     """The plan's weights: d of the linear cone, the svec map P of each
     matrix cone's F."""
-    return [w if w.ndim == 1 else _svec_congruence(w) for w in scalings]
+    return [w if w.ndim == 1 else _svec_congruence(
+        np.moveaxis(w, 0, -1)).transpose(2, 0, 1) for w in scalings]
 
 
 def _dense_inverse_scalings(weights):

@@ -11,8 +11,57 @@ import pytest
 import scipy.linalg
 
 from cpacontract import smallmat
+from cpacontract.smallmat import lower
+
+from reference import (
+    matmul_seq,
+    stack,
+    stacked_cholesky,
+    stacked_congruence2,
+    stacked_eigh2,
+    stacked_inv_lower,
+    triangular,
+    vectors,
+)
 
 SHAPES = [(), (0,), (53,), (6, 9)]
+
+
+# the kernels on (..., k, k) stacks, through component views of their lower
+# triangles
+
+
+def eig_min(A):
+    return smallmat.eig_min(lower(A))
+
+
+def eig_max(A):
+    return smallmat.eig_max(lower(A))
+
+
+def eigvalsh(A):
+    return np.stack(smallmat.eigvalsh(lower(A)), axis=-1)
+
+
+def gen_eig_max(A, M):
+    return smallmat.gen_eig_max(lower(A), lower(M))
+
+
+def eigh(A):
+    w, Q = smallmat.eigh(lower(A))
+    return np.stack(w, axis=-1), vectors(Q)
+
+
+def cholesky(S):
+    return triangular(smallmat.cholesky(lower(S)))
+
+
+def inv_lower(L):
+    return triangular(smallmat.inv_lower(lower(L)))
+
+
+def congruence(R, X, trans=False):
+    return stack(smallmat.congruence(lower(R), lower(X), trans))
 
 
 def random_pairs(rng, lead, k):
@@ -37,7 +86,7 @@ def reference(A, M=None):
 
 def gen_eig_min(A, M):
     """Minus the largest generalized eigenvalue of (-A, M)."""
-    return -smallmat.gen_eig_max(-np.asarray(A), M)
+    return -gen_eig_max(-np.asarray(A), M)
 
 
 # the k <= 2 closed forms, spelled out as they were in the solver and the
@@ -81,15 +130,15 @@ def test_matches_per_block_reference(k, lead, chunk):
     scale_std = np.abs(std).max(axis=-1, initial=0.0)
     scale_gen = np.abs(gen).max(axis=-1, initial=0.0)
     cases = [
-        (smallmat.eig_min(A), std[..., 0], scale_std),
-        (smallmat.eig_max(A), std[..., -1], scale_std),
+        (eig_min(A), std[..., 0], scale_std),
+        (eig_max(A), std[..., -1], scale_std),
         (gen_eig_min(A, M), gen[..., 0], scale_gen),
-        (smallmat.gen_eig_max(A, M), gen[..., -1], scale_gen),
+        (gen_eig_max(A, M), gen[..., -1], scale_gen),
     ]
     for got, want, scale in cases:
         assert got.shape == lead
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
-    w = smallmat.eigvalsh(A)
+    w = eigvalsh(A)
     assert w.shape == lead + (k,)
     assert np.all(np.diff(w, axis=-1) >= 0.0)
     assert np.all(np.abs(w - std) <= 1e-12 * scale_std[..., None])
@@ -101,10 +150,10 @@ def test_closed_forms_bitwise(k, lead):
     rng = np.random.default_rng(7 + k)
     A, M = random_pairs(rng, lead, k)
     pairs = [
-        (smallmat.eig_min(A), closed_min(A)),
-        (smallmat.eig_max(A), -closed_min(-A)),
+        (eig_min(A), closed_min(A)),
+        (eig_max(A), -closed_min(-A)),
         (gen_eig_min(A, M), closed_gen(A, M, largest=False)),
-        (smallmat.gen_eig_max(A, M), closed_gen(A, M, largest=True)),
+        (gen_eig_max(A, M), closed_gen(A, M, largest=True)),
     ]
     for got, want in pairs:
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -116,17 +165,17 @@ def test_chunking_keeps_the_bits():
     # one chunk cannot change a result
     rng = np.random.default_rng(3)
     A, _ = random_pairs(rng, (smallmat._CHUNK + 5,), 4)
-    assert (smallmat.eig_min(A).tobytes()
+    assert (eig_min(A).tobytes()
             == np.linalg.eigvalsh(A)[:, 0].tobytes())
     A, M = random_pairs(rng, (smallmat._CHUNK + 5,), 3)
     idx = [0, smallmat._CHUNK - 1, smallmat._CHUNK, smallmat._CHUNK + 4]
-    w, Q = smallmat.eigh(A)
+    w, Q = eigh(A)
     pairs = [
-        (smallmat.eigvalsh(A), lambda i: smallmat.eigvalsh(A[i])),
-        (w, lambda i: smallmat.eigh(A[i])[0]),
-        (Q, lambda i: smallmat.eigh(A[i])[1]),
-        (smallmat.gen_eig_max(A, M),
-         lambda i: smallmat.gen_eig_max(A[i], M[i])),
+        (eigvalsh(A), lambda i: eigvalsh(A[i])),
+        (w, lambda i: eigh(A[i])[0]),
+        (Q, lambda i: eigh(A[i])[1]),
+        (gen_eig_max(A, M),
+         lambda i: gen_eig_max(A[i], M[i])),
     ]
     for whole, one in pairs:
         assert (whole[idx].tobytes()
@@ -139,7 +188,7 @@ def test_indefinite_metric_raises(k, where, chunk):
     rng = np.random.default_rng(k)
     A, M = random_pairs(rng, (40,), k)
     M[where] = -M[where]
-    for fun in (gen_eig_min, smallmat.gen_eig_max):
+    for fun in (gen_eig_min, gen_eig_max):
         with pytest.raises(np.linalg.LinAlgError):
             fun(A, M)
 
@@ -158,13 +207,14 @@ def test_non_finite_block_is_nan(k, chunk):
     # boundaries, in A and in M; the other blocks keep their bits
     rng = np.random.default_rng(40 + k)
     A, M = random_pairs(rng, (20,), k)
-    clean = [f(A) for f in (smallmat.eig_min, smallmat.eig_max)] + [
-        f(A, M) for f in (gen_eig_min, smallmat.gen_eig_max)]
+    clean = [f(A) for f in (eig_min, eig_max)] + [
+        f(A, M) for f in (gen_eig_min, gen_eig_max)]
     bad = [0, 6, 7, 13]
     A[0, 0, 0], A[6, -1, 0] = np.nan, np.inf
-    M[7, 0, -1], M[13, -1, -1] = np.nan, -np.inf
-    got = [f(A) for f in (smallmat.eig_min, smallmat.eig_max)] + [
-        f(A, M) for f in (gen_eig_min, smallmat.gen_eig_max)]
+    # the lower triangle holds a symmetric block's entries
+    M[7, -1, 0], M[13, -1, -1] = np.nan, -np.inf
+    got = [f(A) for f in (eig_min, eig_max)] + [
+        f(A, M) for f in (gen_eig_min, gen_eig_max)]
     good = np.setdiff1d(np.arange(20), bad)
     for i, (g, c) in enumerate(zip(got, clean)):
         assert np.isnan(g[bad[:2] if i < 2 else bad]).all()
@@ -178,10 +228,10 @@ def test_nan_in_a_definite_block(k):
     # k >= 3, and the generalized problem raised
     two, neg = 2.0 * np.eye(k), -np.eye(k)
     two[0, 0] = neg[0, 0] = np.nan
-    assert np.isnan(smallmat.eig_min(two[None])).all()
-    assert np.isnan(smallmat.eig_max(neg[None])).all()
+    assert np.isnan(eig_min(two[None])).all()
+    assert np.isnan(eig_max(neg[None])).all()
     assert np.isnan(gen_eig_min(two[None], np.eye(k)[None])).all()
-    assert np.isnan(smallmat.gen_eig_max(np.eye(k)[None], two[None])).all()
+    assert np.isnan(gen_eig_max(np.eye(k)[None], two[None])).all()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -189,18 +239,19 @@ def test_nan_in_a_definite_block(k):
 def test_cholesky_and_triangular_inverse(k, cond):
     rng = np.random.default_rng(k)
     S = spd_blocks(rng, (3, 50), k, cond)
-    L = smallmat.cholesky(S)
+    L = cholesky(S)
     ref = np.linalg.cholesky(S)
     assert np.all(np.abs(L - ref) <= 1e-12 * np.sqrt(cond)
                   * np.abs(ref).max(axis=(-2, -1), keepdims=True))
     assert np.array_equal(np.triu(L, 1), np.zeros_like(L))
-    Li = smallmat.inv_lower(L)
+    Li = inv_lower(L)
     assert np.abs(Li @ L - np.eye(k)).max() <= 1e-13 * np.sqrt(cond)
     # not positive definite, or not finite: the whole factor is NaN
     S[0, 3] = -S[0, 3]
     S[1, 4, -1, -1] = np.nan
-    L = smallmat.cholesky(S)
-    assert np.isnan(L[0, 3]).all() and np.isnan(L[1, 4]).all()
+    L = cholesky(S)
+    low = np.tril_indices(k)  # a factor has no entries above the diagonal
+    assert np.isnan(L[0, 3][low]).all() and np.isnan(L[1, 4][low]).all()
     assert np.isfinite(np.delete(L.reshape(150, k, k), [3, 54], axis=0)).all()
 
 
@@ -210,7 +261,7 @@ def test_eigh_matches_lapack(k, cond):
     rng = np.random.default_rng(10 + k)
     T = spd_blocks(rng, (60,), k, cond)
     T[:20] -= 2.0 * np.abs(T[:20]).max() * np.eye(k)  # some indefinite
-    w, Q = smallmat.eigh(T)
+    w, Q = eigh(T)
     w_ref = np.linalg.eigvalsh(T)
     scale = np.abs(w_ref).max(axis=-1, keepdims=True)
     assert np.all(np.abs(w - w_ref) <= 1e-14 * scale)
@@ -223,12 +274,12 @@ def test_eigh_matches_lapack(k, cond):
 @pytest.mark.parametrize("trans", [False, True])
 def test_congruence(k, trans):
     rng = np.random.default_rng(20 + k)
-    R = rng.standard_normal((2, 30, k, k))
+    R = np.tril(rng.standard_normal((2, 30, k, k)))  # a factor's shape
     X = rng.standard_normal((2, 30, k, k))
     X = X + np.swapaxes(X, -1, -2)
     Rl, Rr = (np.swapaxes(R, -1, -2), R) if trans else (R, np.swapaxes(R, -1, -2))
     for x, ref in ((X, Rl @ X @ Rr), (np.eye(k), Rl @ Rr)):
-        got = smallmat.congruence(R, x, trans=trans)
+        got = congruence(R, x, trans=trans)
         assert got.shape == R.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(got, np.swapaxes(got, -1, -2)) or k != 2
@@ -285,8 +336,8 @@ def test_hard_spectra_at_size_three(name):
     T = hard_blocks(name)
     want = reference(T)
     scale = np.abs(want).max(axis=-1, keepdims=True)
-    w, Q = smallmat.eigh(T)
-    for got in (smallmat.eigvalsh(T), w):
+    w, Q = eigh(T)
+    for got in (eigvalsh(T), w):
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
     assert np.abs(np.swapaxes(Q, -1, -2) @ Q - np.eye(3)).max() <= 1e-14
     back = (Q * w[:, None, :]) @ np.swapaxes(Q, -1, -2)
@@ -300,7 +351,7 @@ def test_triple_generalized_eigenvalue():
     rng = np.random.default_rng(8)
     M = np.concatenate([np.diag([1.0, 2.0, 3.0])[None],
                         rotated(rng, [(1.0, 2.0, 3.0)], copies=20)])
-    for fun in (gen_eig_min, smallmat.gen_eig_max):
+    for fun in (gen_eig_min, gen_eig_max):
         assert np.abs(fun(-2.0 * M, M) + 2.0).max() <= 2e-14
 
 
@@ -315,9 +366,67 @@ def test_gram_eigh_is_relatively_accurate():
     with mpmath.workdps(50):
         exact = np.array([sorted(float(x) for x in mpmath.eigsy(g.T * g)[0])
                           for g in map(mpmath.matrix, G.tolist())])
-    closed, Q = smallmat.eigh(T)
-    w, V = smallmat.gram_eigh(G, Q)
+    closed, Q = eigh(T)
+    Y = G @ Q
+    w, V = smallmat.gram_eigh(
+        [[Y[:, r, c] for r in range(3)] for c in range(3)],
+        [[Q[:, r, c] for r in range(3)] for c in range(3)])
+    w, V = np.stack(w, axis=-1), vectors(V)
     assert np.abs(w / exact - 1.0).max() <= 1e-12
     assert np.abs(np.swapaxes(V, -1, -2) @ V - np.eye(3)).max() <= 1e-14
     # the closed form alone is accurate only relative to the largest
     assert np.abs(closed / exact - 1.0).max() > 1e-6
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("trans", [False, True])
+def test_component_kernels_match_the_stacked_forms(k, trans):
+    # the kernels on component arrays against the stacked closed forms
+    # they replaced, bit for bit, and the products against the stacked
+    # product summed term by term in the same order
+    rng = np.random.default_rng(90 + k)
+    S = spd_blocks(rng, (500,), k, 1e4)
+    X, _ = random_pairs(rng, (500,), k)
+    L = cholesky(S)
+    assert L.tobytes() == stacked_cholesky(S).tobytes()
+    assert inv_lower(L).tobytes() == stacked_inv_lower(L).tobytes()
+    Lt = np.swapaxes(L, -1, -2)
+    want = (matmul_seq(matmul_seq(Lt, X), L) if trans
+            else matmul_seq(matmul_seq(L, X), Lt))
+    got = smallmat.congruence(lower(L), lower(X), trans)
+    # the component kernel forms the upper triangle
+    assert np.stack(got).tobytes() == np.stack(
+        lower(np.swapaxes(want, -1, -2))).tobytes()
+    if k == 2:
+        assert (congruence(L, X, trans).tobytes()
+                == stacked_congruence2(L, X, trans).tobytes())
+        w, Q = stacked_eigh2(X)
+        assert eigh(X)[0].tobytes() == w.tobytes()
+        assert eigh(X)[1].tobytes() == Q.tobytes()
+    x = list(rng.normal(size=(k, 500)))
+    got = smallmat.times(lower(L), x, trans)
+    want = matmul_seq(Lt if trans else L, np.stack(x, axis=-1)[..., None])
+    assert np.stack(got, axis=-1).tobytes() == want[..., 0].tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_component_nan_contract(k):
+    # a block with a non-finite entry has NaN eigenvalues (at k = 3 NaN
+    # eigenvectors too), and an indefinite block an all-NaN factor; the
+    # other blocks keep their bits
+    rng = np.random.default_rng(70 + k)
+    S = spd_blocks(rng, (30,), k, 10.0)
+    clean_w, clean_L = eigvalsh(S), smallmat.cholesky(lower(S))
+    S[4, -1, 0] = np.inf
+    S[9] = -S[9]
+    a = lower(S)
+    w = eigvalsh(S)
+    assert np.isnan(w[4]).all() and not np.isnan(w[9]).any()
+    if k == 3:
+        assert np.isnan(eigh(S)[1][4]).all()
+    L = smallmat.cholesky(a)
+    keep = np.setdiff1d(np.arange(30), [4, 9])
+    for x, c in zip(L, clean_L):
+        assert np.isnan(x[[4, 9]]).all()
+        assert x[keep].tobytes() == c[keep].tobytes()
+    assert w[keep].tobytes() == clean_w[keep].tobytes()

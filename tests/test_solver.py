@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from cpacontract import solver
-from cpacontract.assembly import assemble, stack_problem, unsvec
+from cpacontract.assembly import assemble, stack_problem
 from cpacontract.solver import (
     SolverSettings,
     _LinearCone,
@@ -15,7 +15,15 @@ from cpacontract.solver import (
 from cpacontract.systems import parse_system
 from cpacontract.triangulation import build_complex
 
-from reference import svec
+from cpacontract.smallmat import lower
+from reference import (
+    matmul_seq,
+    stack,
+    stacked_cone,
+    svec,
+    triangular,
+    unsvec,
+)
 from test_smallmat import spd_blocks
 
 
@@ -152,7 +160,7 @@ class TestCertify:
         A = np.diag([1.0, 2.0, 3.0])
         prob = make_problem([([np.eye(3)], -A), ([np.eye(3)], A)], [1.0])
         rep = certify(prob, np.zeros(1), 0.5)
-        assert seen == [(1, 3, 3), (1, 3, 3)]
+        assert seen == [(6, 1), (6, 1)]  # one block's six components
         assert rep.min_eigs.tolist() == [1.0, -3.0]
         assert rep.flagged == [(1, -3.0)]
 
@@ -221,6 +229,11 @@ def _times(P, x, trans=False):
     return (np.swapaxes(P, 1, 2) if trans else P) @ x[..., None]
 
 
+def _svec_map(F):
+    """The svec map P (N, d, d) of a stack of factors F (N, k, k)."""
+    return _svec_congruence(np.moveaxis(F, 0, -1)).transpose(2, 0, 1)
+
+
 class TestConeKernels:
     """The matrix cone on svec rows: P svec(X) = svec(F X F^T) is its only
     scaling operator, with P^T the svec map of F^T."""
@@ -231,7 +244,7 @@ class TestConeKernels:
         rng = np.random.default_rng(k)
         S, Z = spd_blocks(rng, (200,), k, cond), spd_blocks(rng, (200,), k, cond)
         cone = _MatrixCone(svec(S), svec(Z))
-        P = cone.P
+        P = cone.schur
         # W^-1 = F^T F = unsvec(P^T svec(I))
         Wi = unsvec(_times(P, svec(np.eye(k))[None], trans=True)[..., 0], k)
         V = cone.v[:, :, None] * np.eye(k)
@@ -251,7 +264,7 @@ class TestConeKernels:
         F = _nt_factor(S, Z)
         X = rng.normal(size=(200, k, k))
         X = X + np.swapaxes(X, 1, 2)
-        Px = _times(_svec_congruence(F), svec(X))[..., 0]
+        Px = _times(_svec_map(F), svec(X))[..., 0]
         ref = svec(F @ X @ np.swapaxes(F, 1, 2))
         assert np.abs(Px - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -262,7 +275,7 @@ class TestConeKernels:
         rng = np.random.default_rng(60 + k)
         S, Z = spd_blocks(rng, (200,), k, cond), spd_blocks(rng, (200,), k, cond)
         F = _nt_factor(S, Z)
-        P, Pt = _svec_congruence(F), _svec_congruence(np.swapaxes(F, 1, 2))
+        P, Pt = _svec_map(F), _svec_map(np.swapaxes(F, 1, 2))
         assert _rel(np.swapaxes(P, 1, 2), Pt) <= 1e-15
         X = rng.normal(size=(200, k, k))
         X = X + np.swapaxes(X, 1, 2)
@@ -276,29 +289,71 @@ class TestConeKernels:
         lin, mat = _LinearCone(s, z), _MatrixCone(s[:, None], z[:, None])
         assert np.allclose(lin.d, mat.w2[:, 0], rtol=1e-14, atol=0.0)
         # P = F^2 at k = 1, so F^4 = P^2
-        assert np.allclose(lin.d, mat.P[:, 0, 0] ** 2, rtol=1e-14, atol=0.0)
+        assert np.allclose(lin.d, mat.schur[:, 0, 0] ** 2, rtol=1e-14,
+                           atol=0.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_closed_forms_match_lapack(self, k, monkeypatch):
         rng = np.random.default_rng(30 + k)
         S, Z = spd_blocks(rng, (300,), k, 10.0), spd_blocks(rng, (300,), k, 10.0)
         closed = _MatrixCone(svec(S), svec(Z))
-        monkeypatch.setattr(solver, "cholesky", np.linalg.cholesky)
-        monkeypatch.setattr(solver, "inv_lower", np.linalg.inv)
-        monkeypatch.setattr(solver, "eigh", np.linalg.eigh)
-        monkeypatch.setattr(solver, "congruence", lambda R, X, trans=False: (
-            (np.swapaxes(R, 1, 2) if trans else R) @ X
-            @ (R if trans else np.swapaxes(R, 1, 2))))
+
+        def eigh(a):
+            w, Q = np.linalg.eigh(stack(a))
+            return ([w[:, i] for i in range(k)],
+                    [[Q[:, r, c] for r in range(k)] for c in range(k)])
+
+        def congruence(R, X, trans=False):
+            R = triangular(R)
+            Rt = np.swapaxes(R, 1, 2)
+            return lower(Rt @ stack(X) @ R if trans else R @ stack(X) @ Rt)
+
+        # the component kernels replaced by LAPACK and stacked matmuls
+        monkeypatch.setattr(solver, "cholesky",
+                            lambda a: lower(np.linalg.cholesky(stack(a))))
+        monkeypatch.setattr(solver, "inv_lower",
+                            lambda L: lower(np.linalg.inv(triangular(L))))
+        monkeypatch.setattr(solver, "eigh", eigh)
+        monkeypatch.setattr(solver, "congruence", congruence)
         lapack = _MatrixCone(svec(S), svec(Z))
-        Wi = [unsvec(_times(c.P, svec(np.eye(k))[None], trans=True)[..., 0], k)
+        Wi = [unsvec(_times(c.schur, svec(np.eye(k))[None],
+                            trans=True)[..., 0], k)
               for c in (closed, lapack)]
         assert _rel(Wi[0], Wi[1]) <= 1e-12
         assert np.abs(closed.v - lapack.v).max() <= 1e-12 * np.abs(
             lapack.v).max()
         assert _rel(unsvec(closed.s_inv, k), unsvec(lapack.s_inv, k)) <= 1e-12
         # the Schur operators P^T P agree although the factors differ
-        assert _rel(*[np.swapaxes(c.P, 1, 2) @ c.P
+        assert _rel(*[np.swapaxes(c.schur, 1, 2) @ c.schur
                       for c in (closed, lapack)]) <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_components_match_the_stacked_forms(self, k):
+        # the cone on component arrays against the same closed forms on
+        # (N, k, k) stacks: v, s_inv, both step lengths and the gap bit for
+        # bit, the svec map P too
+        rng = np.random.default_rng(80 + k)
+        S, Z = spd_blocks(rng, (300,), k, 1e6), spd_blocks(rng, (300,), k, 1e6)
+        s, z = svec(S), svec(Z)
+        cone = _MatrixCone(s, z)
+        v, s_inv, P, steps, gap = stacked_cone(s, z)
+        assert cone.v.tobytes() == v.tobytes()
+        assert cone.s_inv.tobytes() == s_inv.tobytes()
+        assert np.ascontiguousarray(cone.schur).tobytes() == P.tobytes()
+        # the steps of a direction whose whitened eigenvalues go negative
+        ds = rng.normal(size=s.shape)
+        X, dZ = cone.direction(ds, 0.3)
+        assert X.tobytes() == matmul_seq(P, ds[..., None])[..., 0].tobytes()
+        want = [solver._max_step(steps(x)) for x in (X, dZ)]
+        assert cone.steps((X, dZ)) == tuple(want)
+        assert all(np.isfinite(want))
+        assert cone.gap((X, dZ), 0.7, 0.4) == gap(X, dZ, 0.7, 0.4)
+        # the interior test keeps the factor that the next scaling reads
+        L = _MatrixCone.factor(s)
+        again = _MatrixCone(s, z, (L, None))
+        assert again.v.tobytes() == cone.v.tobytes()
+        s[5] = -s[5]
+        assert _MatrixCone.factor(s) is None
 
 
 def test_one_cholesky_per_block_per_iteration(monkeypatch):
@@ -311,10 +366,10 @@ def test_one_cholesky_per_block_per_iteration(monkeypatch):
     calls = []
     factor = solver.cholesky
     monkeypatch.setattr(solver, "cholesky",
-                        lambda x: calls.append(x.shape) or factor(x))
+                        lambda x: calls.append(len(x)) or factor(x))
     sol = solve(problem)
     assert sol.status == "Optimal"
-    assert {shape[1:] for shape in calls} == {(3, 3)}
+    assert set(calls) == {6}  # the components of 3 x 3 blocks
     assert len(calls) == 2 * sol.iterations + 2 * 2
 
 
