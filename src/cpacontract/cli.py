@@ -327,6 +327,7 @@ def cmd_verify(cert_path, samples=None, seed=None, tol=None, progress=print,
         if float(constants["epsilon0"]) != config.epsilon0:
             raise InputError("constants.epsilon0 differs from the "
                              "configuration's epsilon0")
+        bound = float(cert["floquet_bound"])
     except (CpaError, KeyError, TypeError, ValueError) as exc:
         progress(f"bad certificate: {exc}")
         return 3
@@ -349,8 +350,14 @@ def cmd_verify(cert_path, samples=None, seed=None, tol=None, progress=print,
     progress(f"max lambda_max = {report.max_lambda_max:.6e} "
              f"(pass requires <= -1 + {report.tol:g})")
     progress(f"max L_M = {report.max_lm:.6e} vs bound {report.bound_from_C:.6e}")
-    progress(f"verification {'PASS' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 2
+    # the bound must be the -1/(2C) that C proves, as `build_certificate`
+    # writes it; a NaN bound differs too
+    if bound != report.bound_from_C:
+        progress(f"BOUND MISMATCH: floquet_bound {bound!r} is not "
+                 f"-1/(2C) = {report.bound_from_C!r}")
+    passed = report.passed and bound == report.bound_from_C
+    progress(f"verification {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 2
 
 
 def cmd_floquet(config, cert_path=None, tol=1e-6, steps=8192, progress=print,

@@ -454,6 +454,34 @@ class TestMalformedCertificates:
         cert["constants"]["epsilon0"] = "0"
         assert main(["verify", _write_cert(cert, tmp_path / "c.json")]) == 3
 
+    @pytest.mark.parametrize("value", [None, "abc", [1.0]])
+    def test_missing_or_unparsable_floquet_bound(self, cert_path, tmp_path,
+                                                 value):
+        cert = load_certificate(cert_path)
+        if value is None:
+            del cert["floquet_bound"]
+        else:
+            cert["floquet_bound"] = value
+        assert main(["verify", _write_cert(cert, tmp_path / "c.json")]) == 3
+
+    @pytest.mark.parametrize("change", ["-50", "nan", "one ulp"])
+    def test_floquet_bound_must_be_the_one_C_proves(self, cert_path,
+                                                    tmp_path, change):
+        # a certificate may claim no stronger bound than its C proves, not
+        # even by one ulp: verify fails it (exit 2), as it fails a wrong C
+        cert = load_certificate(cert_path)
+        bound = float(cert["floquet_bound"])
+        assert bound == -1.0 / (2.0 * float(cert["constants"]["C"]))
+        assert main(["verify", _write_cert(cert, tmp_path / "ok.json")]) == 0
+        cert["floquet_bound"] = (
+            format(float(np.nextafter(bound, -np.inf)), ".17g")
+            if change == "one ulp" else change)
+        lines = []
+        assert cmd_verify(_write_cert(cert, tmp_path / "c.json"),
+                          progress=lines.append) == 2
+        assert lines[-2].startswith("BOUND MISMATCH")
+        assert lines[-1] == "verification FAIL"
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
