@@ -7,13 +7,14 @@ order of `assembly`: the columns of svec rows are components as they
 stand, and `lower` gives a stack's (..., k, k) as views. Eigenvalues come
 back as k arrays, ascending, and eigenvectors as k columns of k arrays.
 
-Sizes k <= 3 use closed forms, and no block of size 3 or less reaches
-LAPACK or a stacked matmul. At k = 3 the eigenvalues follow Eberly ("A
+Sizes k <= 3 use closed forms, and no block of size 3 or less reaches a
+stacked matmul, nor LAPACK but in `eigh` at k = 1 (which only tests call
+there). At k = 3 the eigenvalues follow Eberly ("A
 Robust Eigensolver for 3 x 3 Symmetric Matrices", 2014): the block is
 scaled by a power of two near its largest |entry| and shifted by trace/3,
 the isolated root comes from the trigonometric formula, its eigenvector
 from the largest row of the adjugate of A - lam I, and the other two from
-the 2 x 2 problem left on the orthogonal complement. Other sizes go to
+the 2 x 2 problem left on the orthogonal complement. Larger sizes go to
 LAPACK through one adapter, `_stacked`. From k = 3 up the eigen-solves run
 over chunks of `_CHUNK` blocks, so the temporaries stay small. These
 eigenvalues are accurate relative to the largest one; `gram_eigh` refines
