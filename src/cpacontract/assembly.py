@@ -7,14 +7,14 @@ entries per periodic vertex slot), followed by the simplex bound variables
 optional auxiliary C_max.
 
 All blocks share one sparse "svec" matrix A (and F0): each block of size k
-contributes k(k+1)/2 rows holding the upper triangle of its coefficient
-matrices, off-diagonal entries scaled by sqrt(2) so that row-dot-row equals
-the matrix inner product. Each family of blocks is a range of rows.
+contributes k(k+1)/2 rows, its components in `smallmat.lower_pairs` order,
+off-diagonal entries scaled by sqrt(2) so that row-dot-row equals the
+matrix inner product. Each family of blocks is a range of rows.
 
-The margin coefficients of the contraction blocks come from `cpa`, which
-the verifier reads too; this module only builds the SDP. `scipy.sparse` is
-imported in `stack_problem`, which builds A, and not at module level, so
-that importing the package costs no scipy (~0.3 s on a 2-vCPU host).
+The contraction blocks' coefficients come from `cpa`'s definition of the
+contraction matrix, which the verifier reads too; this module only builds
+the SDP. `scipy.sparse` is imported in `stack_problem`, which builds A, and
+not at module level, so importing the package costs no scipy (~0.3 s).
 """
 
 from __future__ import annotations
@@ -24,20 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpa import (
+    barycentric_derivatives,
+    contraction_table,
     ensure_derivative_bounds,
     enu_coefficient_arrays,
-    sym_basis,
-    triu_layout,
+    orbital_weights,
 )
 from .errors import EmptyComplexError
+from .smallmat import lower_pairs
 
 _SQRT2 = np.sqrt(2.0)
 
 
 def svec_scale(n):
-    """Row scaling of the upper-triangle representation (1 diag, √2 off)."""
-    iu = triu_layout(n)
-    return np.where(iu[0] == iu[1], 1.0, _SQRT2)
+    """Scaling of a size-n block's svec rows: 1 diagonal, sqrt(2) off."""
+    return np.array([1.0 if i == j else _SQRT2 for i, j in lower_pairs(n)])
 
 
 @dataclass(frozen=True)
@@ -210,18 +211,16 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
 
     a_C, a_D = enu_coefficient_arrays(cx, *ensure_derivative_bounds(cx, sys))
     scale = svec_scale(n)
-    iu = triu_layout(n)
     # the triplets' rows and columns in int32 when they fit: no family has
     # 2 P (n+2) S rows
     idx = index_dtype(m, 2 * P * (n + 2) * S)
-    diag_p = np.nonzero(iu[0] == iu[1])[0].astype(idx)
+    diag_p = np.nonzero(scale == 1.0)[0].astype(idx)
     p_idx = np.arange(P, dtype=idx)
 
     slots_sv = cx.vert_slot[cx.simp_verts].astype(idx)  # (S, n+2)
     vxyz = cx.vert_xyz
     f_geo = sys.f_tilde_many(vxyz)                      # (Nv, n+1)
     J_geo = sys.jacobian_many(vxyz)                     # (Nv, n, n)
-    Jv = J_geo[cx.simp_verts]                           # (S, n+2, n, n)
     ftv = f_geo[cx.simp_verts]                          # (S, n+2, n+1)
 
     # per family: (family, size, count, (data, rows, cols), f0, simplex,
@@ -251,8 +250,7 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     # ---- gradient bound (Constraint 3): D/(n+1) +- (w_ij)_l >= 0 ----
     # block order: (simplex, entry p, component l, sign +/-)
     cnt3 = 2 * P * (n + 1) * S
-    beta = np.concatenate([-cx.Xinv.sum(axis=2, keepdims=True), cx.Xinv],
-                          axis=2)                        # (S, n+1 l, n+2 k)
+    beta = barycentric_derivatives(cx.Xinv)             # (S, n+1 l, n+2 k)
     signs = np.array([1.0, -1.0])
     # row index r(s,p,l,sigma) = ((s*P + p)*(n+1) + l)*2 + sigma
     s_idx = np.arange(S, dtype=idx)
@@ -289,28 +287,24 @@ def assemble(cx, sys, eps0, uniform_cd=True, objective="min_c"):
     # ---- contraction (Constraint 5) ----
     cnt5 = (n + 2) * S
     blk5 = np.arange(cnt5, dtype=idx).reshape(S, n + 2)
-    SymP = sym_basis(n)
-    # coefficient of M_p(slot of vertex k): -(Sym_p J + J^T Sym_p)
-    SJ = np.einsum("pab,skbc->skpac", SymP, Jv)
-    T1 = -(SJ + np.swapaxes(SJ, -1, -2))
-    sv1 = T1[..., iu[0], iu[1]] * scale                 # (S, n+2, P, P_rows)
-    rows1 = blk5[:, :, None, None] * P + p_idx[None, None, None, :]
-    cols1 = slots_sv[:, :, None, None] * P + p_idx[None, None, :, None]
-    rows1 = np.broadcast_to(rows1, sv1.shape)
-    cols1 = np.broadcast_to(cols1, sv1.shape)
+    rows5 = blk5[:, :, None, None] * P + p_idx          # (S, n+2, 1, P)
+    # coefficient of M_p(slot of vertex k) in row q: minus the sum of the
+    # Dxf entries that multiply M_p in component q of M Dxf + Dxf^T M
+    coef = np.zeros((len(vxyz), P, P))
+    for q, p, entries in contraction_table(n):
+        coef[:, p, q] = -sum(J_geo[:, r, c] for r, c in entries) * scale[q]
+    sv1 = coef[cx.simp_verts]                           # (S, n+2, P, P_rows)
+    rows1 = np.broadcast_to(rows5, sv1.shape)
+    cols1 = np.broadcast_to(slots_sv[:, :, None, None] * P + p_idx[:, None],
+                            sv1.shape)
 
     # coefficient from the orbital-derivative term: variable M_p(slot of
     # vertex k') enters entry p of block (s, k) with weight gamma[s,k,k']
-    g = np.einsum("skl,slc->skc", ftv, cx.Xinv)          # (S, n+2, n+1)
-    gamma = np.concatenate([-g.sum(axis=2, keepdims=True), g], axis=2)
-    rows2 = np.broadcast_to(
-        blk5[:, :, None, None] * P + p_idx[None, None, None, :],
-        (S, n + 2, n + 2, P))
-    cols2 = np.broadcast_to(
-        slots_sv[:, None, :, None] * P + p_idx[None, None, None, :],
-        (S, n + 2, n + 2, P))
-    data2 = np.broadcast_to((-gamma[..., None]) * scale[None, None, None, :],
-                            (S, n + 2, n + 2, P))
+    gamma = orbital_weights(cx.Xinv, ftv)               # (S, n+2, n+2)
+    shape2 = (S, n + 2, n + 2, P)
+    rows2 = np.broadcast_to(rows5, shape2)
+    cols2 = np.broadcast_to(slots_sv[:, None, :, None] * P + p_idx, shape2)
+    data2 = np.broadcast_to(-gamma[..., None] * scale, shape2)
 
     # C and D columns: -(a_C C + a_D D) I ; F0 block is +I
     rows_cd = (blk5[:, :, None] * P + diag_p[None, None, :])
@@ -412,8 +406,8 @@ def export_sdpa(problem):
                                                 diag + blk, 1.0)
             diag += g.count
         else:
-            iu = triu_layout(g.size)
-            at[:, g.rows] = (len(block_sizes) + blk, iu[0][q], iu[1][q],
+            i, j = np.array(lower_pairs(g.size)).T  # written as (j, i)
+            at[:, g.rows] = (len(block_sizes) + blk, j[q], i[q],
                              svec_scale(g.size)[q])
             block_sizes.extend([g.size] * g.count)
     block_sizes += [-diag] if diag else []

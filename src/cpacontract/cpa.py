@@ -1,14 +1,15 @@
 """Continuous piecewise-affine symmetric-matrix fields on a complex.
 
-The field is determined by one symmetric n x n value per periodic vertex
-slot (upper-triangle storage) and interpolated barycentrically inside each
-simplex. Per-simplex entry gradients are cached; a simplex's orbital
-derivative M' contracts its gradient table with (1, f). The contraction
-matrix M Dxf + Dxf^T M + M' is formed in one place, `CPAMetric.contraction`,
-which the verifier uses. The margin E = a_C C + a_D D of the vertex
-conditions is likewise formed in one place, `enu_coefficient_arrays`, from
-the bounds that `ensure_derivative_bounds` computes from the system on
-every call; nothing caches them.
+The field is one symmetric n x n value per periodic vertex slot, stored
+as its n(n+1)/2 components in `smallmat.lower_pairs` order, interpolated
+barycentrically inside each simplex; entry gradients are cached. The
+contraction matrix M Dxf + Dxf^T M + M' is defined here once, for the
+SDP's coefficients (`assembly.assemble`) and the verifier's values
+(`CPAMetric.contraction`) alike, by `contraction_table` and
+`orbital_weights`. So is the margin E = a_C C + a_D D of the vertex
+conditions, `enu_coefficient_arrays`, from the bounds that
+`ensure_derivative_bounds` computes from the system on every call;
+nothing caches them.
 """
 
 from __future__ import annotations
@@ -17,37 +18,46 @@ import functools
 
 import numpy as np
 
+from .smallmat import lower_pairs
+
 
 @functools.lru_cache(maxsize=None)
-def triu_layout(n):
-    """Row-major upper-triangle index pairs; defines the entry order.
-
-    Cached, so the arrays are shared and read-only."""
-    iu = np.triu_indices(n)
-    for a in iu:
-        a.flags.writeable = False
-    return iu
-
-
-def unpack_symmetric(vals, n):
-    """(..., P) upper triangle -> (..., n, n) symmetric."""
-    vals = np.asarray(vals, dtype=float)
-    iu = triu_layout(n)
-    out = np.zeros(vals.shape[:-1] + (n, n))
-    out[..., iu[0], iu[1]] = vals
-    out[..., iu[1], iu[0]] = vals
-    return out
+def contraction_table(n):
+    """The map M -> M J + J^T M of symmetric n x n M, in components: a
+    (q, p, entries) for each component p of M that component q of the
+    product reads, q and p in `lower_pairs` order, with `entries` the
+    (row, column) of the one or two entries of J whose sum multiplies it.
+    On the diagonal q = (i, i) both terms are J's entry (m, i)."""
+    index = {pair: p for p, (i, j) in enumerate(lower_pairs(n))
+             for pair in ((i, j), (j, i))}
+    terms = {}
+    for q, (i, j) in enumerate(lower_pairs(n)):
+        for m in range(n):
+            # (M J)_ij = sum_m M_im J_mj and (J^T M)_ij = sum_m J_mi M_mj
+            terms.setdefault((q, index[i, m]), []).append((m, j))
+            terms.setdefault((q, index[m, j]), []).append((m, i))
+    return tuple((q, p, tuple(e)) for (q, p), e in sorted(terms.items()))
 
 
-def sym_basis(n):
-    """Stacked basis matrices for the upper-triangle entries: E_ii on the
-    diagonal, E_ij + E_ji off it."""
-    iu = triu_layout(n)
-    P = len(iu[0])
-    out = np.zeros((P, n, n))
-    out[np.arange(P), iu[0], iu[1]] = 1.0
-    out[np.arange(P), iu[1], iu[0]] = 1.0
-    return out
+def barycentric_derivatives(d):
+    """[-sum d, d] on the last axis: the derivatives of a simplex's n+2
+    barycentric coordinates from those, d, of the last n+1, as all n+2 sum
+    to 1; for d = X^-1 (..., n+1, n+1), the coordinates' gradients."""
+    # summed column by column, ~2x as fast as d.sum(axis=-1) and alike
+    return np.concatenate(
+        [-sum(d[..., c] for c in range(d.shape[-1]))[..., None], d], axis=-1)
+
+
+def orbital_weights(Xinv, ft):
+    """gamma (S, k, n+2), the barycentric coordinates' derivatives along
+    (1, f) = ft (S, k, n+1) in the simplices of Xinv (S, n+1, n+1): a CPA
+    field's orbital derivative is M' = sum_k gamma_k M(v_k)."""
+    n1 = ft.shape[-1]
+    # sum_l ft_l Xinv_lc term by term, in order, on (S, k) arrays:
+    # einsum("skl,slc->skc") rounds alike but loops ~8x as long
+    return barycentric_derivatives(np.stack(
+        [sum(ft[..., l] * Xinv[:, None, l, c] for l in range(n1))
+         for c in range(n1)], axis=-1))
 
 
 def ensure_derivative_bounds(cx, sys):
@@ -80,7 +90,7 @@ class CPAMetric:
     """CPA matrix field over a simplicial complex.
 
     Attributes:
-        values        (n_slots, P) upper-triangle vertex values
+        values        (n_slots, P) vertex values as components
         vertex_values (S, n+2, P) values gathered per simplex vertex
         W             (S, P, n+1) per-simplex entry gradients
     """
@@ -104,12 +114,10 @@ class CPAMetric:
         return cls(cx, varmap.metric_values(y))
 
     def contraction(self, sys, sids, lam):
-        """The contraction matrix M Dxf + Dxf^T M + M' at barycentric
-        weights `lam` (S, k, n+2) in the simplices `sids` (S,), with M'
-        the simplex's orbital derivative W (1, f).
-
-        Returns the points (S, k, n+1), M and the matrix (S, k, n, n).
-        """
+        """The points (S, k, n+1) at barycentric weights `lam` (S, k, n+2)
+        in the simplices `sids` (S,), and there M and the contraction
+        matrix M Dxf + Dxf^T M + M' as `smallmat` components, P arrays
+        (S, k) each."""
         cx = self.complex
         n = self.n
         lam = np.asarray(lam, dtype=float)
@@ -118,14 +126,21 @@ class CPAMetric:
         pts = np.einsum("skj,sjd->skd", lam, verts)
         flat = pts.reshape(-1, n + 1)
         ft = sys.f_tilde_many(flat).reshape(S, k, n + 1)
+        vals = self.vertex_values[sids]
+        # A from M' = sum_k gamma_k M(v_k), and M at lam, as components
+        A, M = (list(np.ascontiguousarray(np.moveaxis(x, -1, 0))) for x in (
+            orbital_weights(cx.Xinv[sids], ft) @ vals,
+            np.einsum("skj,sjp->skp", lam, vals)))
+        del ft
         J = sys.jacobian_many(flat).reshape(S, k, n, n)
-        M = unpack_symmetric(
-            np.einsum("skj,sjp->skp", lam, self.vertex_values[sids]), n)
-        Mdot = unpack_symmetric(np.einsum("spl,skl->skp", self.W[sids], ft), n)
-        return pts, M, M @ J + np.swapaxes(J, -1, -2) @ M + Mdot
+        term = np.empty((S, k))
+        for q, p, entries in contraction_table(n):
+            K = sum(J[..., r, c] for r, c in entries)
+            A[q] += np.multiply(K, M[p], out=term)
+        return pts, M, A
 
     def interpolate_batch(self, simplex_ids, lam):
-        """Metric entries for batched (simplex, weights) pairs.
+        """Metric components for batched (simplex, weights) pairs.
 
         `lam` has shape (N, n+2) aligned with `simplex_ids` (N,);
         returns (N, P).

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpa import unpack_symmetric
 from .errors import (
     DomainError,
     LeftDomainError,
     NoConvergenceError,
     NonFiniteStateError,
 )
+from .smallmat import lower_pairs
 
 _DIVERGENCE_GUARD = 1e8
 # Newton shooting's max-norm residual tolerance and step budget
@@ -197,7 +197,8 @@ def contraction_probe(cpa, sys, x0, offset, horizon, steps):
         raise LeftDomainError(f"probe left the domain at t={t}")
     if error is not None:
         raise error
-    M = unpack_symmetric(cpa.interpolate_batch(sids, lam), sys.n)
     delta = other - base
-    q = (delta[:, None, :] @ M @ delta[:, :, None])[:, 0, 0]
+    M = cpa.interpolate_batch(sids, lam)  # components, off-diagonals twice
+    q = sum((1.0 if i == j else 2.0) * delta[:, i] * M[:, p] * delta[:, j]
+            for p, (i, j) in enumerate(lower_pairs(sys.n)))
     return np.sqrt(np.maximum(q, 0.0))

@@ -2,10 +2,10 @@
 eigendecomposition, the Cholesky factor and its inverse, and congruences.
 
 A batch of symmetric or lower triangular k x k blocks is k(k+1)/2 arrays,
-one per lower-triangle entry in `lower_pairs` order, which is the svec
-order of `assembly`: the columns of svec rows are components as they
-stand, and `lower` gives a stack's (..., k, k) as views. Eigenvalues come
-back as k arrays, ascending, and eigenvectors as k columns of k arrays.
+one per lower-triangle entry in `lower_pairs` order, the package's one
+block-entry order: the columns of `assembly`'s svec rows and of `cpa`'s
+metric values are components as they stand. Eigenvalues come back as k
+arrays, ascending, and eigenvectors as k columns of k arrays.
 
 Sizes k <= 3 use closed forms, and no block of size 3 or less reaches a
 stacked matmul, nor LAPACK but in `eigh` at k = 1 (which only tests call
@@ -63,11 +63,6 @@ def _dot(terms):
         if x is not None and y is not None:
             out = x * y if out is None else out + x * y
     return out
-
-
-def lower(mats):
-    """The lower-triangle components of a stack (..., k, k), as views."""
-    return [mats[..., i, j] for i, j in lower_pairs(np.shape(mats)[-1])]
 
 
 def _stacked(a):

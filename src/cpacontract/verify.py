@@ -2,18 +2,23 @@
 sampling of the contraction inequality, vertex-constraint recomputation,
 the Floquet-exponent bound -1/(2C), the interpolation-error check, and an
 advisory boundary-flow report, on the metric's own mesh. Contraction
-matrices and the margin E come from `cpa`, block eigenvalues, L_M among
-them, from `smallmat`; no SDP module (`assembly`, `solver`) is imported.
+matrices, as components by the definition the SDP's coefficients use, and
+the margin E come from `cpa`, block eigenvalues, L_M among them, from
+`smallmat`; no SDP module (`assembly`, `solver`) is imported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cpa import ensure_derivative_bounds, enu_coefficient_arrays
-from .smallmat import eig_max, eigvalsh, gen_eig_max, lower
+from .cpa import (
+    barycentric_derivatives,
+    ensure_derivative_bounds,
+    enu_coefficient_arrays,
+)
+from .smallmat import eig_max, eigvalsh, gen_eig_max
 
 _CLIP = 1e-6
 # the interpolation advisory samples this many simplices
@@ -36,29 +41,20 @@ class VerificationReport:
     vertex_residuals: dict
     interp_worst_ratio: float | None = None
     boundary: dict | None = None
-    notes: list = field(default_factory=list)
 
     def to_dict(self):
-        """JSON-ready fields; a non-finite number, such as `max_lm` of an
-        indefinite metric, is written as null."""
-        out = {
-            "passed": bool(self.passed),
-            "samples": int(self.samples),
-            "seed": int(self.seed),
-            "tol": _json_float(self.tol),
-            "max_lambda_max": _json_float(self.max_lambda_max),
-            "max_lm": _json_float(self.max_lm),
-            "min_metric_eig": _json_float(self.min_metric_eig),
-            "mu_max": _json_float(self.mu_max),
-            "bound_from_C": _json_float(self.bound_from_C),
-            "bound_from_mu": _json_float(self.bound_from_mu),
-            "constants": {k: _json_float(v) for k, v in self.constants.items()},
-            "vertex_residuals": {k: _json_float(v)
-                                 for k, v in self.vertex_residuals.items()},
-            "notes": list(self.notes),
-        }
-        if self.interp_worst_ratio is not None:
-            out["interp_worst_ratio"] = _json_float(self.interp_worst_ratio)
+        """JSON-ready fields, an advisory that did not run left out; a
+        non-finite number, such as `max_lm` of an indefinite metric, is
+        written as null."""
+        out = {"passed": bool(self.passed), "samples": int(self.samples),
+               "seed": int(self.seed)}
+        for key in ("tol", "max_lambda_max", "max_lm", "min_metric_eig",
+                    "mu_max", "bound_from_C", "bound_from_mu",
+                    "interp_worst_ratio"):
+            if getattr(self, key) is not None:
+                out[key] = _json_float(getattr(self, key))
+        for key in ("constants", "vertex_residuals"):
+            out[key] = {k: _json_float(v) for k, v in getattr(self, key).items()}
         if self.boundary is not None:
             out["boundary"] = self.boundary
         return out
@@ -129,7 +125,6 @@ def verify_contraction_sampled(cpa, sys, C, D, samples=100000, seed=12345,
     sids = np.arange(S)
 
     pts, M, A = cpa.contraction(sys, sids, lam)
-    M, A = lower(M), lower(A)
     lmax = eig_max(A).ravel()
     max_lambda_max = float(lmax.max())
     mu = eigvalsh(M)
@@ -147,7 +142,7 @@ def verify_contraction_sampled(cpa, sys, C, D, samples=100000, seed=12345,
 
     # mu_max: largest metric eigenvalue over vertices and samples
     # (lambda_max is convex, so vertex values already dominate); the
-    # values' upper-triangle columns are the metric's components
+    # values' columns are the metric's components
     vert_mu = eigvalsh(cpa.values.T)
     mu_max = float(max(vert_mu[-1].max(), mu[-1].max()))
 
@@ -156,8 +151,8 @@ def verify_contraction_sampled(cpa, sys, C, D, samples=100000, seed=12345,
     _, vm, vA = cpa.contraction(sys, sids, unit)
     C, D = float(C), float(D)
     E = a_C * C + a_D * D
-    res5 = float((eig_max(lower(vA)) + (E + 1.0)[:, None]).max())
-    res2 = float((eig_max(lower(vm)) - C).max())
+    res5 = float((eig_max(vA) + (E + 1.0)[:, None]).max())
+    res2 = float((eig_max(vm) - C).max())
     res3 = float((np.abs(cpa.W).max(axis=(1, 2)) - D / (n + 1.0)).max())
     res4 = float((eps0 - vert_mu[0]).max())
     vertex_residuals = {"bound_M": res2, "grad_bound": res3,
@@ -228,9 +223,7 @@ def boundary_flow_check(cx, sys, samples=20, seed=0, budget=2000):
     else:
         picked = boundary
     sid, k = np.divmod(picked, n + 2)
-    Xinv = cx.Xinv[sid]
-    grad = np.concatenate([-Xinv.sum(axis=2, keepdims=True), Xinv],
-                          axis=2)[np.arange(len(sid)), :, k]
+    grad = barycentric_derivatives(cx.Xinv[sid])[np.arange(len(sid)), :, k]
     normal = -grad / np.linalg.norm(grad, axis=1, keepdims=True)
     face = np.nonzero(drop[k])[1].reshape(-1, n + 1)
     verts = cx.vert_xyz[cx.simp_verts[sid[:, None], face]]

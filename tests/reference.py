@@ -28,9 +28,11 @@ its definitions or lemmas:
   vertex values.
 
 `parse_sdpa` reads the text of `export_sdpa`; `pack_symmetric`,
-`constant_metric` and `metric_at` build and evaluate metrics by hand, and
-`svec` and `unsvec` convert blocks to and from the svec rows of the
-assembled problem.
+`unpack_symmetric`, `constant_metric` and `metric_at` build and evaluate
+metrics by hand, `svec` and `unsvec` convert blocks to and from the svec
+rows of the assembled problem, `lower` takes a stack's components as
+views, and `sym_basis` is the basis of symmetric matrices that the
+components stand for.
 
 The stacked forms state the solver's small-block kernels on (..., k, k)
 stacks, with the operations and their order of the component kernels in
@@ -49,19 +51,13 @@ import itertools
 import numpy as np
 
 from cpacontract.assembly import svec_scale
-from cpacontract.cpa import (
-    CPAMetric,
-    ensure_derivative_bounds,
-    triu_layout,
-    unpack_symmetric,
-)
+from cpacontract.cpa import CPAMetric, ensure_derivative_bounds
 from cpacontract.errors import CpaError
 from cpacontract.smallmat import (
     eig_min,
     eigh,
     gen_eig_max,
     gram_eigh,
-    lower,
     lower_pairs,
 )
 from cpacontract.triangulation import (
@@ -85,16 +81,37 @@ class NotPositiveDefiniteError(CpaError):
     """Metric evaluation produced a matrix that is not positive definite."""
 
 
+def lower(mats):
+    """The components of a stack (..., k, k) in `lower_pairs` order, as
+    views."""
+    return [mats[..., i, j] for i, j in lower_pairs(np.shape(mats)[-1])]
+
+
+def pack_symmetric(mat):
+    """(..., n, n) symmetric -> (..., P) components, the layout of a
+    metric's values."""
+    return np.stack(lower(np.asarray(mat)), axis=-1)
+
+
+def unpack_symmetric(vals, n):
+    """(..., P) components -> (..., n, n) symmetric."""
+    return stack(np.moveaxis(np.asarray(vals, dtype=float), -1, 0))
+
+
+def sym_basis(n):
+    """The symmetric matrices that the components stand for, stacked
+    (P, n, n): E_ii on the diagonal, E_ij + E_ji off it."""
+    return unpack_symmetric(np.eye(n * (n + 1) // 2), n)
+
+
 def svec(mat):
-    """Symmetric (..., n, n) -> scaled upper triangle (..., P), the layout
-    of the problem's rows: off-diagonal entries times sqrt(2)."""
-    n = mat.shape[-1]
-    iu = triu_layout(n)
-    return mat[..., iu[0], iu[1]] * svec_scale(n)
+    """Symmetric (..., n, n) -> scaled components (..., P), the layout of
+    the problem's rows: off-diagonal entries times sqrt(2)."""
+    return pack_symmetric(mat) * svec_scale(mat.shape[-1])
 
 
 def unsvec(vec, n):
-    """Scaled upper triangle (..., P) -> symmetric (..., n, n)."""
+    """Scaled components (..., P) -> symmetric (..., n, n)."""
     return unpack_symmetric(np.asarray(vec) / svec_scale(n), n)
 
 
@@ -239,12 +256,6 @@ def stacked_cone(s, z):
     return v, s_inv, P, steps, gap
 
 
-def pack_symmetric(mat):
-    """(..., n, n) symmetric -> (..., P) upper triangle, row-major."""
-    iu = triu_layout(mat.shape[-1])
-    return mat[..., iu[0], iu[1]]
-
-
 def constant_metric(cx, matrix):
     """The CPA metric with the same value at every vertex."""
     vals = pack_symmetric(np.asarray(matrix, dtype=float))
@@ -319,10 +330,11 @@ def lm_value(cpa, sys, point):
     M Dxf + Dxf^T M + M'_+ with respect to M, in the forward simplex."""
     sid, lam, _ = forward_simplices(cpa, sys, point)[0]
     _, M, A = cpa.contraction(sys, [sid], lam[None, None])
-    if eig_min(lower(M[0, 0])) <= 0.0:
+    M, A = [x[0, 0] for x in M], [x[0, 0] for x in A]
+    if eig_min(M) <= 0.0:
         raise NotPositiveDefiniteError(
             f"metric not positive definite at {point}")
-    return 0.5 * float(gen_eig_max(lower(A[0, 0]), lower(M[0, 0])))
+    return 0.5 * float(gen_eig_max(A, M))
 
 
 def verify_lemma_412_gap(cpa, sys, sid, samples=1000, seed=0):
@@ -335,8 +347,8 @@ def verify_lemma_412_gap(cpa, sys, sid, samples=1000, seed=0):
     sid = [sid]
     _, _, vA = cpa.contraction(sys, sid, np.eye(n + 2)[None])
     _, _, A = cpa.contraction(sys, sid, lam[None])
-    target = np.einsum("sk,kij->sij", lam, vA[0])
-    return float(np.max(np.abs(A[0] - target)))
+    target = np.einsum("sk,kij->sij", lam, stack(vA)[0])
+    return float(np.max(np.abs(stack(A)[0] - target)))
 
 
 def margin_coefficients(cx, sys):

@@ -6,11 +6,7 @@ import scipy.sparse as sp
 
 from cpacontract import assembly
 from cpacontract.assembly import assemble, export_sdpa, stack_problem
-from cpacontract.cpa import (
-    ensure_derivative_bounds,
-    enu_coefficient_arrays,
-    sym_basis,
-)
+from cpacontract.cpa import ensure_derivative_bounds, enu_coefficient_arrays
 from cpacontract.systems import parse_system
 from cpacontract.triangulation import build_complex
 
@@ -19,6 +15,7 @@ from reference import (
     margin_coefficients,
     parse_sdpa,
     svec,
+    sym_basis,
     unsvec,
 )
 
@@ -189,23 +186,40 @@ class TestResidual:
         R = unsvec(res[g.rows][:g.svdim], g.size)
         assert np.allclose(R, -0.01 * np.eye(1))
 
-    def test_matches_direct_cpa_evaluation(self, linear_1d):
-        cx = build_complex([[[-2.0, 1.0]]], linear_1d.T, 2)
-        prob, vmap = assemble(cx, linear_1d, 0.01, uniform_cd=False,
+    # at n = 1 M J + J^T M has no off-diagonal terms; van der Pol (n = 2)
+    # and the synth-3d benchmark's system (n = 3) have them
+    @pytest.mark.parametrize("text, region, K", [
+        ("dim=1; period=6.283185307179586; f1 = -x1 + sin(t)",
+         [[[-2.0, 1.0]]], 2),
+        ("dim=2; period=1; f1 = x2; f2 = -x1 - x2*(x1^2 - 1)",
+         [[[-0.5, 0.5], [-0.5, 0.5]]], 1),
+        ("dim=3; period=1; smoothness=c3; f1 = -x1 + 1.5*x2 + 0.2*x2*x3; "
+         "f2 = -x2 + 1.5*x3 - 0.2*x1*x3; f3 = -x3 + 0.2*x1*x2",
+         [[[-0.5, 0.5]] * 3], 0),
+    ], ids=["linear-1d", "vdp-2d", "synth-3d"])
+    def test_matches_direct_cpa_evaluation(self, text, region, K):
+        sys = parse_system(text)
+        cx = build_complex(region, sys.T, K)
+        prob, vmap = assemble(cx, sys, 0.01, uniform_cd=False,
                               objective="none")
-        a_C, a_D = margin_coefficients(cx, linear_1d)
+        a_C, a_D = margin_coefficients(cx, sys)
         rng = np.random.default_rng(42)
         for _ in range(5):
             y = rng.normal(size=prob.m)
-            direct = constraint_blocks(cx, linear_1d, y, vmap, a_C, a_D, 0.01)
+            direct = constraint_blocks(cx, sys, y, vmap, a_C, a_D, 0.01)
             res = prob.A @ y - prob.f0
             for g in prob.groups:
                 got = res[g.rows]
                 assert np.max(np.abs(got - direct[g.family])) <= 1e-10
-        # negative control: the margin with a_C doubled
-        wrong = constraint_blocks(cx, linear_1d, y, vmap, 2 * a_C, a_D, 0.01)
-        assert not all(np.allclose(res[g.rows], wrong[g.family], atol=1e-10)
-                       for g in prob.groups)
+        # negative controls: the margin with a_C or a_D doubled, where it
+        # is not zero (synth-3d's field is quadratic, so its a_C is)
+        for wrong_C, wrong_D in ((2 * a_C, a_D), (a_C, 2 * a_D)):
+            if (wrong_C == a_C).all() and (wrong_D == a_D).all():
+                continue
+            wrong = constraint_blocks(cx, sys, y, vmap, wrong_C, wrong_D,
+                                      0.01)
+            assert not all(np.allclose(res[g.rows], wrong[g.family],
+                                       atol=1e-10) for g in prob.groups)
 
     def test_constraint3_implies_w_norm(self, solved_linear):
         # a feasible point satisfies |w|_1 <= D by direct summation

@@ -179,6 +179,17 @@ class TestVerify:
         assert cx.n_slots == cert["n_slots"]
         assert cx.n_simplices == cert["n_simplices"]
 
+    def test_certificate_with_the_dropped_notes_key_verifies(self, cert_path,
+                                                             tmp_path):
+        # certificates written before the report lost its empty `notes`
+        # list hold `"notes": []`; verify reads no field of the report
+        cert = load_certificate(cert_path)
+        assert "notes" not in cert["verification"]
+        cert["verification"]["notes"] = []
+        old = tmp_path / "with_notes.json"
+        old.write_bytes(certificate_bytes(cert))
+        assert cmd_verify(str(old), progress=quiet) == 0
+
 
 class TestFloquet:
     def test_oracle_only(self):

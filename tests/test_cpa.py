@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpacontract.cpa import CPAMetric, unpack_symmetric
+from cpacontract.cpa import CPAMetric, contraction_table
+from cpacontract.smallmat import lower_pairs
 from cpacontract.systems import parse_system
 from cpacontract.triangulation import (FACE_TOL, barycentric_weights,
                                        build_complex)
@@ -14,9 +17,12 @@ from reference import (
     constant_metric,
     forward_simplices,
     lm_value,
+    lower,
     metric_at,
     orbital_derivative_plus,
     pack_symmetric,
+    stack,
+    unpack_symmetric,
 )
 
 
@@ -271,6 +277,7 @@ class TestContraction:
         sids = np.arange(0, cx.n_simplices, 7)
         unit = np.broadcast_to(np.eye(n + 2), (len(sids), n + 2, n + 2))
         pts, M, A = cpa.contraction(vdp, sids, unit)
+        M, A = stack(M), stack(A)
         for i, sid in enumerate(sids):
             vals = cpa.values[cx.vert_slot[cx.simp_verts[sid]]]
             grads = np.linalg.solve(cx.X[sid], vals[1:] - vals[0]).T
@@ -297,6 +304,48 @@ class TestContraction:
         ref = 0.5 * np.linalg.eigvals(np.linalg.solve(M, A)).real.max()
         assert lm_value(cpa, vdp, point) == pytest.approx(ref, rel=1e-12,
                                                           abs=1e-12)
+
+
+class TestContractionTable:
+    """`contraction_table`, the one definition of M -> M J + J^T M in
+    components that the SDP and the verifier share."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_stacked_product(self, n):
+        rng = np.random.default_rng(n)
+        M = rng.normal(size=(40, n, n))
+        M = M + np.swapaxes(M, 1, 2)
+        J = rng.normal(size=(40, n, n))
+        table = contraction_table(n)
+        # each (q, p) once, with one or two Dxf entries
+        assert len({(q, p) for q, p, _ in table}) == len(table)
+        assert all(len(entries) in (1, 2) for _, _, entries in table)
+        comps = lower(M)
+        got = [np.zeros(40) for _ in comps]
+        for q, p, entries in table:
+            got[q] = got[q] + sum(J[:, r, c] for r, c in entries) * comps[p]
+        want = M @ J + np.swapaxes(J, 1, 2) @ M
+        np.testing.assert_allclose(stack(got), want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exact_in_rationals(self, n):
+        rng = np.random.default_rng(10 + n)
+
+        def draw():
+            return Fraction(int(rng.integers(-99, 100)),
+                            int(rng.integers(1, 30)))
+
+        M = [[None] * n for _ in range(n)]
+        for i, j in lower_pairs(n):
+            M[i][j] = M[j][i] = draw()
+        J = [[draw() for _ in range(n)] for _ in range(n)]
+        want = [sum(M[i][m] * J[m][j] + J[m][i] * M[m][j] for m in range(n))
+                for i, j in lower_pairs(n)]
+        comps = [M[i][j] for i, j in lower_pairs(n)]
+        got = [Fraction(0)] * len(comps)
+        for q, p, entries in contraction_table(n):
+            got[q] += sum(J[r][c] for r, c in entries) * comps[p]
+        assert got == want
 
 
 class TestPacking:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cpacontract import expressions, orbits
-from cpacontract.cpa import CPAMetric, unpack_symmetric
+from cpacontract.cpa import CPAMetric
 from cpacontract.errors import (
     DomainError,
     LeftDomainError,
@@ -25,7 +25,7 @@ from cpacontract.orbits import (
 from cpacontract.systems import SystemDefinition, parse_system
 from cpacontract.triangulation import build_complex
 
-from reference import constant_metric, pack_symmetric
+from reference import constant_metric, pack_symmetric, unpack_symmetric
 from test_expressions import _TREES
 
 TWO_PI = 2.0 * np.pi
@@ -516,7 +516,10 @@ class TestDriverMatchesPerStageReference:
         sids, lam = cx.locate_many(np.column_stack([ts, states[:, :, 0]]))
         M = unpack_symmetric(cpa.interpolate_batch(sids, lam), n)
         delta = states[:, :, 1] - states[:, :, 0]
-        q = (delta[:, None, :] @ M @ delta[:, :, None])[:, 0, 0]
+        # delta^T M delta over the lower triangle, an off-diagonal term
+        # twice, in the probe's order (a stacked matmul rounds otherwise)
+        q = sum((1.0 if i == j else 2.0) * delta[:, i] * M[:, i, j]
+                * delta[:, j] for j in range(n) for i in range(j, n))
         d = contraction_probe(cpa, sys, x0, off, sys.T, self.STEPS)
         assert np.array_equal(d, np.sqrt(np.maximum(q, 0.0)))
 

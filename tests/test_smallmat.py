@@ -11,9 +11,9 @@ import pytest
 import scipy.linalg
 
 from cpacontract import smallmat
-from cpacontract.smallmat import lower
 
 from reference import (
+    lower,
     matmul_seq,
     stack,
     stacked_cholesky,

@@ -15,8 +15,8 @@ from cpacontract.solver import (
 from cpacontract.systems import parse_system
 from cpacontract.triangulation import build_complex
 
-from cpacontract.smallmat import lower
 from reference import (
+    lower,
     matmul_seq,
     stack,
     stacked_cone,

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from cpacontract import triangulation
-from cpacontract.cpa import CPAMetric, unpack_symmetric
+from cpacontract.cpa import CPAMetric
 from cpacontract.errors import DisconnectedRegionError, SingularSimplexError
 from cpacontract.triangulation import (
     ScalingMatrix,
@@ -24,6 +24,7 @@ from reference import (
     metric_at,
     reference_shape_constant,
     s_star,
+    unpack_symmetric,
 )
 
 

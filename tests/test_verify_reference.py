@@ -3,18 +3,20 @@
 `verify_reference.json` holds three solved metrics (the criterion-1 level
 of the `solved_linear` fixture, a damped van der Pol field on a short
 period, and the affine 3-D field of `test_pipeline_3d.py`) together with
-the full report the verifier gave for each when they were recorded. The
-metrics are stored, not re-solved, so these tests pin the verifier alone.
-The recorded reports still carry the `margin_ok` field, a check that
-compared the recomputed margin with itself; it is ignored here and must
-stay gone.
+the full report the verifier gave for each. The metrics are stored, not
+re-solved, so these tests pin the verifier alone. The reports no longer
+carry `margin_ok`, a check that compared the recomputed margin with
+itself, and it must stay gone.
 
-To re-record after a deliberate change of the verifier's values, run
-`PYTHONPATH=src python tests/test_verify_reference.py`.
+To re-record the reports after a deliberate change of the verifier's
+values, run `PYTHONPATH=src python tests/test_verify_reference.py`: it
+keeps the stored metrics, C and D. With `--resolve` it solves the metrics
+anew first, for a change of the solver's answers.
 """
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -68,27 +70,31 @@ def reference():
 def test_report_bit_identical(reference, name):
     ref = reference[name]
     got = _report(CASES[name], ref["metric"], ref["C"], ref["D"])
-    want = {k: v for k, v in ref["report"].items() if k != "margin_ok"}
+    want = ref["report"]
     assert "margin_ok" not in got
     assert got == want
     # repr-exact, so a flipped sign of zero shows too
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
-def _record():
-    out = {}
+def _record(resolve=False):
+    """Write each case's report, for its stored metric, C and D, or with
+    `resolve` for those of a new solve."""
+    out = {} if resolve else json.loads(DATA.read_text())
     for name, case in CASES.items():
-        sys0, cx = _setup(case)
-        problem, vmap = assemble(cx, sys0, EPS0, uniform_cd=True,
-                                 objective="min_c")
-        sol = solve(problem)
-        assert sol.status in ("Optimal", "Feasible"), (name, sol.status)
-        C, D = vmap.bound_constants(sol.y)
-        metric = vmap.metric_values(sol.y).tolist()
-        out[name] = {"C": C, "D": D, "metric": metric,
-                     "report": _report(case, metric, C, D)}
+        if resolve:
+            sys0, cx = _setup(case)
+            problem, vmap = assemble(cx, sys0, EPS0, uniform_cd=True,
+                                     objective="min_c")
+            sol = solve(problem)
+            assert sol.status in ("Optimal", "Feasible"), (name, sol.status)
+            C, D = vmap.bound_constants(sol.y)
+            out[name] = {"C": C, "D": D,
+                         "metric": vmap.metric_values(sol.y).tolist()}
+        ref = out[name]
+        ref["report"] = _report(case, ref["metric"], ref["C"], ref["D"])
     DATA.write_text(json.dumps(out, sort_keys=True, indent=1) + "\n")
 
 
 if __name__ == "__main__":
-    _record()
+    _record(resolve="--resolve" in sys.argv[1:])

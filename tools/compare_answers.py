@@ -6,13 +6,17 @@ Usage: python3 tools/compare_answers.py PARENT_DIR CHANGE_DIR
 
 A file whose bytes match prints "identical". A `Solution` (*.solution.json)
 or certificate (*.cert.json) that differs prints whether its invariants are
-equal (status, level, iterations, notes, Schur info and `passed`,
-whichever the file holds) and the largest relative change, in max norm, of
-its numbers: y or the metric values, C, D, the Floquet bound and the
-smallest block eigenvalues. A printed-lines file (*.lines.txt) that
-differs prints whether its commands' exit codes are equal. Any other file
-that differs prints "differs". The exit status is 1 when a file is missing
-on one side or an invariant differs, else 0.
+equal (status, level, iterations, a Solution's notes, Schur info and
+`passed`, whichever the file holds) and the largest relative change, in
+max norm, of its numbers: y or the metric values, C, D, the Floquet bound
+and the smallest block eigenvalues. A certificate or a verification report
+(*.report.json) that differs also prints the largest absolute move of its
+verification's `max_lambda_max`, `max_lm` and each `vertex_residuals`
+entry, and names every other verification field that differs or is on one
+side only. A printed-lines file (*.lines.txt) that differs prints whether
+its commands' exit codes are equal. Any other file that differs prints
+"differs". The exit status is 1 when a file is missing on one side or an
+invariant differs, else 0.
 
 `--golden` checks OUTDIR against GOLDEN (tests/golden/answers.json), which
 holds per file its SHA-256, its invariants, the exit codes of a lines
@@ -42,7 +46,7 @@ INVARIANTS = {
     "status": (("status",), ("solver", "status")),
     "level": ((), ("k",)),
     "iterations": (("iterations",), ("solver", "iterations")),
-    "notes": (("notes",), ("verification", "notes")),
+    "notes": (("notes",), ()),
     "schur": (("schur",), ()),
     "passed": ((), ("verification", "passed")),
 }
@@ -53,6 +57,9 @@ NUMBERS = {
     "floquet_bound": ((), ("floquet_bound",)),
     "block_min_eigs": (("block_min_eigs",), ("solver", "min_block_eig")),
 }
+# verification fields whose absolute moves a differing certificate or
+# report prints, a dict entry by entry
+MOVES = ("max_lambda_max", "max_lm", "vertex_residuals")
 MISSING = object()
 # relative tolerances of the golden check off its fingerprint
 TOLERANCES = {"y": 1e-9, "C": 1e-8, "floquet_bound": 1e-8}
@@ -96,6 +103,38 @@ def _kind(name):
             else 1 if name.endswith(".cert.json") else None)
 
 
+def _leaves(record, prefix=""):
+    """The leaves of nested dicts, by dotted path."""
+    out = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def _verification_moves(old, new):
+    """The absolute moves of the MOVES fields of two verification records,
+    and the other fields that differ or are on one side only."""
+    old, new = _leaves(old), _leaves(new)
+    moves, others = [], []
+    for key in sorted(set(old) | set(new)):
+        a, b = old.get(key, MISSING), new.get(key, MISSING)
+        if key.split(".")[0] in MOVES and MISSING not in (a, b):
+            move = ("null" if None in (a, b)
+                    else f"{abs(float(b) - float(a)):.2g}")
+            moves.append(f"{key} {move}")
+        elif a is MISSING or b is MISSING:
+            others.append(f"{key} only in the "
+                          + ("parent" if b is MISSING else "change"))
+        elif a != b:
+            others.append(key)
+    return ("verification moves: " + ", ".join(moves)
+            + "; other verification fields differing: "
+            + (", ".join(others) or "none"))
+
+
 def _exit_codes(data):
     return [line for line in data.decode().splitlines() if " exit " in line]
 
@@ -109,6 +148,10 @@ def compare(name, old_bytes, new_bytes):
         return ("differs; " + ("same" if equal else "DIFFERENT")
                 + " exit codes"), equal
     kind = _kind(name)
+    if name.endswith(".report.json"):
+        return ("differs; " + _verification_moves(json.loads(old_bytes),
+                                                  json.loads(new_bytes)),
+                True)
     if kind is None:
         return "differs", True
     old, new = json.loads(old_bytes), json.loads(new_bytes)
@@ -126,7 +169,11 @@ def compare(name, old_bytes, new_bytes):
     line = "same " + ", ".join(same)
     if diff:
         line += "; DIFFERENT " + ", ".join(diff)
-    return line + "; largest relative change: " + ", ".join(moves), not diff
+    line += "; largest relative change: " + ", ".join(moves)
+    if kind == 1:
+        line += "; " + _verification_moves(old.get("verification", {}),
+                                           new.get("verification", {}))
+    return line, not diff
 
 
 def fingerprint():
