@@ -5,10 +5,20 @@ advisory boundary-flow report, on the metric's own mesh. Contraction
 matrices, as components by the definition the SDP's coefficients use, and
 the margin E come from `cpa`, block eigenvalues, L_M among them, from
 `smallmat`; no SDP module (`assembly`, `solver`) is imported.
+
+The sampled check streams: it draws and evaluates its samples over chunks
+of whole simplices, at most `_SAMPLE_CHUNK` samples each (a simplex with
+more is a chunk of its own), and keeps only running extremes, so its
+working set is one chunk's, a few MB at k = 3, whatever the budget. Each
+chunk keeps the per-simplex shapes of one batch over all samples, and the
+weights come from one generator in simplex order, so the report has the
+bits of that batch. In its CSV, a sample whose M is not positive definite
+has L_M inf, and every other sample its value.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +31,9 @@ from .cpa import (
 from .smallmat import eig_max, eigvalsh, gen_eig_max
 
 _CLIP = 1e-6
+# the sampled verifier holds at most this many samples at once, unless one
+# simplex has more
+_SAMPLE_CHUNK = 8192
 # the interpolation advisory samples this many simplices
 _INTERP_SIMPLICES = 50
 
@@ -109,10 +122,18 @@ def verify_contraction_sampled(cpa, sys, C, D, samples=100000, seed=12345,
     L_M is <= -1/(2C) + tol, the sampled metric stays above eps0 - tol,
     and all vertex constraints, with the margin E recomputed from the
     complex and the system, hold at tol. `samples` is the total budget,
-    distributed evenly over the simplices. Where a sampled M is not positive definite,
-    L_M is undefined and reported as inf; the eps0 gate fails such a
-    metric. With `csv_path` the samples are dumped as (t, x.., lambda_max,
-    L_M) rows for external plotting.
+    distributed evenly over the simplices. Where a sampled M is not
+    positive definite, L_M is undefined and reported as inf; the eps0 gate
+    fails such a metric. With `csv_path` the samples are dumped as (t,
+    x.., lambda_max, L_M) rows for external plotting, L_M inf in exactly
+    the rows whose M is not positive definite.
+
+    The samples are drawn, evaluated and reduced to running extremes in
+    one pass over chunks of whole simplices, at most `_SAMPLE_CHUNK`
+    samples each (a simplex with more is its own chunk), so the memory
+    held does not grow with the budget; the weights come from one
+    generator in simplex order, so every field has the bits of a single
+    batch over all samples.
     """
     cx = cpa.complex
     a_C, a_D = enu_coefficient_arrays(cx, *ensure_derivative_bounds(cx, sys))
@@ -120,35 +141,54 @@ def verify_contraction_sampled(cpa, sys, C, D, samples=100000, seed=12345,
     n = cx.n
     S = cx.n_simplices
     per = max(1, int(np.ceil(samples / S)))
+    step = max(1, _SAMPLE_CHUNK // per)
     rng = np.random.default_rng(seed)
-    lam = _interior_weights(rng, S * per, n + 2).reshape(S, per, n + 2)
-    sids = np.arange(S)
-
-    pts, M, A = cpa.contraction(sys, sids, lam)
-    lmax = eig_max(A).ravel()
-    max_lambda_max = float(lmax.max())
-    mu = eigvalsh(M)
-    min_metric_eig = float(mu[0].min())
-    lm = (0.5 * gen_eig_max(A, M).ravel() if min_metric_eig > 0.0
-          else np.full(len(lmax), np.inf))
-    max_lm = float(lm.max())
-
-    if csv_path is not None:
-        header = "t," + ",".join(f"x{j}" for j in range(1, n + 1)) \
-            + ",lambda_max,L_M"
-        np.savetxt(csv_path, np.column_stack([pts.reshape(-1, n + 1), lmax,
-                                              lm]),
-                   delimiter=",", header=header, comments="")
+    max_lambda_max = max_lm = mu_top = -np.inf
+    min_metric_eig, definite = np.inf, True
+    with (open(csv_path, "w", encoding="latin1") if csv_path is not None
+          else contextlib.nullcontext()) as fh:
+        if fh is not None:
+            fh.write("t," + ",".join(f"x{j}" for j in range(1, n + 1))
+                     + ",lambda_max,L_M\n")
+        for start in range(0, S, step):
+            sids = np.arange(start, min(start + step, S))
+            lam = _interior_weights(rng, len(sids) * per, n + 2).reshape(
+                len(sids), per, n + 2)
+            pts, M, A = cpa.contraction(sys, sids, lam)
+            lmax = eig_max(A).ravel()
+            mu = eigvalsh(M)
+            # L_M where M is positive definite; gen_eig_max raises at k >= 3
+            # on a chunk with a block that is not
+            pd = mu[0].ravel() > 0.0
+            if pd.all():
+                lm = 0.5 * gen_eig_max(A, M).ravel()
+            else:
+                definite = False
+                lm = np.full(len(lmax), np.inf)
+                if fh is not None and pd.any():
+                    lm[pd] = 0.5 * gen_eig_max(
+                        *([x.ravel()[pd] for x in c] for c in (A, M)))
+            max_lambda_max = np.maximum(max_lambda_max, lmax.max())
+            max_lm = np.maximum(max_lm, lm.max())
+            min_metric_eig = np.minimum(min_metric_eig, mu[0].min())
+            mu_top = np.maximum(mu_top, mu[-1].max())
+            if fh is not None:
+                np.savetxt(fh, np.column_stack([pts.reshape(-1, n + 1), lmax,
+                                                lm]), delimiter=",")
+    max_lambda_max = float(max_lambda_max)
+    # inf once one sampled M is not positive definite, NaN or not elsewhere
+    max_lm = float(max_lm) if definite else np.inf
+    min_metric_eig = float(min_metric_eig)
 
     # mu_max: largest metric eigenvalue over vertices and samples
     # (lambda_max is convex, so vertex values already dominate); the
     # values' columns are the metric's components
     vert_mu = eigvalsh(cpa.values.T)
-    mu_max = float(max(vert_mu[-1].max(), mu[-1].max()))
+    mu_max = float(max(vert_mu[-1].max(), mu_top))
 
     # vertex-constraint recomputation, independent of the solver
     unit = np.broadcast_to(np.eye(n + 2), (S, n + 2, n + 2))
-    _, vm, vA = cpa.contraction(sys, sids, unit)
+    _, vm, vA = cpa.contraction(sys, np.arange(S), unit)
     C, D = float(C), float(D)
     E = a_C * C + a_D * D
     res5 = float((eig_max(vA) + (E + 1.0)[:, None]).max())

@@ -27,7 +27,10 @@ its definitions or lemmas:
   matrix is within E/n, in max-norm, of the barycentric combination of its
   vertex values.
 
-`parse_sdpa` reads the text of `export_sdpa`; `pack_symmetric`,
+`verify_one_pass` is the sampled verifier as one batch over all samples,
+the form that `verify.verify_contraction_sampled` streams over chunks of
+simplices with the same bits. `parse_sdpa` reads the text of
+`export_sdpa`; `pack_symmetric`,
 `unpack_symmetric`, `constant_metric` and `metric_at` build and evaluate
 metrics by hand, `svec` and `unsvec` convert blocks to and from the svec
 rows of the assembled problem, `lower` takes a stack's components as
@@ -51,11 +54,17 @@ import itertools
 import numpy as np
 
 from cpacontract.assembly import svec_scale
-from cpacontract.cpa import CPAMetric, ensure_derivative_bounds
+from cpacontract.cpa import (
+    CPAMetric,
+    ensure_derivative_bounds,
+    enu_coefficient_arrays,
+)
 from cpacontract.errors import CpaError
 from cpacontract.smallmat import (
+    eig_max,
     eig_min,
     eigh,
+    eigvalsh,
     gen_eig_max,
     gram_eigh,
     lower_pairs,
@@ -66,7 +75,7 @@ from cpacontract.triangulation import (
     _permutation_patterns,
     simplex_geometry,
 )
-from cpacontract.verify import _interior_weights
+from cpacontract.verify import VerificationReport, _interior_weights
 
 
 class OutsideDomainError(CpaError):
@@ -419,3 +428,64 @@ def parse_sdpa(text):
     entries = [(*map(int, toks[:4]), toks[4])
                for toks in (ln.split() for ln in lines[4:])]
     return {"m": m, "block_sizes": sizes, "c": c, "entries": entries}
+
+
+def verify_one_pass(cpa, sys, C, D, samples=100000, seed=12345, tol=1e-6,
+                    eps0=0.01, csv_path=None):
+    """`verify_contraction_sampled` with every sample's weights, points, M
+    and contraction matrix held at once, as one batch; L_M is inf at every
+    sample, and in every CSV row, when one sampled M is not positive
+    definite."""
+    cx = cpa.complex
+    a_C, a_D = enu_coefficient_arrays(cx, *ensure_derivative_bounds(cx, sys))
+
+    n = cx.n
+    S = cx.n_simplices
+    per = max(1, int(np.ceil(samples / S)))
+    rng = np.random.default_rng(seed)
+    lam = _interior_weights(rng, S * per, n + 2).reshape(S, per, n + 2)
+    sids = np.arange(S)
+
+    pts, M, A = cpa.contraction(sys, sids, lam)
+    lmax = eig_max(A).ravel()
+    max_lambda_max = float(lmax.max())
+    mu = eigvalsh(M)
+    min_metric_eig = float(mu[0].min())
+    lm = (0.5 * gen_eig_max(A, M).ravel() if min_metric_eig > 0.0
+          else np.full(len(lmax), np.inf))
+    max_lm = float(lm.max())
+
+    if csv_path is not None:
+        header = "t," + ",".join(f"x{j}" for j in range(1, n + 1)) \
+            + ",lambda_max,L_M"
+        np.savetxt(csv_path, np.column_stack([pts.reshape(-1, n + 1), lmax,
+                                              lm]),
+                   delimiter=",", header=header, comments="")
+
+    vert_mu = eigvalsh(cpa.values.T)
+    mu_max = float(max(vert_mu[-1].max(), mu[-1].max()))
+
+    unit = np.broadcast_to(np.eye(n + 2), (S, n + 2, n + 2))
+    _, vm, vA = cpa.contraction(sys, sids, unit)
+    C, D = float(C), float(D)
+    E = a_C * C + a_D * D
+    res5 = float((eig_max(vA) + (E + 1.0)[:, None]).max())
+    res2 = float((eig_max(vm) - C).max())
+    res3 = float((np.abs(cpa.W).max(axis=(1, 2)) - D / (n + 1.0)).max())
+    res4 = float((eps0 - vert_mu[0]).max())
+    vertex_residuals = {"bound_M": res2, "grad_bound": res3,
+                        "pos_def": res4, "contraction": res5}
+
+    bound_C = -1.0 / (2.0 * C)
+    bound_mu = -1.0 / (2.0 * mu_max)
+    passed = (max_lambda_max <= -1.0 + tol
+              and max_lm <= bound_C + tol
+              and min_metric_eig >= eps0 - tol
+              and all(r <= tol for r in vertex_residuals.values()))
+    return VerificationReport(
+        passed=passed, samples=S * per, seed=seed, tol=tol,
+        max_lambda_max=max_lambda_max, max_lm=max_lm,
+        min_metric_eig=min_metric_eig, mu_max=mu_max,
+        bound_from_C=bound_C, bound_from_mu=bound_mu,
+        constants={"C": C, "D": D, "eps0": eps0},
+        vertex_residuals=vertex_residuals)

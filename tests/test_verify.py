@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,12 @@ from cpacontract.cpa import (
     ensure_derivative_bounds,
     enu_coefficient_arrays,
 )
+from cpacontract.smallmat import eigvalsh, gen_eig_max
 from cpacontract.systems import parse_system
 from cpacontract.triangulation import build_complex
 from cpacontract.verify import (
+    _SAMPLE_CHUNK,
+    _interior_weights,
     boundary_flow_check,
     verify_contraction_sampled,
     verify_interpolation_bound,
@@ -19,7 +24,9 @@ from reference import (
     constant_metric,
     margin_coefficients,
     margin_coefficients_consistent,
+    pack_symmetric,
     verify_lemma_412_gap,
+    verify_one_pass,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -120,6 +127,169 @@ class TestContractionSampled:
         assert rep.vertex_residuals["contraction"] == pytest.approx(
             residual(cubic), rel=1e-12, abs=0.0)
         assert residual(cubic) > residual(affine)
+
+
+SYNTH_3D_TEXT = ("dim=3; period=1; smoothness=c3; "
+                 "f1 = -x1 + 1.5*x2 + 0.2*x2*x3; "
+                 "f2 = -x2 + 1.5*x3 - 0.2*x1*x3; "
+                 "f3 = -x3 + 0.2*x1*x2")
+SYNTH_3D_REGION = [[[-0.5, 0.5]] * 3]
+
+
+def _varied_metric(cx, seed, shift=2.0):
+    """A CPA metric whose vertex values are shift * I plus a random
+    symmetric matrix with entries in [-0.5, 0.5]."""
+    n = cx.n
+    G = np.random.default_rng(seed).uniform(-0.5, 0.5, (cx.n_slots, n, n))
+    return CPAMetric(cx, pack_symmetric(
+        0.5 * (G + np.swapaxes(G, 1, 2)) + shift * np.eye(n)))
+
+
+def _chunk_step(cx, samples):
+    """Simplices per chunk of the sampled verifier."""
+    per = max(1, int(np.ceil(samples / cx.n_simplices)))
+    return max(1, _SAMPLE_CHUNK // per)
+
+
+def _sampled_pd(cpa, sys, samples, seed):
+    """Per sample, in CSV row order: whether M is positive definite, and
+    L_M where it is, from one batch over every sample."""
+    cx = cpa.complex
+    S, n = cx.n_simplices, cx.n
+    per = max(1, int(np.ceil(samples / S)))
+    lam = _interior_weights(np.random.default_rng(seed), S * per,
+                            n + 2).reshape(S, per, n + 2)
+    _, M, A = cpa.contraction(sys, np.arange(S), lam)
+    pd = eigvalsh(M)[0].ravel() > 0.0
+    lm = 0.5 * gen_eig_max(*([x.ravel()[pd] for x in c] for c in (A, M)))
+    return pd, lm
+
+
+def _same_report(a, b):
+    # repr-exact, so a flipped sign of zero shows too
+    assert repr(a.to_dict()) == repr(b.to_dict())
+    assert repr(a.max_lm) == repr(b.max_lm)
+
+
+class TestStreamedMatchesOnePass:
+    """The verifier streams its samples over chunks of whole simplices;
+    every report field and the CSV keep the bits of one batch over all
+    samples (`reference.verify_one_pass`)."""
+
+    @pytest.fixture(scope="class")
+    def meshes(self, solved_linear, vdp):
+        sys3 = parse_system(SYNTH_3D_TEXT)
+        cx2 = build_complex([[[-1.0, 1.0], [-1.0, 1.0]]], vdp.T, 1)
+        cx3 = build_complex(SYNTH_3D_REGION, sys3.T, 0)
+        return {1: (solved_linear["cpa"], solved_linear["sys"], 2.0, 0.5),
+                2: (_varied_metric(cx2, 2), vdp, 3.0, 1.0),
+                3: (_varied_metric(cx3, 3), sys3, 3.0, 1.0)}
+
+    @pytest.mark.parametrize("n, samples", [(1, 20000), (2, 20000),
+                                            (3, 100000)])
+    def test_every_field_and_csv(self, meshes, n, samples, tmp_path):
+        cpa, sys, C, D = meshes[n]
+        # the last chunk is shorter than the others
+        step = _chunk_step(cpa.complex, samples)
+        assert 1 < step < cpa.complex.n_simplices
+        assert cpa.complex.n_simplices % step != 0
+        got = verify_contraction_sampled(cpa, sys, C, D, samples=samples,
+                                         seed=9, csv_path=tmp_path / "a.csv")
+        want = verify_one_pass(cpa, sys, C, D, samples=samples, seed=9,
+                               csv_path=tmp_path / "b.csv")
+        _same_report(got, want)
+        assert np.isfinite(got.max_lm)
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
+
+    def test_simplex_above_the_chunk(self, tmp_path):
+        # per > _SAMPLE_CHUNK: each simplex is a chunk of its own
+        sys = parse_system("dim=1; period=1; f1 = -x1 + x1^3",
+                           check_periodic=False)
+        cx = build_complex([[[0.0, 1.0]]], 1.0, 0)
+        cpa = _varied_metric(cx, 4)
+        samples = cx.n_simplices * (_SAMPLE_CHUNK + 100)
+        assert _chunk_step(cx, samples) == 1
+        got = verify_contraction_sampled(cpa, sys, 3.0, 1.0, samples=samples,
+                                         seed=2, csv_path=tmp_path / "a.csv")
+        want = verify_one_pass(cpa, sys, 3.0, 1.0, samples=samples, seed=2,
+                               csv_path=tmp_path / "b.csv")
+        _same_report(got, want)
+        assert got.samples > _SAMPLE_CHUNK * cx.n_simplices
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_csv_of_a_metric_not_positive_definite(self, meshes, n,
+                                                   tmp_path):
+        # one vertex value negated: L_M is inf in exactly the rows whose M
+        # is not positive definite, as are max_lm and (in one batch) every
+        # row; the other columns keep their bytes
+        cpa0, sys, C, D = meshes[n]
+        values = cpa0.values.copy()
+        values[3] = -values[3]
+        cpa = CPAMetric(cpa0.complex, values)
+        got = verify_contraction_sampled(cpa, sys, C, D, samples=20000,
+                                         seed=5, csv_path=tmp_path / "a.csv")
+        want = verify_one_pass(cpa, sys, C, D, samples=20000, seed=5,
+                               csv_path=tmp_path / "b.csv")
+        _same_report(got, want)
+        assert got.max_lm == np.inf and not got.passed
+        rows = [(tmp_path / name).read_text().splitlines()
+                for name in ("a.csv", "b.csv")]
+        assert rows[0][0] == rows[1][0]
+        assert [r.rsplit(",", 1)[0] for r in rows[0]] == \
+            [r.rsplit(",", 1)[0] for r in rows[1]]
+        assert all(r.endswith(",inf") for r in rows[1][1:])
+        lm = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1)[:, -1]
+        pd, want_lm = _sampled_pd(cpa, sys, 20000, 5)
+        assert 0 < pd.sum() < len(pd)
+        np.testing.assert_array_equal(np.isinf(lm), ~pd)
+        assert lm[pd].tobytes() == want_lm.tobytes()
+
+    @pytest.mark.parametrize("csv", [False, True])
+    def test_indefinite_only_in_the_last_chunk(self, meshes, csv, tmp_path):
+        # at k = 3 gen_eig_max raises on a block that is not positive
+        # definite; a slot met only by the last chunk's simplices is
+        # negated, so every earlier chunk is definite
+        cpa0, sys, C, D = meshes[3]
+        cx = cpa0.complex
+        samples = cx.n_simplices * (_SAMPLE_CHUNK // (cx.n_simplices // 2))
+        step = _chunk_step(cx, samples)
+        last = (cx.n_simplices - 1) // step * step
+        assert last > 0
+        slots = cx.vert_slot[cx.simp_verts]
+        outside = set(slots[:last].ravel())
+        slot = next(s for s in slots[last:].ravel() if s not in outside)
+        values = cpa0.values.copy()
+        values[slot] = -values[slot]
+        cpa = CPAMetric(cx, values)
+        path = tmp_path / "a.csv" if csv else None
+        got = verify_contraction_sampled(cpa, sys, C, D, samples=samples,
+                                         seed=6, csv_path=path)
+        want = verify_one_pass(cpa, sys, C, D, samples=samples, seed=6)
+        _same_report(got, want)
+        assert got.max_lm == np.inf
+        assert got.min_metric_eig < 0.0
+        assert not got.passed
+
+
+def test_verifier_memory_does_not_grow_with_the_budget():
+    # the traced peak inside the verifier on the synth-3d mesh: a chunk's
+    # worth of samples, not the budget's
+    sys = parse_system(SYNTH_3D_TEXT)
+    cpa = constant_metric(build_complex(SYNTH_3D_REGION, sys.T, 0),
+                          np.eye(3))
+    peaks = []
+    for samples in (100000, 400000):
+        tracemalloc.start()
+        try:
+            verify_contraction_sampled(cpa, sys, 3.0, 1.0, samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 8e6
+    assert peaks[1] - peaks[0] < 1e6
 
 
 class TestInterpolationBound:
