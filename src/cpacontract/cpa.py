@@ -143,7 +143,8 @@ class CPAMetric:
         """Metric components for batched (simplex, weights) pairs.
 
         `lam` has shape (N, n+2) aligned with `simplex_ids` (N,);
-        returns (N, P).
+        returns (N, P), by the rule of `contraction`'s M and with its bits.
         """
         lam = np.asarray(lam, dtype=float)
-        return (lam[:, None, :] @ self.vertex_values[simplex_ids])[:, 0]
+        return np.einsum("skj,sjp->skp", lam[:, None, :],
+                         self.vertex_values[simplex_ids])[:, 0]

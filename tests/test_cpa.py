@@ -305,6 +305,28 @@ class TestContraction:
         assert lm_value(cpa, vdp, point) == pytest.approx(ref, rel=1e-12,
                                                           abs=1e-12)
 
+    @pytest.mark.parametrize("region, K", [([[-2.0, 1.0]], 5),
+                                           ([[-1.0, 1.0], [-1.0, 1.0]], 1),
+                                           ([[-0.5, 0.5]] * 3, 0)])
+    @pytest.mark.parametrize("per", [1, 7])
+    def test_one_interpolation_rule(self, region, K, per):
+        # the probes' M (interpolate_batch) has the bits of the verifier's
+        # (contraction) at the same (simplex, weights), in any order
+        cx = build_complex([region], 1.0, K)
+        cpa = random_metric(cx, seed=6)
+        n, S = cx.n, cx.n_simplices
+        rng = np.random.default_rng(per)
+        lam = rng.dirichlet(np.ones(n + 2), size=(S, per))
+        sys = parse_system(f"dim={n}; period=1; "
+                           + "; ".join(f"f{j} = -x{j}" for j in
+                                       range(1, n + 1)))
+        _, M, _ = cpa.contraction(sys, np.arange(S), lam)
+        M = np.stack(M, axis=-1).reshape(S * per, -1)
+        order = rng.permutation(S * per)
+        got = cpa.interpolate_batch(np.repeat(np.arange(S), per)[order],
+                                    lam.reshape(S * per, n + 2)[order])
+        assert got.tobytes() == M[order].tobytes()
+
 
 class TestContractionTable:
     """`contraction_table`, the one definition of M -> M J + J^T M in
