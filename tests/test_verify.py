@@ -166,7 +166,8 @@ def _sampled_pd(cpa, sys, samples, seed):
 
 
 def _same_report(a, b):
-    # repr-exact, so a flipped sign of zero shows too
+    # repr-exact, so a flipped sign of zero shows too; to_dict writes inf
+    # and NaN alike as null
     assert repr(a.to_dict()) == repr(b.to_dict())
     assert repr(a.max_lm) == repr(b.max_lm)
 
