@@ -272,6 +272,13 @@ class _FactorizationError(Exception):
     pass
 
 
+def _ranges(first, size):
+    """The index ranges [first, first + size), one after another."""
+    out = np.repeat(first - (np.cumsum(size) - size), size)
+    out += np.arange(len(out))
+    return out
+
+
 def _frame_classes(A, cones, m):
     """Frames of the Schur plan, batched into classes.
 
@@ -280,10 +287,14 @@ def _frame_classes(A, cones, m):
     simplex; its local columns are the sorted distinct variables it touches.
     A cone's frames with the same width and block count form a class; the
     classes go by width, then cone (the last first), then block count. Per
-    class: `cols` (frames, width) variables, the `cone` index, the block
-    selection `sel`, the dense local rows `A` (blocks, svdim, width), `cnt`
-    blocks per frame and `svdim`, and the buffers `C` and `G` of at most
-    `_FRAME_CHUNK` frames.
+    class: `cols` (frames, width) variables, which only the plan's set-up
+    reads; the `cone` index and its first row `row0` in A; the block
+    selection `sel`; `cnt` blocks per frame, `svdim` and `width`; `local`,
+    the selected blocks' entries of A, block by block in storage order, as
+    small ints q * width + c, the entry's place in its block's dense local
+    rows (svdim, width); `spans`, the first of those entries of each chunk
+    of at most `_FRAME_CHUNK` frames, and their end; and one chunk's
+    buffers: `rows` for the dense local rows, `C` and `G`.
     """
     classes = []
     for ci, rows, simplex, d in cones:
@@ -292,13 +303,15 @@ def _frame_classes(A, cones, m):
         f[solo] = f.max(initial=-1) + 1 + np.arange(solo.sum())
         nfr = int(f.max(initial=-1)) + 1
         f = f.astype(index_dtype(nfr * m))  # the dtype of the frame keys
-        row, col, val = row_entries(A, rows)
+        row, col, _ = row_entries(A, rows)
         blk, q = np.divmod(row, d)
         ukey, inv = np.unique(f[blk] * m + col, return_inverse=True)
         ufr, ucol = np.divmod(ukey, m)
         width = np.bincount(ufr, minlength=nfr)
         start = np.cumsum(width) - width
         local = (np.arange(len(ukey)) - start[ufr])[inv.ravel()]
+        # a block's svdim rows are one run of A's storage
+        ptr = A.indptr[rows.start:rows.stop + 1:d] - A.indptr[rows.start]
         sig, cls_of = np.unique(np.stack(
             [width, np.bincount(f, minlength=nfr)], axis=1),
             axis=0, return_inverse=True)
@@ -307,16 +320,19 @@ def _frame_classes(A, cones, m):
             (w, cnt), frames = sig[c].tolist(), np.nonzero(cls_of == c)[0]
             b = np.nonzero(cls_of[f] == c)[0]
             b = b[np.argsort(f[b], kind="stable")]
-            slot = np.full(len(f), -1)
-            slot[b] = np.arange(len(b))
-            on = slot[blk] >= 0
-            A_loc = np.bincount((slot[blk[on]] * d + q[on]) * w + local[on],
-                                weights=val[on], minlength=len(b) * d * w)
+            size = ptr[b + 1] - ptr[b]
+            ent = _ranges(ptr[b], size)
             chunk = min(len(frames), _FRAME_CHUNK)
+            ends = np.append(0, np.cumsum(size))
             classes.append(((w, -ci, cnt), {
                 "cols": ucol[start[frames][:, None] + np.arange(w)],
-                "cone": ci, "sel": b, "A": A_loc.reshape(-1, d, w),
-                "cnt": cnt, "svdim": d,
+                "cone": ci, "row0": rows.start,
+                "sel": b.astype(index_dtype(len(f))),
+                "cnt": cnt, "svdim": d, "width": w,
+                "local": (q[ent] * w + local[ent]).astype(
+                    np.min_scalar_type(d * w - 1)),
+                "spans": np.append(ends[:-1:chunk * cnt], ends[-1]),
+                "rows": np.empty((chunk * cnt, d, w)),
                 "C": np.empty((chunk, cnt * d, w)),
                 "G": np.empty((chunk, w, w))}))
     return [cls for _, cls in sorted(classes, key=lambda kc: kc[0])]
@@ -368,9 +384,11 @@ class _SchurPlan:
 
     def __init__(self, segs, order=None, border=0):
         self.m = m = segs.m
-        self.classes = _frame_classes(
-            segs.A, [(ci, sl, segs.simplex[ci], k * (k + 1) // 2)
-                     for ci, k, _, sl in segs.seg_slices() if k > 1], m)
+        self.A = segs.A
+        self.classes = _frame_classes(segs.A, [
+            (ci, sl, np.concatenate([g.simplex for g in segs.groups
+                                     if g.size == k]), k * (k + 1) // 2)
+            for ci, k, _, sl in segs.seg_slices() if k > 1], m)
         if order is None:  # no band: every variable is in the border
             order, border = np.arange(m), m
         self.order = np.append(order, m).astype(np.int64)
@@ -383,11 +401,13 @@ class _SchurPlan:
             (_MAX_BAND + 1) * self.ns + self.nb * (m + 1)))
         pairs = []  # (row, column) positions of the lower-triangle terms
         for cls in self.classes:
-            w = cls["cols"].shape[1]
+            w = cls["width"]
             il0, il1 = np.tril_indices(w)
             cls["lower"] = il0 * w + il1
-            pairs.append((pos[cls["cols"][:, il0]].ravel(),
-                          pos[cls["cols"][:, il1]].ravel()))
+            cols = cls.pop("cols")  # only the set-up reads the variables
+            cls["frames"] = len(cols)
+            pairs.append((pos[cols[:, il0]].ravel(), pos[cols[:, il1]].ravel()))
+            del cols
         if segs.sizes[0] == 1:
             ci, cj, coef, per_row = _scalar_pairs(segs.A, segs.rows[0])
             pairs.append((pos[ci], pos[cj]))
@@ -405,6 +425,7 @@ class _SchurPlan:
             raise _FactorizationError(
                 f"Schur bandwidth {self.bandwidth} exceeds {_MAX_BAND}")
         self.row0 = (self.bandwidth + 1) * self.ns
+        self.size = self.row0 + self.nb * (m + 1)  # of the formed buffer
 
         def targets(a, b):
             # the branch that np.where drops may wrap around; it is unused
@@ -416,7 +437,7 @@ class _SchurPlan:
         if segs.sizes[0] == 1:
             # K maps d onto the distinct targets, one column per block
             t = targets(*pairs.pop())
-            hit = np.zeros(self.row0 + self.nb * (m + 1), dtype=bool)
+            hit = np.zeros(self.size, dtype=bool)
             hit[t] = True
             self.lp_targets = np.flatnonzero(hit)
             rank = np.cumsum(hit, dtype=np.int32) - 1
@@ -426,41 +447,52 @@ class _SchurPlan:
                 (coef, rank[t], np.append(0, np.cumsum(per_row))),
                 shape=(len(self.lp_targets), segs.counts[0]))
             del t, hit, rank
-        # intp, the one index dtype that np.bincount reads without a copy
-        self.targets = np.empty(sum(len(a) for a, _ in pairs), dtype=np.intp)
+        self.targets = np.empty(sum(len(a) for a, _ in pairs),
+                                dtype=index_dtype(self.size))
         at = 0
         while pairs:  # one at a time, to keep the temporaries small
             t = targets(*pairs.pop(0))
             self.targets[at:at + len(t)] = t
             at += len(t)
-        self.weights = np.empty(len(self.targets))
         self.info = ({"kind": "banded", "bandwidth": self.bandwidth,
                       "border": self.nb} if self.ns else
                      {"kind": "dense", "bandwidth": None, "border": 0})
+
+    def local_rows(self, cls, i):
+        """The dense local rows (blocks, svdim, width) of chunk i of the
+        class `cls`, rebuilt from A's entries in the chunk's buffer."""
+        cnt, d, w = cls["cnt"], cls["svdim"], cls["width"]
+        blocks = slice(i * len(cls["G"]) * cnt, (i + 1) * len(cls["G"]) * cnt)
+        first = self.A.indptr[cls["row0"] + cls["sel"][blocks] * d]
+        size = self.A.indptr[cls["row0"] + cls["sel"][blocks] * d + d] - first
+        at = np.repeat(np.arange(0, len(size) * d * w, d * w), size)
+        at += cls["local"][cls["spans"][i]:cls["spans"][i + 1]]
+        out = cls["rows"][:len(size)]
+        out.fill(0.0)
+        out.reshape(-1)[at] = self.A.data[_ranges(first, size)]
+        return out
 
     def form(self, weights, tau_col=None):
         """The stored lower triangle of G for the cones' scalings: d of the
         linear cone, the svec map P of each matrix cone; `tau_col` is G's
         tau column in phase 1."""
-        off = 0
+        buf = np.zeros(self.size)
+        at = 0
         for cls in self.classes:
-            nf, w = cls["cols"].shape
-            cnt, d, nl = cls["cnt"], cls["svdim"], len(cls["lower"])
-            for a in range(0, nf, len(cls["G"])):
+            nf, w, cnt, d = cls["frames"], cls["width"], cls["cnt"], cls["svdim"]
+            for i, a in enumerate(range(0, nf, len(cls["G"]))):
                 k = min(nf - a, len(cls["G"]))
-                blocks = slice(a * cnt, (a + k) * cnt)
                 C, G = cls["C"][:k], cls["G"][:k]
-                np.matmul(weights[cls["cone"]][cls["sel"][blocks]].reshape(
-                    k, cnt, d, d), cls["A"][blocks].reshape(k, cnt, d, w),
+                np.matmul(weights[cls["cone"]][
+                    cls["sel"][a * cnt:(a + k) * cnt]].reshape(k, cnt, d, d),
+                    self.local_rows(cls, i).reshape(k, cnt, d, w),
                     out=C.reshape(k, cnt, d, w))
                 np.matmul(C.transpose(0, 2, 1), C, out=G)
-                np.take(G.reshape(k, w * w), cls["lower"], axis=1,
-                        out=self.weights[off + a * nl:off + (a + k) * nl
-                                         ].reshape(k, nl))
-            off += nf * nl
-        buf = np.bincount(self.targets, weights=self.weights,
-                          minlength=self.row0 + self.nb * (self.m + 1)
-                          ).astype(float, copy=False)
+                lower = G.reshape(k, w * w)[:, cls["lower"]].ravel()
+                # each target's terms go in index order, chunk after chunk:
+                # the sums of one bincount over all chunks, bit for bit
+                np.add.at(buf, self.targets[at:at + len(lower)], lower)
+                at += len(lower)
         if self.K is not None:
             buf[self.lp_targets] += self.K @ weights[0]
         if tau_col is not None:
@@ -564,8 +596,6 @@ class _Segments:
         self.sizes = sorted({g.size for g in groups})
         by_size = [[g for g in groups if g.size == k] for k in self.sizes]
         self.counts = [sum(g.count for g in gs) for gs in by_size]
-        self.simplex = [np.concatenate([g.simplex for g in gs])
-                        for gs in by_size]
         self.rows = [slice(gs[0].rows.start, gs[-1].rows.stop)
                      for gs in by_size]
         self.Ntot = sum(n * k for n, k in zip(self.counts, self.sizes))

@@ -200,20 +200,44 @@ class TestScatterAssembly:
 
 class TestChunkedFormation:
     """`form` runs each frame class in chunks of at most `_FRAME_CHUNK`
-    frames, and every frame's product stays the one of a single batch."""
+    frames, rebuilds a chunk's dense local rows from A's entries and adds
+    its lower triangles into G's buffer: the buffer keeps the bits of one
+    batch per class and one bincount over all the terms."""
+
+    @staticmethod
+    def _local_rows(A, cls):
+        """The dense local rows (blocks, svdim, width) of all the class's
+        frames, from A's rows frame by frame: a frame's local columns are
+        the sorted distinct variables of its rows."""
+        cnt, d, w = cls["cnt"], cls["svdim"], cls["width"]
+        out = np.zeros((len(cls["sel"]), d, w))
+        for j in range(cls["frames"]):
+            blocks = cls["sel"][j * cnt:(j + 1) * cnt]
+            rows = A[(cls["row0"] + blocks[:, None] * d
+                      + np.arange(d)).ravel()]
+            cols = np.unique(rows.indices)
+            assert len(cols) == w
+            out[j * cnt:(j + 1) * cnt] = rows[:, cols].toarray().reshape(
+                cnt, d, w)
+        return out
 
     def _one_batch(self, plan, weights):
-        """The plan's lower-triangle weights, each class in one batch."""
-        out = []
+        """G's buffer from each class in one batch and one bincount over
+        all the lower-triangle terms."""
+        terms = []
         for cls in plan.classes:
-            nf, w = cls["cols"].shape
-            cnt, d = cls["cnt"], cls["svdim"]
+            nf, w, cnt, d = (cls["frames"], cls["width"], cls["cnt"],
+                             cls["svdim"])
             C = np.matmul(weights[cls["cone"]][cls["sel"]].reshape(
-                nf, cnt, d, d), cls["A"].reshape(nf, cnt, d, w)).reshape(
-                nf, cnt * d, w)
+                nf, cnt, d, d), self._local_rows(plan.A, cls).reshape(
+                nf, cnt, d, w)).reshape(nf, cnt * d, w)
             G = np.matmul(C.transpose(0, 2, 1), C)
-            out.append(G.reshape(nf, w * w)[:, cls["lower"]].ravel())
-        return np.concatenate(out)
+            terms.append(G.reshape(nf, w * w)[:, cls["lower"]].ravel())
+        buf = np.bincount(plan.targets, weights=np.concatenate(terms),
+                          minlength=plan.size)
+        if plan.K is not None:
+            buf[plan.lp_targets] += plan.K @ weights[0]
+        return buf
 
     @pytest.mark.parametrize("uniform", [True, False])
     def test_chunks_give_the_one_batch_bytes(self, osc_2d, uniform,
@@ -223,21 +247,18 @@ class TestChunkedFormation:
         segs = _Segments(problem)
         weights = _plan_weights(_random_scalings(segs,
                                                  np.random.default_rng(6)))
-        monkeypatch.setattr(solver, "_FRAME_CHUNK", 7)
-        _, plan = _plan(problem, "banded")
-        frames = [len(cls["cols"]) for cls in plan.classes]
-        assert all(len(cls["C"]) == len(cls["G"]) == min(nf, 7)
-                   for cls, nf in zip(plan.classes, frames))
+        frames = [cls["frames"] for cls in _plan(problem, "banded")[1].classes]
         assert any(nf > 7 and nf % 7 for nf in frames)
-        buf = plan.form(weights)
-        assert plan.weights.tobytes() == self._one_batch(
-            plan, weights).tobytes()
-        monkeypatch.setattr(solver, "_FRAME_CHUNK", max(frames))
-        _, whole = _plan(problem, "banded")
-        assert all(len(cls["C"]) == nf
-                   for cls, nf in zip(whole.classes, frames))
-        assert buf.tobytes() == whole.form(weights).tobytes()
-
+        for chunk in (1, 7, max(frames)):
+            monkeypatch.setattr(solver, "_FRAME_CHUNK", chunk)
+            _, plan = _plan(problem, "banded")
+            for cls, nf in zip(plan.classes, frames):
+                assert cls["frames"] == nf
+                assert len(cls["C"]) == len(cls["G"]) == min(nf, chunk)
+                assert len(cls["rows"]) == min(nf, chunk) * cls["cnt"]
+                assert len(cls["spans"]) == -(-nf // chunk) + 1
+            assert plan.form(weights).tobytes() == self._one_batch(
+                plan, weights).tobytes()
 
 class TestBandSolves:
     def test_one_band_solve_fewer_per_iteration(self, solved_linear,
@@ -387,6 +408,15 @@ class TestRidge:
             1e-10 * np.abs(ref).max() * np.abs(x).max())
 
 
+@pytest.fixture(scope="module")
+def osc_2d_k6():
+    """The problem and variable map of OSC_2D_CONFIG at K=6."""
+    config = Config.from_dict(OSC_2D_CONFIG)
+    sys0 = config.build_system()
+    return _mesh_problem(sys0, config.region, 6, True, "none",
+                         config.scaling_matrix(sys0.n))
+
+
 class TestSchurOrder:
     @pytest.mark.parametrize("uniform, objective", [
         (True, "min_c"), (True, "none"), (False, "min_c"), (False, "none")])
@@ -420,11 +450,8 @@ class TestSchurOrder:
         assert solved_linear["sol"].schur == {"kind": "banded",
                                               "bandwidth": 37, "border": 3}
 
-    def test_large_problem_reports_banded_plan(self):
-        config = Config.from_dict(OSC_2D_CONFIG)
-        sys0 = config.build_system()
-        problem, vmap = _mesh_problem(sys0, config.region, 6, True, "none",
-                                      config.scaling_matrix(sys0.n))
+    def test_large_problem_reports_banded_plan(self, osc_2d_k6):
+        problem, vmap = osc_2d_k6
         # the 248,832 scalar grad_bound blocks keep no dense rows, so the
         # simplex class holds the contraction blocks' 12 rows per frame
         plan = _SchurPlan(_Segments(problem), problem.schur_order,
@@ -432,7 +459,7 @@ class TestSchurOrder:
         # C and G hold one chunk of frames: the simplex class's 13,824
         # frames of width 14 run in chunks
         chunk = solver._FRAME_CHUNK
-        assert max(len(cls["cols"]) for cls in plan.classes) > chunk
+        assert max(cls["frames"] for cls in plan.classes) > chunk
         assert max(cls["C"].nbytes + cls["G"].nbytes
                    for cls in plan.classes) <= chunk * (12 + 14) * 14 * 8
         assert plan.K.shape[1] == next(g.count for g in problem.groups
@@ -456,6 +483,20 @@ class TestSchurOrder:
         coo = pattern[perm][:, perm].tocoo()
         rcm = int(np.abs(coo.row - coo.col).max())
         assert sol.schur["bandwidth"] < rcm
+
+    def test_plan_holds_less_than_A(self, osc_2d_k6):
+        # no weights array and no dense copy of A's matrix rows: the plan's
+        # arrays, its chunk buffers included and the linear cone's K aside,
+        # take fewer bytes than A
+        problem, _ = osc_2d_k6
+        plan = _SchurPlan(_Segments(problem), problem.schur_order,
+                          problem.schur_border)
+        held = [x for x in vars(plan).values() if isinstance(x, np.ndarray)]
+        held += [x for cls in plan.classes for x in cls.values()
+                 if isinstance(x, np.ndarray)]
+        A = problem.A
+        assert sum(x.nbytes for x in held) < (
+            A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
 def test_oscillator_answers_on_the_banded_path():
