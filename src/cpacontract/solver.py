@@ -56,6 +56,7 @@ from .assembly import index_dtype, row_entries, svec_scale
 from .errors import DimensionMismatchError
 from .smallmat import (cholesky, congruence, eig_min, eigh, gram_eigh,
                        inv_lower, lower_pairs, times)
+from .triangulation import index_ranges
 
 _MAX_BAND = 6000
 _SQRT2 = math.sqrt(2.0)
@@ -272,13 +273,6 @@ class _FactorizationError(Exception):
     pass
 
 
-def _ranges(first, size):
-    """The index ranges [first, first + size), one after another."""
-    out = np.repeat(first - (np.cumsum(size) - size), size)
-    out += np.arange(len(out))
-    return out
-
-
 def _frame_classes(A, cones, m):
     """Frames of the Schur plan, batched into classes.
 
@@ -321,7 +315,7 @@ def _frame_classes(A, cones, m):
             b = np.nonzero(cls_of[f] == c)[0]
             b = b[np.argsort(f[b], kind="stable")]
             size = ptr[b + 1] - ptr[b]
-            ent = _ranges(ptr[b], size)
+            ent = index_ranges(ptr[b], ptr[b + 1])
             chunk = min(len(frames), _FRAME_CHUNK)
             ends = np.append(0, np.cumsum(size))
             classes.append(((w, -ci, cnt), {
@@ -463,13 +457,13 @@ class _SchurPlan:
         class `cls`, rebuilt from A's entries in the chunk's buffer."""
         cnt, d, w = cls["cnt"], cls["svdim"], cls["width"]
         blocks = slice(i * len(cls["G"]) * cnt, (i + 1) * len(cls["G"]) * cnt)
-        first = self.A.indptr[cls["row0"] + cls["sel"][blocks] * d]
-        size = self.A.indptr[cls["row0"] + cls["sel"][blocks] * d + d] - first
-        at = np.repeat(np.arange(0, len(size) * d * w, d * w), size)
+        first = cls["row0"] + cls["sel"][blocks] * d
+        start, end = self.A.indptr[first], self.A.indptr[first + d]
+        at = np.repeat(np.arange(0, len(first) * d * w, d * w), end - start)
         at += cls["local"][cls["spans"][i]:cls["spans"][i + 1]]
-        out = cls["rows"][:len(size)]
+        out = cls["rows"][:len(first)]
         out.fill(0.0)
-        out.reshape(-1)[at] = self.A.data[_ranges(first, size)]
+        out.reshape(-1)[at] = self.A.data[index_ranges(start, end)]
         return out
 
     def form(self, weights, tau_col=None):

@@ -169,10 +169,35 @@ def barycentric_weights(Xinv, v0, point):
     return np.concatenate([1.0 - lam.sum(axis=-1, keepdims=True), lam], axis=-1)
 
 
-def _ranges(start, end):
+def index_ranges(start, end):
     """Concatenation of the integer ranges [start, end)."""
     lens = end - start
     return np.repeat(start - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+
+
+def unique_rows(a):
+    """`np.unique(a, axis=0, return_index=True, return_inverse=True,
+    return_counts=True)` for a nonempty integer array (N, k): the distinct
+    rows in lexicographic order, the index of each one's first occurrence,
+    the inverse and the counts. The rows are keyed by one integer each,
+    in mixed radix over the columns' ranges, which orders them as the rows
+    do; where that key would overflow int64, a stable `np.lexsort` of the
+    rows takes its place."""
+    lo = a.min(axis=0)
+    span = (a.max(axis=0) - lo + 1).tolist()
+    if np.prod(span, dtype=object) < 2**63:
+        radix = np.cumprod([1] + span[:0:-1])[::-1]
+        _, first, inverse, counts = np.unique(
+            (a - lo) @ radix, return_index=True, return_inverse=True,
+            return_counts=True)
+    else:
+        order = np.lexsort(a.T[::-1])
+        new = np.append(True, (np.diff(a[order], axis=0) != 0).any(axis=1))
+        first = order[new]
+        inverse = np.empty(len(a), dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+        counts = np.diff(np.append(np.flatnonzero(new), len(a)))
+    return a[first], first, inverse, counts
 
 
 @dataclass
@@ -268,7 +293,8 @@ class SimplicialComplex:
         q = self._cell_of(p) + self._offsets
         q[:, 0] %= self.n_slabs
         flat = self._flat_cells(q)
-        sids = np.unique(_ranges(self._cell_start[flat], self._cell_end[flat]))
+        sids = np.unique(index_ranges(self._cell_start[flat],
+                                        self._cell_end[flat]))
         lam = self._weights(sids, p)
         return [(int(s), w) for s, w in zip(sids, lam) if w.min() >= -FACE_TOL]
 
@@ -393,15 +419,14 @@ def build_complex(region, T, K, scaling=None):
     cx.simp_gen = gen[order]
 
     flat_q = simp_q[order].reshape(-1, n + 1)
-    vert_q, inverse = np.unique(flat_q, axis=0, return_inverse=True)
+    vert_q, _, inverse, _ = unique_rows(flat_q)
     cx.vert_q = vert_q
     cx.simp_verts = inverse.reshape(-1, n + 2).astype(np.int64)
     cx.vert_xyz = vert_q * sizes
 
     slot_keys = vert_q.copy()
     slot_keys[:, 0] %= n_slabs
-    cx.slot_keys, slot_inverse = np.unique(slot_keys, axis=0,
-                                           return_inverse=True)
+    cx.slot_keys, _, slot_inverse, _ = unique_rows(slot_keys)
     cx.vert_slot = slot_inverse.astype(np.int64)
     cx._n_slots = cx.slot_keys.shape[0]
 

@@ -8,9 +8,10 @@ the margin E come from `cpa`, block eigenvalues, L_M among them, from
 
 The sampled check streams: it draws and evaluates its samples over chunks
 of whole simplices, at most `_SAMPLE_CHUNK` samples each (a simplex with
-more is a chunk of its own), and keeps only running extremes, so its
-working set is one chunk's, a few MB at k = 3, whatever the budget. Each
-chunk keeps the per-simplex shapes of one batch over all samples, and the
+more is a chunk of its own), recomputes the same chunks' vertex
+constraints, and keeps only running extremes, so its working set is one
+chunk's, a few MB at k = 3, whatever the budget and the mesh. Each chunk
+keeps the per-simplex shapes of one batch over all samples, and the
 weights come from one generator in simplex order, so the report has the
 bits of that batch. In its CSV, a sample whose M is not positive definite
 has L_M inf, and every other sample its value.
@@ -29,6 +30,7 @@ from .cpa import (
     enu_coefficient_arrays,
 )
 from .smallmat import eig_max, eigvalsh, gen_eig_max
+from .triangulation import unique_rows
 
 _CLIP = 1e-6
 # the sampled verifier holds at most this many samples at once, unless one
@@ -130,10 +132,11 @@ def verify_contraction_sampled(cpa, sys, C, D, samples=100000, seed=12345,
 
     The samples are drawn, evaluated and reduced to running extremes in
     one pass over chunks of whole simplices, at most `_SAMPLE_CHUNK`
-    samples each (a simplex with more is its own chunk), so the memory
-    held does not grow with the budget; the weights come from one
-    generator in simplex order, so every field has the bits of a single
-    batch over all samples.
+    samples each (a simplex with more is its own chunk), and the same
+    chunks' vertex constraints are recomputed there, so the memory held
+    grows neither with the budget nor with the mesh; the weights come from
+    one generator in simplex order, so every field has the bits of a
+    single batch over all samples and vertices.
     """
     cx = cpa.complex
     a_C, a_D = enu_coefficient_arrays(cx, *ensure_derivative_bounds(cx, sys))
@@ -143,7 +146,9 @@ def verify_contraction_sampled(cpa, sys, C, D, samples=100000, seed=12345,
     per = max(1, int(np.ceil(samples / S)))
     step = max(1, _SAMPLE_CHUNK // per)
     rng = np.random.default_rng(seed)
-    max_lambda_max = max_lm = mu_top = -np.inf
+    C, D = float(C), float(D)
+    E = a_C * C + a_D * D
+    max_lambda_max = max_lm = mu_top = res5 = res2 = -np.inf
     min_metric_eig, definite = np.inf, True
     with (open(csv_path, "w", encoding="latin1") if csv_path is not None
           else contextlib.nullcontext()) as fh:
@@ -175,6 +180,13 @@ def verify_contraction_sampled(cpa, sys, C, D, samples=100000, seed=12345,
             if fh is not None:
                 np.savetxt(fh, np.column_stack([pts.reshape(-1, n + 1), lmax,
                                                 lm]), delimiter=",")
+            # the chunk's vertex constraints, recomputed apart from the
+            # solver, with running maxima as exact as one batch's
+            unit = np.broadcast_to(np.eye(n + 2), (len(sids), n + 2, n + 2))
+            _, vm, vA = cpa.contraction(sys, sids, unit)
+            res5 = np.maximum(res5, (eig_max(vA) + (E[sids] + 1.0)[:, None])
+                              .max())
+            res2 = np.maximum(res2, (eig_max(vm) - C).max())
     max_lambda_max = float(max_lambda_max)
     # inf once one sampled M is not positive definite, NaN or not elsewhere
     max_lm = float(max_lm) if definite else np.inf
@@ -186,17 +198,10 @@ def verify_contraction_sampled(cpa, sys, C, D, samples=100000, seed=12345,
     vert_mu = eigvalsh(cpa.values.T)
     mu_max = float(max(vert_mu[-1].max(), mu_top))
 
-    # vertex-constraint recomputation, independent of the solver
-    unit = np.broadcast_to(np.eye(n + 2), (S, n + 2, n + 2))
-    _, vm, vA = cpa.contraction(sys, np.arange(S), unit)
-    C, D = float(C), float(D)
-    E = a_C * C + a_D * D
-    res5 = float((eig_max(vA) + (E + 1.0)[:, None]).max())
-    res2 = float((eig_max(vm) - C).max())
     res3 = float((np.abs(cpa.W).max(axis=(1, 2)) - D / (n + 1.0)).max())
     res4 = float((eps0 - vert_mu[0]).max())
-    vertex_residuals = {"bound_M": res2, "grad_bound": res3,
-                        "pos_def": res4, "contraction": res5}
+    vertex_residuals = {"bound_M": float(res2), "grad_bound": res3,
+                        "pos_def": res4, "contraction": float(res5)}
 
     bound_C = -1.0 / (2.0 * C)
     bound_mu = -1.0 / (2.0 * mu_max)
@@ -253,8 +258,7 @@ def boundary_flow_check(cx, sys, samples=20, seed=0, budget=2000):
     slots = cx.vert_slot[cx.simp_verts]
     keys = np.sort(np.broadcast_to(slots[:, None, :], (len(slots), n + 2, n + 2))
                    [:, drop].reshape(-1, n + 1), axis=1)
-    _, first, count = np.unique(keys, axis=0, return_index=True,
-                                return_counts=True)
+    _, first, _, count = unique_rows(keys)
     boundary = np.sort(first[count == 1])
     rng = np.random.default_rng(seed)
     if len(boundary) > budget:

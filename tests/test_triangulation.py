@@ -16,6 +16,7 @@ from cpacontract.triangulation import (
     build_complex,
     check_complex,
     simplex_geometry,
+    unique_rows,
 )
 
 from reference import (
@@ -76,6 +77,36 @@ class TestGeometry:
             one = np.array([getattr(g, name) for g in singles])
             assert got.shape == one.shape == mesh.shape
             assert got.tobytes() == one.tobytes() == mesh.tobytes()
+
+
+class TestUniqueRows:
+    """`unique_rows` gives what `np.unique(axis=0)` gives, with its
+    integer keys and with the lexsort that replaces them on overflow."""
+
+    @staticmethod
+    def _check(a):
+        got = unique_rows(a)
+        want = np.unique(a, axis=0, return_index=True, return_inverse=True,
+                         return_counts=True)
+        for x, y in zip(got, want):
+            assert x.dtype.kind == y.dtype.kind
+            assert np.array_equal(x, y.reshape(x.shape))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_random_rows(self, dtype):
+        rng = np.random.default_rng(3)
+        for k in (1, 2, 3, 4):
+            self._check(rng.integers(-5, 6, size=(500, k)).astype(dtype))
+
+    def test_keys_that_would_overflow(self):
+        rng = np.random.default_rng(4)
+        a = rng.integers(-5, 6, size=(400, 3))
+        a[:, 1] *= 2**40  # three columns whose spans multiply past 2^63
+        a[:, 2] *= 2**30
+        a[::7] = a[3]  # rows repeated, first seen at index 0
+        self._check(a)
+        self._check(np.array([[2**62, -2**62], [-2**62, 2**62],
+                              [2**62, -2**62]]))
 
 
 class TestBuild:

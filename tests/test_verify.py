@@ -293,6 +293,25 @@ def test_verifier_memory_does_not_grow_with_the_budget():
     assert peaks[1] - peaks[0] < 1e6
 
 
+def test_verifier_memory_does_not_grow_with_the_mesh(osc_2d):
+    # the traced peak inside the verifier at 64 samples per simplex on
+    # meshes of 1,536 and 6,912 simplices: the vertex recomputation runs
+    # over the sampled pass's chunks, not over all simplices at once
+    peaks = []
+    for K in (4, 5):
+        cpa = constant_metric(build_complex([[[-0.5, 0.5], [-0.5, 0.5]]],
+                                            osc_2d.T, K), np.eye(2))
+        tracemalloc.start()
+        try:
+            verify_contraction_sampled(cpa, osc_2d, 3.0, 1.0,
+                                       samples=64 * cpa.complex.n_simplices)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 4e6
+    assert peaks[1] - peaks[0] < 1e6
+
+
 class TestInterpolationBound:
     def test_affine_exact(self):
         sys = parse_system("dim=2; period=1; f1 = x2; f2 = -x1")
