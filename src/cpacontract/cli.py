@@ -122,10 +122,18 @@ class Config:
             orbit_guess=raw.get("orbit_guess"), raw=raw)
 
     def build_system(self):
+        """The configured system; an InputError when its text does not
+        parse or is not T-periodic in t by its form
+        (`SystemDefinition.periodicity_defect`), which the paper's theorem
+        assumes."""
         try:
             sys0 = parse_system(self.system_text)
         except CpaError as exc:
             raise InputError(f"bad system text: {exc}") from exc
+        bad = sys0.periodicity_defect()
+        if bad is not None:
+            raise InputError(f"the system is not periodic in t with period "
+                             f"{sys0.T!r}: {bad}")
         declared = "smoothness" in self.system_text.lower()
         if self.smoothness is not None:
             if declared and sys0.smoothness != self.smoothness:

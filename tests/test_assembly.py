@@ -48,7 +48,7 @@ class TestECoefficients:
         cx = build_complex([[[0.0, 1.0]]], 1.0, 1)
         affine = parse_system("dim=1; period=1; f1 = -x1")
         cubic = parse_system("dim=1; period=1; smoothness=c3; "
-                             "f1 = -x1 + x1^3", check_periodic=False)
+                             "f1 = -x1 + x1^3")
         B2, B3 = ensure_derivative_bounds(cx, affine)
         assert np.all(B2 == 0.0) and B3 is None
         B2, B3 = ensure_derivative_bounds(cx, cubic)
@@ -69,7 +69,7 @@ class TestAssemble:
     def test_block_census_per_simplex(self):
         for text, n in ((r"dim=1; period=1; f1 = -x1", 1),
                         (r"dim=2; period=1; f1 = x2; f2 = -x1", 2)):
-            sys = parse_system(text, check_periodic=False)
+            sys = parse_system(text)
             for K in (0, 1, 2):
                 cx = build_complex([[[0.0, 1.0]] * n], 1.0, K)
                 prob, _ = assemble(cx, sys, 0.01, uniform_cd=False,

@@ -191,6 +191,38 @@ class TestVerify:
         assert cmd_verify(str(old), progress=quiet) == 0
 
 
+# each is not T-periodic in t by its form
+NON_PERIODIC = [
+    "dim=1; period=6.283185307179586; f1 = -x1 + 0.1*t",
+    "dim=1; period=3; f1 = -x1 + sin(t)",
+    "dim=1; period=6.283185307179586; f1 = -x1 + sin(t^2)",
+    "dim=1; period=6.283185307179586; f1 = -x1 + t*sin(t)",
+]
+
+
+class TestPeriodicity:
+    @pytest.mark.parametrize("system", NON_PERIODIC)
+    def test_synthesize_refuses(self, system):
+        lines = []
+        code, cert = cmd_synthesize(
+            Config.from_dict(dict(LINEAR_CONFIG, system=system)),
+            progress=lines.append)
+        assert (code, cert) == (3, None)
+        assert "not periodic in t" in lines[-1]
+
+    @pytest.mark.parametrize("system", NON_PERIODIC)
+    def test_verify_refuses_a_hand_edited_certificate(self, cert_path,
+                                                      tmp_path, system):
+        cert = load_certificate(cert_path)
+        cert["config"]["system"] = system
+        bad = tmp_path / "non_periodic.json"
+        bad.write_bytes(certificate_bytes(cert))
+        lines = []
+        assert cmd_verify(str(bad), progress=lines.append) == 3
+        assert "not periodic in t" in lines[-1]
+        assert main(["verify", str(bad)]) == 3
+
+
 class TestFloquet:
     def test_oracle_only(self):
         cfg = Config.from_dict(dict(LINEAR_CONFIG, orbit_guess=[0.0]))

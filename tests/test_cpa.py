@@ -188,7 +188,7 @@ class TestOrbitalDerivative:
         reps = cx.vert_xyz[cx.slot_rep]
         vals[reps[:, 0] == 0.5, 0] = 0.5
         for text in ("dim=1; period=1; f1 = -x1", "dim=1; period=1; f1 = 5"):
-            sys = parse_system(text, check_periodic=False)
+            sys = parse_system(text)
             cpa = CPAMetric(cx, vals)
             got = orbital_derivative_plus(cpa, sys, [0.2, 0.6])
             assert got[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -201,7 +201,7 @@ class TestOrbitalDerivative:
     def test_face_consistency_tangent_flow(self):
         # f = -x vanishes on the face x = 0, so the flow direction is
         # tangent there and both x-neighbors satisfy the forward property
-        sys = parse_system("dim=1; period=1; f1 = -x1", check_periodic=False)
+        sys = parse_system("dim=1; period=1; f1 = -x1")
         cx = build_complex([[[-1.0, 1.0]]], 1.0, 1)
         cpa = random_metric(cx, seed=9)
         checked = 0
@@ -216,8 +216,7 @@ class TestOrbitalDerivative:
     def test_face_consistency_diagonal(self):
         # constant f = 1 runs along the cell diagonal, shared by the two
         # triangles of each cell
-        sys = parse_system("dim=1; period=1; f1 = 0*x1 + 1",
-                           check_periodic=False)
+        sys = parse_system("dim=1; period=1; f1 = 0*x1 + 1")
         cx = build_complex([[[0.0, 1.0]]], 1.0, 1)
         cpa = random_metric(cx, seed=10)
         checked = 0
@@ -232,8 +231,7 @@ class TestOrbitalDerivative:
 
     def test_no_forward_simplex_at_outflow(self):
         # flow exits the domain on the right edge: x' = 1 at x = 1
-        sys = parse_system("dim=1; period=1; f1 = 0*x1 + 1",
-                           check_periodic=False)
+        sys = parse_system("dim=1; period=1; f1 = 0*x1 + 1")
         cx = build_complex([[[0.0, 1.0]]], 1.0, 0)
         cpa = constant_metric(cx, np.eye(1))
         with pytest.raises(NoForwardSimplexError):
@@ -243,7 +241,7 @@ class TestOrbitalDerivative:
 
 class TestLmValue:
     def _constant_setup(self, matrix, jac_text, n):
-        sys = parse_system(jac_text, check_periodic=False)
+        sys = parse_system(jac_text)
         cx = build_complex([[[-1.0, 1.0]] * n], 1.0, 0)
         return sys, cx, constant_metric(cx, matrix)
 
@@ -251,7 +249,7 @@ class TestLmValue:
         sys, cx, cpa = self._constant_setup(np.eye(1), "dim=1; period=1; f1 = -x1", 1)
         assert lm_value(cpa, sys, [0.3, 0.1]) == pytest.approx(-1.0, abs=1e-10)
         # negative control: the expanding field x' = x
-        sys = parse_system("dim=1; period=1; f1 = x1", check_periodic=False)
+        sys = parse_system("dim=1; period=1; f1 = x1")
         assert lm_value(cpa, sys, [0.3, 0.1]) == pytest.approx(1.0, abs=1e-10)
 
     def test_scale_invariance(self):

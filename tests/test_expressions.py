@@ -242,8 +242,7 @@ class TestCompiledEvaluation:
 
     def test_long_chain(self):
         # nesting in the generated source is capped, so a long sum compiles
-        sys = parse_system("dim=1; period=1; f1 = " + " + ".join(["x1"] * 300),
-                           check_periodic=False)
+        sys = parse_system("dim=1; period=1; f1 = " + " + ".join(["x1"] * 300))
         assert sys.f([0.0, 0.5])[0] == 150.0
         assert sys.jacobian([0.0, 0.5])[0, 0] == 300.0
 
@@ -255,8 +254,7 @@ class TestCompiledEvaluation:
     def test_non_finite_constants(self, text, jacobian_finite):
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # folding leaks no warning
-            sys = parse_system(f"dim=1; period=1; f1 = {text}",
-                               check_periodic=False)
+            sys = parse_system(f"dim=1; period=1; f1 = {text}")
         point = np.array([0.3, 0.5])
         with pytest.raises(DomainError):
             sys.f(point)

@@ -79,7 +79,7 @@ class TestIntegrate:
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_estimate_domain_error_negative_control(self, text, x0):
-        sys = parse_system("dim=1; period=1; " + text, check_periodic=False)
+        sys = parse_system("dim=1; period=1; " + text)
         with pytest.raises(DomainError):
             integrate(sys, 0.0, [x0], 1.0, 1)
 
@@ -159,7 +159,7 @@ class TestContractionProbe:
     ])
     def test_left_domain_negative_control(self, text, x0, region, steps,
                                           t_exit):
-        sys = parse_system(text, check_periodic=False)
+        sys = parse_system(text)
         cpa = constant_metric(build_complex([region], 1.0, 1),
                                  np.eye(sys.n))
         with pytest.raises(LeftDomainError,
@@ -174,7 +174,7 @@ class TestContractionProbe:
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_in_one_step_negative_control(self, text, steps, error):
-        sys = parse_system(text, check_periodic=False)
+        sys = parse_system(text)
         cpa = constant_metric(build_complex([[[-1.0, 1.0]]], 1.0, 1),
                                  np.eye(1))
         with pytest.raises(error) as exc:
@@ -247,7 +247,7 @@ class TestScalarLayoutNegativeControls:
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_entry_point(self, text, steps):
-        sys = parse_system("dim=1; period=1; " + text, check_periodic=False)
+        sys = parse_system("dim=1; period=1; " + text)
         cpa = constant_metric(build_complex([[[-1.0, 1.0]]], 1.0, 1),
                                  np.eye(1))
         calls = [
@@ -269,8 +269,7 @@ class TestProbeTrajectoriesDiverge:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_only_offset_fails(self):
         # the offset starts on the pole; the base moves away from it
-        sys = parse_system("dim=1; period=1; f1 = 1/(x1 - 0.001)",
-                           check_periodic=False)
+        sys = parse_system("dim=1; period=1; f1 = 1/(x1 - 0.001)")
         integrate(sys, 0.0, [0.0], 1.0, 100)
         cpa = constant_metric(build_complex([[[-1.0, 1.0]]], 1.0, 1),
                                  np.eye(1))
@@ -283,7 +282,7 @@ class TestProbeTrajectoriesDiverge:
     def test_base_leaves_before_offset_overflows(self):
         # x' = x^3 blows up at t = 1/(2 x0^2): 0.22 for the offset, 0.62
         # for the base, which leaves [-1, 1] at t = 0.12
-        sys = parse_system("dim=1; period=1; f1 = x1^3", check_periodic=False)
+        sys = parse_system("dim=1; period=1; f1 = x1^3")
         with pytest.raises((DomainError, NonFiniteStateError)):
             integrate(sys, 0.0, [1.5], 0.5, 50)
         cpa = constant_metric(build_complex([[[-1.0, 1.0]]], 1.0, 1),
@@ -322,7 +321,7 @@ class TestVariationalFlowErrors:
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_negative_control(self, text, steps, error):
-        sys = parse_system(text, check_periodic=False)
+        sys = parse_system(text)
         with pytest.raises(error) as exc:
             monodromy(sys, FloquetResult(np.zeros(1), 0.0), steps=steps)
         assert type(exc.value) is error
@@ -432,7 +431,7 @@ class TestZeroDivisorsMatchReference:
     ])
     @pytest.mark.parametrize("variational", [False, True])
     def test_against_reference(self, text, done, domain, variational):
-        sys = parse_system("dim=2; period=1; " + text, check_periodic=False)
+        sys = parse_system("dim=2; period=1; " + text)
         ref = _check_stepper(sys, np.zeros(2), 1.0 / self.STEPS, self.STEPS,
                              variational)
         if not variational:

@@ -50,15 +50,13 @@ def sampled_second_partial_max(sys, lo, hi, npts, step=1e-4, seed=0):
 
 class TestParse:
     def test_linear_1d(self):
-        sys = parse_system("dim=1; period=6.283185307; f1 = -x1 + sin(t)",
-                           check_periodic=False)
+        sys = parse_system("dim=1; period=6.283185307; f1 = -x1 + sin(t)")
         assert sys.n == 1
         assert sys.T == pytest.approx(TWO_PI, abs=1e-8)
 
     def test_linear_2d(self):
         sys = parse_system(
-            "dim=2; period=6.283185307; f1 = x2; f2 = -x1 - 2*x2 + sin(t)",
-            check_periodic=False)
+            "dim=2; period=6.283185307; f1 = x2; f2 = -x1 - 2*x2 + sin(t)")
         assert sys.n == 2
         assert sys.smoothness == "C2"
 
@@ -84,9 +82,50 @@ class TestParse:
         assert sys.smoothness == "C3"
         assert sys.f([0.0, 2.0])[0] == pytest.approx(4.0)
 
-    def test_non_periodic_warns(self):
-        with pytest.warns(UserWarning):
-            parse_system("dim=1; period=1; f1 = t * x1")
+    def test_non_periodic_is_named(self, recwarn):
+        # parsing neither warns nor refuses; the defect is named for the
+        # commands, which refuse it
+        sys = parse_system("dim=1; period=1; f1 = t * x1")
+        assert not recwarn.list
+        assert str(sys.periodicity_defect()) == "t"
+
+
+class TestPeriodicity:
+    """t only inside sin and cos arguments of rate a, a·T/(2π) an
+    integer."""
+
+    @pytest.mark.parametrize("period, rhs", [
+        ("6.283185307179586", "-x1"),
+        ("6.283185307179586", "-x1 + sin(t)"),
+        ("1", "-x1 + sin(6.283185307179586*t)"),
+        ("3.141592653589793", "cos(2*t) * x1"),
+        ("6.283185307179586", "sin(3*t - 1 + x1) - exp(-x1^2)*cos(t)"),
+        ("6.283185307179586", "sin(t)*cos(t) + sin(t - t)"),
+        ("2", "x1 / (2 + sin(3.141592653589793*t))"),
+    ])
+    def test_periodic_forms(self, period, rhs):
+        sys = parse_system(f"dim=1; period={period}; f1 = {rhs}")
+        assert sys.periodicity_defect() is None
+
+    @pytest.mark.parametrize("period, rhs, defect", [
+        ("6.283185307179586", "-x1 + 0.1*t", "t"),
+        ("3", "-x1 + sin(t)", "sin(t)"),
+        ("6.283185307179586", "-x1 + sin(t^2)", "sin((t ^ 2))"),
+        ("6.283185307179586", "-x1 + t*sin(t)", "t"),
+        ("6.283185307179586", "-x1 + exp(cos(t) - t)", "t"),
+        ("6.283185307179586", "sin(x1*t)", "sin((x1 * t))"),
+        # a rate 1e-8 away from an integer number of turns
+        ("6.283185307179586", "sin(1.00000001*t)", "sin((1.00000001 * t))"),
+    ])
+    def test_defects(self, period, rhs, defect):
+        sys = parse_system(f"dim=1; period={period}; f1 = {rhs}")
+        assert str(sys.periodicity_defect()) == defect
+
+    def test_tolerance(self):
+        sys = parse_system("dim=1; period=6.283185307179586; "
+                           "f1 = sin(1.0000000001*t)")
+        assert sys.periodicity_defect() is None
+        assert sys.periodicity_defect(tol=1e-11) is not None
 
 
 class TestEval:
@@ -101,8 +140,7 @@ class TestEval:
         assert linear_1d.f([np.pi / 2, 0.0])[0] == pytest.approx(1.0)
 
     def test_nonfinite_raises(self):
-        sys = parse_system("dim=1; period=1; f1 = 1 / x1",
-                           check_periodic=False)
+        sys = parse_system("dim=1; period=1; f1 = 1 / x1")
         with pytest.raises(DomainError):
             sys.f([0.0, 0.0])
 
@@ -119,8 +157,7 @@ class TestOnePointIsABatchOfOne:
     def test_powers_bit_identical(self, p, monkeypatch):
         # one point, a batch of one, a batch of 10,000 and the first stage
         # evaluation of the oracle's compiled RK4 step give the same bits
-        sys = parse_system(f"dim=1; period=1; f1 = x1^{p}",
-                           check_periodic=False)
+        sys = parse_system(f"dim=1; period=1; f1 = x1^{p}")
         rng = np.random.default_rng(100 + p)
         pts = np.column_stack([np.zeros(10000),
                                rng.uniform(0.1, 3.0, 10000)
@@ -202,7 +239,7 @@ class TestDerivativeBound:
         assert derivative_bound(sys, box, 2) == 0.0
 
     def test_square_is_two(self):
-        sys = parse_system("dim=1; period=1; f1 = x1^2", check_periodic=False)
+        sys = parse_system("dim=1; period=1; f1 = x1^2")
         bound = derivative_bound(sys, [[0.0, 1.0], [0.0, 2.0]], 2)
         assert bound == pytest.approx(2.0, rel=1e-9)
 
@@ -216,8 +253,7 @@ class TestDerivativeBound:
         assert derivative_bound(sys, [[0.0, 1.0], [0.0, 1.0]], 3) == 9.0
 
     def test_division_through_zero(self):
-        sys = parse_system("dim=1; period=1; f1 = 1/(x1 - 1)",
-                           check_periodic=False)
+        sys = parse_system("dim=1; period=1; f1 = 1/(x1 - 1)")
         with pytest.raises(DomainError):
             derivative_bound(sys, [[0.0, 1.0], [0.0, 2.0]], 2)
 
@@ -226,8 +262,7 @@ class TestDerivativeBound:
            x0=st.floats(-3.0, 3.0), wx=st.floats(0.01, 2.0))
     def test_soundness_on_samples(self, t0, w, x0, wx):
         sys = parse_system("dim=1; period=6.283185307179586; "
-                           "f1 = -x1 + sin(t)*cos(t) + x1^3",
-                           check_periodic=False)
+                           "f1 = -x1 + sin(t)*cos(t) + x1^3")
         lo = [t0, x0]
         hi = [t0 + w, x0 + wx]
         bound = derivative_bound(sys, np.column_stack([lo, hi]), 2)
@@ -237,8 +272,7 @@ class TestDerivativeBound:
     @settings(max_examples=30, deadline=None)
     @given(shrink=st.floats(0.05, 0.45))
     def test_monotone_in_box(self, shrink):
-        sys = parse_system("dim=1; period=6.283185307179586; f1 = sin(t)*x1",
-                           check_periodic=False)
+        sys = parse_system("dim=1; period=6.283185307179586; f1 = sin(t)*x1")
         big = np.array([[0.0, 6.0], [-2.0, 2.0]])
         small = big.copy()
         small[:, 0] += shrink * (big[:, 1] - big[:, 0])

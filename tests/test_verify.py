@@ -109,8 +109,7 @@ class TestContractionSampled:
         # the cubic one: the margin E, and with it the vertex contraction
         # residual, must be the cubic field's
         affine = parse_system("dim=1; period=1; f1 = -x1")
-        cubic = parse_system("dim=1; period=1; f1 = -x1 + x1^3",
-                             check_periodic=False)
+        cubic = parse_system("dim=1; period=1; f1 = -x1 + x1^3")
         cx = build_complex([[[0.0, 1.0]]], 1.0, 1)
         assemble(cx, affine, 0.01)
         cpa = constant_metric(cx, np.eye(1))
@@ -205,8 +204,7 @@ class TestStreamedMatchesOnePass:
 
     def test_simplex_above_the_chunk(self, tmp_path):
         # per > _SAMPLE_CHUNK: each simplex is a chunk of its own
-        sys = parse_system("dim=1; period=1; f1 = -x1 + x1^3",
-                           check_periodic=False)
+        sys = parse_system("dim=1; period=1; f1 = -x1 + x1^3")
         cx = build_complex([[[0.0, 1.0]]], 1.0, 0)
         cpa = _varied_metric(cx, 4)
         samples = cx.n_simplices * (_SAMPLE_CHUNK + 100)
@@ -474,7 +472,7 @@ def _boundary_flow_loop(cx, sys, samples=20, seed=0, budget=2000):
      [[[-0.5, 0.5]] * 3], 1, 2000),
 ])
 def test_boundary_flow_matches_loop(text, region, K, budget):
-    sys = parse_system(text, check_periodic=False)
+    sys = parse_system(text)
     cx = build_complex(region, sys.T, K)
     rep = boundary_flow_check(cx, sys, samples=7, seed=3, budget=budget)
     ref = _boundary_flow_loop(cx, sys, samples=7, seed=3, budget=budget)

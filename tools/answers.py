@@ -224,7 +224,7 @@ def oracle(outdir):
     traj = orbits.integrate(sys2, 0.0, [0.1, 0.2], sys2.T, 1000)
     record["integrate"] = {"t": _hex(traj.t), "x": _hex(traj.x),
                            "max_local_error": _hex(traj.max_local_error)}
-    sys3 = parse_system(EMITTER_SYSTEM, check_periodic=False)
+    sys3 = parse_system(EMITTER_SYSTEM)
     traj = orbits.integrate(sys3, 0.0, [0.1, 0.2], sys3.T, 1000)
     mono = orbits.monodromy(sys3, orbits.FloquetResult(np.array([0.1, 0.2]),
                                                        0.0), steps=512)
@@ -232,7 +232,7 @@ def oracle(outdir):
                          "max_local_error": _hex(traj.max_local_error),
                          "monodromy": _hex(mono.monodromy),
                          "residual": _hex(mono.residual)}
-    sys4, rows = parse_system(DOMAIN_SYSTEM, check_periodic=False), []
+    sys4, rows = parse_system(DOMAIN_SYSTEM), []
     with np.errstate(all="ignore"):
         done, domain, _ = sys4.stepper()(0.0, 0.125, 8, [0.0, 0.0],
                                          rows.extend)
