@@ -326,7 +326,7 @@ def _frame_classes(A, cones, m):
                 "local": (q[ent] * w + local[ent]).astype(
                     np.min_scalar_type(d * w - 1)),
                 "spans": np.append(ends[:-1:chunk * cnt], ends[-1]),
-                "rows": np.empty((chunk * cnt, d, w)),
+                "rows": np.zeros((chunk * cnt, d, w)),
                 "C": np.empty((chunk, cnt * d, w)),
                 "G": np.empty((chunk, w, w))}))
     return [cls for _, cls in sorted(classes, key=lambda kc: kc[0])]
@@ -456,14 +456,23 @@ class _SchurPlan:
         """The dense local rows (blocks, svdim, width) of chunk i of the
         class `cls`, rebuilt from A's entries in the chunk's buffer."""
         cnt, d, w = cls["cnt"], cls["svdim"], cls["width"]
-        blocks = slice(i * len(cls["G"]) * cnt, (i + 1) * len(cls["G"]) * cnt)
-        first = cls["row0"] + cls["sel"][blocks] * d
-        start, end = self.A.indptr[first], self.A.indptr[first + d]
-        at = np.repeat(np.arange(0, len(first) * d * w, d * w), end - start)
+        sel = cls["sel"][i * len(cls["G"]) * cnt:(i + 1) * len(cls["G"]) * cnt]
+        first = cls["row0"] + sel * d
+        if (np.diff(sel) == 1).all():
+            # consecutive blocks, the usual case: their entries are one run
+            # of A's storage
+            ptr = self.A.indptr[first[0]:first[-1] + d + 1:d]
+            start, end = ptr[:-1], ptr[1:]
+            vals = self.A.data[ptr[0]:ptr[-1]]
+        else:
+            start, end = self.A.indptr[first], self.A.indptr[first + d]
+            vals = self.A.data[index_ranges(start, end)]
+        at = np.repeat(np.arange(0, len(sel) * d * w, d * w), end - start)
         at += cls["local"][cls["spans"][i]:cls["spans"][i + 1]]
-        out = cls["rows"][:len(first)]
-        out.fill(0.0)
-        out.reshape(-1)[at] = self.A.data[index_ranges(start, end)]
+        out = cls["rows"][:len(sel)]
+        if len(cls["spans"]) > 2:  # one chunk always fills the same places
+            out.fill(0.0)
+        out.reshape(-1)[at] = vals
         return out
 
     def form(self, weights, tau_col=None):
