@@ -27,8 +27,9 @@ with Z = R R^T, keeps every lam accurate relative to itself.
 The Schur complement over the m variables is formed from a fixed scatter
 pattern built once per solve: the matrix blocks are grouped per simplex,
 the groups' local Gram matrices are computed in chunks of a fixed number
-of groups, one bincount adds them into G, and the scalar blocks add a
-fixed sparse map of d. G is factored by a banded Cholesky in the variable
+of groups from dense local rows that each chunk rebuilds from A's
+entries, each chunk's lower triangles are added straight into G's buffer,
+and the scalar blocks add a fixed sparse map of d. G is factored by a banded Cholesky in the variable
 order that the assembly reads off the mesh, at every size, with the few
 variables that touch every simplex eliminated as a dense border (all of G
 without an order); both parts take their ridge from the mean diagonal of
@@ -288,7 +289,8 @@ def _frame_classes(A, cones, m):
     small ints q * width + c, the entry's place in its block's dense local
     rows (svdim, width); `spans`, the first of those entries of each chunk
     of at most `_FRAME_CHUNK` frames, and their end; and one chunk's
-    buffers: `rows` for the dense local rows, `C` and `G`.
+    buffers: `rows` for the dense local rows, with the chunk it `held`
+    last, `C` and `G`.
     """
     classes = []
     for ci, rows, simplex, d in cones:
@@ -326,7 +328,7 @@ def _frame_classes(A, cones, m):
                 "local": (q[ent] * w + local[ent]).astype(
                     np.min_scalar_type(d * w - 1)),
                 "spans": np.append(ends[:-1:chunk * cnt], ends[-1]),
-                "rows": np.zeros((chunk * cnt, d, w)),
+                "rows": np.empty((chunk * cnt, d, w)), "held": None,
                 "C": np.empty((chunk, cnt * d, w)),
                 "G": np.empty((chunk, w, w))}))
     return [cls for _, cls in sorted(classes, key=lambda kc: kc[0])]
@@ -361,10 +363,15 @@ class _SchurPlan:
     local columns, with the cone's svec map P, P svec(X) = svec(F X F^T),
     and C^T C per frame, class by class in chunks of at most
     `_FRAME_CHUNK` frames (each frame's product is its own, so a chunk
-    keeps its bits); each chunk's lower triangles go straight into the
-    weights, which one `np.bincount` scatters to precomputed targets. The
-    targets are intp, the one index dtype `np.bincount` reads without a
-    copy; the set-up's positions are int32 when the targets fit it.
+    keeps its bits). A chunk's dense local rows are rebuilt from A's CSR
+    entries in one buffer per class, placed by a small-int map per entry
+    (`_frame_classes`); a class of one chunk builds them once. Each
+    chunk's lower triangles are added straight into G's buffer at their
+    precomputed targets by `np.add.at`, which adds each target's terms in
+    index order, so G has the bits of one `np.bincount` over all the
+    terms. The plan holds the targets (int32 when they fit), per class the
+    block selection, the entry map and one chunk's buffers, and K: no
+    weights array and no dense copy of A's rows.
     Scalar blocks store no rows: their part of G is sum_r d_r a_r a_r^T, a
     fixed linear map K of the scaling d onto the targets their rows'
     pairs reach.
@@ -454,9 +461,13 @@ class _SchurPlan:
 
     def local_rows(self, cls, i):
         """The dense local rows (blocks, svdim, width) of chunk i of the
-        class `cls`, rebuilt from A's entries in the chunk's buffer."""
+        class `cls`, rebuilt from A's entries in the class's buffer unless
+        it holds them already, as it does for a class of one chunk."""
         cnt, d, w = cls["cnt"], cls["svdim"], cls["width"]
         sel = cls["sel"][i * len(cls["G"]) * cnt:(i + 1) * len(cls["G"]) * cnt]
+        out = cls["rows"][:len(sel)]
+        if cls["held"] == i:
+            return out
         first = cls["row0"] + sel * d
         if (np.diff(sel) == 1).all():
             # consecutive blocks, the usual case: their entries are one run
@@ -469,10 +480,9 @@ class _SchurPlan:
             vals = self.A.data[index_ranges(start, end)]
         at = np.repeat(np.arange(0, len(sel) * d * w, d * w), end - start)
         at += cls["local"][cls["spans"][i]:cls["spans"][i + 1]]
-        out = cls["rows"][:len(sel)]
-        if len(cls["spans"]) > 2:  # one chunk always fills the same places
-            out.fill(0.0)
+        out.fill(0.0)
         out.reshape(-1)[at] = vals
+        cls["held"] = i
         return out
 
     def form(self, weights, tau_col=None):
