@@ -29,11 +29,11 @@ pattern built once per solve: the matrix blocks are grouped per simplex,
 the groups' local Gram matrices are computed in chunks of a fixed number
 of groups from dense local rows that each chunk rebuilds from A's
 entries, each chunk's lower triangles are added straight into G's buffer,
-and the scalar blocks add a fixed sparse map of d. G is factored by a banded Cholesky in the variable
-order that the assembly reads off the mesh, at every size, with the few
-variables that touch every simplex eliminated as a dense border (all of G
-without an order); both parts take their ridge from the mean diagonal of
-the whole G.
+and the scalar blocks add a fixed sparse map of d. G is factored by a
+banded Cholesky in the variable order that the assembly reads off the
+mesh, at every size, with the few variables that touch every simplex
+eliminated as a dense border (all of G without an order); both parts take
+their ridge from the mean diagonal of the whole G.
 
 `certify` re-checks a candidate y apart from the solver's iterates and
 cones: it slices one product A y - F0 by the groups' row ranges and takes
@@ -323,7 +323,7 @@ def _frame_classes(A, cones, m):
             classes.append(((w, -ci, cnt), {
                 "cols": ucol[start[frames][:, None] + np.arange(w)],
                 "cone": ci, "row0": rows.start,
-                "sel": b.astype(index_dtype(len(f))),
+                "sel": b.astype(index_dtype(rows.stop)),
                 "cnt": cnt, "svdim": d, "width": w,
                 "local": (q[ent] * w + local[ent]).astype(
                     np.min_scalar_type(d * w - 1)),
@@ -407,8 +407,8 @@ class _SchurPlan:
             cls["lower"] = il0 * w + il1
             cols = cls.pop("cols")  # only the set-up reads the variables
             cls["frames"] = len(cols)
-            pairs.append((pos[cols[:, il0]].ravel(), pos[cols[:, il1]].ravel()))
-            del cols
+            pairs.append((pos[cols[:, il0]].ravel(),
+                          pos[cols[:, il1]].ravel()))
         if segs.sizes[0] == 1:
             ci, cj, coef, per_row = _scalar_pairs(segs.A, segs.rows[0])
             pairs.append((pos[ci], pos[cj]))
@@ -464,7 +464,8 @@ class _SchurPlan:
         class `cls`, rebuilt from A's entries in the class's buffer unless
         it holds them already, as it does for a class of one chunk."""
         cnt, d, w = cls["cnt"], cls["svdim"], cls["width"]
-        sel = cls["sel"][i * len(cls["G"]) * cnt:(i + 1) * len(cls["G"]) * cnt]
+        per = len(cls["G"]) * cnt  # blocks per chunk
+        sel = cls["sel"][i * per:(i + 1) * per]
         out = cls["rows"][:len(sel)]
         if cls["held"] == i:
             return out
@@ -492,7 +493,8 @@ class _SchurPlan:
         buf = np.zeros(self.size)
         at = 0
         for cls in self.classes:
-            nf, w, cnt, d = cls["frames"], cls["width"], cls["cnt"], cls["svdim"]
+            nf, w, cnt, d = (cls["frames"], cls["width"], cls["cnt"],
+                             cls["svdim"])
             for i, a in enumerate(range(0, nf, len(cls["G"]))):
                 k = min(nf - a, len(cls["G"]))
                 C, G = cls["C"][:k], cls["G"][:k]
