@@ -76,6 +76,11 @@ class Config:
             epsilon0 = float(raw.get("epsilon0", 0.01))
             k_min = int(raw.get("k_min", 0))
             k_max = int(raw.get("k_max", 6))
+            scaling = raw.get("scaling")
+            if scaling is not None:
+                if not isinstance(scaling, list):
+                    raise TypeError("scaling must be a list of numbers")
+                scaling = [float(s) for s in scaling]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad configuration: {exc}") from exc
         if not isinstance(system_text, str):
@@ -84,7 +89,6 @@ class Config:
             raise InputError("epsilon0 must be positive")
         if not isinstance(region, list) or not region:
             raise InputError("region must be a non-empty list of boxes")
-        scaling = raw.get("scaling")
         mode = raw.get("mode", {})
         solver_raw = raw.get("solver", {})
         verify_raw = raw.get("verify", {})
@@ -400,7 +404,7 @@ def cmd_floquet(config, cert_path=None, tol=1e-6, steps=8192, progress=print,
     try:
         cert = load_certificate(cert_path)
         bound = float(cert["floquet_bound"])
-    except (InputError, KeyError, ValueError) as exc:
+    except (InputError, KeyError, TypeError, ValueError) as exc:
         progress(f"bad certificate: {exc}")
         return 3
     worst = float(result.exponents.max())

@@ -358,6 +358,11 @@ class TestMainEntry:
         ("synthesize", {"system": 5}),
         ("floquet", {"system": 5}),
         ("check-complex", {"system": 5}),
+        ("synthesize", {"scaling": 0.5}),
+        ("synthesize", {"scaling": [None]}),
+        ("check-complex", {"scaling": 0.5}),
+        ("check-complex", {"scaling": [None]}),
+        ("floquet", {"scaling": "1"}),
     ])
     def test_bad_config_is_input_error(self, tmp_path, command, patch):
         path = tmp_path / "cfg.json"
@@ -497,15 +502,21 @@ class TestMalformedCertificates:
         cert["constants"]["epsilon0"] = "0"
         assert main(["verify", _write_cert(cert, tmp_path / "c.json")]) == 3
 
-    @pytest.mark.parametrize("value", [None, "abc", [1.0]])
+    @pytest.mark.parametrize("value", [None, "abc", [1.0], {"bound": -1.0},
+                                       "missing"])
     def test_missing_or_unparsable_floquet_bound(self, cert_path, tmp_path,
                                                  value):
+        # both commands that read the bound refuse it as an input error
         cert = load_certificate(cert_path)
-        if value is None:
+        if value == "missing":
             del cert["floquet_bound"]
         else:
             cert["floquet_bound"] = value
-        assert main(["verify", _write_cert(cert, tmp_path / "c.json")]) == 3
+        path = _write_cert(cert, tmp_path / "c.json")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(LINEAR_CONFIG, orbit_guess=[0.0])))
+        assert main(["verify", path]) == 3
+        assert main(["floquet", "--config", str(cfg), "--cert", path]) == 3
 
     @pytest.mark.parametrize("change", ["-50", "nan", "one ulp"])
     def test_floquet_bound_must_be_the_one_C_proves(self, cert_path,
