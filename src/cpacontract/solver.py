@@ -40,7 +40,7 @@ cones: it slices one product A y - F0 by the groups' row ranges and takes
 the smallest eigenvalues with `smallmat.eig_min`, the one batched eigen
 kernel, at every block size. `Solution.block_min_eigs` is its answer.
 
-scipy is imported where it is called (the sparse tau and K, the banded
+scipy is imported where it is called (the sparse K, the banded
 and dense Cholesky factors), not at module level, so that a process that
 imports the package but solves no SDP, a certificate check say, never
 loads it.
@@ -64,6 +64,8 @@ _SQRT2 = math.sqrt(2.0)
 # frames per batch of the Schur formation: each class's C and G buffers
 # hold this many frames at most, and `form` runs a class chunk by chunk
 _FRAME_CHUNK = 1024
+# terms per batch of the set-up of the scalar blocks' part of the plan
+_PAIR_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,9 @@ class SolverSettings:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if self.feas_tol <= 0 or self.gap_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("feas_tol", "gap_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max iterations must be at least 1")
 
@@ -290,7 +293,8 @@ def _frame_classes(A, cones, m):
     rows (svdim, width); `spans`, the first of those entries of each chunk
     of at most `_FRAME_CHUNK` frames, and their end; and one chunk's
     buffers: `rows` for the dense local rows, with the chunk it `held`
-    last, `C` and `G`.
+    last, `C` and `G`. The per-entry work holds int32 arrays where they
+    fit and drops each one when it is used up.
     """
     classes = []
     for ci, rows, simplex, d in cones:
@@ -299,13 +303,34 @@ def _frame_classes(A, cones, m):
         f[solo] = f.max(initial=-1) + 1 + np.arange(solo.sum())
         nfr = int(f.max(initial=-1)) + 1
         f = f.astype(index_dtype(nfr * m))  # the dtype of the frame keys
-        row, col, _ = row_entries(A, rows)
-        blk, q = np.divmod(row, d)
-        ukey, inv = np.unique(f[blk] * m + col, return_inverse=True)
+        row = row_entries(A, rows)[0]
+        key = f[row // d]  # each entry's frame, then its key frame * m + col
+        key *= m
+        key += A.indices[A.indptr[rows.start]:A.indptr[rows.stop]]
+        q = np.remainder(row, d, out=row)  # the entry's svec row in its block
+        # the distinct keys, and each entry's rank among them
+        order = np.argsort(key)
+        key = key[order]
+        new = np.empty(len(key), dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        ukey = key[new]
+        del key
+        rank = np.cumsum(new, dtype=index_dtype(len(new)))
+        rank -= 1
+        inv = np.empty_like(rank)
+        inv[order] = rank
+        del order, new, rank
         ufr, ucol = np.divmod(ukey, m)
         width = np.bincount(ufr, minlength=nfr)
         start = np.cumsum(width) - width
-        local = (np.arange(len(ukey)) - start[ufr])[inv.ravel()]
+        # each entry's place q * width + c in its block's dense local rows
+        place = (np.arange(len(ukey)) - start[ufr]).astype(inv.dtype)[inv]
+        wq = width[ufr].astype(inv.dtype)[inv]
+        del inv
+        wq *= q
+        place += wq
+        del wq, q
         # a block's svdim rows are one run of A's storage
         ptr = A.indptr[rows.start:rows.stop + 1:d] - A.indptr[rows.start]
         sig, cls_of = np.unique(np.stack(
@@ -317,7 +342,6 @@ def _frame_classes(A, cones, m):
             b = np.nonzero(cls_of[f] == c)[0]
             b = b[np.argsort(f[b], kind="stable")]
             size = ptr[b + 1] - ptr[b]
-            ent = index_ranges(ptr[b], ptr[b + 1])
             chunk = min(len(frames), _FRAME_CHUNK)
             ends = np.append(0, np.cumsum(size))
             classes.append(((w, -ci, cnt), {
@@ -325,7 +349,7 @@ def _frame_classes(A, cones, m):
                 "cone": ci, "row0": rows.start,
                 "sel": b.astype(index_dtype(rows.stop)),
                 "cnt": cnt, "svdim": d, "width": w,
-                "local": (q[ent] * w + local[ent]).astype(
+                "local": place[index_ranges(ptr[b], ptr[b + 1])].astype(
                     np.min_scalar_type(d * w - 1)),
                 "spans": np.append(ends[:-1:chunk * cnt], ends[-1]),
                 "rows": np.empty((chunk * cnt, d, w)), "held": None,
@@ -334,24 +358,34 @@ def _frame_classes(A, cones, m):
     return [cls for _, cls in sorted(classes, key=lambda kc: kc[0])]
 
 
-def _scalar_pairs(A, rows):
+def _scalar_pairs(A, rows, coef):
     """The terms a_i a_j, i <= j, of the outer product of each of A's rows
-    `rows`, grouped by row: (columns i, columns j, a_i a_j, terms per row).
-    `stack_problem` sorts each row's columns. The entry positions are int32
-    when the terms' count fits it."""
+    `rows`, grouped by row: the products go into `coef`, and the columns
+    i and j are returned. `stack_problem` sorts each row's columns. The
+    entry positions are int32 when the terms' count fits it."""
     row, col, val = row_entries(A, rows)
     q = np.bincount(row, minlength=rows.stop - rows.start)
-    per_row = q * (q + 1) // 2
-    dt = index_dtype(int(per_row.sum()))
+    dt = index_dtype(int((q * (q + 1) // 2).sum()))
     e = np.arange(len(col), dtype=dt)
     # entries from e to its row's end
     reps = np.repeat(np.cumsum(q, dtype=dt), q) - e
     first = np.repeat(e, reps)
     second = first + (np.arange(len(first), dtype=dt)
                       - np.repeat(np.cumsum(reps, dtype=dt) - reps, reps))
-    coef = val[first]
+    np.take(val, first, out=coef)
     coef *= val[second]
-    return col[first], col[second], coef, per_row
+    return col[first], col[second]
+
+
+def _reach(p, starts, ns):
+    """The band that the pairs within each run p[starts[i]:starts[i + 1]]
+    of variable positions span: over the runs with a position below ns,
+    the largest such position less the run's smallest; 0 without one."""
+    if not len(starts):
+        return 0
+    hi = np.maximum.reduceat(np.where(p < ns, p, -1), starts)
+    lo = np.minimum.reduceat(p, starts)
+    return int((hi - lo)[hi >= 0].max(initial=0))
 
 
 class _SchurPlan:
@@ -400,61 +434,74 @@ class _SchurPlan:
         # a band within _MAX_BAND fits it; wider bands are refused below
         pos = self.pos.astype(index_dtype(
             (_MAX_BAND + 1) * self.ns + self.nb * (m + 1)))
-        pairs = []  # (row, column) positions of the lower-triangle terms
+        ns = self.ns
+        # the band: the widest reach of a frame's, or a scalar row's, pairs
+        reach = [_reach(pos[cls["cols"]].ravel(),
+                        np.arange(0, cls["cols"].size, cls["width"]), ns)
+                 for cls in self.classes]
+        if segs.sizes[0] == 1:
+            rows = segs.rows[0]
+            ptr = self.A.indptr[rows.start:rows.stop + 1]
+            q = np.diff(ptr)
+            reach.append(_reach(pos[self.A.indices[ptr[0]:ptr[-1]]],
+                                (ptr[:-1] - ptr[0])[q > 0], ns))
+        self.bandwidth = max(reach, default=0)
+        if self.bandwidth > _MAX_BAND:
+            raise _FactorizationError(
+                f"Schur bandwidth {self.bandwidth} exceeds {_MAX_BAND}")
+        self.row0 = (self.bandwidth + 1) * ns
+        self.size = self.row0 + self.nb * (m + 1)  # of the formed buffer
+
+        def targets(a, b):
+            # the branch that np.where drops may wrap around; it is unused
+            hi, lo = np.maximum(a, b), np.minimum(a, b)
+            return np.where(hi < ns, lo * (self.bandwidth + 1) + hi - lo,
+                            self.row0 + (hi - ns) * (m + 1) + lo)
+
+        # each class's targets, chunk by chunk of its frames
+        self.targets = np.empty(
+            sum(len(cls["cols"]) * cls["width"] * (cls["width"] + 1) // 2
+                for cls in self.classes), dtype=index_dtype(self.size))
+        at = 0
         for cls in self.classes:
             w = cls["width"]
             il0, il1 = np.tril_indices(w)
             cls["lower"] = il0 * w + il1
             cols = cls.pop("cols")  # only the set-up reads the variables
             cls["frames"] = len(cols)
-            pairs.append((pos[cols[:, il0]].ravel(),
-                          pos[cols[:, il1]].ravel()))
-        if segs.sizes[0] == 1:
-            ci, cj, coef, per_row = _scalar_pairs(segs.A, segs.rows[0])
-            pairs.append((pos[ci], pos[cj]))
-            del ci, cj
-
-        def hi_lo(a, b):
-            return np.maximum(a, b), np.minimum(a, b)
-
-        def band(a, b):
-            hi, lo = hi_lo(a, b)
-            return int((hi - lo)[hi < self.ns].max(initial=0))
-
-        self.bandwidth = max([band(a, b) for a, b in pairs], default=0)
-        if self.bandwidth > _MAX_BAND:
-            raise _FactorizationError(
-                f"Schur bandwidth {self.bandwidth} exceeds {_MAX_BAND}")
-        self.row0 = (self.bandwidth + 1) * self.ns
-        self.size = self.row0 + self.nb * (m + 1)  # of the formed buffer
-
-        def targets(a, b):
-            # the branch that np.where drops may wrap around; it is unused
-            hi, lo = hi_lo(a, b)
-            return np.where(hi < self.ns, lo * (self.bandwidth + 1) + hi - lo,
-                            self.row0 + (hi - self.ns) * (m + 1) + lo)
-
+            for a in range(0, len(cols), _FRAME_CHUNK):
+                p = pos[cols[a:a + _FRAME_CHUNK]]
+                t = targets(p[:, il0].ravel(), p[:, il1].ravel())
+                self.targets[at:at + len(t)] = t
+                at += len(t)
         self.K = None
         if segs.sizes[0] == 1:
-            # K maps d onto the distinct targets, one column per block
-            t = targets(*pairs.pop())
+            # K maps d onto the distinct targets, one column per block: its
+            # entries are the rows' pairs, built in chunks of whole rows
+            indptr = np.append(0, np.cumsum(q * (q + 1) // 2))
+            coef = np.empty(indptr[-1])
+            t = np.empty(indptr[-1], dtype=index_dtype(self.size))
             hit = np.zeros(self.size, dtype=bool)
-            hit[t] = True
+            cuts = np.unique(np.append(np.searchsorted(
+                indptr, np.arange(0, indptr[-1], _PAIR_CHUNK),
+                side="right") - 1, len(q)))
+            for r0, r1 in zip(cuts[:-1], cuts[1:]):
+                a, b = indptr[r0], indptr[r1]
+                ci, cj = _scalar_pairs(self.A, slice(
+                    rows.start + r0, rows.start + r1), coef[a:b])
+                t[a:b] = targets(pos[ci], pos[cj])
+                hit[t[a:b]] = True
             self.lp_targets = np.flatnonzero(hit)
-            rank = np.cumsum(hit, dtype=np.int32) - 1
+            del hit
+            # each target's rank among the distinct ones, in place
+            for a in range(0, len(t), _PAIR_CHUNK):
+                t[a:a + _PAIR_CHUNK] = np.searchsorted(
+                    self.lp_targets, t[a:a + _PAIR_CHUNK])
             import scipy.sparse as sp  # loaded by the solve that needs it
 
-            self.K = sp.csc_matrix(
-                (coef, rank[t], np.append(0, np.cumsum(per_row))),
-                shape=(len(self.lp_targets), segs.counts[0]))
-            del t, hit, rank
-        self.targets = np.empty(sum(len(a) for a, _ in pairs),
-                                dtype=index_dtype(self.size))
-        at = 0
-        while pairs:  # one at a time, to keep the temporaries small
-            t = targets(*pairs.pop(0))
-            self.targets[at:at + len(t)] = t
-            at += len(t)
+            self.K = sp.csc_matrix((coef, t, indptr),
+                                   shape=(len(self.lp_targets),
+                                          segs.counts[0]))
         self.info = ({"kind": "banded", "bandwidth": self.bandwidth,
                       "border": self.nb} if self.ns else
                      {"kind": "dense", "bandwidth": None, "border": 0})
@@ -495,6 +542,9 @@ class _SchurPlan:
         for cls in self.classes:
             nf, w, cnt, d = (cls["frames"], cls["width"], cls["cnt"],
                              cls["svdim"])
+            # the chunks' targets as intp, which np.add.at would otherwise
+            # cast to on every call; the plan stores the smaller dtype
+            idx = np.empty(len(cls["G"]) * len(cls["lower"]), dtype=np.intp)
             for i, a in enumerate(range(0, nf, len(cls["G"]))):
                 k = min(nf - a, len(cls["G"]))
                 C, G = cls["C"][:k], cls["G"][:k]
@@ -504,9 +554,11 @@ class _SchurPlan:
                     out=C.reshape(k, cnt, d, w))
                 np.matmul(C.transpose(0, 2, 1), C, out=G)
                 lower = G.reshape(k, w * w)[:, cls["lower"]].ravel()
+                t = idx[:len(lower)]
+                t[...] = self.targets[at:at + len(lower)]
                 # each target's terms go in index order, chunk after chunk:
                 # the sums of one bincount over all chunks, bit for bit
-                np.add.at(buf, self.targets[at:at + len(lower)], lower)
+                np.add.at(buf, t, lower)
                 at += len(lower)
         if self.K is not None:
             buf[self.lp_targets] += self.K @ weights[0]
@@ -600,12 +652,11 @@ class _Segments:
     read as they are; a cone's `rows` span those of its groups. Every
     iterate is one vector in that row order, and `views` gives each cone
     its part. The phase-1 variable tau follows the m variables; its column
-    is `eye`, svec(I) on every block, kept apart from A as the 1-column
-    `tau`, and `tau0` is its start."""
+    is svec(I) on every block, which `identity` builds and `apply` and
+    `trace` read per cone from the diagonal svec entries, so the segments
+    hold no vector of A's rows of their own; `tau0` is tau's start."""
 
     def __init__(self, problem):
-        import scipy.sparse as sp  # loaded by the solve that needs it
-
         groups = self.groups = problem.groups
         self.m, self.A, self.f0 = problem.m, problem.A, problem.f0
         self.sizes = sorted({g.size for g in groups})
@@ -616,19 +667,33 @@ class _Segments:
         self.Ntot = sum(n * k for n, k in zip(self.counts, self.sizes))
         self.cones = [_LinearCone if k == 1 else _MatrixCone
                       for k in self.sizes]
-        self.eye = np.concatenate([
-            np.tile((svec_scale(k) == 1.0).astype(float), cnt)
-            for k, cnt in zip(self.sizes, self.counts)])
-        self.tau = sp.csc_matrix(self.eye[:, None])
-        # the transposes share A's and tau's arrays: built once, not per
-        # product
-        self.A_t, self.tau_t = self.A.T, self.tau.T
+        # the transpose shares A's arrays: built once, not per product
+        self.A_t = self.A.T
         # phase 1, min tau s.t. A y + tau I - F0 >= 0, starts at y = 0 from
         # F0's largest eigenvalue plus max(1, |that eigenvalue|)
         top = -float(np.concatenate([
             x if k == 1 else eig_min(_components(x, k))
             for k, x in zip(self.sizes, self.views(-self.f0))]).min())
         self.tau0 = top + max(1.0, abs(top))
+
+    def identity(self):
+        """svec(I) on every block: tau's column, and phase 1's first Z."""
+        return np.concatenate([
+            np.tile((svec_scale(k) == 1.0).astype(float), cnt)
+            for k, cnt in zip(self.sizes, self.counts)])
+
+    def trace(self, v):
+        """tau's entry of A^T v, the sum of v's diagonal svec entries: one
+        by one in A's row order from +0.0, the sum that a sparse product
+        with the column svec(I) takes, bit for bit."""
+        total = 0.0
+        for k, x in zip(self.sizes, self.views(v)):
+            # a copy of the cone's diagonal entries, summed in place
+            part = x.copy() if k == 1 else x[:, _diagonal(k)].ravel()
+            if len(part):
+                part[0] += total
+                total = np.add.accumulate(part, out=part)[-1]
+        return float(total)
 
     def apply(self, y):
         """A y, plus tau's column when y ends with tau."""
@@ -650,7 +715,7 @@ class _Segments:
     def apply_t(self, v, nv):
         """A^T v for the first nv variables: tau's entry when nv = m + 1."""
         out = self.A_t @ v
-        return out if nv == self.m else np.append(out, self.tau_t @ v)
+        return out if nv == self.m else np.append(out, self.trace(v))
 
     def seg_slices(self):
         for ci, k in enumerate(self.sizes):
@@ -711,7 +776,7 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
     typically unbounded)."""
     y = np.asarray(y0, dtype=float).copy()
     nv = len(y)
-    Z = segs.eye
+    Z = segs.identity()
     S = segs.slack(y)
     fS = segs.factors(S)
     gap = np.inf
@@ -727,6 +792,8 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
     # step keep theirs for the next scaling, which factors the first Z
     fZ = [None] * len(fS)
     it = 0
+    # the loop holds one iterate: each array is dropped once it is used up,
+    # so that no direction, factor or cone outlives its iteration
     for it in range(1, settings.max_iterations + 1):
         # elementwise, not BLAS: a threaded dot of a long vector costs more
         gap = float((S * Z).sum())
@@ -747,13 +814,11 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
                 segs.cones, segs.views(S), segs.views(Z), zip(fS, fZ))]
         except np.linalg.LinAlgError:
             return stop(it - 1, "scaling breakdown")
+        fS = fZ = None  # the scalings have used the factors up
         # tau's coefficient is the identity in every block, so its column
         # of G is A^T svec(W^{-2})
         tau_col = (segs.apply_t(_whole([w.w2 for w in cones]), nv)
                    if phase1 is not None else None)
-        # the last factor goes before the next is formed, so that the two
-        # never hold memory at once
-        solve = None
         try:
             solve = schur.factor([w.schur for w in cones], tau_col)
         except _FactorizationError:
@@ -786,21 +851,25 @@ def _ipm(segs, schur, c, settings, y0, phase1=None):
         if step is None:
             return stop(it, "step computation failed")
         dy, dirs, ap, ad = step
+        step = None
         if (phase1 is not None and dy[-1] < 0.0
                 and y[-1] + ap * dy[-1] < phase1[1]):
             ap = (phase1[1] - y[-1]) / dy[-1]
         if not np.isfinite(ap) or not np.isfinite(ad) or ap <= 0 or ad <= 0:
             return stop(it, "step computation failed")
+        dZ = _whole([w.dz(d) for w, d in zip(cones, dirs)])
+        cones = dirs = None  # the backtracks read only dy and dZ
         # the fractional step can still graze the cone boundary; backtrack
         # until both iterates are strictly inside
-        primal = _backtrack(segs, ap, lambda a: segs.slack(y + a * dy))
-        if primal is None:
+        found = _backtrack(segs, ap, lambda a: segs.slack(y + a * dy))
+        if found is None:
             return stop(it, "primal step stalled at the boundary")
-        dZ = _whole([w.dz(d) for w, d in zip(cones, dirs)])
-        dual = _backtrack(segs, ad, lambda a: Z + a * dZ)
-        if dual is None:
+        ap, S, fS = found
+        found = _backtrack(segs, ad, lambda a: Z + a * dZ)
+        if found is None:
             return stop(it, "dual step stalled at the boundary")
-        (ap, S, fS), (_, Z, fZ) = primal, dual
+        _, Z, fZ = found
+        found = dZ = None
         y = y + ap * dy
         if not np.isfinite(y).all():
             return stop(it, "non-finite iterate")
@@ -869,7 +938,7 @@ def solve(problem, settings=None):
 
 
 def _extract_ray(segs, svec_Z):
-    trace = float((segs.tau_t @ svec_Z)[0])
+    trace = segs.trace(svec_Z)
     if trace <= 0:
         trace = 1.0
     svec_Zn = svec_Z / trace

@@ -24,6 +24,23 @@ from cpacontract.triangulation import build_complex
 from reference import svec, unsvec
 from test_solver import random_feasible_problem
 
+# The criterion-1 system and region, and a 3-D field, as the benchmark's
+# synth-1d (at K=5) and synth-3d (at K=0) workloads run them.
+SYNTH_1D_CONFIG = {
+    "system": "dim=1; period=6.283185307179586; f1 = -x1 + sin(t)",
+    "region": [[[-2.0, 1.0]]],
+    "epsilon0": 0.01,
+    "smoothness": "C2",
+}
+SYNTH_3D_CONFIG = {
+    "system": ("dim=3; period=1; smoothness=c3; "
+               "f1 = -x1 + 1.5*x2 + 0.2*x2*x3; "
+               "f2 = -x2 + 1.5*x3 - 0.2*x1*x3; "
+               "f3 = -x3 + 0.2*x1*x2"),
+    "region": [[[-0.5, 0.5], [-0.5, 0.5], [-0.5, 0.5]]],
+    "epsilon0": 0.01,
+}
+
 # The 2-D oscillator of criterion 2 at K=6 on a quarter of its region.
 OSC_2D_CONFIG = {
     "system": ("dim=2; period=6.283185307179586; smoothness=c3; "
@@ -107,9 +124,16 @@ def _plan(problem, kind):
                             else order, problem.schur_border)
 
 
+def _tau_column(segs):
+    """The phase-1 tau column svec(I) of every block, as a sparse column."""
+    return sp.csc_matrix(np.concatenate([
+        np.tile(svec(np.eye(k)), cnt) for _, k, cnt, _ in segs.seg_slices()
+    ])[:, None])
+
+
 def _augmented(segs):
     """A with the phase-1 tau column stacked on."""
-    return sp.hstack([segs.A, segs.tau], format="csr")
+    return sp.hstack([segs.A, _tau_column(segs)], format="csr")
 
 
 def _check_against_reference(problem, seed, kind):
@@ -260,6 +284,29 @@ class TestChunkedFormation:
             assert plan.form(weights).tobytes() == self._one_batch(
                 plan, weights).tobytes()
 
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_set_up_chunks_give_the_same_plan(self, osc_2d, uniform,
+                                              monkeypatch):
+        # the set-up builds the targets and K in chunks of frames and of
+        # the scalar rows' pairs; the plan does not depend on their size
+        problem, _ = _mesh_problem(osc_2d, [[[-0.5, 0.5], [-0.5, 0.5]]], 2,
+                                   uniform, "min_c")
+        plans = []
+        for frames, pairs in ((10**9, 10**9), (1, 1), (7, 7), (1024, 1000)):
+            monkeypatch.setattr(solver, "_FRAME_CHUNK", frames)
+            monkeypatch.setattr(solver, "_PAIR_CHUNK", pairs)
+            plans.append(_plan(problem, "banded")[1])
+        assert plans[0].K is not None and plans[0].K.nnz > 1000
+        for plan in plans[1:]:
+            assert plan.bandwidth == plans[0].bandwidth
+            for a, b in ((plan.targets, plans[0].targets),
+                         (plan.lp_targets, plans[0].lp_targets),
+                         (plan.K.data, plans[0].K.data),
+                         (plan.K.indices, plans[0].K.indices),
+                         (plan.K.indptr, plans[0].K.indptr)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestBandSolves:
     def test_one_band_solve_fewer_per_iteration(self, solved_linear,
                                                 monkeypatch):
@@ -328,16 +375,15 @@ class TestOneStore:
         solve(problem, SolverSettings(max_iterations=3))
         assert seen and all(s.A is A for s in seen)
         assert [a.tobytes() for a in (A.data, A.indices, A.indptr)] == before
-        # the transposes are views of the same arrays, built once
+        # the transpose is a view of the same arrays, built once
         segs = seen[0]
-        for t, a in ((segs.A_t, A), (segs.tau_t, segs.tau)):
-            for x, y in ((t.data, a.data), (t.indices, a.indices),
-                         (t.indptr, a.indptr)):
-                assert np.shares_memory(x, y)
+        for x, y in ((segs.A_t.data, A.data), (segs.A_t.indices, A.indices),
+                     (segs.A_t.indptr, A.indptr)):
+            assert np.shares_memory(x, y)
         v = np.random.default_rng(7).normal(size=A.shape[0])
         assert segs.apply_t(v, problem.m).tobytes() == (A.T @ v).tobytes()
         assert segs.apply_t(v, problem.m + 1).tobytes() == np.append(
-            A.T @ v, segs.tau.T @ v).tobytes()
+            A.T @ v, _tau_column(segs).T @ v).tobytes()
 
     def test_2d_mesh(self, osc_2d, monkeypatch):
         problem, _ = _mesh_problem(osc_2d, [[[-0.5, 0.5], [-0.5, 0.5]]], 1,
@@ -347,6 +393,46 @@ class TestOneStore:
     def test_hand_built_mixed_sizes(self, monkeypatch):
         problem, _ = random_feasible_problem(np.random.default_rng(5))
         self._check(problem, monkeypatch)
+
+
+class TestTauColumn:
+    """tau's entry of A^T v is the sum of v's diagonal svec entries, taken
+    one by one in A's row order from +0.0: the bits of the sparse product
+    with the column svec(I)."""
+
+    @staticmethod
+    def _check(segs, rng):
+        tau = _tau_column(segs)
+        n = segs.A.shape[0]
+        vectors = [rng.normal(size=n), -np.zeros(n), np.zeros(n),
+                   rng.normal(size=n) * 1e300]
+        signed = rng.normal(size=n)
+        signed[rng.random(n) < 0.5] = -0.0
+        signed[:3] = -0.0  # the sum starts from +0.0, not from a -0.0 entry
+        vectors.append(signed)
+        for v in vectors:
+            ref = tau.T @ v
+            assert np.float64(segs.trace(v)).tobytes() == ref.tobytes()
+            assert segs.apply_t(v, segs.m + 1)[-1:].tobytes() == ref.tobytes()
+
+    def test_workload_meshes(self, osc_2d_k6):
+        rng = np.random.default_rng(11)
+        problems = [osc_2d_k6[0]]
+        for config, K in ((SYNTH_1D_CONFIG, 5), (SYNTH_3D_CONFIG, 0)):
+            config = Config.from_dict(config)
+            sys0 = config.build_system()
+            problems.append(_mesh_problem(
+                sys0, config.region, K, True, "min_c",
+                config.scaling_matrix(sys0.n))[0])
+        assert {k for p in problems for k in _Segments(p).sizes} == {1, 2, 3}
+        for problem in problems:
+            self._check(_Segments(problem), rng)
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            problem, _ = random_feasible_problem(rng)
+            self._check(_Segments(problem), rng)
 
 
 class TestRidge:

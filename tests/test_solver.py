@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -404,7 +406,7 @@ def test_one_congruence_per_matrix_cone_per_iteration(objective,
 
 class TestPhaseOneApply:
     """Phase 1 adds tau to the diagonal svec rows of every block, the
-    nonzeros of `eye`, with the bits of indexing tau's column."""
+    nonzeros of svec(I), with the bits of indexing tau's column."""
 
     def test_block_sizes_1_2_3(self):
         rng = np.random.default_rng(3)
@@ -415,14 +417,89 @@ class TestPhaseOneApply:
             blocks.append(([F + F.T for F in Fis], np.eye(k)))
         segs = solver._Segments(make_problem(blocks, np.zeros(m)))
         assert segs.sizes == [1, 2, 3]
-        assert np.array_equal(np.flatnonzero(segs.eye), segs.tau.indices)
-        assert np.array_equal(segs.eye, np.concatenate(
-            [np.ones(2)] + [svec(np.eye(k)) for k in (2, 2, 3)]))
+        eye = np.concatenate(
+            [np.ones(2)] + [svec(np.eye(k)) for k in (2, 2, 3)])
+        assert segs.identity().tobytes() == eye.tobytes()
         y = rng.normal(size=m + 1)
         ref = segs.A @ y[:m]
-        ref[segs.tau.indices] += y[-1]
+        ref[np.flatnonzero(eye)] += y[-1]
         assert segs.apply(y).tobytes() == ref.tobytes()
         assert segs.apply(y[:m]).tobytes() == (segs.A @ y[:m]).tobytes()
+
+
+class TestWorkingSet:
+    """The interior-point loop holds one iterate: what an iteration builds
+    is gone before the next one scales, and the segments keep no vector of
+    A's rows besides A and f0."""
+
+    @staticmethod
+    def _problem():
+        problem, _ = random_feasible_problem(np.random.default_rng(8), True)
+        sizes = solver._Segments(problem).sizes
+        assert sizes[0] == 1 and sizes[-1] > 1
+        return problem
+
+    def test_iteration_arrays_die_before_the_next_scaling(self, monkeypatch):
+        made, cones, rounds = [], [], []
+
+        def keep(x):
+            made.append(weakref.ref(x))
+            if x.base is not None:
+                made.append(weakref.ref(x.base))
+
+        def recorded(fun):
+            def wrapper(self, *args):
+                out = fun(self, *args)
+                for x in out if isinstance(out, tuple) else (out,):
+                    keep(x)
+                return out
+            return wrapper
+
+        for cls in (solver._LinearCone, solver._MatrixCone):
+            monkeypatch.setattr(cls, "direction", recorded(cls.direction))
+            monkeypatch.setattr(cls, "dz", recorded(cls.dz))
+        whole = solver._whole
+
+        def joined(parts):
+            out = whole(parts)
+            keep(out)
+            return out
+
+        monkeypatch.setattr(solver, "_whole", joined)
+        for cls in (solver._LinearCone, solver._MatrixCone):
+            def init(self, *args, _init=cls.__init__, **kwargs):
+                if isinstance(self, solver._LinearCone):  # a new iteration
+                    rounds.append(([r for r in made if r() is not None],
+                                   [r for r in cones if r() is not None]))
+                _init(self, *args, **kwargs)
+                cones.append(weakref.ref(self))
+            monkeypatch.setattr(cls, "__init__", init)
+        sol = solve(self._problem())
+        assert sol.status == "Optimal" and sol.iterations > 2
+        assert len(rounds) >= sol.iterations and made
+        # the direction arrays, dZ and the last cones are dead when the
+        # next iteration builds its cones
+        assert all(live == ([], []) for live in rounds)
+
+    def test_segments_hold_no_row_vector(self):
+        problem = self._problem()
+        segs = solver._Segments(problem)
+        A, n = problem.A, problem.A.shape[0]
+
+        def arrays(x):
+            if isinstance(x, (list, tuple)):
+                return [a for v in x for a in arrays(v)]
+            return [x] if sp.issparse(x) or isinstance(x, np.ndarray) else []
+
+        for name, value in vars(segs).items():
+            for x in arrays(value):
+                if x is A or x is problem.f0 or n not in x.shape:
+                    continue
+                # only A's transpose, a view of A's arrays, has that length
+                assert name == "A_t", name
+                for a, b in ((x.data, A.data), (x.indices, A.indices),
+                             (x.indptr, A.indptr)):
+                    assert np.shares_memory(a, b)
 
 
 class TestNonFiniteDirection:
