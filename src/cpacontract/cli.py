@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import stat
 import sys as _sys
@@ -81,12 +82,13 @@ class Config:
                 if not isinstance(scaling, list):
                     raise TypeError("scaling must be a list of numbers")
                 scaling = [float(s) for s in scaling]
+                ScalingMatrix.from_spatial(scaling)  # its entries' check
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad configuration: {exc}") from exc
         if not isinstance(system_text, str):
             raise InputError("system must be a string")
-        if epsilon0 <= 0:
-            raise InputError("epsilon0 must be positive")
+        if not 0.0 < epsilon0 < math.inf:  # NaN fails too
+            raise InputError("epsilon0 must be positive and finite")
         if not isinstance(region, list) or not region:
             raise InputError("region must be a non-empty list of boxes")
         mode = raw.get("mode", {})
@@ -107,6 +109,8 @@ class Config:
             verify_tol = float(verify_raw.get("tol", 1e-6))
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad solver or verify settings: {exc}") from exc
+        if not math.isfinite(verify_tol):
+            raise InputError("verify.tol must be finite")
         objective = mode.get("objective", "min_c")
         if objective not in ("none", "min_c"):
             raise InputError("mode.objective must be 'none' or 'min_c'")

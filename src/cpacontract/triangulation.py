@@ -13,6 +13,7 @@ the mesh and its geometry, with no per-simplex views and no system's data.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,8 @@ class ScalingMatrix:
             raise ValueError("scaling needs at least the t entry and one spatial entry")
         if self.diag[0] != 1.0:
             raise ValueError("first scaling entry must be exactly 1")
-        if any(s <= 0 for s in self.diag):
-            raise ValueError("scaling entries must be positive")
+        if not all(0.0 < s < math.inf for s in self.diag):  # NaN fails too
+            raise ValueError("scaling entries must be positive and finite")
 
     @classmethod
     def identity(cls, n):

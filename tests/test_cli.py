@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -363,12 +364,37 @@ class TestMainEntry:
         ("check-complex", {"scaling": 0.5}),
         ("check-complex", {"scaling": [None]}),
         ("floquet", {"scaling": "1"}),
+        # non-finite numbers, written as JSON's NaN and Infinity
+        ("synthesize", {"epsilon0": math.nan}),
+        ("synthesize", {"epsilon0": 1e400}),
+        ("synthesize", {"scaling": [math.nan]}),
+        ("check-complex", {"scaling": [math.inf]}),
+        ("floquet", {"scaling": [math.nan]}),
+        ("synthesize", {"solver": {"feas_tol": math.nan}}),
+        ("synthesize", {"solver": {"gap_tol": math.nan}}),
+        ("synthesize", {"verify": {"samples": 20000, "seed": 12345,
+                                   "tol": math.nan}}),
     ])
     def test_bad_config_is_input_error(self, tmp_path, command, patch):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(LINEAR_CONFIG, **patch)))
         extra = ["--k", "1"] if command == "check-complex" else []
         assert main([command, "--config", str(path)] + extra) == 3
+
+    @pytest.mark.parametrize("field, patch", [
+        ("epsilon0", {"epsilon0": math.nan}),
+        ("epsilon0", {"epsilon0": math.inf}),
+        ("scaling", {"scaling": [math.nan]}),
+        ("feas_tol", {"solver": {"feas_tol": math.nan}}),
+        ("gap_tol", {"solver": {"gap_tol": math.inf}}),
+        ("verify.tol", {"verify": {"tol": math.nan}}),
+    ])
+    def test_non_finite_number_names_its_field(self, tmp_path, capsys,
+                                               field, patch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(LINEAR_CONFIG, **patch)))
+        assert main(["synthesize", "--config", str(path)]) == 3
+        assert field in capsys.readouterr().err
 
     def test_check_complex_subcommand(self, tmp_path):
         path = tmp_path / "cfg.json"
