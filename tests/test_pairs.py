@@ -100,6 +100,28 @@ def test_peak_synth_1d_record():
     assert answer["floquet_bound"] == -1.0 / (2.0 * answer["C"])
 
 
+def test_workingset_synth_1d_record():
+    record = _one_tree("workingset", "synth-1d")
+    assert (record["measure"], record["arg"]) == ("workingset", "synth-1d")
+    metrics = record["metrics"]
+    stages = [key[:-len("_mb")] for key in metrics
+              if key.endswith("_mb") and key != "peak_mb"]
+    assert stages == ["mesh", "assembly", "solve", "plan", "cones",
+                      "factor", "steps", "backtracks", "certificate", "rest"]
+    assert set(metrics) == {f"{s}_mb" for s in stages} | {"peak_mb",
+                                                          "process_s"}
+    assert all(metrics[f"{s}_mb"] > 0 for s in stages)
+    peak = max(metrics[f"{s}_mb"] for s in stages)
+    assert metrics["peak_mb"] == peak == metrics[
+        f"{record['peak_stage']}_mb"]
+    # the traced bytes: a synth-1d synthesis holds a few MB at most
+    assert peak < 50
+    assert record["answer"]["exit_code"] == 0
+    assert record["answer"]["k"] == 5
+    assert record["answer"]["status"] == "Optimal"
+    assert record["answer"]["iterations"] > 0
+
+
 def test_coldstart_record(tmp_path):
     workloads = _module(ROOT / "perfbench" / "workloads.py",
                         "perfbench_workloads")
@@ -114,7 +136,7 @@ def test_coldstart_record(tmp_path):
     assert record["answer"] == {"verify_exit": 0, "loads_scipy": False}
 
 
-@pytest.mark.parametrize("argv", [["peak"], ["solve", "a"],
+@pytest.mark.parametrize("argv", [["peak"], ["workingset"], ["solve", "a"],
                                   ["coldstart", "c", "a", "b", "d"]])
 def test_bad_arguments_start_no_process(argv, monkeypatch):
     def unreachable(*args, **kwargs):

@@ -1,6 +1,8 @@
 """One measurement of this checkout, or two source trees in alternated pairs.
 
 Usage: python3 tools/pairs.py peak NAME [PARENT_DIR CHANGE_DIR] [--pairs N]
+       python3 tools/pairs.py workingset NAME [PARENT_DIR CHANGE_DIR]
+                              [--pairs N]
        python3 tools/pairs.py solve [PARENT_DIR CHANGE_DIR] [--pairs N]
        python3 tools/pairs.py coldstart CERT [PARENT_DIR CHANGE_DIR]
                               [--pairs N]
@@ -21,6 +23,19 @@ seconds from the process's start to its exit.
   exit code, certified level `k`, solver status and iterations, C and the
   Floquet bound (null when no level was certified). Label `peak_stage`:
   the first [K, stage] whose end saw the final peak.
+- `workingset NAME`: the same synthesis under `tracemalloc`, started
+  after the imports (scipy's too). Metrics: the traced high-water mark in
+  MB (2^20 bytes) of each stage over all levels, as `{stage}_mb`, and the
+  run's `peak_mb`. The stages are `mesh`, `assembly`, `plan` (the Schur
+  plan's set-up), `cones` (the cones' scalings), `factor` (Schur formation
+  and factor), `steps` (the cones' step lengths), `backtracks` (both
+  backtracking searches), `certificate` (sampled verification and the
+  certificate), `solve` for the rest of the solve, and `rest` for all
+  else; a stage inside another's call counts for itself alone. Answer:
+  exit code, level, solver status and iterations. Label `peak_stage`: the
+  stage with the highest mark. Traced bytes repeat from run to run (to
+  ~0.01 MB), so a memory change shows where its saving lands without the
+  allocator's noise in `ru_maxrss`.
 - `solve`: the synth-2d, then the synth-3d configuration of
   `perfbench/workloads.py` at its first level K: mesh, `assemble`, then
   `solve`, timed alone. Metrics per workload: the solve's seconds per
@@ -68,8 +83,8 @@ def report(metrics, answer, **labels):
                                      **labels)))
 """
 
-PEAK = """
-import resource, time
+# the synthesis configurations that `peak` and `workingset` take by name
+SYNTHESES = """
 import test_acceptance, workloads
 from cpacontract import cli
 
@@ -77,6 +92,10 @@ CONFIGS = {"synth-1d": workloads.SYNTH_1D, "synth-2d": workloads.SYNTH_2D,
            "synth-3d": workloads.SYNTH_3D,
            "criterion-1": test_acceptance.CRITERION_1_CONFIG,
            "criterion-2": test_acceptance.CRITERION_2_CONFIG}
+"""
+
+PEAK = SYNTHESES + """
+import resource, time
 
 def maxrss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -155,6 +174,59 @@ for name, raw in (("synth-2d", workloads.SYNTH_2D),
 report(metrics, answer)
 """
 
+WORKINGSET = SYNTHESES + """
+import tracemalloc
+import scipy.linalg, scipy.sparse  # imported before the trace starts
+from cpacontract import solver
+
+# stage -> the functions whose calls it covers; a call inside another
+# stage's call belongs to the inner stage alone
+STAGES = {"mesh": [(cli, "build_complex")], "assembly": [(cli, "assemble")],
+          "solve": [(cli, "solve")], "plan": [(solver._SchurPlan, "__init__")],
+          "cones": [(solver._LinearCone, "__init__"),
+                    (solver._MatrixCone, "__init__")],
+          "factor": [(solver._SchurPlan, "factor")],
+          "steps": [(solver._LinearCone, "steps"),
+                    (solver._MatrixCone, "steps")],
+          "backtracks": [(solver, "_backtrack")],
+          "certificate": [(cli, "verify_contraction_sampled"),
+                          (cli, "build_certificate")]}
+stack, peaks = ["rest"], {}
+
+def mark(stage):
+    # the traced high-water mark since the last mark is `stage`'s
+    peak = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+    peaks[stage] = max(peaks.get(stage, 0.0), peak)
+    tracemalloc.reset_peak()
+
+def staged(fun, stage):
+    def wrapper(*args, **kwargs):
+        mark(stack[-1])
+        stack.append(stage)
+        try:
+            return fun(*args, **kwargs)
+        finally:
+            mark(stack.pop())
+    return wrapper
+
+for stage, places in STAGES.items():
+    for owner, name in places:
+        setattr(owner, name, staged(getattr(owner, name), stage))
+config = cli.Config.from_dict(CONFIGS[sys.argv[1]])
+tracemalloc.start()
+code, cert = cli.cmd_synthesize(config, progress=lambda *a, **k: None)
+mark(stack[-1])
+tracemalloc.stop()
+solver_info = cert["solver"] if cert else {}
+metrics = {f"{s}_mb": peaks[s] for s in (*STAGES, "rest") if s in peaks}
+metrics["peak_mb"] = max(peaks.values())
+report(metrics,
+       {"exit_code": code, "k": cert["k"] if cert else None,
+        "status": solver_info.get("status"),
+        "iterations": solver_info.get("iterations")},
+       peak_stage=max(peaks, key=peaks.get))
+"""
+
 COLDSTART = """
 import time
 t = time.perf_counter()
@@ -168,6 +240,7 @@ report({"import_s": import_s},
 
 # measure -> (probe, the name of its one argument or None)
 MEASURES = {"peak": (PEAK, "NAME"), "solve": (SOLVE, None),
+            "workingset": (WORKINGSET, "NAME"),
             "coldstart": (COLDSTART, "CERT")}
 
 
